@@ -20,7 +20,6 @@ from .sphere import (
     ProjectiveCurve,
     admissible_normal_arc,
     inflection_indicator,
-    is_anti_convex,
     limiting_circle,
     true_inflections,
 )
@@ -39,6 +38,7 @@ from .census import (
     Chord,
     DoubleTangentInterval,
     ReducedCurve,
+    anti_convexity_grid_test,
     census,
     chord,
     count_inflections_topological,

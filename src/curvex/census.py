@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import Arc, TWO_PI, canonical, circle_dist, forward_gap
+from .circle import Arc, TWO_PI, canonical, circle_dist, cyclic_runs, forward_gap
 from .errors import DegenerateChord, LineCurve, SelfIntersection
 from .sphere import (
     EPS_NORM,
@@ -27,6 +27,7 @@ from .sphere import (
     normal_direction,
     true_inflections,
 )
+from .trig import newton2
 
 NEWTON_RESIDUAL = 1e-11
 SEED_THRESHOLD = 1e-2
@@ -211,23 +212,11 @@ def count_inflections_topological(unit_many, n_grid: int = 2048,
             signs.append(sgn)
         crossing[j] = signs[0] != 0.0 and signs[1] != 0.0 and signs[0] != signs[1]
 
-    count = 0
-    params = []
-    j = 0
-    ext = np.concatenate([crossing, crossing])
-    while j < n_grid:
-        if ext[j] and not ext[(j - 1) % n_grid]:
-            k = j
-            while ext[k]:
-                k += 1
-            count += 1
-            params.append(float(ts[((j + k - 1) // 2) % n_grid]))
-            j = k
-        else:
-            j += 1
-    if crossing.all() and n_grid:
-        count, params = 1, [0.0]
-    return count, params
+    if crossing.all():
+        return 1, [0.0]
+    params = [float(ts[((2 * start + length - 1) // 2) % n_grid])
+              for start, length in cyclic_runs(crossing)]
+    return len(params), params
 
 
 def anti_convexity_grid_test(unit_many, n_base: int = 128, n_theta: int = 128,
@@ -260,11 +249,11 @@ class DetectionResult:
     dropped: int = 0  # diverged or filtered-out Newton runs
 
 
-def _newton_tangency(curve: ProjectiveCurve, a: float, b: float,
-                     max_steps: int = 40):
-    """Newton on (n(a).F(b), n(a).F'(b)) from a seed; returns (a, b) or None."""
+def _tangency_system(curve: ProjectiveCurve):
+    """The residual (n(a).F(b), n(a).F'(b)) and its Jacobian, for newton2."""
     F, F1, F2 = curve.F, curve.F1, curve.F2
-    for _ in range(max_steps):
+
+    def system(a, b):
         fa, f1a, f2a = F(a), F1(a), F2(a)
         n = np.cross(fa, f1a)
         dn = np.cross(fa, f2a)
@@ -272,18 +261,35 @@ def _newton_tangency(curve: ProjectiveCurve, a: float, b: float,
         r1, r2 = float(np.dot(n, fb)), float(np.dot(n, f1b))
         scale = float(np.linalg.norm(n) * np.linalg.norm(fb))
         if (abs(r1) + abs(r2)) / scale < NEWTON_RESIDUAL:
-            return a, b
+            return None
         J = np.array([[float(np.dot(dn, fb)), r2],
                       [float(np.dot(dn, f1b)), float(np.dot(n, f2b))]])
-        try:
-            step = np.linalg.solve(J, [r1, r2])
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 0.5:
-            return None
-        a -= float(step[0])
-        b -= float(step[1])
-    return None
+        return J, [r1, r2]
+    return system
+
+
+def tangent_pairs(seeds, system, margin: float) -> tuple[list[tuple[float, float]], int]:
+    """Solve each seed with newton2 on the system and keep the solutions
+    whose forward gap lies in (margin/2, pi - margin/2), deduplicated as
+    (a mod pi, gap) pairs; returns them sorted, with the number of seeds
+    that failed or landed outside."""
+    found: list[tuple[float, float]] = []
+    dropped = 0
+    for a0, b0 in seeds:
+        sol = newton2(system, a0, b0)
+        if sol is None:
+            dropped += 1
+            continue
+        a, b = sol
+        gap = forward_gap(a, b)
+        if not margin * 0.5 < gap < math.pi - margin * 0.5:
+            dropped += 1
+            continue
+        a = canonical(a, math.pi)
+        if not any(circle_dist(a, fa, math.pi) < DEDUPE_TOL
+                   and abs(gap - fg) < DEDUPE_TOL for fa, fg in found):
+            found.append((a, gap))
+    return sorted(found), dropped
 
 
 def _side_sign(curve: ProjectiveCurve, normal: np.ndarray, t: float,
@@ -354,25 +360,9 @@ def detect_double_tangents(curve: ProjectiveCurve, n_a: int = 512,
         if R[i, k] <= R[i, (k - 1) % nb] and R[i, k] <= R[i, (k + 1) % nb]:
             seeds.append((float(agrid[i]), float(bgrid[k])))
 
-    found: list[tuple[float, float]] = []
-    dropped = 0
-    for a0, b0 in seeds:
-        sol = _newton_tangency(curve, a0, b0)
-        if sol is None:
-            dropped += 1
-            continue
-        a, b = sol
-        gap = forward_gap(a, b)
-        if not margin * 0.5 < gap < math.pi - margin * 0.5:
-            dropped += 1
-            continue
-        a = canonical(a, math.pi)
-        if not any(circle_dist(a, fa, math.pi) < DEDUPE_TOL
-                   and abs(gap - fg) < DEDUPE_TOL for fa, fg in found):
-            found.append((a, gap))
-
+    found, dropped = tangent_pairs(seeds, _tangency_system(curve), margin)
     intervals = []
-    for a, gap in sorted(found):
+    for a, gap in found:
         ch = _passes_filters(curve, a, a + gap)
         if ch is None:
             dropped += 1
@@ -400,15 +390,18 @@ def _compatible(x: Arc, y: Arc, tol: float = 1e-9) -> bool:
         and gap_xy > tol and gap_yx > tol
 
 
+def _compatibility(intervals: list[DoubleTangentInterval]):
+    """The intervals' arcs and their pairwise compatibility matrix."""
+    arcs = [iv.arc for iv in intervals]
+    return arcs, [[_compatible(x, y) for y in arcs] for x in arcs]
+
+
 def maximal_independent_family(intervals: list[DoubleTangentInterval],
                                max_exact: int = 20) -> list[DoubleTangentInterval]:
     """A maximum-cardinality pairwise-compatible subfamily (exact for
     small inputs, greedy beyond); ties prefer shorter intervals."""
     n = len(intervals)
-    if n == 0:
-        return []
-    arcs = [iv.arc for iv in intervals]
-    comp = [[_compatible(arcs[i], arcs[j]) for j in range(n)] for i in range(n)]
+    arcs, comp = _compatibility(intervals)
     order = sorted(range(n), key=lambda i: arcs[i].length)
     if n <= max_exact:
         best: list[int] = []
@@ -443,10 +436,24 @@ def greedy_maximal_family(intervals: list[DoubleTangentInterval],
     """Inclusion-maximal compatible family grown from a rotated order;
     by the census identity its size must match the optimum."""
     n = len(intervals)
-    arcs = [iv.arc for iv in intervals]
-    comp = [[_compatible(arcs[i], arcs[j]) for j in range(n)] for i in range(n)]
+    _, comp = _compatibility(intervals)
     order = [(start + k) % n for k in range(n)]
     return [intervals[i] for i in greedy_maximal_indices(comp, order)]
+
+
+def family_and_warnings(intervals: list[DoubleTangentInterval],
+                        dropped: int) -> tuple[list[DoubleTangentInterval], dict]:
+    """The maximal independent family with the census warnings: dropped
+    candidates, and a greedy family (grown from the middle) whose size
+    differs from the optimum's."""
+    family = maximal_independent_family(intervals)
+    warnings = {}
+    if dropped:
+        warnings["dropped_candidates"] = dropped
+    cross = greedy_maximal_family(intervals, start=len(intervals) // 2)
+    if len(cross) != len(family):
+        warnings["greedy_family_mismatch"] = len(cross)
+    return family, warnings
 
 
 # -- the census --------------------------------------------------------------
@@ -481,16 +488,8 @@ def census(curve: ProjectiveCurve, clean_points: list[float] | None = None) -> C
     identity check i - 2*delta = 3."""
     rep = true_inflections(curve)
     detection = detect_double_tangents(curve)
-    family = maximal_independent_family(detection.intervals)
+    family, warnings = family_and_warnings(detection.intervals, detection.dropped)
     i, delta = rep.count, len(family)
-    warnings = {}
-    if detection.dropped:
-        warnings["dropped_candidates"] = detection.dropped
-    cross = greedy_maximal_family(detection.intervals,
-                                  start=len(detection.intervals) // 2) \
-        if detection.intervals else []
-    if len(cross) != delta:
-        warnings["greedy_family_mismatch"] = len(cross)
     return CensusReport(
         kind="sphere-census",
         i=i,

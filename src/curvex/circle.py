@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import EmptyIntersection
 
 TWO_PI = 2.0 * math.pi
@@ -65,6 +67,20 @@ def circle_dist(a: float, b: float, period: float = TWO_PI) -> float:
     """Unoriented distance between two points on the circle."""
     d = forward_gap(a, b, period)
     return min(d, period - d)
+
+
+def cyclic_runs(mask) -> list[tuple[int, int]]:
+    """Maximal runs of True in a cyclic boolean sequence, as (start,
+    length) pairs in order of start; a run may wrap past the last index,
+    and an all-True sequence is the single run (0, n)."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.all():
+        return [(0, len(mask))] if len(mask) else []
+    starts = np.nonzero(mask & ~np.roll(mask, 1))[0]
+    lasts = np.nonzero(mask & ~np.roll(mask, -1))[0]
+    if len(lasts) and lasts[0] < starts[0]:
+        lasts = np.roll(lasts, -1)  # the first run ends after the seam
+    return [(int(s), int((e - s) % len(mask)) + 1) for s, e in zip(starts, lasts)]
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--axiom-grid", type=int, default=256,
                         help="base-point grid for the axiom checker")
     parser.add_argument("--eps-contact", type=float, default=1e-8)
-    parser.add_argument("--eps-root", type=float, default=1e-12)
     parser.add_argument("--truncate-n", type=int, default=None)
     parser.add_argument("--out-report", default=None)
     parser.add_argument("--out-csv", default=None)
@@ -65,8 +64,10 @@ def _fail(msg: str) -> int:
 def _validate(args) -> str | None:
     if args.grid < 256 or args.grid > 65536 or args.grid & (args.grid - 1):
         return f"--grid must be a power of two in [256, 65536], got {args.grid}"
-    if args.eps_contact <= 0 or args.eps_root <= 0:
-        return "tolerances must be positive"
+    if args.axiom_grid < 1:
+        return f"--axiom-grid must be at least 1, got {args.axiom_grid}"
+    if args.eps_contact <= 0:
+        return "--eps-contact must be positive"
     return None
 
 
@@ -218,7 +219,7 @@ def _run_sphere_census(curve: ProjectiveCurve, args) -> tuple[dict, bool]:
 
 
 def _run_width_census(sf: SupportFunction, args) -> tuple[dict, bool]:
-    triple = clean_flexes(sf)
+    triple = clean_flexes(sf, eps_contact=args.eps_contact)
     report = census_fn(sf, clean_points=list(triple.points)).to_json()
     report["clean_signs"] = list(triple.signs)
     emit_width_plot(sf, args.out_svg, args.out_csv, args.grid,
@@ -229,7 +230,7 @@ def _run_width_census(sf: SupportFunction, args) -> tuple[dict, bool]:
 def _run_flexes(obj, args) -> tuple[dict, bool]:
     if not isinstance(obj, SupportFunction):
         raise ValueError("flexes mode expects a support-function input")
-    triple = clean_flexes(obj)
+    triple = clean_flexes(obj, eps_contact=args.eps_contact)
     report = {
         "kind": "flexes",
         "clean_flexes": list(triple.points),
@@ -254,7 +255,7 @@ def _run_axioms(obj, args) -> tuple[dict, bool]:
 def _run_theorem_c(obj, args) -> tuple[dict, bool]:
     if not isinstance(obj, SupportFunction):
         raise ValueError("theorem-c mode expects a support-function input")
-    certs = theorem_c_certificates(obj)
+    certs = theorem_c_certificates(obj, eps_contact=args.eps_contact)
     report = {
         "kind": "theorem-c",
         "certificates": [{
@@ -348,7 +349,7 @@ def main(argv=None) -> int:
 
     meta = {"tool": "curvex", "version": __version__, "mode": args.mode,
             "input": args.input, "grid": args.grid,
-            "eps_contact": args.eps_contact, "eps_root": args.eps_root,
+            "eps_contact": args.eps_contact,
             "seconds": round(time.time() - started, 3)}
     _write_report(args.out_report, report, meta)
     return 0 if ok else 1

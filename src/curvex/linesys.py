@@ -11,8 +11,6 @@ intermediate-value construction.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,11 +43,9 @@ BISECT_CAP = 200
 EPS_SEARCH = 1e-9
 
 
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CURVEX_THREADS", "1")))
-    except ValueError:
-        return 1
+def _reflected_set(s: CircularSet) -> CircularSet:
+    return CircularSet([Arc(-a.end, a.length, s.period) for a in s.arcs],
+                       s.period, merge_tol=0.0)
 
 
 class LineSystem:
@@ -104,22 +100,9 @@ class LineSystem:
         period = self.period
 
         def rev_fn(p: float) -> CircularSet:
-            s = self.F(canonical(-p, period))
-            return CircularSet([Arc(-a.end, a.length, period) for a in s.arcs],
-                               period, merge_tol=0.0)
+            return _reflected_set(self.F(canonical(-p, period)))
 
         return LineSystem(rev_fn, period, name=f"{self.name}~rev")
-
-    def precompute(self, points, max_workers: int | None = None) -> None:
-        """Fill the cache for many base points, optionally threaded."""
-        pts = [canonical(float(p), self.period) for p in points]
-        workers = worker_count() if max_workers is None else max_workers
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(self.F, pts))
-        else:
-            for p in pts:
-                self.F(p)
 
 
 # -- clean-point search ----------------------------------------------------
@@ -414,8 +397,7 @@ class AxiomReport:
 
 def check_axioms(sys: LineSystem, grid_size: int = 256, *,
                  set_tol: float = 1e-3, margin: float = 1e-3,
-                 clean_tol: float = CLEAN_TOL,
-                 max_workers: int | None = None) -> AxiomReport:
+                 clean_tol: float = CLEAN_TOL) -> AxiomReport:
     """Extensional check of the seven contact-family axioms on a grid.
 
     Sampled configurations only: the order axiom runs over lagged pairs,
@@ -426,7 +408,6 @@ def check_axioms(sys: LineSystem, grid_size: int = 256, *,
     if grid_size % 2:
         grid_size += 1
     grid = [canonical(i * period / grid_size, period) for i in range(grid_size)]
-    sys.precompute(grid, max_workers=max_workers)
     sets = {p: sys.F(p) for p in grid}
 
     results = [
@@ -495,11 +476,6 @@ def _l4_config(period, sets, p, q, margin):
     except EmptyIntersection:
         return None
     return (p1, q1)
-
-
-def _reflected_set(s: CircularSet) -> CircularSet:
-    return CircularSet([Arc(-a.end, a.length, s.period) for a in s.arcs],
-                       s.period, merge_tol=0.0)
 
 
 def _check_l4(sys, grid, sets, set_tol, margin, lags=(1, 2, 3, 5, 8, 13, 21, 34)):

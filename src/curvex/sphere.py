@@ -17,21 +17,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import Arc, CircularSet, TWO_PI, canonical, circle_dist
+from .circle import Arc, CircularSet, TWO_PI, canonical, circle_dist, cyclic_runs
 from .errors import DegeneratePoint, LineCurve, NoConvergence, NotAntiConvex
-from .trig import TrigSeries, VectorSeries, isolate_sign_changes, triple_product
+from .trig import (
+    TrigSeries,
+    VectorSeries,
+    arc_offsets,
+    bisect,
+    critical_points,
+    isolate_sign_changes,
+    safeguarded_newton,
+    triple_product,
+)
 
 EPS_CONTACT = 1e-8
 EPS_TANGENT = 1e-6
 EPS_NORM = 1e-9
 N_GRID = 4096
 N_THETA = 256
-
-# offsets of extra samples packed against the arc endpoints; the contact
-# function vanishes at the endpoints, so both the transition at a
-# base-tangent circle and the touch structures budding off a nearby clean
-# point live at small offsets of every scale
-_END_LADDER = np.geomspace(1e-9, 0.05, 48)
 
 
 @dataclass(frozen=True)
@@ -181,29 +184,40 @@ class _ArcSamples:
     hug zero and would mask interior maxima."""
 
     def __init__(self, curve: ProjectiveCurve, t: float,
-                 qn: TrigSeries, qt: TrigSeries, n_s: int):
-        interior = np.linspace(1e-4, math.pi - 1e-4, n_s)
-        offsets = np.concatenate([_END_LADDER, interior, math.pi - _END_LADDER])
-        offsets.sort()
+                 frame: tuple[np.ndarray, np.ndarray], n_s: int):
         self.base = t
-        self.offsets = offsets
-        self.ss = t + offsets
-        pts = curve.F.eval_many(self.ss)
-        norms = np.linalg.norm(pts, axis=1)
+        self.qn = qn = curve.F.dot_const(frame[0])
+        self.qt = qt = curve.F.dot_const(frame[1])
+        self.ss = t + arc_offsets(n_s)
+        norms = np.linalg.norm(curve.F.eval_many(self.ss), axis=1)
         self.A = qn(self.ss) / norms
         self.B = qt(self.ss) / norms
-        self.norms = norms
-        self.qn, self.qt = qn, qt
         self.qn1, self.qt1 = qn.derivative(), qt.derivative()
         self.qn2, self.qt2 = qn.derivative(2), qt.derivative(2)
         self.A1 = self.qn1(self.ss)
         self.B1 = self.qt1(self.ss)
 
-    def values(self, theta: float) -> np.ndarray:
-        return math.cos(theta) * self.A + math.sin(theta) * self.B
-
     def grid_max(self, theta: float) -> float:
-        return float(np.max(self.values(theta)))
+        return float(np.max(math.cos(theta) * self.A + math.sin(theta) * self.B))
+
+    def widest_run(self, n_theta: int):
+        """The longest cyclic run of admissible angles on a grid of
+        n_theta angles, refined fourfold when none is found, as
+        (thetas, start, length); None when both grids find none."""
+        for factor in (1, 4):
+            thetas = np.linspace(0.0, TWO_PI, n_theta * factor, endpoint=False)
+            vals = np.cos(thetas)[:, None] * self.A[None, :] \
+                + np.sin(thetas)[:, None] * self.B[None, :]
+            runs = cyclic_runs(np.max(vals, axis=1) < 0.0)
+            if runs:
+                return (thetas, *max(runs, key=lambda r: r[1]))
+        return None
+
+    def edge(self, theta_in: float, signed_step: float, steps: int):
+        """Bisected fractions (admissible, not) of one theta step from the
+        admissible angle theta_in towards the boundary."""
+        return bisect(lambda f: self.grid_max(theta_in + f * signed_step) < 0.0,
+                      0.0, 1.0, steps)
 
     def critical_points(self, theta: float) -> list[float]:
         """Interior critical parameters of the side function, located by
@@ -212,46 +226,7 @@ class _ArcSamples:
         d = c * self.A1 + sn * self.B1
         g1 = self.qn1.scaled(c) + self.qt1.scaled(sn)
         g2 = self.qn2.scaled(c) + self.qt2.scaled(sn)
-        out = []
-        flips = np.nonzero(d[:-1] * d[1:] <= 0.0)[0]
-        for i in flips:
-            lo, hi = float(self.ss[i]), float(self.ss[i + 1])
-            flo = float(d[i])
-            if flo == 0.0:
-                s = lo
-            else:
-                for _ in range(20):
-                    mid = 0.5 * (lo + hi)
-                    fm = g1(mid)
-                    if (fm > 0.0) == (flo > 0.0):
-                        lo, flo = mid, fm
-                    else:
-                        hi = mid
-                s = _polish_critical(g1, g2, 0.5 * (lo + hi), max_steps=20)
-            off = (s - self.base) % TWO_PI
-            if 1e-6 < off < math.pi - 1e-6:
-                out.append(s)
-        return out
-
-
-def _admissible_runs(adm: np.ndarray) -> list[tuple[int, int]]:
-    """Contiguous cyclic runs of True, as (start, length) index pairs."""
-    n = len(adm)
-    if adm.all():
-        return [(0, n)]
-    runs = []
-    i = 0
-    ext = np.concatenate([adm, adm])
-    while i < n:
-        if ext[i] and not ext[i - 1 if i else n - 1]:
-            j = i
-            while ext[j]:
-                j += 1
-            runs.append((i, j - i))
-            i = j
-        else:
-            i += 1
-    return runs
+        return critical_points(g1, g2, self.ss, d, self.base)
 
 
 def admissible_normal_arc(curve: ProjectiveCurve, t: float,
@@ -262,36 +237,17 @@ def admissible_normal_arc(curve: ProjectiveCurve, t: float,
     Returns (arc, frame); map angles to normals with normal_direction.
     """
     frame = curve.frame(t)
-    qn = curve.F.dot_const(frame[0])
-    qt = curve.F.dot_const(frame[1])
-    samples = _ArcSamples(curve, t, qn, qt, n_s)
-    for factor in (1, 4):
-        thetas = np.linspace(0.0, TWO_PI, n_theta * factor, endpoint=False)
-        vals = np.cos(thetas)[:, None] * samples.A[None, :] \
-            + np.sin(thetas)[:, None] * samples.B[None, :]
-        adm = np.max(vals, axis=1) < 0.0
-        runs = _admissible_runs(adm)
-        if runs:
-            start, length = max(runs, key=lambda r: r[1])
-            step = TWO_PI / len(thetas)
-            lo = thetas[start] - step * _edge_fraction(samples, thetas[start], -step)
-            width = (length - 1) * step \
-                + step * _edge_fraction(samples, thetas[start], -step) \
-                + step * _edge_fraction(samples, thetas[(start + length - 1) % len(thetas)], step)
-            return Arc(canonical(lo), min(width, TWO_PI)), frame
-    return None, frame
-
-
-def _edge_fraction(samples: _ArcSamples, theta_in: float, signed_step: float) -> float:
-    """Fraction of one theta step from an admissible sample to the boundary."""
-    lo_frac, hi_frac = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo_frac + hi_frac)
-        if samples.grid_max(theta_in + mid * signed_step) < 0.0:
-            lo_frac = mid
-        else:
-            hi_frac = mid
-    return lo_frac
+    samples = _ArcSamples(curve, t, frame, n_s)
+    run = samples.widest_run(n_theta)
+    if run is None:
+        return None, frame
+    thetas, start, length = run
+    step = TWO_PI / len(thetas)
+    lo_frac, _ = samples.edge(thetas[start], -step, 40)
+    hi_frac, _ = samples.edge(thetas[(start + length - 1) % len(thetas)], step, 40)
+    lo = thetas[start] - step * lo_frac
+    width = (length - 1) * step + step * lo_frac + step * hi_frac
+    return Arc(canonical(lo), min(width, TWO_PI)), frame
 
 
 def limiting_circle(curve: ProjectiveCurve, t: float,
@@ -306,44 +262,27 @@ def limiting_circle(curve: ProjectiveCurve, t: float,
     tangency system with Newton steps.
     """
     frame = curve.frame(t)
-    qn = curve.F.dot_const(frame[0])
-    qt = curve.F.dot_const(frame[1])
-    samples = _ArcSamples(curve, t, qn, qt, n_s)
+    samples = _ArcSamples(curve, t, frame, n_s)
 
-    theta_in = None
-    for factor in (1, 4):
-        n = n_theta * factor
-        thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        vals = np.cos(thetas)[:, None] * samples.A[None, :] \
-            + np.sin(thetas)[:, None] * samples.B[None, :]
-        adm = np.max(vals, axis=1) < 0.0
-        runs = _admissible_runs(adm)
-        if runs:
-            start, length = max(runs, key=lambda r: r[1])
-            theta_in = thetas[(start + length - 1) % n]
-            step = TWO_PI / n
-            break
-    if theta_in is None:
+    run = samples.widest_run(n_theta)
+    if run is None:
         raise NotAntiConvex(t)
+    thetas, start, length = run
+    theta_in = thetas[(start + length - 1) % len(thetas)]
+    step = TWO_PI / len(thetas)
 
     # bisect from the last admissible sample towards the inadmissible side
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if samples.grid_max(theta_in + mid * step) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = samples.edge(theta_in, step, 60)
     theta_hat = theta_in + lo * step
 
     warnings: list[str] = []
     theta_star, tangent_at_base = _polish_touch(
-        curve, t, qn, qt, samples, theta_hat, theta_in, theta_in + hi * step,
+        curve, samples, theta_hat, theta_in, theta_in + hi * step,
         eps_contact, warnings)
 
     normal = normal_direction(frame, theta_star)
-    g = qn.scaled(math.cos(theta_star)) + qt.scaled(math.sin(theta_star))
-    touches, refined_max = _interior_touches(curve, t, g, samples, theta_star,
+    g = samples.qn.scaled(math.cos(theta_star)) + samples.qt.scaled(math.sin(theta_star))
+    touches, refined_max = _interior_touches(curve, g, samples, theta_star,
                                              eps_contact)
 
     side_max = max(samples.grid_max(theta_star), refined_max)
@@ -365,33 +304,20 @@ def limiting_circle(curve: ProjectiveCurve, t: float,
                        tangent_at_base, tuple(touches), tuple(warnings))
 
 
-def _polish_critical(g1, g2, s: float, max_steps: int = 50) -> float:
-    """Newton on g' from s; returns the polished critical parameter."""
-    for _ in range(max_steps):
-        d2 = g2(s)
-        if d2 == 0.0:
-            break
-        step = g1(s) / d2
-        s -= step
-        if abs(step) < 1e-14:
-            break
-    return s
-
-
-def _refined_arc_max(curve, t, qn, qt, samples, theta):
+def _refined_arc_max(curve, samples, theta):
     """Largest side-function value over the interior critical points of
     the arc, as (value, parameter); (None, None) when the side function
     is monotone between the endpoints (no interior structure)."""
     c, sn = math.cos(theta), math.sin(theta)
     best_v, best_s = None, None
     for s in samples.critical_points(theta):
-        m = (c * qn(s) + sn * qt(s)) / curve.radius(s)
+        m = (c * samples.qn(s) + sn * samples.qt(s)) / curve.radius(s)
         if best_v is None or m > best_v:
             best_v, best_s = m, s
     return best_v, best_s
 
 
-def _polish_touch(curve, t, qn, qt, samples, theta_hat, theta_lo, theta_hi,
+def _polish_touch(curve, samples, theta_hat, theta_lo, theta_hi,
                   eps_contact, warnings):
     """Classify the extremal circle: tangent at the base point, or touching
     the open arc at an interior maximum.
@@ -406,36 +332,25 @@ def _polish_touch(curve, t, qn, qt, samples, theta_hat, theta_lo, theta_hi,
             return theta_t, True
 
     def h_at(x):
-        return _refined_arc_max(curve, t, qn, qt, samples, theta_hat + x)
-
-    x_neg, x_pos = theta_lo - theta_hat, theta_hi - theta_hat
-    x = 0.0
-    for _ in range(60):
-        h, s = h_at(x)
-        if h is None:
-            break
-        if abs(h) <= 1e-12:
-            return canonical(theta_hat + x), False
-        if h <= 0.0:
-            x_neg = max(x_neg, x)
-        else:
-            x_pos = min(x_pos, x)
         theta = theta_hat + x
-        dh = (-math.sin(theta) * qn(s) + math.cos(theta) * qt(s)) / curve.radius(s)
-        prop = x - h / dh if dh != 0.0 else None
-        if prop is None or not x_neg < prop < x_pos:
-            prop = 0.5 * (x_neg + x_pos)
-        if x_pos - x_neg < 1e-17 or prop == x:
-            break
-        x = prop
-    h, _ = h_at(x_neg)
+        h, s = _refined_arc_max(curve, samples, theta)
+        if h is None:
+            return None
+        return h, lambda: (-math.sin(theta) * samples.qn(s)
+                           + math.cos(theta) * samples.qt(s)) / curve.radius(s)
+
+    x, x_neg, _ = safeguarded_newton(h_at, 0.0, theta_lo - theta_hat,
+                                     theta_hi - theta_hat, 1e-12, 1e-17)
+    if x is not None:
+        return canonical(theta_hat + x), False
+    h, _ = _refined_arc_max(curve, samples, theta_hat + x_neg)
     if h is not None and (abs(h) <= 1e-9 or h <= 0.0):
         return canonical(theta_hat + x_neg), False
     warnings.append("touch polish fell back to the bisected angle")
     return canonical(theta_hat), False
 
 
-def _interior_touches(curve, t, g, samples, theta, eps_contact):
+def _interior_touches(curve, g, samples, theta, eps_contact):
     """Interior contact parameters and the refined arc maximum, both
     taken over the polished critical points of the side function."""
     out = []
@@ -458,13 +373,3 @@ def contact_map(curve: ProjectiveCurve, **kwargs):
     def fn(p: float) -> CircularSet:
         return limiting_circle(curve, p, **kwargs).contact
     return fn
-
-
-def is_anti_convex(curve: ProjectiveCurve, n_base: int = 256,
-                   n_theta: int = 128, n_s: int = 512) -> bool:
-    """Grid test: an admissible transversal circle exists at every sample."""
-    for t in np.linspace(0.0, math.pi, n_base, endpoint=False):
-        arc, _ = admissible_normal_arc(curve, float(t), n_theta, n_s)
-        if arc is None:
-            return False
-    return True

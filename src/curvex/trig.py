@@ -332,6 +332,118 @@ def newton_root(s: TrigSeries, x0: float, tol: float = 1e-13, max_steps: int = 6
     return x
 
 
+def bisect(pred: Callable[[float], bool], lo: float, hi: float,
+           steps: int) -> tuple[float, float]:
+    """Halve the bracket `steps` times, moving lo to the midpoints where
+    pred holds and hi to the others; lo may lie above hi."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def safeguarded_newton(h, x: float, lo: float, hi: float, tol: float,
+                       min_width: float):
+    """Root of an increasing function inside the bracket (lo, hi).
+
+    h(x) returns None where it is undefined, else (value, slope) with
+    slope a zero-argument callable, so the derivative is only computed
+    for steps actually taken.  Newton proposals leaving the bracket are
+    replaced by its midpoint.  Returns (root, lo, hi) with root None when
+    |h| never fell to tol, and the bracket as shrunk so far.
+    """
+    for _ in range(60):
+        got = h(x)
+        if got is None:
+            break
+        v, slope = got
+        if abs(v) <= tol:
+            return x, lo, hi
+        if v < 0.0:
+            lo = max(lo, x)
+        else:
+            hi = min(hi, x)
+        dv = slope()
+        prop = x - v / dv if dv != 0.0 else None
+        if prop is None or not lo < prop < hi:
+            prop = 0.5 * (lo + hi)
+        if hi - lo < min_width or prop == x:
+            break
+        x = prop
+    return None, lo, hi
+
+
+def newton2(system, a: float, b: float):
+    """Two-variable Newton from (a, b).
+
+    system(a, b) returns None once its residual is small enough, else
+    the Jacobian and the residual.  Gives up (returns None) on a
+    singular or non-finite step, a step longer than 0.5 in either
+    variable, or after 40 steps; otherwise returns the solution (a, b).
+    """
+    for _ in range(40):
+        got = system(a, b)
+        if got is None:
+            return a, b
+        J, r = got
+        try:
+            step = np.linalg.solve(J, r)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 0.5:
+            return None
+        a -= float(step[0])
+        b -= float(step[1])
+    return None
+
+
+# offsets of extra samples packed against the ends of a half-period arc;
+# contact functions vanish at the endpoints, so both the transition at a
+# base-tangent member and the touch structures budding off a nearby clean
+# point live at small offsets of every scale
+_END_LADDER = np.geomspace(1e-9, 0.05, 48)
+
+
+def arc_offsets(n: int) -> np.ndarray:
+    """Sorted sample offsets along the open arc (0, pi): n interior
+    points plus the geometric ladder against both ends."""
+    interior = np.linspace(1e-4, math.pi - 1e-4, n)
+    return np.sort(np.concatenate([_END_LADDER, interior, math.pi - _END_LADDER]))
+
+
+def critical_points(g1: Callable[[float], float], g2: Callable[[float], float],
+                    ts: np.ndarray, d: np.ndarray, base: float) -> list[float]:
+    """Zeros of g1 (a derivative sampled as d on the increasing grid ts),
+    strictly inside the open arc (base, base + pi).
+
+    Each sign flip of d is bisected 20 times on g1 and polished with up
+    to 20 Newton steps using g2, the derivative of g1."""
+    out = []
+    for i in np.nonzero(d[:-1] * d[1:] <= 0.0)[0]:
+        lo, hi, flo = float(ts[i]), float(ts[i + 1]), float(d[i])
+        if flo == 0.0:
+            s = lo
+        else:
+            positive = flo > 0.0
+            lo, hi = bisect(lambda x: (g1(x) > 0.0) == positive, lo, hi, 20)
+            s = 0.5 * (lo + hi)
+            for _ in range(20):
+                d2 = g2(s)
+                if d2 == 0.0:
+                    break
+                step = g1(s) / d2
+                s -= step
+                if abs(step) < 1e-14:
+                    break
+        off = (s - base) % TWO_PI
+        if 1e-6 < off < math.pi - 1e-6:
+            out.append(s)
+    return out
+
+
 def isolate_sign_changes(s: TrigSeries, domain: str = "full",
                          n_scan: int = N_SCAN, eps_root: float = EPS_ROOT,
                          include_tangential: bool = True,

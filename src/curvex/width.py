@@ -17,28 +17,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircularSet, TWO_PI, canonical, circle_dist, forward_gap
+from .circle import CircularSet, TWO_PI, canonical, forward_gap
 from .errors import CertificateFailed, IdenticallyZero, NotConvex
 from .census import (
     CensusReport,
     DoubleTangentInterval,
     count_inflections_topological,
-    greedy_maximal_family,
-    maximal_independent_family,
+    family_and_warnings,
+    tangent_pairs,
 )
 from .linesys import LineSystem, three_clean_inflections
 from .trig import (
     ANTIPERIODIC,
     TrigSeries,
     apply_flex_operator,
+    arc_offsets,
+    bisect,
+    critical_points,
     isolate_sign_changes,
     newton_root,
     osculating_in_am,
+    safeguarded_newton,
 )
 
 EPS_CONTACT = 1e-8
 SEED_THRESHOLD = 1e-2
-_END_LADDER = np.geomspace(1e-9, 0.05, 48)
 
 
 @dataclass(frozen=True)
@@ -117,21 +120,14 @@ class _ResidualSamples:
     """Offsets along (p, p + pi) and tools for the residual psi - f."""
 
     def __init__(self, sf: SupportFunction, p: float, n_s: int = 1024):
-        interior = np.linspace(1e-4, math.pi - 1e-4, n_s)
-        self.offsets = np.sort(np.concatenate(
-            [_END_LADDER, interior, math.pi - _END_LADDER]))
-        self.ts = p + self.offsets
-        self.base = p
+        self.ts = p + arc_offsets(n_s)
         self.f_vals = sf.f(self.ts)
         self.sin_vals = np.sin(self.ts - p)
         fp = sf.f(p)
         self.cos_part = fp * np.cos(self.ts - p)
 
-    def values(self, s: float) -> np.ndarray:
-        return self.cos_part + s * self.sin_vals - self.f_vals
-
     def grid_min(self, s: float) -> float:
-        return float(np.min(self.values(s)))
+        return float(np.min(self.cos_part + s * self.sin_vals - self.f_vals))
 
 
 def _residual_critical_points(sf, p, s) -> list[float]:
@@ -139,36 +135,8 @@ def _residual_critical_points(sf, p, s) -> list[float]:
     changes of the derivative."""
     res = _slope_family(sf, p, s) - sf.f
     r1, r2 = res.derivative(), res.derivative(2)
-    interior = np.linspace(1e-4, math.pi - 1e-4, 1024)
-    offs = np.sort(np.concatenate([_END_LADDER, interior, math.pi - _END_LADDER]))
-    ts = p + offs
-    d = r1(ts)
-    out = []
-    for i in np.nonzero(d[:-1] * d[1:] <= 0.0)[0]:
-        lo, hi, flo = float(ts[i]), float(ts[i + 1]), float(d[i])
-        if flo == 0.0:
-            t = lo
-        else:
-            for _ in range(20):
-                mid = 0.5 * (lo + hi)
-                fm = r1(mid)
-                if (fm > 0.0) == (flo > 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            t = 0.5 * (lo + hi)
-            for _ in range(20):
-                d2 = r2(t)
-                if d2 == 0.0:
-                    break
-                step = r1(t) / d2
-                t -= step
-                if abs(step) < 1e-14:
-                    break
-        off = (t - p) % TWO_PI
-        if 1e-6 < off < math.pi - 1e-6:
-            out.append(t)
-    return out
+    ts = p + arc_offsets(1024)
+    return critical_points(r1, r2, ts, r1(ts), p)
 
 
 def _refined_min(sf, p, s):
@@ -220,12 +188,7 @@ def limiting_function(sf: SupportFunction, p: float,
         # keep the bracket coarse: the sampled minimum undershoots the
         # true one by the grid discretization gap, so a tight bisection
         # would hand the polish an end that is not actually admissible
-        for _ in range(6):
-            mid = 0.5 * (s_lo + s_hi)
-            if samples.grid_min(mid) > 0.0:
-                s_hi = mid
-            else:
-                s_lo = mid
+        s_hi, s_lo = bisect(lambda s: samples.grid_min(s) > 0.0, s_hi, s_lo, 6)
         s_star = _polish_slope(sf, p, s_hi, s_lo, eps_contact)
 
     psi = _slope_family(sf, p, s_star)
@@ -245,25 +208,17 @@ def _polish_slope(sf, p, s_admissible, s_out, eps_contact):
     """Drive the refined interior minimum of the residual to zero from
     above (safeguarded Newton on the slope; the envelope derivative is
     sin(t* - p))."""
-    x_pos, x_neg = s_admissible, s_out  # residual min >= 0 at x_pos side
-    s = s_admissible
-    for _ in range(60):
+    def v_at(s):
         v, t = _refined_min(sf, p, s)
         if v is None:
-            break
-        if abs(v) <= 1e-12 * max(1.0, abs(sf.f.max_coeff())):
-            return s
-        if v >= 0.0:
-            x_pos = min(x_pos, s)
-        else:
-            x_neg = max(x_neg, s)
-        dv = math.sin((t - p) % TWO_PI)
-        prop = s - v / dv if dv != 0.0 else None
-        if prop is None or not x_neg < prop < x_pos:
-            prop = 0.5 * (x_neg + x_pos)
-        if x_pos - x_neg < 1e-16 or prop == s:
-            break
-        s = prop
+            return None
+        return v, lambda: math.sin((t - p) % TWO_PI)
+
+    s, _, x_pos = safeguarded_newton(
+        v_at, s_admissible, s_out, s_admissible,
+        1e-12 * max(1.0, abs(sf.f.max_coeff())), 1e-16)
+    if s is not None:
+        return s
     v, _ = _refined_min(sf, p, x_pos)
     if v is None or v >= 0.0:
         return x_pos
@@ -310,10 +265,11 @@ class FlexTriple:
     circle_points: tuple[float, float, float]  # the positive clean points on S^1
 
 
-def clean_flexes(sf: SupportFunction, **kw) -> FlexTriple:
+def clean_flexes(sf: SupportFunction, eps_contact: float = EPS_CONTACT,
+                 **kw) -> FlexTriple:
     """Three clean flexes in a half period, found by the intrinsic-system
     search and Newton-polished on the flex operator."""
-    system = contact_system(sf)
+    system = contact_system(sf, eps_contact=eps_contact)
     raw = three_clean_inflections(system, **kw)
     lf = apply_flex_operator(sf.f, 2)
     polished = tuple(canonical(newton_root(lf, s)) for s in raw)
@@ -364,25 +320,9 @@ def a2_double_tangents(sf: SupportFunction, n_a: int = 512, n_b: int = 512,
         if 0 < j < n_b - 1 and R[i, j] <= R[i, j - 1] and R[i, j] <= R[i, j + 1]:
             seeds.append((float(a_grid[i]), float(B[i, j])))
 
-    found: list[tuple[float, float]] = []
-    dropped = 0
-    for a0, b0 in seeds:
-        sol = _newton_a2(f, f1, lf, a0, b0, scale)
-        if sol is None:
-            dropped += 1
-            continue
-        a, b = sol
-        gap = forward_gap(a, b)
-        if not 0.5 * margin < gap < math.pi - 0.5 * margin:
-            dropped += 1
-            continue
-        a = canonical(a, math.pi)
-        if not any(circle_dist(a, fa_, math.pi) < 1e-6 and abs(gap - fg) < 1e-6
-                   for fa_, fg in found):
-            found.append((a, gap))
-
+    found, dropped = tangent_pairs(seeds, _a2_system(f, f1, lf, scale), margin)
     intervals = []
-    for a, gap in sorted(found):
+    for a, gap in found:
         b = a + gap
         phi_ab = osculating_in_am(f, a, 2)
         diff = f - phi_ab
@@ -398,11 +338,11 @@ def a2_double_tangents(sf: SupportFunction, n_a: int = 512, n_b: int = 512,
     return intervals, dropped
 
 
-def _newton_a2(f, f1, lf, a, b, scale, max_steps: int = 40):
-    """Newton on value/slope matching; the Jacobian is closed-form in the
-    curvature defect: d(r1)/da = -L2f(a) sin(b-a), d(r2)/da = -L2f(a)
+def _a2_system(f, f1, lf, scale):
+    """Value/slope matching for newton2; the Jacobian is closed-form in
+    the curvature defect: d(r1)/da = -L2f(a) sin(b-a), d(r2)/da = -L2f(a)
     cos(b-a), d(r1)/db = r2, d(r2)/db = L2f(b) - r1."""
-    for _ in range(max_steps):
+    def system(a, b):
         d = b - a
         fa, f1a = f(a), f1(a)
         phi = fa * math.cos(d) + f1a * math.sin(d)
@@ -410,19 +350,12 @@ def _newton_a2(f, f1, lf, a, b, scale, max_steps: int = 40):
         r1 = f(b) - phi
         r2 = f1(b) - dphi
         if (abs(r1) + abs(r2)) / scale < 1e-12:
-            return a, b
+            return None
         la, lb = lf(a), lf(b)
         J = np.array([[-la * math.sin(d), r2],
                       [-la * math.cos(d), lb - r1]])
-        try:
-            step = np.linalg.solve(J, [r1, r2])
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 0.5:
-            return None
-        a -= float(step[0])
-        b -= float(step[1])
-    return None
+        return J, [r1, r2]
+    return system
 
 
 def width_reduction_eval(sf: SupportFunction, a: float, b: float, outside: bool):
@@ -456,15 +389,8 @@ def census_fn(sf: SupportFunction, clean_points: list[float] | None = None,
     flexes = [r.value for r in roots if r.direction != 0]
     i = len(flexes)
     intervals, dropped = a2_double_tangents(sf)
-    family = maximal_independent_family(intervals)
+    family, warnings = family_and_warnings(intervals, dropped)
     delta = len(family)
-    warnings = {}
-    if dropped:
-        warnings["dropped_candidates"] = dropped
-    if intervals:
-        cross = greedy_maximal_family(intervals, start=len(intervals) // 2)
-        if len(cross) != delta:
-            warnings["greedy_family_mismatch"] = len(cross)
     if additivity_check and family:
         iv = family[0]
         i1, _ = count_inflections_topological(
@@ -504,11 +430,11 @@ class DCircleCertificate:
     curvature_radius: float
 
 
-def theorem_c_certificates(sf: SupportFunction,
-                           radius_tol: float = 1e-8) -> list[DCircleCertificate]:
+def theorem_c_certificates(sf: SupportFunction, radius_tol: float = 1e-8,
+                           eps_contact: float = EPS_CONTACT) -> list[DCircleCertificate]:
     """Certificates for the three osculating width circles that cross the
     curve exactly twice, both times tangentially, at the clean flexes."""
-    triple = clean_flexes(sf)
+    triple = clean_flexes(sf, eps_contact=eps_contact)
     out = []
     for t in triple.points:
         phi = osculating_in_am(sf.f, t, 2)

@@ -13,6 +13,7 @@ from curvex.circle import (
     circle_dist,
     cyclic_between,
     cyclic_midpoint,
+    cyclic_runs,
 )
 from curvex.errors import EmptyIntersection
 
@@ -169,3 +170,27 @@ def test_disjointness():
     assert a.disjoint_from(b)
     assert not a.disjoint_from(c)
     assert not b.disjoint_from(c)
+
+
+def test_cyclic_runs_examples():
+    # the run starting at 5 wraps past the seam to index 1
+    assert cyclic_runs([True, True, False, True, False, True]) == [(3, 1), (5, 3)]
+    assert cyclic_runs([True] * 4) == [(0, 4)]
+    assert cyclic_runs([False] * 4) == []
+    assert cyclic_runs([]) == []
+
+
+@given(st.lists(st.booleans(), max_size=40))
+def test_cyclic_runs_match_a_cyclic_walk(mask):
+    n = len(mask)
+    if n and all(mask):
+        expected = [(0, n)]
+    else:
+        expected = []
+        for i in range(n):
+            if mask[i] and not mask[i - 1]:
+                k = 1
+                while mask[(i + k) % n]:
+                    k += 1
+                expected.append((i, k))
+    assert cyclic_runs(mask) == expected

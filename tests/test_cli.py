@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from curvex import width
 from curvex.cli import main
 
 WIDTH_SIN3 = {"d": 20, "f": {"parity": "antiperiodic", "constant": 0.0,
@@ -100,9 +101,26 @@ def test_wrong_input_kind_exits_2(tmp_path):
     assert code == 2
 
 
-def test_bad_grid_exits_2(tmp_path):
+@pytest.mark.parametrize("flag, value", [("--grid", "1000"),
+                                         ("--axiom-grid", "0"),
+                                         ("--axiom-grid", "-3")])
+def test_bad_grid_exits_2(tmp_path, flag, value):
     inp = write_input(tmp_path, WIDTH_SIN3)
-    assert main(["--input", inp, "--mode", "width-census", "--grid", "1000"]) == 2
+    assert main(["--input", inp, "--mode", "axioms", flag, value]) == 2
+
+
+@pytest.mark.parametrize("mode", ["width-census", "flexes", "theorem-c"])
+def test_eps_contact_reaches_limiting_function(tmp_path, monkeypatch, mode):
+    seen = []
+    real = width.limiting_function
+
+    def spy(sf, p, eps_contact=width.EPS_CONTACT):
+        seen.append(eps_contact)
+        return real(sf, p, eps_contact)
+
+    monkeypatch.setattr(width, "limiting_function", spy)
+    run(tmp_path, WIDTH_SIN3, mode, "--eps-contact", "3e-8")
+    assert seen and set(seen) == {3e-8}
 
 
 def test_identity_failure_exits_1(tmp_path):

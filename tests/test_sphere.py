@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from curvex.census import anti_convexity_grid_test
 from curvex.circle import TWO_PI
 from curvex.errors import DegeneratePoint, LineCurve
 from curvex.sphere import (
     ProjectiveCurve,
     admissible_normal_arc,
     inflection_indicator,
-    is_anti_convex,
     limiting_circle,
     normal_direction,
     true_inflections,
@@ -104,7 +104,7 @@ def test_anti_convexity_violated_for_warped_curve():
     # the horizontal part with a third harmonic breaks that
     F = VectorSeries(cos_series(1), sin_series(1) + cos_series(3, 0.7),
                      sin_series(3, 0.05))
-    assert not is_anti_convex(ProjectiveCurve(F), n_base=96)
+    assert not anti_convexity_grid_test(ProjectiveCurve(F).lift_many)
 
 
 def test_limiting_circle_clean_point(curve3):

@@ -12,9 +12,12 @@ from curvex.trig import (
     VectorSeries,
     apply_flex_operator,
     basis_of_am,
+    bisect,
     cos_series,
     isolate_sign_changes,
+    newton2,
     osculating_in_am,
+    safeguarded_newton,
     sin_series,
     triple_product,
     truncate,
@@ -212,3 +215,54 @@ def test_vector_series_roundtrip_and_ops():
 def test_series_json_roundtrip():
     s = TrigSeries(0.25, ((2, 1.0, -0.5), (5, 0.0, 0.125)), PERIODIC)
     assert TrigSeries.from_json(s.to_json()) == s
+
+
+def test_bisect_moves_lo_where_the_predicate_holds():
+    lo, hi = bisect(lambda x: x * x < 2.0, 0.0, 2.0, 40)
+    assert lo * lo < 2.0 <= hi * hi
+    assert hi - lo == 2.0 ** -39
+    # a reversed bracket keeps the predicate's side at lo
+    lo, hi = bisect(lambda x: x * x > 2.0, 2.0, 0.0, 40)
+    assert hi < math.sqrt(2.0) < lo
+
+
+def test_safeguarded_newton_falls_back_to_the_midpoint():
+    xs = []
+
+    def h(x):
+        xs.append(x)
+        return x ** 3 - 1.0, lambda: 3.0 * x * x
+
+    root, lo, hi = safeguarded_newton(h, 0.0, -1.0, 3.0, 1e-12, 1e-17)
+    # zero slope at the start: the step goes to the midpoint of (0, 3)
+    assert xs[1] == 1.5
+    assert root == pytest.approx(1.0, abs=1e-12)
+    assert lo <= root <= hi
+
+
+def test_safeguarded_newton_gives_up_with_the_shrunk_bracket():
+    assert safeguarded_newton(lambda x: None, 0.5, 0.0, 1.0, 1e-12, 1e-17) \
+        == (None, 0.0, 1.0)
+    # every Newton step leaves the bracket, whose upper end then halves
+    # down towards the lower one
+    root, lo, hi = safeguarded_newton(lambda x: (x + 10.0, lambda: 1.0),
+                                      0.0, -1.0, 1.0, 1e-12, 1e-17)
+    assert root is None
+    assert lo == -1.0 and hi - lo < 1e-15
+
+
+def test_newton2_solves_and_gives_up():
+    def linear(J, target, tol=1e-14):
+        def system(a, b):
+            r = [a - target[0], b - target[1]]
+            return None if max(map(abs, r)) < tol else (np.array(J), r)
+        return system
+
+    assert newton2(linear([[1.0, 0.0], [0.0, 1.0]], (1.0, 2.0)), 0.8, 2.3) \
+        == pytest.approx((1.0, 2.0))
+    # singular Jacobian, a step longer than 0.5, a non-finite step
+    assert newton2(linear([[1.0, 1.0], [1.0, 1.0]], (1.0, 2.0)), 0.8, 2.3) is None
+    assert newton2(linear([[1.0, 0.0], [0.0, 1.0]], (1.0, 2.0)), 0.4, 2.0) is None
+    assert newton2(linear([[1e-320, 0.0], [0.0, 1.0]], (1.0, 2.0)), 0.8, 2.3) is None
+    # no convergence within 40 steps: each step undoes a tenth of the residual
+    assert newton2(linear([[10.0, 0.0], [0.0, 10.0]], (1.0, 2.0)), 0.8, 2.3) is None
