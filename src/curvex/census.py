@@ -249,38 +249,66 @@ class DetectionResult:
     dropped: int = 0  # diverged or filtered-out Newton runs
 
 
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (m, 3) arrays, each rounded exactly
+    like np.dot of the two rows (stacked matmul takes the same BLAS dot
+    per row; einsum and (x * y).sum(1) round differently)."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 def _tangency_system(curve: ProjectiveCurve):
     """The residual (n(a).F(b), n(a).F'(b)) and its Jacobian, for newton2."""
     F, F1, F2 = curve.F, curve.F1, curve.F2
 
     def system(a, b):
-        fa, f1a, f2a = F(a), F1(a), F2(a)
-        n = np.cross(fa, f1a)
-        dn = np.cross(fa, f2a)
-        fb, f1b, f2b = F(b), F1(b), F2(b)
-        r1, r2 = float(np.dot(n, fb)), float(np.dot(n, f1b))
-        scale = float(np.linalg.norm(n) * np.linalg.norm(fb))
-        if (abs(r1) + abs(r2)) / scale < NEWTON_RESIDUAL:
-            return None
-        J = np.array([[float(np.dot(dn, fb)), r2],
-                      [float(np.dot(dn, f1b)), float(np.dot(n, f2b))]])
-        return J, [r1, r2]
+        fa = F.eval_many(a)
+        n = np.cross(fa, F1.eval_many(a))
+        fb, f1b = F.eval_many(b), F1.eval_many(b)
+        r1, r2 = _rowdot(n, fb), _rowdot(n, f1b)
+        scale = np.sqrt(_rowdot(n, n)) * np.sqrt(_rowdot(fb, fb))
+        done = (np.abs(r1) + np.abs(r2)) / scale < NEWTON_RESIDUAL
+        run = ~done
+        n, fb, f1b, r1, r2 = n[run], fb[run], f1b[run], r1[run], r2[run]
+        dn = np.cross(fa[run], F2.eval_many(a[run]))
+        J = np.empty((len(r1), 2, 2))
+        J[:, 0, 0] = _rowdot(dn, fb)
+        J[:, 0, 1] = r2
+        J[:, 1, 0] = _rowdot(dn, f1b)
+        J[:, 1, 1] = _rowdot(n, F2.eval_many(b[run]))
+        return done, J, np.stack([r1, r2], axis=1)
     return system
 
 
-def tangent_pairs(seeds, system, margin: float) -> tuple[list[tuple[float, float]], int]:
-    """Solve each seed with newton2 on the system and keep the solutions
-    whose forward gap lies in (margin/2, pi - margin/2), deduplicated as
-    (a mod pi, gap) pairs; returns them sorted, with the number of seeds
-    that failed or landed outside."""
+def row_minima(R: np.ndarray, threshold: float, cyclic: bool):
+    """(rows, cols) of the cells below threshold that are no larger than
+    their row neighbours, in row-major order.  Rows wrap around when
+    cyclic; otherwise the first and last columns are never taken.
+
+    Row-wise minima keep seeds inside diagonal residual valleys that
+    strict grid minima can straddle."""
+    keep = R < threshold
+    keep[:, 1:] &= R[:, 1:] <= R[:, :-1]
+    keep[:, :-1] &= R[:, :-1] <= R[:, 1:]
+    if cyclic:
+        keep[:, 0] &= R[:, 0] <= R[:, -1]
+        keep[:, -1] &= R[:, -1] <= R[:, 0]
+    else:
+        keep[:, [0, -1]] = False
+    return np.nonzero(keep)
+
+
+def tangent_pairs(a0, b0, system, margin: float) -> tuple[list[tuple[float, float]], int]:
+    """Solve the seeds (a0[i], b0[i]) with newton2 on the system and keep
+    the solutions whose forward gap lies in (margin/2, pi - margin/2),
+    deduplicated as (a mod pi, gap) pairs in seed order; returns them
+    sorted, with the number of seeds that failed or landed outside."""
+    sol_a, sol_b, converged = newton2(system, a0, b0)
     found: list[tuple[float, float]] = []
     dropped = 0
-    for a0, b0 in seeds:
-        sol = newton2(system, a0, b0)
-        if sol is None:
+    for a, b, ok in zip(sol_a.tolist(), sol_b.tolist(), converged.tolist()):
+        if not ok:
             dropped += 1
             continue
-        a, b = sol
         gap = forward_gap(a, b)
         if not margin * 0.5 < gap < math.pi - margin * 0.5:
             dropped += 1
@@ -329,12 +357,12 @@ def _passes_filters(curve: ProjectiveCurve, a: float, b: float) -> Chord | None:
 
 
 def detect_double_tangents(curve: ProjectiveCurve, n_a: int = 512,
-                           n_b: int = 512, margin: float = 0.02) -> DetectionResult:
+                           margin: float = 0.02) -> DetectionResult:
     """All double tangent intervals on the projective line.
 
     A residual scan over the (base, offset) grid seeds two-variable
-    Newton runs; converged tangency pairs are deduplicated and pushed
-    through the defining filters.
+    Newton runs, solved in one batch; converged tangency pairs are
+    deduplicated and pushed through the defining filters.
     """
     agrid = np.linspace(0.0, math.pi, n_a, endpoint=False)
     bgrid = curve.grid
@@ -348,19 +376,14 @@ def detect_double_tangents(curve: ProjectiveCurve, n_a: int = 512,
     TB /= np.linalg.norm(TB, axis=1)[:, None]
     R = np.abs(N @ UB.T) + np.abs(N @ TB.T)
 
-    nb = len(bgrid)
-    offsets = np.mod(bgrid[None, :] - agrid[:, None], TWO_PI)
+    # forward offsets b - a mod 2 pi, wrapped in place
+    offsets = bgrid - agrid[:, None]
+    np.add(offsets, TWO_PI, out=offsets, where=offsets < 0.0)
     R[(offsets < margin) | (offsets > math.pi - margin)] = np.inf
 
-    # row-wise minima keep seeds inside diagonal residual valleys that
-    # strict grid minima can straddle
-    seeds = []
-    low = np.argwhere(R < SEED_THRESHOLD)
-    for i, k in low:
-        if R[i, k] <= R[i, (k - 1) % nb] and R[i, k] <= R[i, (k + 1) % nb]:
-            seeds.append((float(agrid[i]), float(bgrid[k])))
-
-    found, dropped = tangent_pairs(seeds, _tangency_system(curve), margin)
+    rows, cols = row_minima(R, SEED_THRESHOLD, cyclic=True)
+    found, dropped = tangent_pairs(agrid[rows], bgrid[cols],
+                                   _tangency_system(curve), margin)
     intervals = []
     for a, gap in found:
         ch = _passes_filters(curve, a, a + gap)

@@ -196,6 +196,7 @@ class _ArcSamples:
         self.qn2, self.qt2 = qn.derivative(2), qt.derivative(2)
         self.A1 = self.qn1(self.ss)
         self.B1 = self.qt1(self.ss)
+        self._critical: dict[float, list[float]] = {}
 
     def grid_max(self, theta: float) -> float:
         return float(np.max(math.cos(theta) * self.A + math.sin(theta) * self.B))
@@ -221,12 +222,16 @@ class _ArcSamples:
 
     def critical_points(self, theta: float) -> list[float]:
         """Interior critical parameters of the side function, located by
-        bracketed sign changes of its derivative plus Newton polish."""
-        c, sn = math.cos(theta), math.sin(theta)
-        d = c * self.A1 + sn * self.B1
-        g1 = self.qn1.scaled(c) + self.qt1.scaled(sn)
-        g2 = self.qn2.scaled(c) + self.qt2.scaled(sn)
-        return critical_points(g1, g2, self.ss, d, self.base)
+        bracketed sign changes of its derivative plus Newton polish;
+        remembered by the exact angle for the life of the samples."""
+        got = self._critical.get(theta)
+        if got is None:
+            c, sn = math.cos(theta), math.sin(theta)
+            d = c * self.A1 + sn * self.B1
+            g1 = self.qn1.scaled(c) + self.qt1.scaled(sn)
+            g2 = self.qn2.scaled(c) + self.qt2.scaled(sn)
+            got = self._critical[theta] = critical_points(g1, g2, self.ss, d, self.base)
+        return got
 
 
 def admissible_normal_arc(curve: ProjectiveCurve, t: float,

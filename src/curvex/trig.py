@@ -376,28 +376,46 @@ def safeguarded_newton(h, x: float, lo: float, hi: float, tol: float,
     return None, lo, hi
 
 
-def newton2(system, a: float, b: float):
-    """Two-variable Newton from (a, b).
+def newton2(system, a, b):
+    """Two-variable Newton from every seed (a[i], b[i]) in lockstep.
 
-    system(a, b) returns None once its residual is small enough, else
-    the Jacobian and the residual.  Gives up (returns None) on a
-    singular or non-finite step, a step longer than 0.5 in either
-    variable, or after 40 steps; otherwise returns the solution (a, b).
+    system(a, b) is called on the rows still running and returns their
+    converged mask (residual small enough) with the stacked Jacobians
+    (k, 2, 2) and residuals (k, 2) of the k rows that have not
+    converged.  A row gives up on a singular matrix, a non-finite step,
+    a step longer than 0.5 in either variable, or after 40 steps; the
+    rows never see each other.  Returns the final a, b and the
+    converged mask.
     """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    converged = np.zeros(a.shape, dtype=bool)
+    live = np.arange(a.size)
     for _ in range(40):
-        got = system(a, b)
-        if got is None:
-            return a, b
-        J, r = got
+        if not live.size:
+            break
+        done, J, r = system(a[live], b[live])
+        converged[live[done]] = True
+        live = live[~done]
         try:
-            step = np.linalg.solve(J, r)
+            step = np.linalg.solve(J, r[:, :, None])[:, :, 0]
+            ok = np.ones(len(live), dtype=bool)
         except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 0.5:
-            return None
-        a -= float(step[0])
-        b -= float(step[1])
-    return None
+            # one singular matrix fails the whole batch: solve this
+            # step row by row and drop only the singular rows
+            step = np.zeros(r.shape)
+            ok = np.zeros(len(live), dtype=bool)
+            for i in range(len(live)):
+                try:
+                    step[i] = np.linalg.solve(J[i], r[i])
+                    ok[i] = True
+                except np.linalg.LinAlgError:
+                    pass
+        ok &= np.isfinite(step).all(axis=1) & (np.abs(step).max(axis=1) <= 0.5)
+        live, step = live[ok], step[ok]
+        a[live] -= step[:, 0]
+        b[live] -= step[:, 1]
+    return a, b, converged
 
 
 # offsets of extra samples packed against the ends of a half-period arc;

@@ -24,6 +24,7 @@ from .census import (
     DoubleTangentInterval,
     count_inflections_topological,
     family_and_warnings,
+    row_minima,
     tangent_pairs,
 )
 from .linesys import LineSystem, three_clean_inflections
@@ -130,21 +131,25 @@ class _ResidualSamples:
         return float(np.min(self.cos_part + s * self.sin_vals - self.f_vals))
 
 
-def _residual_critical_points(sf, p, s) -> list[float]:
+def _residual_critical_points(sf, p, s, scans: dict) -> list[float]:
     """Interior critical parameters of psi_{p,s} - f via bracketed sign
-    changes of the derivative."""
-    res = _slope_family(sf, p, s) - sf.f
-    r1, r2 = res.derivative(), res.derivative(2)
-    ts = p + arc_offsets(1024)
-    return critical_points(r1, r2, ts, r1(ts), p)
+    changes of the derivative; scans holds those already found, keyed
+    by the exact (p, s)."""
+    got = scans.get((p, s))
+    if got is None:
+        res = _slope_family(sf, p, s) - sf.f
+        r1, r2 = res.derivative(), res.derivative(2)
+        ts = p + arc_offsets(1024)
+        got = scans[(p, s)] = critical_points(r1, r2, ts, r1(ts), p)
+    return got
 
 
-def _refined_min(sf, p, s):
+def _refined_min(sf, p, s, scans: dict):
     """Smallest residual value over interior critical points, with its
     parameter; (None, None) for a monotone-between-endpoints residual."""
     res = _slope_family(sf, p, s) - sf.f
     best_v, best_t = None, None
-    for t in _residual_critical_points(sf, p, s):
+    for t in _residual_critical_points(sf, p, s, scans):
         v = res(t)
         if best_v is None or v < best_v:
             best_v, best_t = v, t
@@ -164,12 +169,13 @@ def limiting_function(sf: SupportFunction, p: float,
     if not sf.f.harmonics:
         raise IdenticallyZero("circle supports have no limiting structure")
     f1p = sf.f.derivative()(p)
+    scans: dict = {}  # critical-point scans of this call
 
     # the osculating member is the limit exactly when it is admissible:
     # any smaller slope dips below f right after p, and admissibility of
     # the osculant caps the infimum at its own slope
     s_star = None
-    v_osc, _ = _refined_min(sf, p, f1p)
+    v_osc, _ = _refined_min(sf, p, f1p, scans)
     if v_osc is None or v_osc >= -eps_contact:
         samples = _ResidualSamples(sf, p, n_s=256)
         if samples.grid_min(f1p) >= -eps_contact:
@@ -189,12 +195,12 @@ def limiting_function(sf: SupportFunction, p: float,
         # true one by the grid discretization gap, so a tight bisection
         # would hand the polish an end that is not actually admissible
         s_hi, s_lo = bisect(lambda s: samples.grid_min(s) > 0.0, s_hi, s_lo, 6)
-        s_star = _polish_slope(sf, p, s_hi, s_lo, eps_contact)
+        s_star = _polish_slope(sf, p, s_hi, s_lo, eps_contact, scans)
 
     psi = _slope_family(sf, p, s_star)
     res = psi - sf.f
     touches = []
-    for t in _residual_critical_points(sf, p, s_star):
+    for t in _residual_critical_points(sf, p, s_star, scans):
         if abs(res(t)) <= eps_contact:
             touches.append(canonical(t))
     pts = [p, canonical(p + math.pi)]
@@ -204,12 +210,12 @@ def limiting_function(sf: SupportFunction, p: float,
     return LimitingFunction(p, s_star, psi, contact, tuple(sorted(touches)))
 
 
-def _polish_slope(sf, p, s_admissible, s_out, eps_contact):
+def _polish_slope(sf, p, s_admissible, s_out, eps_contact, scans):
     """Drive the refined interior minimum of the residual to zero from
     above (safeguarded Newton on the slope; the envelope derivative is
     sin(t* - p))."""
     def v_at(s):
-        v, t = _refined_min(sf, p, s)
+        v, t = _refined_min(sf, p, s, scans)
         if v is None:
             return None
         return v, lambda: math.sin((t - p) % TWO_PI)
@@ -219,7 +225,7 @@ def _polish_slope(sf, p, s_admissible, s_out, eps_contact):
         1e-12 * max(1.0, abs(sf.f.max_coeff())), 1e-16)
     if s is not None:
         return s
-    v, _ = _refined_min(sf, p, x_pos)
+    v, _ = _refined_min(sf, p, x_pos, scans)
     if v is None or v >= 0.0:
         return x_pos
     return s_admissible
@@ -310,17 +316,12 @@ def a2_double_tangents(sf: SupportFunction, n_a: int = 512, n_b: int = 512,
     R = np.abs(f(B) - phi) + np.abs(f1(B) - dphi)
 
     # the residual carries the units of f and f', so the seeding band
-    # scales with their coefficient bounds; row-wise minima keep seeds
-    # inside diagonal valleys that strict grid minima can straddle
+    # scales with their coefficient bounds
     scale = max(1.0, sum(abs(a) + abs(b) for _, a, b in f.harmonics)
                 * (1.0 + f.degree))
-    seeds = []
-    lowmask = R < SEED_THRESHOLD * scale
-    for i, j in np.argwhere(lowmask):
-        if 0 < j < n_b - 1 and R[i, j] <= R[i, j - 1] and R[i, j] <= R[i, j + 1]:
-            seeds.append((float(a_grid[i]), float(B[i, j])))
-
-    found, dropped = tangent_pairs(seeds, _a2_system(f, f1, lf, scale), margin)
+    rows, cols = row_minima(R, SEED_THRESHOLD * scale, cyclic=False)
+    found, dropped = tangent_pairs(a_grid[rows], B[rows, cols],
+                                   _a2_system(f, f1, lf, scale), margin)
     intervals = []
     for a, gap in found:
         b = a + gap
@@ -345,16 +346,21 @@ def _a2_system(f, f1, lf, scale):
     def system(a, b):
         d = b - a
         fa, f1a = f(a), f1(a)
-        phi = fa * math.cos(d) + f1a * math.sin(d)
-        dphi = -fa * math.sin(d) + f1a * math.cos(d)
+        cosd, sind = np.cos(d), np.sin(d)
+        phi = fa * cosd + f1a * sind
+        dphi = -fa * sind + f1a * cosd
         r1 = f(b) - phi
         r2 = f1(b) - dphi
-        if (abs(r1) + abs(r2)) / scale < 1e-12:
-            return None
-        la, lb = lf(a), lf(b)
-        J = np.array([[-la * math.sin(d), r2],
-                      [-la * math.cos(d), lb - r1]])
-        return J, [r1, r2]
+        done = (np.abs(r1) + np.abs(r2)) / scale < 1e-12
+        run = ~done
+        a, b, cosd, sind, r1, r2 = a[run], b[run], cosd[run], sind[run], r1[run], r2[run]
+        la = lf(a)
+        J = np.empty((len(a), 2, 2))
+        J[:, 0, 0] = -la * sind
+        J[:, 0, 1] = r2
+        J[:, 1, 0] = -la * cosd
+        J[:, 1, 1] = lf(b) - r1
+        return done, J, np.stack([r1, r2], axis=1)
     return system
 
 

@@ -13,6 +13,7 @@ from curvex.census import (
     greedy_maximal_family,
     maximal_independent_family,
     reduction,
+    row_minima,
 )
 from curvex.errors import DegenerateChord
 from curvex.sphere import true_inflections
@@ -59,7 +60,42 @@ class TestChord:
         assert fracs == sorted(fracs)
 
 
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_row_minima_matches_a_double_loop(cyclic):
+    rng = np.random.default_rng(3)
+    # few distinct values make ties common
+    R = rng.integers(0, 6, size=(40, 9)).astype(float)
+    R[rng.random(R.shape) < 0.15] = np.inf
+    R[0, :] = [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5]  # ends lowest
+    R[1, :] = [0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0]
+    n = R.shape[1]
+    expected = []
+    for i in range(R.shape[0]):
+        for k in range(n):
+            if not R[i, k] < 4.0:
+                continue
+            if not cyclic and not 0 < k < n - 1:
+                continue
+            if R[i, k] <= R[i, (k - 1) % n] and R[i, k] <= R[i, (k + 1) % n]:
+                expected.append((i, k))
+    rows, cols = row_minima(R, 4.0, cyclic)
+    assert list(zip(rows.tolist(), cols.tolist())) == expected
+    assert ((0, 0) in expected) == cyclic and ((1, n - 1) in expected) == cyclic
+
+
 class TestDetection:
+    def test_curve7_counts_and_endpoints(self, curve7):
+        det = detect_double_tangents(curve7)
+        assert det.dropped == 668
+        # the last bits of the endpoints follow the host's BLAS kernels
+        np.testing.assert_allclose([(iv.a, iv.b) for iv in det.intervals], [
+            (0.8918632830405467, 2.2497293705492143),
+            (0.9072907832213061, 1.6008888752629555),
+            (1.2397237089548756, 1.9018689446106243),
+            (1.540703778322574, 2.234301870362566),
+            (1.862577274417784, 4.056411280470218),
+            (2.226774026709368, 4.420608032761803)], rtol=0, atol=1e-12)
+
     def test_no_double_tangents_at_three_inflections(self, curve3):
         det = detect_double_tangents(curve3)
         assert det.intervals == []

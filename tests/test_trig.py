@@ -252,17 +252,38 @@ def test_safeguarded_newton_gives_up_with_the_shrunk_bracket():
 
 
 def test_newton2_solves_and_gives_up():
-    def linear(J, target, tol=1e-14):
-        def system(a, b):
-            r = [a - target[0], b - target[1]]
-            return None if max(map(abs, r)) < tol else (np.array(J), r)
-        return system
+    # row i has residual (a - 10 i - 1, b - 2) with its own Jacobian; the
+    # system recognizes a row by a, which stays within 0.5 of 10 i + 1
+    mats = [[[1.0, 0.0], [0.0, 1.0]],  # converges in one step
+            [[1.0, 1.0], [1.0, 1.0]],  # singular
+            [[1.0, 0.0], [0.0, 1.0]],  # first step longer than 0.5
+            [[1e-320, 0.0], [0.0, 1.0]],  # non-finite step
+            # each step undoes a tenth of the residual: 40 steps run out
+            [[10.0, 0.0], [0.0, 10.0]]]
+    seeds = [(0.8, 2.3), (10.8, 2.3), (20.4, 2.0), (30.8, 2.3), (40.8, 2.3)]
+    sizes = []
 
-    assert newton2(linear([[1.0, 0.0], [0.0, 1.0]], (1.0, 2.0)), 0.8, 2.3) \
-        == pytest.approx((1.0, 2.0))
-    # singular Jacobian, a step longer than 0.5, a non-finite step
-    assert newton2(linear([[1.0, 1.0], [1.0, 1.0]], (1.0, 2.0)), 0.8, 2.3) is None
-    assert newton2(linear([[1.0, 0.0], [0.0, 1.0]], (1.0, 2.0)), 0.4, 2.0) is None
-    assert newton2(linear([[1e-320, 0.0], [0.0, 1.0]], (1.0, 2.0)), 0.8, 2.3) is None
-    # no convergence within 40 steps: each step undoes a tenth of the residual
-    assert newton2(linear([[10.0, 0.0], [0.0, 10.0]], (1.0, 2.0)), 0.8, 2.3) is None
+    def system(a, b):
+        sizes.append(len(a))
+        row = np.rint(a / 10.0).astype(int)
+        r = np.stack([a - (10.0 * row + 1.0), b - 2.0], axis=1)
+        done = np.abs(r).max(axis=1) < 1e-14
+        return done, np.array(mats)[row[~done]], r[~done]
+
+    def solve(rows):
+        a0, b0 = np.array([seeds[i] for i in rows]).T
+        return newton2(system, a0, b0)
+
+    a, b, converged = solve(range(5))
+    assert converged.tolist() == [True, False, False, False, False]
+    assert (a[0], b[0]) == pytest.approx((1.0, 2.0))
+    # the singular row sends the first step through the row-by-row
+    # fallback, after which only the slow row keeps running
+    assert sizes[:3] == [5, 2, 1] and len(sizes) == 40
+    # a row's outcome does not depend on the rows beside it
+    for i in range(5):
+        ai, bi, ci = solve([i])
+        assert (ai[0], bi[0], ci[0]) == (a[i], b[i], converged[i])
+    a, b, converged = solve([0, 1])
+    assert converged.tolist() == [True, False]
+    assert newton2(system, [], [])[2].size == 0

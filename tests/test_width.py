@@ -125,6 +125,18 @@ def test_clean_flexes_locations_and_signs(sf_sin3):
 
 
 class TestA2DoubleTangents:
+    def test_mix7_counts_and_endpoints(self, sf_mix7):
+        intervals, dropped = a2_double_tangents(sf_mix7)
+        assert dropped == 276
+        # the last bits of the endpoints follow the host's BLAS kernels
+        np.testing.assert_allclose([(iv.a, iv.b) for iv in intervals], [
+            (0.8918632830405767, 2.2497293705492165),
+            (0.9072907832212983, 1.600888875262956),
+            (1.2397237089721207, 1.9018689446176729),
+            (1.5407037783268362, 2.234301870367826),
+            (1.862577274417784, 4.056411280470219),
+            (2.226774026709368, 4.420608032761803)], rtol=0, atol=1e-12)
+
     def test_sin3_has_none(self, sf_sin3):
         intervals, _ = a2_double_tangents(sf_sin3)
         assert intervals == []
