@@ -22,7 +22,7 @@ from . import __version__
 from .errors import CurvexError
 from .census import census
 from .linesys import LineSystem, check_axioms, three_clean_inflections
-from .sphere import ProjectiveCurve, contact_map as sphere_contact_map
+from .sphere import EPS_CONTACT, ProjectiveCurve, contact_map as sphere_contact_map
 from .trig import TrigSeries, VectorSeries, truncate
 from .width import (
     SupportFunction,
@@ -44,11 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "curves and constant-width support functions.")
     parser.add_argument("--input", required=True, help="JSON curve or support input")
     parser.add_argument("--mode", required=True, choices=MODES)
-    parser.add_argument("--grid", type=int, default=4096,
-                        help="sample grid size (power of two in [256, 65536])")
+    parser.add_argument("--plot-samples", type=int, default=4096,
+                        help="CSV and SVG samples (power of two in [256, 65536])")
     parser.add_argument("--axiom-grid", type=int, default=256,
                         help="base-point grid for the axiom checker")
-    parser.add_argument("--eps-contact", type=float, default=1e-8)
+    parser.add_argument("--eps-contact", type=float, default=EPS_CONTACT)
     parser.add_argument("--truncate-n", type=int, default=None)
     parser.add_argument("--out-report", default=None)
     parser.add_argument("--out-csv", default=None)
@@ -62,8 +62,9 @@ def _fail(msg: str) -> int:
 
 
 def _validate(args) -> str | None:
-    if args.grid < 256 or args.grid > 65536 or args.grid & (args.grid - 1):
-        return f"--grid must be a power of two in [256, 65536], got {args.grid}"
+    n = args.plot_samples
+    if n < 256 or n > 65536 or n & (n - 1):
+        return f"--plot-samples must be a power of two in [256, 65536], got {n}"
     if args.axiom_grid < 1:
         return f"--axiom-grid must be at least 1, got {args.axiom_grid}"
     if args.eps_contact <= 0:
@@ -156,9 +157,9 @@ def _scene_box(points: np.ndarray, extra: float = 0.1) -> tuple[float, float, fl
 
 
 def emit_sphere_plot(curve: ProjectiveCurve, svg_path: str | None,
-                     csv_path: str | None, grid: int,
+                     csv_path: str | None, samples: int,
                      inflections: list[float] = (), chords=()) -> None:
-    ts = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
+    ts = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
     pts = curve.lift_many(ts)
     _write_csv(csv_path, ["t", "x", "y", "z"],
                ([float(t)] + [float(v) for v in p] for t, p in zip(ts, pts)))
@@ -181,9 +182,9 @@ def emit_sphere_plot(curve: ProjectiveCurve, svg_path: str | None,
 
 
 def emit_width_plot(sf: SupportFunction, svg_path: str | None,
-                    csv_path: str | None, grid: int,
+                    csv_path: str | None, samples: int,
                     flexes: list[float] = (), circles=()) -> None:
-    ts = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
+    ts = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
     pts = curve_points(sf, ts)
     _write_csv(csv_path, ["t", "x", "y"],
                ([float(t), float(p[0]), float(p[1])] for t, p in zip(ts, pts)))
@@ -212,7 +213,7 @@ def _run_sphere_census(curve: ProjectiveCurve, args) -> tuple[dict, bool]:
     system = LineSystem(sphere_contact_map(curve, eps_contact=args.eps_contact))
     cleans = sorted(three_clean_inflections(system))
     report = census(curve, clean_points=cleans).to_json()
-    emit_sphere_plot(curve, args.out_svg, args.out_csv, args.grid,
+    emit_sphere_plot(curve, args.out_svg, args.out_csv, args.plot_samples,
                      inflections=report["inflection_points"],
                      chords=report["double_tangents"])
     return report, report["identity_holds"]
@@ -222,7 +223,7 @@ def _run_width_census(sf: SupportFunction, args) -> tuple[dict, bool]:
     triple = clean_flexes(sf, eps_contact=args.eps_contact)
     report = census_fn(sf, clean_points=list(triple.points)).to_json()
     report["clean_signs"] = list(triple.signs)
-    emit_width_plot(sf, args.out_svg, args.out_csv, args.grid,
+    emit_width_plot(sf, args.out_svg, args.out_csv, args.plot_samples,
                     flexes=list(triple.points))
     return report, report["identity_holds"]
 
@@ -238,7 +239,7 @@ def _run_flexes(obj, args) -> tuple[dict, bool]:
         "full_circle_points": list(triple.circle_points),
         "d_inflections": d_inflections(obj),
     }
-    emit_width_plot(obj, args.out_svg, args.out_csv, args.grid,
+    emit_width_plot(obj, args.out_svg, args.out_csv, args.plot_samples,
                     flexes=list(triple.points))
     return report, True
 
@@ -267,7 +268,7 @@ def _run_theorem_c(obj, args) -> tuple[dict, bool]:
             "curvature_radius": c.curvature_radius,
         } for c in certs],
     }
-    emit_width_plot(obj, args.out_svg, args.out_csv, args.grid,
+    emit_width_plot(obj, args.out_svg, args.out_csv, args.plot_samples,
                     flexes=[c.flex for c in certs],
                     circles=[c.circle for c in certs])
     return report, len(certs) >= 3
@@ -348,7 +349,7 @@ def main(argv=None) -> int:
         ok = False
 
     meta = {"tool": "curvex", "version": __version__, "mode": args.mode,
-            "input": args.input, "grid": args.grid,
+            "input": args.input, "plot_samples": args.plot_samples,
             "eps_contact": args.eps_contact,
             "seconds": round(time.time() - started, 3)}
     _write_report(args.out_report, report, meta)

@@ -136,7 +136,7 @@ class InflectionReport:
     count: int  # independent true inflections on the projective line
 
 
-def true_inflections(curve: ProjectiveCurve, n_scan: int = N_GRID) -> InflectionReport:
+def true_inflections(curve: ProjectiveCurve) -> InflectionReport:
     """Independent true inflections on the half-period circle.
 
     Zeros of the indicator come in antipodal pairs, so each pair is
@@ -146,7 +146,7 @@ def true_inflections(curve: ProjectiveCurve, n_scan: int = N_GRID) -> Inflection
     scale = max(c.max_coeff() for c in curve.F.components) or 1.0
     if w.is_zero(1e-12 * scale ** 3):
         raise LineCurve("indicator vanishes identically; curve lies on a line")
-    roots = isolate_sign_changes(w, domain="half", n_scan=n_scan,
+    roots = isolate_sign_changes(w, domain="half",
                                  tangential_tol=1e-9 * max(w.max_coeff(), 1.0))
     entries = []
     count = 0

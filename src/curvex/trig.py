@@ -23,8 +23,6 @@ TWO_PI = 2.0 * math.pi
 PERIODIC = "periodic"
 ANTIPERIODIC = "antiperiodic"
 
-EPS_ROOT = 1e-12
-N_SCAN = 4096
 # coefficients below this (relative to the largest) are dropped after products
 COEFF_PRUNE = 1e-13
 MAX_OSCULATE_ORDER = 15
@@ -301,37 +299,6 @@ class Root(NamedTuple):
     direction: int  # +1 neg-to-pos, -1 pos-to-neg, 0 tangential
 
 
-def refine_bisect(fn: Callable[[float], float], lo: float, hi: float,
-                  flo: float, eps: float = EPS_ROOT, max_steps: int = 200) -> float:
-    """Bisect a bracketing interval down to eps width (or a tiny residual)."""
-    for _ in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if abs(fm) <= eps or hi - lo <= 1e-15 * (1.0 + abs(mid)):
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def newton_root(s: TrigSeries, x0: float, tol: float = 1e-13, max_steps: int = 60) -> float:
-    """Polish a root of s with Newton iterations; falls back to x0 on stall."""
-    ds = s.derivative()
-    x = x0
-    for _ in range(max_steps):
-        f = s(x)
-        d = ds(x)
-        if d == 0.0:
-            break
-        step = f / d
-        x -= step
-        if abs(step) <= tol * (1.0 + abs(x)):
-            break
-    return x
-
-
 def bisect(pred: Callable[[float], bool], lo: float, hi: float,
            steps: int) -> tuple[float, float]:
     """Halve the bracket `steps` times, moving lo to the midpoints where
@@ -462,70 +429,87 @@ def critical_points(g1: Callable[[float], float], g2: Callable[[float], float],
     return out
 
 
-def isolate_sign_changes(s: TrigSeries, domain: str = "full",
-                         n_scan: int = N_SCAN, eps_root: float = EPS_ROOT,
-                         include_tangential: bool = True,
-                         tangential_tol: float | None = None) -> list[Root]:
-    """All transversal zeros in one period (or half period), bisection refined.
+def roots(s: TrigSeries) -> list[tuple[float, int]]:
+    """Zeros of s in [0, 2*pi) as sorted (angle, multiplicity) pairs.
 
-    Tangential zeros (value ~ 0 without a sign flip) are detected through
-    the derivative's zeros and reported with direction 0.
+    With z = exp(it), z^K s(z) is a polynomial of degree 2K whose roots
+    on the unit circle are the real zeros of s; they are taken from the
+    eigenvalues of its companion matrix (J. P. Boyd, J. Eng. Math. 56
+    (2006) 203-219).  A zero of multiplicity m splits into m eigenvalues
+    about eps^(1/m) apart (5e-6 for a triple zero), so eigenvalues whose
+    angles lie within 1e-4 of each other, cyclically, form one zero and
+    their number is its multiplicity.  Each zero is polished by Newton
+    steps on s^(m-1).
     """
-    span = math.pi if domain == "half" else TWO_PI
+    K = s.degree
+    if K == 0:
+        return []
+    # c[j] is the coefficient of z^j in z^K s(z)
+    c = np.zeros(2 * K + 1, dtype=complex)
+    c[K] = s.constant
+    for k, a, b in s.harmonics:
+        c[K + k] = complex(0.5 * a, -0.5 * b)
+        c[K - k] = complex(0.5 * a, 0.5 * b)
+    companion = np.zeros((2 * K, 2 * K), dtype=complex)
+    companion[np.arange(1, 2 * K), np.arange(2 * K - 1)] = 1.0
+    companion[:, -1] = -c[:-1] / c[-1]
+    z = np.linalg.eigvals(companion)
+    z = z[np.abs(np.log(np.abs(z))) < 1e-3]
+    if not z.size:
+        return []
+    clusters = [[]]
+    for t in np.sort(np.angle(z) % TWO_PI):
+        if clusters[-1] and t - clusters[-1][-1] >= 1e-4:
+            clusters.append([])
+        clusters[-1].append(float(t))
+    if len(clusters) > 1 and clusters[0][0] + TWO_PI - clusters[-1][-1] < 1e-4:
+        clusters[0] = [t - TWO_PI for t in clusters.pop()] + clusters[0]
+    out = []
+    for cluster in clusters:
+        m = len(cluster)
+        g, dg = s.derivative(m - 1), s.derivative(m)
+        x = sum(cluster) / m
+        for _ in range(16):
+            slope = dg(x)
+            if slope == 0.0:
+                break
+            step = g(x) / slope
+            if not abs(step) < 1e-4:  # would leave the cluster
+                break
+            x -= step
+            if abs(step) <= 1e-15:
+                break
+        x %= TWO_PI
+        if TWO_PI - x < 1e-10:
+            x = 0.0
+        out.append((x, m))
+    return sorted(out)
+
+
+def isolate_sign_changes(s: TrigSeries, domain: str = "full",
+                         tangential_tol: float = 1e-12) -> list[Root]:
+    """The zeros of `roots` in one period (or the half period [0, pi)).
+
+    A zero of odd multiplicity m is one crossing, in the direction of
+    the sign of s^(m) there.  A zero of even multiplicity is tangential
+    (direction 0) when |s| <= tangential_tol there, and dropped
+    otherwise: a near-double eigenvalue pair off the circle is a local
+    extremum that misses zero.
+    """
     if domain not in ("full", "half"):
         raise ValueError("domain must be 'full' or 'half'")
-    grid = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
-    vals = s(grid)
-    if np.max(np.abs(vals)) < eps_root or s.is_zero():
-        raise IdenticallyZero("series is numerically zero")
-
-    roots: list[Root] = []
-    n = len(grid)
-    for j in range(n):
-        v0, v1 = vals[j], vals[(j + 1) % n]
-        t0 = grid[j]
-        t1 = grid[j] + TWO_PI / n_scan
-        if v0 == 0.0:
-            before = vals[(j - 1) % n]
-            after = v1
-            k = 2
-            while after == 0.0 and k < n:
-                after = vals[(j + k) % n]
-                k += 1
-            if before != 0.0 and after != 0.0 and (before > 0) != (after > 0):
-                roots.append(Root(t0, +1 if after > 0 else -1))
-        elif v0 * v1 < 0.0:
-            r = refine_bisect(s, t0, t1, v0, eps_root)
-            roots.append(Root(r % TWO_PI, +1 if v1 > 0 else -1))
-
-    if include_tangential:
-        tol = tangential_tol if tangential_tol is not None else eps_root
-        ds = s.derivative()
-        dvals = ds(grid)
-        for j in range(n):
-            v0, v1 = dvals[j], dvals[(j + 1) % n]
-            if v0 == 0.0 or v0 * v1 < 0.0:
-                r = grid[j] if v0 == 0.0 else refine_bisect(
-                    ds, grid[j], grid[j] + TWO_PI / n_scan, v0, 0.0)
-                if abs(s(r)) <= tol and not any(
-                        _close_mod(r, x.value, TWO_PI, 2e-9) for x in roots):
-                    roots.append(Root(r % TWO_PI, 0))
-
-    roots.sort(key=lambda r: r.value)
-    deduped: list[Root] = []
-    for r in roots:
-        if deduped and _close_mod(r.value, deduped[-1].value, TWO_PI, 1e-9):
+    if s.is_zero():
+        raise IdenticallyZero("series is zero")
+    span = math.pi if domain == "half" else TWO_PI
+    out = []
+    for t, m in roots(s):
+        if t >= span - 1e-12:
             continue
-        deduped.append(r)
-    if deduped and _close_mod(deduped[0].value, deduped[-1].value, TWO_PI, 1e-9) \
-            and len(deduped) > 1:
-        deduped.pop()
-    return [r for r in deduped if r.value < span - 1e-12]
-
-
-def _close_mod(a: float, b: float, period: float, tol: float) -> bool:
-    d = abs(a - b) % period
-    return d < tol or period - d < tol
+        if m % 2:
+            out.append(Root(t, 1 if s.eval_derivative(t, m) > 0.0 else -1))
+        elif abs(s(t)) <= tangential_tol:
+            out.append(Root(t, 0))
+    return out
 
 
 # -- vector-valued series -------------------------------------------------

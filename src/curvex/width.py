@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircularSet, TWO_PI, canonical, forward_gap
+from .circle import CircularSet, TWO_PI, canonical, circle_dist, forward_gap
 from .errors import CertificateFailed, IdenticallyZero, NotConvex
 from .census import (
     CensusReport,
@@ -28,6 +28,7 @@ from .census import (
     tangent_pairs,
 )
 from .linesys import LineSystem, three_clean_inflections
+from .sphere import EPS_CONTACT
 from .trig import (
     ANTIPERIODIC,
     TrigSeries,
@@ -36,12 +37,10 @@ from .trig import (
     bisect,
     critical_points,
     isolate_sign_changes,
-    newton_root,
     osculating_in_am,
     safeguarded_newton,
 )
 
-EPS_CONTACT = 1e-8
 SEED_THRESHOLD = 1e-2
 
 
@@ -248,17 +247,20 @@ def is_positive_clean_flex(sf: SupportFunction, p: float,
     return len(limiting_function(sf, p, eps_contact).contact) == 2
 
 
-def is_clean_flex(sf: SupportFunction, p: float, tol: float = 1e-7) -> bool:
-    """Zero set of f minus its osculating member connected modulo pi."""
-    res = sf.f - osculating_in_am(sf.f, p, 2)
+def _contacts(res: TrigSeries):
+    """Zeros of the residual f - phi of an osculating member, and their
+    components on the circle (zeros within 1e-6 merged)."""
     roots = isolate_sign_changes(res, domain="full",
-                                 tangential_tol=max(tol, 1e-9 * res.max_coeff()))
-    proj = sorted({round(r.value % math.pi, 6) for r in roots})
-    merged = [x for i, x in enumerate(proj)
-              if i == 0 or x - proj[i - 1] > 1e-5]
-    if len(merged) > 1 and math.pi - merged[-1] + merged[0] < 1e-5:
-        merged.pop()
-    return len(merged) <= 1
+                                 tangential_tol=1e-9 * max(res.max_coeff(), 1.0))
+    return roots, CircularSet.from_points([r.value for r in roots], merge_tol=1e-6)
+
+
+def is_clean_flex(sf: SupportFunction, p: float) -> bool:
+    """Zero set of f minus its osculating member connected modulo pi.
+
+    The residual is antiperiodic, so its contact components come in
+    antipodal pairs; one pair is one component modulo pi."""
+    return len(_contacts(sf.f - osculating_in_am(sf.f, p, 2))[1]) <= 2
 
 
 # -- clean flexes and the census ---------------------------------------------
@@ -274,11 +276,11 @@ class FlexTriple:
 def clean_flexes(sf: SupportFunction, eps_contact: float = EPS_CONTACT,
                  **kw) -> FlexTriple:
     """Three clean flexes in a half period, found by the intrinsic-system
-    search and Newton-polished on the flex operator."""
+    search and snapped to the nearest sign change of the flex operator."""
     system = contact_system(sf, eps_contact=eps_contact)
     raw = three_clean_inflections(system, **kw)
-    lf = apply_flex_operator(sf.f, 2)
-    polished = tuple(canonical(newton_root(lf, s)) for s in raw)
+    flexes = d_inflections(sf)
+    polished = tuple(min(flexes, key=lambda r: circle_dist(r, s)) for s in raw)
     half = sorted(canonical(s, math.pi) for s in polished)
     signs = []
     for t in half:
@@ -448,10 +450,7 @@ def theorem_c_certificates(sf: SupportFunction, radius_tol: float = 1e-8,
         c = phi.harmonics[0][2] if phi.harmonics else 0.0
         circle = DCircle((c, -b), 0.5 * sf.d)
         res = sf.f - phi
-        roots = isolate_sign_changes(res, domain="full",
-                                     tangential_tol=1e-9 * max(res.max_coeff(), 1.0))
-        pts = sorted({canonical(r.value) for r in roots})
-        comp = CircularSet.from_points(pts, merge_tol=1e-6)
+        roots, comp = _contacts(res)
         ncomp = len(comp)
         if ncomp != 2:
             raise CertificateFailed(

@@ -34,7 +34,7 @@ def test_width_census_mode(tmp_path):
     code, data = run(tmp_path, WIDTH_SIN3, "width-census",
                      "--out-csv", str(tmp_path / "c.csv"),
                      "--out-svg", str(tmp_path / "c.svg"),
-                     "--grid", "256")
+                     "--plot-samples", "256")
     assert code == 0
     assert data["i"] == 3 and data["delta"] == 0 and data["identity_holds"]
     assert data["clean_points"] == pytest.approx(
@@ -46,7 +46,7 @@ def test_width_census_mode(tmp_path):
 
 
 def test_sphere_census_mode(tmp_path):
-    code, data = run(tmp_path, SPHERE_SIN3, "sphere-census", "--grid", "256",
+    code, data = run(tmp_path, SPHERE_SIN3, "sphere-census", "--plot-samples", "256",
                      "--out-svg", str(tmp_path / "s.svg"),
                      "--out-csv", str(tmp_path / "s.csv"))
     assert code == 0
@@ -65,7 +65,7 @@ def test_axioms_mode(tmp_path):
 
 def test_theorem_c_mode(tmp_path):
     code, data = run(tmp_path, WIDTH_SIN3, "theorem-c",
-                     "--out-svg", str(tmp_path / "tc.svg"), "--grid", "256")
+                     "--out-svg", str(tmp_path / "tc.svg"), "--plot-samples", "256")
     assert code == 0
     assert len(data["certificates"]) == 3
     svg = (tmp_path / "tc.svg").read_text()
@@ -73,7 +73,7 @@ def test_theorem_c_mode(tmp_path):
 
 
 def test_flexes_mode(tmp_path):
-    code, data = run(tmp_path, WIDTH_SIN3, "flexes", "--grid", "256")
+    code, data = run(tmp_path, WIDTH_SIN3, "flexes", "--plot-samples", "256")
     assert code == 0
     assert len(data["d_inflections"]) == 6
 
@@ -101,7 +101,7 @@ def test_wrong_input_kind_exits_2(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--grid", "1000"),
+@pytest.mark.parametrize("flag, value", [("--plot-samples", "1000"),
                                          ("--axiom-grid", "0"),
                                          ("--axiom-grid", "-3")])
 def test_bad_grid_exits_2(tmp_path, flag, value):

@@ -8,6 +8,7 @@ from curvex.errors import IdenticallyZero
 from curvex.trig import (
     ANTIPERIODIC,
     PERIODIC,
+    TWO_PI,
     TrigSeries,
     VectorSeries,
     apply_flex_operator,
@@ -17,6 +18,7 @@ from curvex.trig import (
     isolate_sign_changes,
     newton2,
     osculating_in_am,
+    roots,
     safeguarded_newton,
     sin_series,
     triple_product,
@@ -176,6 +178,34 @@ def test_isolate_tangential_zero():
     roots = isolate_sign_changes(s, domain="full", tangential_tol=1e-9)
     assert all(r.direction == 0 for r in roots)
     assert [r.value for r in roots] == pytest.approx([0.0, math.pi], abs=1e-7)
+
+
+@pytest.mark.parametrize("s, zeros, directions", [
+    (sin_series(1) * sin_series(1) * sin_series(1), [(0.0, 3), (math.pi, 3)], [1, -1]),
+    (TrigSeries(1.0, ((1, -1.0, 0.0),)), [(0.0, 2)], [0]),
+    (TrigSeries(-math.cos(1e-3), ((1, 1.0, 0.0),)),
+     [(1e-3, 1), (TWO_PI - 1e-3, 1)], [-1, 1]),
+], ids=["sin^3", "1-cos", "two-close-crossings"])
+def test_roots_multiplicities_and_directions(s, zeros, directions):
+    got = roots(s)
+    assert [m for _, m in got] == [m for _, m in zeros]
+    assert [t for t, _ in got] == pytest.approx([t for t, _ in zeros], abs=1e-10)
+    isolated = isolate_sign_changes(s, tangential_tol=1e-9)
+    assert [r.value for r in isolated] == [t for t, _ in got]
+    assert [r.direction for r in isolated] == directions
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.integers(0, 22), st.integers(0, 2 ** 32 - 1))
+def test_crossings_match_a_fine_grid(n, seed):
+    # odd harmonics 1..2n+1, so the degree reaches 45
+    rng = np.random.default_rng(seed)
+    s = TrigSeries(0.0, tuple((k, rng.normal(), rng.normal())
+                              for k in range(1, 2 * n + 2, 2)), ANTIPERIODIC)
+    crossings = [r for r in isolate_sign_changes(s) if r.direction != 0]
+    t = np.linspace(0.0, TWO_PI, 2 ** 16, endpoint=False) + 0.37 * TWO_PI / 2 ** 16
+    sign = np.sign(s(t))
+    assert len(crossings) == int(np.sum(sign != np.roll(sign, 1)))
 
 
 def test_isolate_identically_zero_raises():

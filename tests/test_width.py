@@ -193,6 +193,17 @@ class TestCertificates:
             assert cert.crossings == 2
             assert cert.curvature_radius == pytest.approx(10.0, abs=1e-8)
 
+    @pytest.mark.parametrize("fixture", ["sf_mix25", "sf_mix4", "sf_mix7"])
+    def test_mixed_deviation_certificates(self, fixture, request):
+        # each residual has a triple zero at its flex, which must count
+        # as one crossing contact
+        sf = request.getfixturevalue(fixture)
+        certs = theorem_c_certificates(sf)
+        assert len(certs) == 3
+        for cert in certs:
+            assert (cert.contact_components, cert.crossings) == (2, 2)
+            assert is_clean_flex(sf, cert.flex)
+
     def test_circle_centers_match_center_of_curvature(self, sf_sin3):
         for cert in theorem_c_certificates(sf_sin3):
             t = cert.flex
