@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .circle import Arc, TWO_PI, canonical, circle_dist, cyclic_runs, forward_gap
 from .errors import DegenerateChord, LineCurve, SelfIntersection
@@ -33,6 +34,7 @@ NEWTON_RESIDUAL = 1e-11
 SEED_THRESHOLD = 1e-2
 DEDUPE_TOL = 1e-6
 OFF_CHORD_MIN = 1e-7
+ESCAPE_BLOCK = 32  # tangent circles per block of the topological count
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,12 @@ class Chord:
         ang = self.turn * frac
         axis_part = np.cross(self.normal, self.pa)
         return self.pa * math.cos(ang) + axis_part * math.sin(ang)
+
+    def points(self, fracs: np.ndarray) -> np.ndarray:
+        """Points at an array of fractions, as rows; agrees with point."""
+        ang = self.turn * np.asarray(fracs, dtype=float)[..., None]
+        axis_part = np.cross(self.normal, self.pa)
+        return self.pa * np.cos(ang) + axis_part * np.sin(ang)
 
     def position_of(self, u: np.ndarray) -> float:
         """Fraction along the chord of a point assumed to lie on it."""
@@ -141,10 +149,7 @@ class ReducedCurve:
         if np.any(rest):
             out[rest] = self.base.lift_many(ts[rest])
         for mask, sign, shift in ((on1, 1.0, 0.0), (on2, -1.0, math.pi)):
-            if np.any(mask):
-                fracs = (off[mask] - shift) / self.gap
-                pts = np.stack([self.chord.point(float(f)) for f in fracs])
-                out[mask] = sign * pts
+            out[mask] = sign * self.chord.points((off[mask] - shift) / self.gap)
         return out
 
     def _assert_simple(self, n: int = 512, sep: float = 0.05,
@@ -172,6 +177,12 @@ def reduction(curve: ProjectiveCurve, a: float, b: float,
 # -- topological inflection counting ---------------------------------------
 
 
+def _first_nonzero(walks: np.ndarray) -> np.ndarray:
+    """Per row, the first nonzero entry, or 0 when there is none."""
+    first = (walks != 0).argmax(axis=1)
+    return walks[np.arange(len(walks)), first]
+
+
 def count_inflections_topological(unit_many, n_grid: int = 2048,
                                   escape: float = 1e-7,
                                   fd_step: float = 1e-5) -> tuple[int, list[float]]:
@@ -183,6 +194,9 @@ def count_inflections_topological(unit_many, n_grid: int = 2048,
     mean the tangent circle crosses there.  Consecutive crossing samples
     (e.g. a whole chord segment of a reduction) group into one
     independent inflection.
+
+    The walk runs over the full circle of samples [U; -U], n_grid steps
+    each way; the walks of ESCAPE_BLOCK samples are evaluated together.
     """
     ts = np.linspace(0.0, math.pi, n_grid, endpoint=False)
     U = unit_many(ts)
@@ -193,24 +207,21 @@ def count_inflections_topological(unit_many, n_grid: int = 2048,
     if np.min(nn) < EPS_NORM:
         raise LineCurve("degenerate tangent frame")
     N /= nn[:, None]
-    V = np.concatenate([U, -U], axis=0)  # full-circle samples
-    m = 2 * n_grid
 
+    # Row i of walk holds the escape signs of the side values sigma(p) of
+    # the tangent circle at sample j = lo + i, at the full-circle positions
+    # p in [-n, 2n) (index p + n), using sigma(p +- n) = -sigma(p).  The
+    # walk visits p = j+1 .. j+n forward and p = j-1 .. j-n backward; the
+    # latter is a window of the reversed row, whose index is 2n - 1 - p.
     crossing = np.zeros(n_grid, dtype=bool)
-    for j in range(n_grid):
-        sigma = V @ N[j]
-        signs = []
-        for direction in (1, -1):
-            k = j
-            sgn = 0.0
-            for _ in range(m // 2):
-                k = (k + direction) % m
-                v = sigma[k]
-                if abs(v) > escape:
-                    sgn = math.copysign(1.0, v)
-                    break
-            signs.append(sgn)
-        crossing[j] = signs[0] != 0.0 and signs[1] != 0.0 and signs[0] != signs[1]
+    for lo in range(0, n_grid, ESCAPE_BLOCK):
+        j = np.arange(lo, min(lo + ESCAPE_BLOCK, n_grid))
+        S = N[j] @ U.T
+        side = (S > escape).view(np.int8) - (S < -escape).view(np.int8)
+        walk = np.concatenate([-side, side, -side], axis=1)
+        fwd = sliding_window_view(walk, n_grid, axis=1)[j - lo, n_grid + j + 1]
+        bwd = sliding_window_view(walk[:, ::-1], n_grid, axis=1)[j - lo, 2 * n_grid - j]
+        crossing[j] = _first_nonzero(fwd) * _first_nonzero(bwd) < 0
 
     if crossing.all():
         return 1, [0.0]

@@ -43,6 +43,13 @@ class TestChord:
         rpts = np.array([rev.point(f) for f in fr[::-1]])
         assert np.allclose(pts, rpts, atol=1e-12)
 
+    @pytest.mark.parametrize("a,b", [(0.5, 1.4), (1.4, 0.5)])
+    def test_points_match_point(self, curve5, a, b):
+        ch = chord(curve5, a, b)
+        fr = np.linspace(-0.25, 1.25, 61)
+        np.testing.assert_allclose(ch.points(fr), [ch.point(f) for f in fr],
+                                   rtol=0, atol=1e-15)
+
     def test_degenerate_chord(self, curve5):
         with pytest.raises(DegenerateChord):
             chord(curve5, 0.5, 0.5 + math.pi)  # antipodal pair
