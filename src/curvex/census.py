@@ -19,7 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .circle import Arc, TWO_PI, canonical, circle_dist, cyclic_runs, forward_gap
+from .circle import (
+    Arc,
+    TWO_PI,
+    admissible_angles,
+    canonical,
+    circle_dist,
+    cyclic_runs,
+    forward_gap,
+)
 from .errors import DegenerateChord, LineCurve, SelfIntersection
 from .sphere import (
     EPS_NORM,
@@ -87,7 +95,7 @@ def chord(curve: ProjectiveCurve, a: float, b: float) -> Chord:
         raise DegenerateChord(f"curve points at {a} and {b} are (anti)aligned")
     normal = cr / ncr
     c = canonical(b + 0.5 * forward_gap(b, a + math.pi))
-    arc, frame = admissible_normal_arc(curve, c, n_theta=128, n_s=256)
+    arc, frame = admissible_normal_arc(curve, c, n_s=256)
     long_way = False
     if arc is not None:
         n_c = normal_direction(frame, arc.midpoint)
@@ -230,8 +238,8 @@ def count_inflections_topological(unit_many, n_grid: int = 2048,
     return len(params), params
 
 
-def anti_convexity_grid_test(unit_many, n_base: int = 128, n_theta: int = 128,
-                     n_arc: int = 1024, fd_step: float = 1e-5) -> bool:
+def anti_convexity_grid_test(unit_many, n_base: int = 128, n_arc: int = 1024,
+                             fd_step: float = 1e-5) -> bool:
     """Anti-convexity on a grid: at every base sample some great circle
     through the point and its antipode keeps the forward open arc
     strictly on one side."""
@@ -243,10 +251,7 @@ def anti_convexity_grid_test(unit_many, n_base: int = 128, n_theta: int = 128,
         nu = np.cross(u, tv)
         arc_ts = t + np.linspace(1e-3, math.pi - 1e-3, n_arc)
         P = unit_many(arc_ts)
-        A, B = P @ nu, P @ tv
-        thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-        M = np.cos(thetas)[:, None] * A[None, :] + np.sin(thetas)[:, None] * B[None, :]
-        if not np.any(np.max(M, axis=1) < 0.0):
+        if admissible_angles(P @ nu, P @ tv) is None:
             return False
     return True
 

@@ -168,6 +168,26 @@ class Arc:
         return uniq
 
 
+def admissible_angles(A, B) -> Arc | None:
+    """The open arc of angles theta with cos(theta) A[j] + sin(theta) B[j] < 0
+    for every j, returned as its closure; None when no angle qualifies.
+
+    Sample j rules out the closed half circle centred on its direction
+    atan2(B[j], A[j]) (all of the circle when A[j] = B[j] = 0), so the
+    admissible angles are the middle of the one cyclic gap between
+    neighbouring directions that is wider than pi.
+    """
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    if np.any((A == 0.0) & (B == 0.0)):
+        return None
+    phi = np.sort(np.arctan2(B, A))
+    gaps = np.diff(phi, append=phi[0] + TWO_PI)
+    i = int(np.argmax(gaps))
+    if gaps[i] <= math.pi:
+        return None
+    return Arc(float(phi[i]) + 0.5 * math.pi, float(gaps[i]) - math.pi)
+
+
 class CircularSet:
     """A closed subset of the circle: ordered, pairwise-disjoint maximal arcs."""
 

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import Arc, CircularSet, TWO_PI, canonical, circle_dist, cyclic_runs
+from .circle import CircularSet, TWO_PI, admissible_angles, canonical, circle_dist
 from .errors import DegeneratePoint, LineCurve, NoConvergence, NotAntiConvex
 from .trig import (
     TrigSeries,
     VectorSeries,
     arc_offsets,
-    bisect,
     critical_points,
     isolate_sign_changes,
     safeguarded_newton,
@@ -34,7 +33,6 @@ EPS_CONTACT = 1e-8
 EPS_TANGENT = 1e-6
 EPS_NORM = 1e-9
 N_GRID = 4096
-N_THETA = 256
 
 
 @dataclass(frozen=True)
@@ -49,9 +47,6 @@ class GreatCircle:
         if norm < EPS_NORM:
             raise ValueError("degenerate normal")
         object.__setattr__(self, "normal", n / norm)
-
-    def side(self, u: np.ndarray) -> float:
-        return float(np.dot(self.normal, u))
 
 
 class ProjectiveCurve:
@@ -201,25 +196,6 @@ class _ArcSamples:
     def grid_max(self, theta: float) -> float:
         return float(np.max(math.cos(theta) * self.A + math.sin(theta) * self.B))
 
-    def widest_run(self, n_theta: int):
-        """The longest cyclic run of admissible angles on a grid of
-        n_theta angles, refined fourfold when none is found, as
-        (thetas, start, length); None when both grids find none."""
-        for factor in (1, 4):
-            thetas = np.linspace(0.0, TWO_PI, n_theta * factor, endpoint=False)
-            vals = np.cos(thetas)[:, None] * self.A[None, :] \
-                + np.sin(thetas)[:, None] * self.B[None, :]
-            runs = cyclic_runs(np.max(vals, axis=1) < 0.0)
-            if runs:
-                return (thetas, *max(runs, key=lambda r: r[1]))
-        return None
-
-    def edge(self, theta_in: float, signed_step: float, steps: int):
-        """Bisected fractions (admissible, not) of one theta step from the
-        admissible angle theta_in towards the boundary."""
-        return bisect(lambda f: self.grid_max(theta_in + f * signed_step) < 0.0,
-                      0.0, 1.0, steps)
-
     def critical_points(self, theta: float) -> list[float]:
         """Interior critical parameters of the side function, located by
         bracketed sign changes of its derivative plus Newton polish;
@@ -234,8 +210,7 @@ class _ArcSamples:
         return got
 
 
-def admissible_normal_arc(curve: ProjectiveCurve, t: float,
-                          n_theta: int = N_THETA, n_s: int = 512):
+def admissible_normal_arc(curve: ProjectiveCurve, t: float, n_s: int = 512):
     """The open arc of rotation angles whose circles keep the forward
     half-curve strictly on the right, or None when no such circle exists.
 
@@ -243,47 +218,27 @@ def admissible_normal_arc(curve: ProjectiveCurve, t: float,
     """
     frame = curve.frame(t)
     samples = _ArcSamples(curve, t, frame, n_s)
-    run = samples.widest_run(n_theta)
-    if run is None:
-        return None, frame
-    thetas, start, length = run
-    step = TWO_PI / len(thetas)
-    lo_frac, _ = samples.edge(thetas[start], -step, 40)
-    hi_frac, _ = samples.edge(thetas[(start + length - 1) % len(thetas)], step, 40)
-    lo = thetas[start] - step * lo_frac
-    width = (length - 1) * step + step * lo_frac + step * hi_frac
-    return Arc(canonical(lo), min(width, TWO_PI)), frame
+    return admissible_angles(samples.A, samples.B), frame
 
 
 def limiting_circle(curve: ProjectiveCurve, t: float,
-                    n_theta: int = N_THETA, n_s: int = 1024,
                     eps_contact: float = EPS_CONTACT) -> ContactData:
     """Rotate the transversal circle at t as far as possible in the
     positive direction and return it with its contact set.
 
-    The positive end of the admissible interval is refined by bisection
-    until the touching side condition is active, then polished either by
-    snapping to the base-tangent circle or by solving the interior
-    tangency system with Newton steps.
+    The positive end of the admissible arc of the sampled half-curve is
+    polished either by snapping to the base-tangent circle or by solving
+    the interior tangency system with Newton steps over that arc.
     """
     frame = curve.frame(t)
-    samples = _ArcSamples(curve, t, frame, n_s)
-
-    run = samples.widest_run(n_theta)
-    if run is None:
+    samples = _ArcSamples(curve, t, frame, 1024)
+    arc = admissible_angles(samples.A, samples.B)
+    if arc is None:
         raise NotAntiConvex(t)
-    thetas, start, length = run
-    theta_in = thetas[(start + length - 1) % len(thetas)]
-    step = TWO_PI / len(thetas)
-
-    # bisect from the last admissible sample towards the inadmissible side
-    lo, hi = samples.edge(theta_in, step, 60)
-    theta_hat = theta_in + lo * step
 
     warnings: list[str] = []
-    theta_star, tangent_at_base = _polish_touch(
-        curve, samples, theta_hat, theta_in, theta_in + hi * step,
-        eps_contact, warnings)
+    theta_star, tangent_at_base = _polish_touch(curve, samples, arc,
+                                                eps_contact, warnings)
 
     normal = normal_direction(frame, theta_star)
     g = samples.qn.scaled(math.cos(theta_star)) + samples.qt.scaled(math.sin(theta_star))
@@ -322,15 +277,17 @@ def _refined_arc_max(curve, samples, theta):
     return best_v, best_s
 
 
-def _polish_touch(curve, samples, theta_hat, theta_lo, theta_hi,
-                  eps_contact, warnings):
+def _polish_touch(curve, samples, arc, eps_contact, warnings):
     """Classify the extremal circle: tangent at the base point, or touching
     the open arc at an interior maximum.
 
     The interior case drives the refined arc maximum to zero from below
     with safeguarded Newton steps (envelope derivative in theta, sign
-    bracket maintained for bisection fallback).  Angles are handled in a
-    local unwrapped coordinate around the bisected estimate."""
+    bracket maintained for bisection fallback).  The touching circle
+    keeps every sample strictly on its right, so the sampled admissible
+    arc brackets it; angles are handled in a local unwrapped coordinate
+    around the arc's positive end."""
+    theta_hat = arc.start + arc.length
     for theta_t in (0.0, math.pi):
         if circle_dist(theta_hat, theta_t) < 1e-4 and \
                 samples.grid_max(theta_t) <= eps_contact:
@@ -344,14 +301,13 @@ def _polish_touch(curve, samples, theta_hat, theta_lo, theta_hi,
         return h, lambda: (-math.sin(theta) * samples.qn(s)
                            + math.cos(theta) * samples.qt(s)) / curve.radius(s)
 
-    x, x_neg, _ = safeguarded_newton(h_at, 0.0, theta_lo - theta_hat,
-                                     theta_hi - theta_hat, 1e-12, 1e-17)
+    x, x_neg, _ = safeguarded_newton(h_at, 0.0, -arc.length, 0.0, 1e-12, 1e-17)
     if x is not None:
         return canonical(theta_hat + x), False
     h, _ = _refined_arc_max(curve, samples, theta_hat + x_neg)
     if h is not None and (abs(h) <= 1e-9 or h <= 0.0):
         return canonical(theta_hat + x_neg), False
-    warnings.append("touch polish fell back to the bisected angle")
+    warnings.append("touch polish fell back to the end of the sampled arc")
     return canonical(theta_hat), False
 
 

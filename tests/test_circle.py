@@ -1,13 +1,15 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from curvex.circle import (
     Arc,
     CircularSet,
     EPS_GROUP,
     TWO_PI,
+    admissible_angles,
     antipode,
     canonical,
     circle_dist,
@@ -194,3 +196,62 @@ def test_cyclic_runs_match_a_cyclic_walk(mask):
                     k += 1
                 expected.append((i, k))
     assert cyclic_runs(mask) == expected
+
+
+def _side_max(A, B, thetas):
+    """max_j cos(theta) A[j] + sin(theta) B[j] at each theta."""
+    thetas = np.asarray(thetas, dtype=float)
+    return np.max(np.cos(thetas)[:, None] * np.asarray(A)[None, :]
+                  + np.sin(thetas)[:, None] * np.asarray(B)[None, :], axis=1)
+
+
+def _samples(directions, radii):
+    d, r = np.asarray(directions), np.asarray(radii)
+    return r * np.cos(d), r * np.sin(d)
+
+
+def test_admissible_angles_empty_intersection():
+    # three directions 2 apart leave no gap wider than pi
+    A, B = _samples([0.0, 2.0, 4.0], [1.0, 0.5, 2.0])
+    assert admissible_angles(A, B) is None
+    assert np.all(_side_max(A, B, np.linspace(0.0, TWO_PI, 4096)) > 0.0)
+
+
+def test_admissible_angles_zero_sample_rules_out_everything():
+    assert admissible_angles([1.0], [0.0]) == Arc(0.5 * math.pi, math.pi)
+    assert admissible_angles([1.0, 0.0], [0.0, 0.0]) is None
+
+
+def test_admissible_angles_finds_an_arc_between_grid_angles():
+    # the arc fits between two angles of a 1024-step grid, which
+    # therefore sees no admissible angle at all
+    step = TWO_PI / 1024
+    start, width = 0.5 * math.pi + 0.3 * step, 0.4 * step
+    A, B = _samples([start - 0.5 * math.pi, start + width + 0.5 * math.pi],
+                    [1.0, 3.0])
+    grid = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+    assert not np.any(_side_max(A, B, grid) < 0.0)
+    arc = admissible_angles(A, B)
+    assert arc.start == pytest.approx(start, abs=1e-12)
+    assert arc.length == pytest.approx(width, abs=1e-12)
+    assert _side_max(A, B, [arc.midpoint])[0] < 0.0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.floats(0.0, TWO_PI),
+       st.lists(st.tuples(st.floats(-1.7, 1.7), st.floats(0.0, 2.0)),
+                min_size=1, max_size=8))
+def test_admissible_angles_match_a_dense_scan(centre, samples):
+    # directions within about pi/2 of a centre: the intersection is
+    # sometimes empty, sometimes an arc
+    A, B = _samples([centre + d for d, _ in samples], [r for _, r in samples])
+    arc = admissible_angles(A, B)
+    scale = max(r for _, r in samples)
+    thetas = np.linspace(0.0, TWO_PI, 1 << 14, endpoint=False)
+    side = _side_max(A, B, thetas)
+    inside = [arc is not None and arc.contains(th, tol=0.0) for th in thetas]
+    margin = 1e-9 * scale
+    assert all(inside[k] for k in np.nonzero(side < -margin)[0])
+    assert not any(inside[k] for k in np.nonzero(side > margin)[0])
+    if arc is not None:
+        assert _side_max(A, B, [arc.midpoint])[0] <= 1e-12 * scale

@@ -122,6 +122,19 @@ def test_limiting_circle_interior_touch(curve3):
     assert cd.touches[0] == pytest.approx(5 * math.pi / 6, abs=1e-8)
 
 
+def test_limiting_circle_touch_between_arc_samples():
+    # the touch falls between samples of the forward arc, 7.8e-6 below
+    # the end of the sampled admissible arc, so the Newton bracket must
+    # reach that far down
+    g = (cos_series(3, 0.06904597456304642) + sin_series(3, 0.29072998350509477)
+         + cos_series(5, -0.15977432307836448) + sin_series(5, 0.1508552982858421)
+         + cos_series(7, -0.0025548893081229047) + sin_series(7, -0.04319478343743177)
+         + cos_series(9, -0.029739137718161553) + sin_series(9, -0.04010431542898485))
+    cd = limiting_circle(make_curve(g), 5.744224069843841)
+    assert not cd.tangent_at_base
+    assert len(cd.contact) == 4
+
+
 def test_limiting_circle_generic_has_three_components(curve3):
     for t in (0.35, 1.2, 1.9, 2.8):
         cd = limiting_circle(curve3, t)
