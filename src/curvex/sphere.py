@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,6 +170,28 @@ class ContactData:
     warnings: tuple[str, ...] = ()
 
 
+class _Limit(NamedTuple):
+    """What the limiting-circle solver finds at one base."""
+
+    normal: np.ndarray  # unit normal of the limiting circle
+    theta: float  # its rotation angle, canonical
+    tangent_at_base: bool
+    touches: tuple[float, ...]  # interior contacts in (t, t + pi), sorted
+    contact: CircularSet
+    warnings: tuple[str, ...]
+
+
+def _side_samples(curve: ProjectiveCurve, t: float,
+                  frame: tuple[np.ndarray, np.ndarray], n_s: int):
+    """The side series of the frame normals, qn = nu . F and qt = that . F,
+    the offsets (t, t + pi) and their normalized samples A and B."""
+    qn = curve.F.dot_const(frame[0])
+    qt = curve.F.dot_const(frame[1])
+    ss = t + arc_offsets(n_s)
+    norms = np.linalg.norm(curve.F.eval_many(ss), axis=1)
+    return qn, qt, ss, qn(ss) / norms, qt(ss) / norms
+
+
 class _ArcSamples:
     """Contact-function samples along the open arc (t, t + pi).
 
@@ -181,14 +204,9 @@ class _ArcSamples:
     def __init__(self, curve: ProjectiveCurve, t: float,
                  frame: tuple[np.ndarray, np.ndarray], n_s: int):
         self.base = t
-        self.qn = qn = curve.F.dot_const(frame[0])
-        self.qt = qt = curve.F.dot_const(frame[1])
-        self.ss = t + arc_offsets(n_s)
-        norms = np.linalg.norm(curve.F.eval_many(self.ss), axis=1)
-        self.A = qn(self.ss) / norms
-        self.B = qt(self.ss) / norms
-        self.qn1, self.qt1 = qn.derivative(), qt.derivative()
-        self.qn2, self.qt2 = qn.derivative(2), qt.derivative(2)
+        self.qn, self.qt, self.ss, self.A, self.B = _side_samples(curve, t, frame, n_s)
+        self.qn1, self.qt1 = self.qn.derivative(), self.qt.derivative()
+        self.qn2, self.qt2 = self.qn.derivative(2), self.qt.derivative(2)
         self.A1 = self.qn1(self.ss)
         self.B1 = self.qt1(self.ss)
         self._critical: dict[float, list[float]] = {}
@@ -217,14 +235,22 @@ def admissible_normal_arc(curve: ProjectiveCurve, t: float, n_s: int = 512):
     Returns (arc, frame); map angles to normals with normal_direction.
     """
     frame = curve.frame(t)
-    samples = _ArcSamples(curve, t, frame, n_s)
-    return admissible_angles(samples.A, samples.B), frame
+    *_, A, B = _side_samples(curve, t, frame, n_s)
+    return admissible_angles(A, B), frame
 
 
 def limiting_circle(curve: ProjectiveCurve, t: float,
                     eps_contact: float = EPS_CONTACT) -> ContactData:
     """Rotate the transversal circle at t as far as possible in the
-    positive direction and return it with its contact set.
+    positive direction and return it with its contact set."""
+    lim = _limit(curve, t, eps_contact)
+    return ContactData(GreatCircle(lim.normal), lim.contact, canonical(t), lim.theta,
+                       lim.tangent_at_base, lim.touches, lim.warnings)
+
+
+def _limit(curve: ProjectiveCurve, t: float, eps_contact: float) -> _Limit:
+    """The limiting circle at t; the one solver behind limiting_circle and
+    width.limiting_function, which reads it on the lift of a support.
 
     The positive end of the admissible arc of the sampled half-curve is
     polished either by snapping to the base-tangent circle or by solving
@@ -260,8 +286,8 @@ def limiting_circle(curve: ProjectiveCurve, t: float,
         raise NoConvergence(
             f"transversal limiting circle at t={t} shows {len(contact)} contact "
             "components; expected at least three")
-    return ContactData(GreatCircle(normal), contact, canonical(t), canonical(theta_star),
-                       tangent_at_base, tuple(touches), tuple(warnings))
+    return _Limit(normal, canonical(theta_star), tangent_at_base, tuple(touches),
+                  contact, tuple(warnings))
 
 
 def _refined_arc_max(curve, samples, theta):

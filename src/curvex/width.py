@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,17 +29,16 @@ from .census import (
     tangent_pairs,
 )
 from .linesys import LineSystem, three_clean_inflections
-from .sphere import EPS_CONTACT
+from .sphere import EPS_CONTACT, ProjectiveCurve, _limit
 from .trig import (
     ANTIPERIODIC,
     TrigSeries,
+    VectorSeries,
     apply_flex_operator,
-    arc_offsets,
-    bisect,
-    critical_points,
+    cos_series,
     isolate_sign_changes,
     osculating_in_am,
-    safeguarded_newton,
+    sin_series,
 )
 
 SEED_THRESHOLD = 1e-2
@@ -61,6 +61,11 @@ class SupportFunction:
         if float(np.min(0.5 * self.d + lf(grid))) <= 0.0:
             raise NotConvex(
                 "h + h'' <= 0 somewhere; increase d or shrink the deviation")
+
+    @cached_property
+    def lift(self) -> ProjectiveCurve:
+        """The sphere curve (cos t, sin t, f(t)), built once."""
+        return ProjectiveCurve(VectorSeries(cos_series(1), sin_series(1), self.f))
 
     @property
     def h(self) -> TrigSeries:
@@ -106,6 +111,7 @@ class LimitingFunction:
     psi: TrigSeries
     contact: CircularSet
     touches: tuple[float, ...]
+    warnings: tuple[str, ...] = ()
 
 
 def _slope_family(sf: SupportFunction, p: float, s: float) -> TrigSeries:
@@ -116,118 +122,29 @@ def _slope_family(sf: SupportFunction, p: float, s: float) -> TrigSeries:
     return TrigSeries(0.0, ((1, a, b),), ANTIPERIODIC)
 
 
-class _ResidualSamples:
-    """Offsets along (p, p + pi) and tools for the residual psi - f."""
-
-    def __init__(self, sf: SupportFunction, p: float, n_s: int = 1024):
-        self.ts = p + arc_offsets(n_s)
-        self.f_vals = sf.f(self.ts)
-        self.sin_vals = np.sin(self.ts - p)
-        fp = sf.f(p)
-        self.cos_part = fp * np.cos(self.ts - p)
-
-    def grid_min(self, s: float) -> float:
-        return float(np.min(self.cos_part + s * self.sin_vals - self.f_vals))
-
-
-def _residual_critical_points(sf, p, s, scans: dict) -> list[float]:
-    """Interior critical parameters of psi_{p,s} - f via bracketed sign
-    changes of the derivative; scans holds those already found, keyed
-    by the exact (p, s)."""
-    got = scans.get((p, s))
-    if got is None:
-        res = _slope_family(sf, p, s) - sf.f
-        r1, r2 = res.derivative(), res.derivative(2)
-        ts = p + arc_offsets(1024)
-        got = scans[(p, s)] = critical_points(r1, r2, ts, r1(ts), p)
-    return got
-
-
-def _refined_min(sf, p, s, scans: dict):
-    """Smallest residual value over interior critical points, with its
-    parameter; (None, None) for a monotone-between-endpoints residual."""
-    res = _slope_family(sf, p, s) - sf.f
-    best_v, best_t = None, None
-    for t in _residual_critical_points(sf, p, s, scans):
-        v = res(t)
-        if best_v is None or v < best_v:
-            best_v, best_t = v, t
-    return best_v, best_t
-
-
 def limiting_function(sf: SupportFunction, p: float,
                       eps_contact: float = EPS_CONTACT) -> LimitingFunction:
     """The smallest-slope circle support through (p, f(p)) staying above
     f on the forward half period, with its contact set.
 
-    The slope is bracketed by doubling, bisected on the sampled minimum
-    and polished with safeguarded Newton steps on the refined minimum
-    over interior critical points.
+    It is the limiting great circle of the lift at p: a circle of normal
+    n meets the lift where n . (cos t, sin t, f(t)) = -n_z (psi - f)(t),
+    for the member psi = -(n_x cos t + n_y sin t) / n_z, so the two share
+    their contact set and eps_contact bounds the lift's normalized side
+    value.
     """
     p = canonical(p)
     if not sf.f.harmonics:
         raise IdenticallyZero("circle supports have no limiting structure")
-    f1p = sf.f.derivative()(p)
-    scans: dict = {}  # critical-point scans of this call
-
-    # the osculating member is the limit exactly when it is admissible:
-    # any smaller slope dips below f right after p, and admissibility of
-    # the osculant caps the infimum at its own slope
-    s_star = None
-    v_osc, _ = _refined_min(sf, p, f1p, scans)
-    if v_osc is None or v_osc >= -eps_contact:
-        samples = _ResidualSamples(sf, p, n_s=256)
-        if samples.grid_min(f1p) >= -eps_contact:
-            s_star = f1p
-
-    if s_star is None:
-        samples = _ResidualSamples(sf, p)
-        span = max(1.0, 2.0 * max(abs(a) + abs(b) for _, a, b in sf.f.harmonics)
-                   * max(k for k, _, _ in sf.f.harmonics))
-        s_hi = f1p + span
-        while samples.grid_min(s_hi) <= 0.0:
-            s_hi = f1p + 2.0 * (s_hi - f1p)
-        s_lo = f1p - span
-        while samples.grid_min(s_lo) > 0.0:
-            s_lo = f1p - 2.0 * (f1p - s_lo)
-        # keep the bracket coarse: the sampled minimum undershoots the
-        # true one by the grid discretization gap, so a tight bisection
-        # would hand the polish an end that is not actually admissible
-        s_hi, s_lo = bisect(lambda s: samples.grid_min(s) > 0.0, s_hi, s_lo, 6)
-        s_star = _polish_slope(sf, p, s_hi, s_lo, eps_contact, scans)
-
-    psi = _slope_family(sf, p, s_star)
-    res = psi - sf.f
-    touches = []
-    for t in _residual_critical_points(sf, p, s_star, scans):
-        if abs(res(t)) <= eps_contact:
-            touches.append(canonical(t))
-    pts = [p, canonical(p + math.pi)]
-    for t in touches:
-        pts.extend([t, canonical(t + math.pi)])
-    contact = CircularSet.from_points(pts)
-    return LimitingFunction(p, s_star, psi, contact, tuple(sorted(touches)))
-
-
-def _polish_slope(sf, p, s_admissible, s_out, eps_contact, scans):
-    """Drive the refined interior minimum of the residual to zero from
-    above (safeguarded Newton on the slope; the envelope derivative is
-    sin(t* - p))."""
-    def v_at(s):
-        v, t = _refined_min(sf, p, s, scans)
-        if v is None:
-            return None
-        return v, lambda: math.sin((t - p) % TWO_PI)
-
-    s, _, x_pos = safeguarded_newton(
-        v_at, s_admissible, s_out, s_admissible,
-        1e-12 * max(1.0, abs(sf.f.max_coeff())), 1e-16)
-    if s is not None:
-        return s
-    v, _ = _refined_min(sf, p, x_pos, scans)
-    if v is None or v >= 0.0:
-        return x_pos
-    return s_admissible
+    lim = _limit(sf.lift, p, eps_contact)
+    if lim.tangent_at_base:
+        s0 = sf.f.derivative()(p)  # the osculating member, exactly
+    else:
+        nx, ny, nz = lim.normal
+        s0 = float((nx * math.sin(p) - ny * math.cos(p)) / nz)
+    return LimitingFunction(p, s0, _slope_family(sf, p, s0), lim.contact,
+                            tuple(sorted(canonical(t) for t in lim.touches)),
+                            lim.warnings)
 
 
 def contact_map(sf: SupportFunction, **kwargs):

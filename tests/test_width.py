@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvex.errors import IdenticallyZero, NotConvex
-from curvex.trig import TrigSeries, sin_series, cos_series, osculating_in_am
+from curvex.trig import TrigSeries, VectorSeries, cos_series, osculating_in_am, sin_series
 from curvex.width import (
     SupportFunction,
     a2_double_tangents,
@@ -20,6 +20,7 @@ from curvex.width import (
     width_reduction_eval,
 )
 from curvex.census import count_inflections_topological
+from curvex.sphere import ProjectiveCurve, limiting_circle
 
 PI3 = math.pi / 3
 
@@ -107,6 +108,26 @@ class TestLimitingFunction:
     def test_nonclean_point_of_mixed_deviation(self, sf_mix25):
         lf = limiting_function(sf_mix25, 0.45)
         assert len(lf.contact) > 2
+
+
+@pytest.mark.parametrize("fixture", ["sf_sin3", "sf_mix25", "sf_mix4", "sf_mix7"])
+def test_limiting_function_is_the_lifts_limiting_circle(fixture, request):
+    sf = request.getfixturevalue(fixture)
+    lift = ProjectiveCurve(VectorSeries(cos_series(1), sin_series(1), sf.f))
+    offsets = np.concatenate([np.geomspace(1e-7, 1e-2, 64),
+                              np.linspace(1e-2, math.pi - 1e-2, 4096)])
+    for k, p in enumerate(np.linspace(0.0, 2 * math.pi, 64, endpoint=False)):
+        lf = limiting_function(sf, float(p))
+        assert lf.contact.set_equal(limiting_circle(lift, float(p)).contact, 1e-6)
+        if k % 8:
+            continue
+        # admissible on the forward arc, and minimal: a smaller slope
+        # dips below f, right after p or at an interior touch
+        ts = np.concatenate([p + offsets, lf.touches])
+        assert float(np.min(lf.psi(ts) - sf.f(ts))) >= -1e-8
+        lower = lf.psi + TrigSeries(0.0, ((1, math.sin(p) * 1e-6,
+                                           -math.cos(p) * 1e-6),), "antiperiodic")
+        assert float(np.min(lower(ts) - sf.f(ts))) < 0.0
 
 
 def test_unsigned_clean_flexes_sin3(sf_sin3):
