@@ -177,15 +177,20 @@ def admissible_angles(A, B) -> Arc | None:
     admissible angles are the middle of the one cyclic gap between
     neighbouring directions that is wider than pi.
     """
-    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    if np.any((A == 0.0) & (B == 0.0)):
-        return None
-    phi = np.sort(np.arctan2(B, A))
-    gaps = np.diff(phi, append=phi[0] + TWO_PI)
-    i = int(np.argmax(gaps))
-    if gaps[i] <= math.pi:
-        return None
-    return Arc(float(phi[i]) + 0.5 * math.pi, float(gaps[i]) - math.pi)
+    return admissible_arcs(np.asarray(A, dtype=float)[None],
+                           np.asarray(B, dtype=float)[None])[0]
+
+
+def admissible_arcs(A: np.ndarray, B: np.ndarray) -> list[Arc | None]:
+    """admissible_angles of each row of the (n, m) arrays A and B."""
+    phi = np.sort(np.arctan2(B, A), axis=1)
+    gaps = np.diff(phi, axis=1, append=phi[:, :1] + TWO_PI)
+    i = np.argmax(gaps, axis=1)
+    rows = np.arange(len(phi))
+    widest = gaps[rows, i]
+    ok = (widest > math.pi) & ~np.any((A == 0.0) & (B == 0.0), axis=1)
+    return [Arc(float(phi[r, i[r]]) + 0.5 * math.pi, float(widest[r]) - math.pi)
+            if ok[r] else None for r in rows]
 
 
 class CircularSet:

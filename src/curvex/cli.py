@@ -209,8 +209,13 @@ def emit_width_plot(sf: SupportFunction, svg_path: str | None,
 # -- modes -------------------------------------------------------------------
 
 
-def _run_sphere_census(curve: ProjectiveCurve, args) -> tuple[dict, bool]:
-    system = LineSystem(sphere_contact_map(curve, eps_contact=args.eps_contact))
+def _contact_system(obj, args) -> LineSystem:
+    if isinstance(obj, SupportFunction):
+        return contact_system(obj, args.eps_contact)
+    return LineSystem(sphere_contact_map(obj, args.eps_contact))
+
+
+def _run_sphere_census(curve: ProjectiveCurve, system, args) -> tuple[dict, bool]:
     cleans = sorted(three_clean_inflections(system))
     report = census(curve, clean_points=cleans).to_json()
     emit_sphere_plot(curve, args.out_svg, args.out_csv, args.plot_samples,
@@ -219,8 +224,8 @@ def _run_sphere_census(curve: ProjectiveCurve, args) -> tuple[dict, bool]:
     return report, report["identity_holds"]
 
 
-def _run_width_census(sf: SupportFunction, args) -> tuple[dict, bool]:
-    triple = clean_flexes(sf, eps_contact=args.eps_contact)
+def _run_width_census(sf: SupportFunction, system, args) -> tuple[dict, bool]:
+    triple = clean_flexes(sf, system)
     report = census_fn(sf, clean_points=list(triple.points)).to_json()
     report["clean_signs"] = list(triple.signs)
     emit_width_plot(sf, args.out_svg, args.out_csv, args.plot_samples,
@@ -228,10 +233,10 @@ def _run_width_census(sf: SupportFunction, args) -> tuple[dict, bool]:
     return report, report["identity_holds"]
 
 
-def _run_flexes(obj, args) -> tuple[dict, bool]:
+def _run_flexes(obj, system, args) -> tuple[dict, bool]:
     if not isinstance(obj, SupportFunction):
         raise ValueError("flexes mode expects a support-function input")
-    triple = clean_flexes(obj, eps_contact=args.eps_contact)
+    triple = clean_flexes(obj, system)
     report = {
         "kind": "flexes",
         "clean_flexes": list(triple.points),
@@ -244,19 +249,15 @@ def _run_flexes(obj, args) -> tuple[dict, bool]:
     return report, True
 
 
-def _run_axioms(obj, args) -> tuple[dict, bool]:
-    if isinstance(obj, SupportFunction):
-        system = contact_system(obj, eps_contact=args.eps_contact)
-    else:
-        system = LineSystem(sphere_contact_map(obj, eps_contact=args.eps_contact))
+def _run_axioms(obj, system, args) -> tuple[dict, bool]:
     rep = check_axioms(system, grid_size=args.axiom_grid)
     return {"kind": "axioms", **rep.to_json()}, rep.all_pass
 
 
-def _run_theorem_c(obj, args) -> tuple[dict, bool]:
+def _run_theorem_c(obj, system, args) -> tuple[dict, bool]:
     if not isinstance(obj, SupportFunction):
         raise ValueError("theorem-c mode expects a support-function input")
-    certs = theorem_c_certificates(obj, eps_contact=args.eps_contact)
+    certs = theorem_c_certificates(obj, system=system)
     report = {
         "kind": "theorem-c",
         "certificates": [{
@@ -323,22 +324,24 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read input: {exc}")
 
+    # every mode but truncate reads the contact family of the input
+    system = None if args.mode == "truncate" else _contact_system(obj, args)
     started = time.time()
     try:
         if args.mode == "sphere-census":
             if isinstance(obj, SupportFunction):
                 return _fail("sphere-census expects an x/y/z curve input")
-            report, ok = _run_sphere_census(obj, args)
+            report, ok = _run_sphere_census(obj, system, args)
         elif args.mode == "width-census":
             if not isinstance(obj, SupportFunction):
                 return _fail("width-census expects a d/f support input")
-            report, ok = _run_width_census(obj, args)
+            report, ok = _run_width_census(obj, system, args)
         elif args.mode == "flexes":
-            report, ok = _run_flexes(obj, args)
+            report, ok = _run_flexes(obj, system, args)
         elif args.mode == "axioms":
-            report, ok = _run_axioms(obj, args)
+            report, ok = _run_axioms(obj, system, args)
         elif args.mode == "theorem-c":
-            report, ok = _run_theorem_c(obj, args)
+            report, ok = _run_theorem_c(obj, system, args)
         else:
             report, ok = _run_truncate(obj, args)
     except ValueError as exc:
@@ -352,6 +355,8 @@ def main(argv=None) -> int:
             "input": args.input, "plot_samples": args.plot_samples,
             "eps_contact": args.eps_contact,
             "seconds": round(time.time() - started, 3)}
+    if system is not None:
+        meta["contact_warnings"] = dict(sorted(system.warnings.items()))
     _write_report(args.out_report, report, meta)
     return 0 if ok else 1
 

@@ -11,6 +11,7 @@ intermediate-value construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,25 +50,37 @@ def _reflected_set(s: CircularSet) -> CircularSet:
 
 
 class LineSystem:
-    """Cached view over a contact map p -> CircularSet on the full circle."""
+    """Cached view over a contact map on the full circle.
 
-    def __init__(self, contact_fn: Callable[[float], CircularSet],
+    The map takes a list of bases and returns their contact sets in
+    order, with the warnings its solver raised; the system caches the
+    sets by base and counts the warnings by message.
+    """
+
+    def __init__(self, contact_fn: Callable[[list[float]], tuple[list[CircularSet], list[str]]],
                  period: float = TWO_PI, name: str = ""):
         self._fn = contact_fn
         self.period = period
         self.name = name
         self._cache: dict[float, CircularSet] = {}
+        self.warnings: Counter[str] = Counter()
 
     def T(self, p: float) -> float:
         return antipode(p, self.period)
 
     def F(self, p: float) -> CircularSet:
-        key = round(canonical(p, self.period), 12)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._fn(key)
-            self._cache[key] = hit
-        return hit
+        return self.F_many([p])[0]
+
+    def F_many(self, ps) -> list[CircularSet]:
+        """F at every base of ps; the bases not cached yet go to the
+        contact map in one call."""
+        keys = [round(canonical(p, self.period), 12) for p in ps]
+        missing = list(dict.fromkeys(k for k in keys if k not in self._cache))
+        if missing:
+            sets, warnings = self._fn(missing)
+            self._cache.update(zip(missing, sets))
+            self.warnings.update(warnings)
+        return [self._cache[k] for k in keys]
 
     def F0(self, p: float) -> Arc:
         """The component of F(p) containing p."""
@@ -99,8 +112,9 @@ class LineSystem:
         """The same family seen with the circle orientation reversed."""
         period = self.period
 
-        def rev_fn(p: float) -> CircularSet:
-            return _reflected_set(self.F(canonical(-p, period)))
+        def rev_fn(ps):
+            sets = self.F_many([canonical(-p, period) for p in ps])
+            return [_reflected_set(s) for s in sets], []
 
         return LineSystem(rev_fn, period, name=f"{self.name}~rev")
 
@@ -209,12 +223,11 @@ def three_clean_inflections(sys: LineSystem, *, scan: int = 64,
     """Three positive clean points s1, s2, s3 with s2 in (s1, Ts1),
     s3 in (Ts1, s1) and mutually disjoint contact sets."""
     period = sys.period
-    grid = np.linspace(0.0, period, scan, endpoint=False)
+    grid = [float(t) for t in np.linspace(0.0, period, scan, endpoint=False)]
     best, best_count = None, -1
-    for t in grid:
-        F = sys.F(float(t))
+    for t, F in zip(grid, sys.F_many(grid)):
         if len(F) > best_count:
-            best, best_count = float(t), len(F)
+            best, best_count = t, len(F)
     if best is None or best_count <= 2:
         raise SearchFailed("no non-clean starting point found on the scan grid")
     p = best
@@ -408,7 +421,7 @@ def check_axioms(sys: LineSystem, grid_size: int = 256, *,
     if grid_size % 2:
         grid_size += 1
     grid = [canonical(i * period / grid_size, period) for i in range(grid_size)]
-    sets = {p: sys.F(p) for p in grid}
+    sets = dict(zip(grid, sys.F_many(grid)))
 
     results = [
         _check_l1(sys, grid, sets),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -299,50 +299,6 @@ class Root(NamedTuple):
     direction: int  # +1 neg-to-pos, -1 pos-to-neg, 0 tangential
 
 
-def bisect(pred: Callable[[float], bool], lo: float, hi: float,
-           steps: int) -> tuple[float, float]:
-    """Halve the bracket `steps` times, moving lo to the midpoints where
-    pred holds and hi to the others; lo may lie above hi."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-def safeguarded_newton(h, x: float, lo: float, hi: float, tol: float,
-                       min_width: float):
-    """Root of an increasing function inside the bracket (lo, hi).
-
-    h(x) returns None where it is undefined, else (value, slope) with
-    slope a zero-argument callable, so the derivative is only computed
-    for steps actually taken.  Newton proposals leaving the bracket are
-    replaced by its midpoint.  Returns (root, lo, hi) with root None when
-    |h| never fell to tol, and the bracket as shrunk so far.
-    """
-    for _ in range(60):
-        got = h(x)
-        if got is None:
-            break
-        v, slope = got
-        if abs(v) <= tol:
-            return x, lo, hi
-        if v < 0.0:
-            lo = max(lo, x)
-        else:
-            hi = min(hi, x)
-        dv = slope()
-        prop = x - v / dv if dv != 0.0 else None
-        if prop is None or not lo < prop < hi:
-            prop = 0.5 * (lo + hi)
-        if hi - lo < min_width or prop == x:
-            break
-        x = prop
-    return None, lo, hi
-
-
 def newton2(system, a, b):
     """Two-variable Newton from every seed (a[i], b[i]) in lockstep.
 
@@ -397,36 +353,6 @@ def arc_offsets(n: int) -> np.ndarray:
     points plus the geometric ladder against both ends."""
     interior = np.linspace(1e-4, math.pi - 1e-4, n)
     return np.sort(np.concatenate([_END_LADDER, interior, math.pi - _END_LADDER]))
-
-
-def critical_points(g1: Callable[[float], float], g2: Callable[[float], float],
-                    ts: np.ndarray, d: np.ndarray, base: float) -> list[float]:
-    """Zeros of g1 (a derivative sampled as d on the increasing grid ts),
-    strictly inside the open arc (base, base + pi).
-
-    Each sign flip of d is bisected 20 times on g1 and polished with up
-    to 20 Newton steps using g2, the derivative of g1."""
-    out = []
-    for i in np.nonzero(d[:-1] * d[1:] <= 0.0)[0]:
-        lo, hi, flo = float(ts[i]), float(ts[i + 1]), float(d[i])
-        if flo == 0.0:
-            s = lo
-        else:
-            positive = flo > 0.0
-            lo, hi = bisect(lambda x: (g1(x) > 0.0) == positive, lo, hi, 20)
-            s = 0.5 * (lo + hi)
-            for _ in range(20):
-                d2 = g2(s)
-                if d2 == 0.0:
-                    break
-                step = g1(s) / d2
-                s -= step
-                if abs(step) < 1e-14:
-                    break
-        off = (s - base) % TWO_PI
-        if 1e-6 < off < math.pi - 1e-6:
-            out.append(s)
-    return out
 
 
 def roots(s: TrigSeries) -> list[tuple[float, int]]:
@@ -539,11 +465,6 @@ class VectorSeries:
 
     def truncate(self, n: int) -> "VectorSeries":
         return VectorSeries(*(truncate(c, n) for c in self.components))
-
-    def dot_const(self, v: Sequence[float]) -> TrigSeries:
-        """The scalar series v . F(t) for a constant vector v."""
-        return self.x.scaled(float(v[0])) + self.y.scaled(float(v[1])) \
-            + self.z.scaled(float(v[2]))
 
     def dot(self, other: "VectorSeries") -> TrigSeries:
         return self.x * other.x + self.y * other.y + self.z * other.z

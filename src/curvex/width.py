@@ -29,7 +29,7 @@ from .census import (
     tangent_pairs,
 )
 from .linesys import LineSystem, three_clean_inflections
-from .sphere import EPS_CONTACT, ProjectiveCurve, _limit
+from .sphere import EPS_CONTACT, ProjectiveCurve, _limits, _sets_and_warnings
 from .trig import (
     ANTIPERIODIC,
     TrigSeries,
@@ -134,27 +134,37 @@ def limiting_function(sf: SupportFunction, p: float,
     value.
     """
     p = canonical(p)
-    if not sf.f.harmonics:
-        raise IdenticallyZero("circle supports have no limiting structure")
-    lim = _limit(sf.lift, p, eps_contact)
+    lim = _limits(_lift(sf), [p], eps_contact)[0]
     if lim.tangent_at_base:
         s0 = sf.f.derivative()(p)  # the osculating member, exactly
     else:
-        nx, ny, nz = lim.normal
+        nx, ny, nz = lim.circle.normal
         s0 = float((nx * math.sin(p) - ny * math.cos(p)) / nz)
     return LimitingFunction(p, s0, _slope_family(sf, p, s0), lim.contact,
                             tuple(sorted(canonical(t) for t in lim.touches)),
                             lim.warnings)
 
 
-def contact_map(sf: SupportFunction, **kwargs):
-    def fn(p: float) -> CircularSet:
-        return limiting_function(sf, p, **kwargs).contact
+def _lift(sf: SupportFunction) -> ProjectiveCurve:
+    if not sf.f.harmonics:
+        raise IdenticallyZero("circle supports have no limiting structure")
+    return sf.lift
+
+
+def contact_map(sf: SupportFunction, eps_contact: float = EPS_CONTACT):
+    """bases -> (contact sets, warnings) of their limiting functions.  A
+    single base is solved by limiting_function, so that its name counts
+    single solves (bench/layertrace.py traces it); more bases are solved
+    together on the lift."""
+    def fn(ps):
+        if len(ps) == 1:
+            return _sets_and_warnings([limiting_function(sf, ps[0], eps_contact)])
+        return _sets_and_warnings(_limits(_lift(sf), ps, eps_contact))
     return fn
 
 
-def contact_system(sf: SupportFunction, **kwargs) -> LineSystem:
-    return LineSystem(contact_map(sf, **kwargs), name="width")
+def contact_system(sf: SupportFunction, eps_contact: float = EPS_CONTACT) -> LineSystem:
+    return LineSystem(contact_map(sf, eps_contact), name="width")
 
 
 def is_positive_clean_flex(sf: SupportFunction, p: float,
@@ -190,12 +200,12 @@ class FlexTriple:
     circle_points: tuple[float, float, float]  # the positive clean points on S^1
 
 
-def clean_flexes(sf: SupportFunction, eps_contact: float = EPS_CONTACT,
+def clean_flexes(sf: SupportFunction, system: LineSystem | None = None,
                  **kw) -> FlexTriple:
     """Three clean flexes in a half period, found by the intrinsic-system
-    search and snapped to the nearest sign change of the flex operator."""
-    system = contact_system(sf, eps_contact=eps_contact)
-    raw = three_clean_inflections(system, **kw)
+    search (on contact_system(sf) unless a system is given) and snapped
+    to the nearest sign change of the flex operator."""
+    raw = three_clean_inflections(system or contact_system(sf), **kw)
     flexes = d_inflections(sf)
     polished = tuple(min(flexes, key=lambda r: circle_dist(r, s)) for s in raw)
     half = sorted(canonical(s, math.pi) for s in polished)
@@ -356,10 +366,11 @@ class DCircleCertificate:
 
 
 def theorem_c_certificates(sf: SupportFunction, radius_tol: float = 1e-8,
-                           eps_contact: float = EPS_CONTACT) -> list[DCircleCertificate]:
+                           system: LineSystem | None = None) -> list[DCircleCertificate]:
     """Certificates for the three osculating width circles that cross the
-    curve exactly twice, both times tangentially, at the clean flexes."""
-    triple = clean_flexes(sf, eps_contact=eps_contact)
+    curve exactly twice, both times tangentially, at the clean flexes
+    (found on the system as in clean_flexes)."""
+    triple = clean_flexes(sf, system)
     out = []
     for t in triple.points:
         phi = osculating_in_am(sf.f, t, 2)

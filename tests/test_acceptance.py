@@ -128,28 +128,30 @@ def brute_double_tangent_intervals(curve, n=384, margin=0.1):
         if R[i, j] <= R[i, j - 1] and R[i, j] <= R[i, j + 1]:
             centers.append((float(a_grid[i]), float(B[i, j])))
 
-    def residual_at(a, b):
-        normal = np.cross(curve.F(a), curve.F1(a))
-        normal /= np.linalg.norm(normal)
-        tb = curve.F1(b)
-        ub = curve.lift(b)
-        tb = tb - ub * float(np.dot(ub, tb))
-        tb /= np.linalg.norm(tb)
-        return abs(float(normal @ ub)) + abs(float(normal @ tb))
+    def residuals(a, b):
+        normal = np.cross(curve.F.eval_many(a), curve.F1.eval_many(a))
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        tb = curve.F1.eval_many(b)
+        ub = curve.lift_many(b)
+        tb -= ub * np.sum(ub * tb, axis=1)[:, None]
+        tb /= np.linalg.norm(tb, axis=1)[:, None]
+        return np.abs(np.sum(normal * ub, axis=1)) + np.abs(np.sum(normal * tb, axis=1))
 
     # grid-zoom refinement: a genuine tangency keeps shrinking with the
-    # cell size, a near-miss bottoms out at its positive floor
+    # cell size, a near-miss bottoms out at its positive floor; the 81
+    # cells of a zoom step are evaluated together, a-offset major
     refined = []
     step0 = PI / n
     for a, b in centers:
         a0, b0, step = a, b, step0
         for _ in range(5):
-            cand = [(residual_at(a0 + da, b0 + db), a0 + da, b0 + db)
-                    for da in np.linspace(-step, step, 9)
-                    for db in np.linspace(-step, step, 9)]
+            offsets = np.linspace(-step, step, 9)
+            da, db = np.repeat(offsets, 9), np.tile(offsets, 9)
+            cand = zip(residuals(a0 + da, b0 + db).tolist(),
+                       (a0 + da).tolist(), (b0 + db).tolist())
             _, a0, b0 = min(cand)
             step /= 6.0
-        if residual_at(a0, b0) < 1e-4:
+        if residuals(np.array([a0]), np.array([b0]))[0] < 1e-4:
             refined.append((a0, b0))
 
     kept = []

@@ -17,7 +17,7 @@ from curvex.census import (
 )
 from curvex.errors import DegenerateChord
 from curvex.sphere import true_inflections
-from curvex.trig import isolate_sign_changes
+from curvex.trig import TrigSeries, isolate_sign_changes
 
 
 def interval(a, b):
@@ -58,7 +58,8 @@ class TestChord:
         # order of curve/line meeting points along the chord is monotone
         normal = np.array([0.02, 0.0, 1.0])
         normal /= np.linalg.norm(normal)
-        side = curve5.F.dot_const(normal)
+        side = sum((c.scaled(float(v)) for c, v in zip(curve5.F.components, normal)),
+                   TrigSeries.zero("antiperiodic"))
         roots = [r.value for r in isolate_sign_changes(side, domain="full")]
         inside = sorted(t for t in roots if 0.0 < t < math.pi)
         assert len(inside) >= 3
@@ -117,7 +118,7 @@ class TestDetection:
         for iv in detect_double_tangents(curve5).intervals:
             n = iv.chord.normal
             assert abs(np.dot(n, curve5.lift(iv.b))) < 1e-9
-            assert abs(np.dot(n, curve5.unit_tangent(iv.b))) < 1e-8
+            assert abs(np.dot(n, curve5.frame(iv.b)[1])) < 1e-8
 
     def test_complement_interval_rejected(self, curve5):
         # if (a, b) qualifies, the complementary interval must fail the

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from curvex import width
+from curvex import sphere, width
 from curvex.cli import main
 
 WIDTH_SIN3 = {"d": 20, "f": {"parity": "antiperiodic", "constant": 0.0,
@@ -146,3 +147,37 @@ def test_report_byte_stability(tmp_path):
     assert main(["--input", inp, "--mode", "width-census",
                  "--out-report", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+@pytest.mark.parametrize("payload, mode", [(SPHERE_SIN3, "sphere-census"),
+                                           (WIDTH_SIN3, "width-census"),
+                                           (WIDTH_SIN3, "flexes"),
+                                           (WIDTH_SIN3, "theorem-c"),
+                                           (WIDTH_SIN3, "axioms")])
+def test_contact_warnings_reach_the_sidecar(tmp_path, monkeypatch, payload, mode):
+    def sidecar(sub):
+        (tmp_path / sub).mkdir()
+        report = tmp_path / sub / "report.json"
+        main(["--input", write_input(tmp_path / sub, payload), "--mode", mode,
+              "--axiom-grid", "32", "--out-report", str(report)])
+        meta = json.loads((tmp_path / sub / "report.json.meta.json").read_text())
+        return report.read_bytes(), meta["contact_warnings"]
+
+    clean_report, clean = sidecar("clean")
+    assert clean == {}
+
+    # the first circle solved reports a fallback
+    real, fallen = sphere._limits, []
+
+    def limits(curve, ts, eps_contact):
+        out = real(curve, ts, eps_contact)
+        if not fallen:
+            fallen.append(out[0].base)
+            out[0] = dataclasses.replace(out[0], warnings=(sphere.FALLBACK,))
+        return out
+
+    monkeypatch.setattr(sphere, "_limits", limits)
+    monkeypatch.setattr(width, "_limits", limits)
+    report, warnings = sidecar("fallen")
+    assert fallen and warnings == {sphere.FALLBACK: 1}
+    assert report == clean_report

@@ -168,7 +168,8 @@ def test_intermediate_point_outside_window(sys3):
 
 
 def test_empty_y_raises():
-    sys = LineSystem(lambda p: CircularSet.from_points([p, p + math.pi]))
+    sys = LineSystem(lambda ps: ([CircularSet.from_points([p, p + math.pi])
+                                  for p in ps], []))
     iv = AdmissibleInterval(0.1, 0.9)
     with pytest.raises(EmptyY):
         mu_bounds(sys, iv, 0.5)
@@ -182,9 +183,9 @@ def test_axioms_pass_on_corpus(sys3, wsys_sin3):
 
 def test_axioms_fault_injection():
 
-    def broken(p):
+    def broken(ps):
         # contact family without antipodal symmetry
-        return CircularSet.from_points([p, p + math.pi, p + 1.0])
+        return [CircularSet.from_points([p, p + math.pi, p + 1.0]) for p in ps], []
 
     rep = check_axioms(LineSystem(broken), grid_size=32)
     by_name = {r.axiom: r for r in rep.results}

@@ -1,20 +1,27 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from curvex import sphere
 from curvex.census import anti_convexity_grid_test
-from curvex.circle import TWO_PI
+from curvex.circle import TWO_PI, Arc
 from curvex.errors import DegeneratePoint, LineCurve
 from curvex.sphere import (
+    EPS_CONTACT,
+    FALLBACK,
     ProjectiveCurve,
+    _limits,
+    _through_point_series,
     admissible_normal_arc,
     inflection_indicator,
     limiting_circle,
     normal_direction,
     true_inflections,
 )
-from curvex.trig import TrigSeries, VectorSeries, cos_series, sin_series
+from curvex.trig import ANTIPERIODIC, TrigSeries, VectorSeries, cos_series, sin_series
 
 
 def make_curve(g):
@@ -162,7 +169,7 @@ def test_contact_tangency_away_from_base(curve5):
     cd = limiting_circle(curve5, 0.9)
     n = cd.circle.normal
     for s in cd.touches:
-        tangent = curve5.unit_tangent(s)
+        tangent = curve5.frame(s)[1]
         assert abs(float(np.dot(n, tangent))) <= 1e-6
 
 
@@ -171,3 +178,72 @@ def test_theta_parametrization_consistency(curve3):
     frame = curve3.frame(1.0)
     assert np.allclose(cd.circle.normal, normal_direction(frame, cd.theta),
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7"])
+def test_batched_limits_equal_single_solves(fixture, request):
+    # 70 bases span three blocks; a base's circle must not depend on the
+    # bases solved beside it, so that a cached contact set never depends
+    # on how the cache was filled
+    curve = request.getfixturevalue(fixture)
+    ts = np.linspace(0.0, TWO_PI, 70, endpoint=False)
+    for t, cd in zip(ts, _limits(curve, ts, EPS_CONTACT)):
+        one = _limits(curve, [t], EPS_CONTACT)[0]
+        assert np.array_equal(cd.circle.normal, one.circle.normal)
+        assert (cd.theta, cd.tangent_at_base, cd.touches, cd.warnings) == \
+            (one.theta, one.tangent_at_base, one.touches, one.warnings)
+        assert cd.contact.arcs == one.contact.arcs
+
+
+def test_curve7_base_tangent_at_zero(curve7):
+    # rounding leaves one side sample of the tangent circle at t = 0
+    # positive (4e-17), so the sampled arc ends 7e-9 short of angle 0
+    # and only the snap to the base tangent recovers it
+    cd = limiting_circle(curve7, 0.0)
+    assert cd.tangent_at_base and cd.theta == 0.0
+    assert cd.touches == () and len(cd.contact) == 2
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, TWO_PI, exclude_max=True))
+def test_limiting_circle_is_extremal_on_random_lifts(seed, t):
+    rng = np.random.default_rng(seed)
+    g = TrigSeries(0.0, tuple((k, rng.normal() / k ** 1.5, rng.normal() / k ** 1.5)
+                              for k in (3, 5, 7, 9)), ANTIPERIODIC)
+    curve = make_curve(g)
+    cd = limiting_circle(curve, t)
+    # the forward arc on 2^14 points, its ends and the touches
+    ss = np.concatenate([t + np.linspace(1e-6, math.pi - 1e-6, 2 ** 14),
+                         [t + 1e-7, t + math.pi - 1e-7], cd.touches])
+    units = curve.lift_many(ss)
+    assert float(np.max(units @ cd.circle.normal)) <= 2.0 * EPS_CONTACT
+    turned = normal_direction(curve.frame(t), cd.theta + 1e-6)
+    assert float(np.max(units @ turned)) > 0.0
+
+
+def test_vanishing_top_coefficient_raises_no_warning():
+    # only y carries cos 3t and only z the top harmonic, so the top
+    # coefficient of T_t is a multiple of x(t) = sin t, exactly 0 at t = 0
+    curve = ProjectiveCurve(VectorSeries(sin_series(1), cos_series(1) + cos_series(3, 0.1),
+                                         sin_series(5, 0.05)))
+    assert _through_point_series(curve, np.array([0.0]))[0, -1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cd = limiting_circle(curve, 0.0)
+    assert cd.contact.set_equal(limiting_circle(curve, 1e-9).contact, 1e-6)
+
+
+def test_fallback_to_the_sampled_arc_end(curve3, monkeypatch):
+    # an arc ending 2e-9 before the limiting angle leaves no candidate
+    # inside it; the end of the arc then still touches within eps_contact
+    cd = limiting_circle(curve3, 1.0)
+    real = sphere.admissible_arcs
+
+    def short(A, B):
+        return [Arc(a.start, (cd.theta - 2e-9 - a.start) % TWO_PI) for a in real(A, B)]
+
+    monkeypatch.setattr(sphere, "admissible_arcs", short)
+    fallen = limiting_circle(curve3, 1.0)
+    assert fallen.warnings == (FALLBACK,)
+    assert fallen.theta == pytest.approx(cd.theta - 2e-9, abs=1e-12)
+    assert fallen.contact.set_equal(cd.contact, 1e-6)
