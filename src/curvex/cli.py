@@ -249,8 +249,10 @@ def _run_flexes(obj, system, args) -> tuple[dict, bool]:
     return report, True
 
 
-def _run_axioms(obj, system, args) -> tuple[dict, bool]:
+def _run_axioms(obj, system, args, meta: dict) -> tuple[dict, bool]:
     rep = check_axioms(system, grid_size=args.axiom_grid)
+    meta["axiom_seconds"] = {r.axiom: round(r.seconds, 3) for r in rep.results}
+    meta["l4_configurations"] = next(r.counts for r in rep.results if r.axiom == "L4")
     return {"kind": "axioms", **rep.to_json()}, rep.all_pass
 
 
@@ -326,6 +328,9 @@ def main(argv=None) -> int:
 
     # every mode but truncate reads the contact family of the input
     system = None if args.mode == "truncate" else _contact_system(obj, args)
+    meta = {"tool": "curvex", "version": __version__, "mode": args.mode,
+            "input": args.input, "plot_samples": args.plot_samples,
+            "eps_contact": args.eps_contact}
     started = time.time()
     try:
         if args.mode == "sphere-census":
@@ -339,7 +344,7 @@ def main(argv=None) -> int:
         elif args.mode == "flexes":
             report, ok = _run_flexes(obj, system, args)
         elif args.mode == "axioms":
-            report, ok = _run_axioms(obj, system, args)
+            report, ok = _run_axioms(obj, system, args, meta)
         elif args.mode == "theorem-c":
             report, ok = _run_theorem_c(obj, system, args)
         else:
@@ -351,10 +356,7 @@ def main(argv=None) -> int:
                   "message": str(exc)}
         ok = False
 
-    meta = {"tool": "curvex", "version": __version__, "mode": args.mode,
-            "input": args.input, "plot_samples": args.plot_samples,
-            "eps_contact": args.eps_contact,
-            "seconds": round(time.time() - started, 3)}
+    meta["seconds"] = round(time.time() - started, 3)
     if system is not None:
         meta["contact_warnings"] = dict(sorted(system.warnings.items()))
     _write_report(args.out_report, report, meta)

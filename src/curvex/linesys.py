@@ -11,6 +11,7 @@ intermediate-value construction.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
@@ -42,6 +43,9 @@ CLEAN_TOL = 1e-5
 MEMBER_TOL = 1e-6
 BISECT_CAP = 200
 EPS_SEARCH = 1e-9
+# widening of every bound in the L4 prefilter; more than EPS_ANGLE plus
+# the rounding of canonical, so no configuration L4 accepts is dropped
+L4_SLACK = 1e-9
 
 
 def _reflected_set(s: CircularSet) -> CircularSet:
@@ -388,6 +392,9 @@ class AxiomResult:
     passed: bool
     checked: int
     witnesses: list = field(default_factory=list)
+    # run metadata, not part of the report
+    seconds: float = 0.0
+    counts: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {"axiom": self.axiom, "pass": self.passed,
@@ -423,15 +430,21 @@ def check_axioms(sys: LineSystem, grid_size: int = 256, *,
     grid = [canonical(i * period / grid_size, period) for i in range(grid_size)]
     sets = dict(zip(grid, sys.F_many(grid)))
 
-    results = [
-        _check_l1(sys, grid, sets),
-        _check_l2(sys, grid, sets),
-        _check_l3(sys, grid, sets, set_tol),
-        _check_l4(sys, grid, sets, set_tol, margin),
-        _check_l5(sys, grid, clean_tol),
-        _check_l6(sys, grid, sets, set_tol, margin),
-        _check_l7(sys, grid, set_tol),
+    checks = [
+        lambda: _check_l1(sys, grid, sets),
+        lambda: _check_l2(sys, grid, sets),
+        lambda: _check_l3(sys, grid, sets, set_tol),
+        lambda: _check_l4(sys, grid, sets, set_tol, margin),
+        lambda: _check_l5(sys, grid, clean_tol),
+        lambda: _check_l6(sys, grid, sets, set_tol, margin),
+        lambda: _check_l7(sys, grid, set_tol),
     ]
+    results = []
+    for check in checks:
+        started = time.perf_counter()
+        res = check()
+        res.seconds = time.perf_counter() - started
+        results.append(res)
     return AxiomReport(results)
 
 
@@ -491,19 +504,82 @@ def _l4_config(period, sets, p, q, margin):
     return (p1, q1)
 
 
+class _ReflectedSets(dict):
+    """Reflected contact sets keyed by the reflected base -p, each built
+    from the set at p on first use."""
+
+    def __init__(self, sets: dict, period: float):
+        super().__init__()
+        self._sets = sets
+        self.source = {canonical(-p, period): p for p in sets}
+
+    def __missing__(self, r):
+        s = self[r] = _reflected_set(self._sets[self.source[r]])
+        return s
+
+
+def _offset_table(period, spans):
+    """Sorted (lo, hi) forward offsets of a base's contact components,
+    clipped to [0, period/2], from their (offset, length) spans; a
+    component that runs past the base also appears shifted by -period,
+    so the part of it just after the base is kept."""
+    half = 0.5 * period
+    out = []
+    for lo, length in spans:
+        for a in (lo, lo - period):
+            if a + length >= 0.0 and a <= half:
+                out.append((max(a, 0.0), min(a + length, half)))
+    return sorted(out)
+
+
+def _l4_may_apply(tab_p, tab_q, g, margin, half):
+    """False only when _l4_config finds no pair for bases at forward gap
+    g with these offset tables.  Stage 1: p' is at least the first
+    contact of p in [g + margin, half - margin]; stage 2: some contact
+    of q must reach past p' + margin.  Every bound is widened by
+    L4_SLACK."""
+    top = half - margin + L4_SLACK
+    start = g + margin
+    p1 = next((max(lo, start) for lo, hi in tab_p
+               if hi >= start - L4_SLACK and lo <= top), None)
+    if p1 is None:
+        return False
+    start = p1 + margin - L4_SLACK - g
+    return any(hi >= start and lo <= top - g for lo, hi in tab_q)
+
+
 def _check_l4(sys, grid, sets, set_tol, margin, lags=(1, 2, 3, 5, 8, 13, 21, 34)):
+    """The order axiom as a counterexample search: _l4_config defines a
+    configuration, and _l4_may_apply rules out, from per-base offset
+    tables, the pairs it cannot accept."""
     res = AxiomResult("L4", True, 0)
+    tried = prefiltered = 0
     period = sys.period
+    half = 0.5 * period
     # the descending configuration is the ascending one after an
-    # orientation flip, so run both passes on (possibly reflected) caches
-    rsets = {canonical(-p, period): _reflected_set(sets[p]) for p in grid}
-    rgrid = sorted(rsets.keys())
-    for pass_grid, pass_sets, tag in ((grid, sets, "asc"), (rgrid, rsets, "desc")):
+    # orientation flip: its offsets are the backward offsets of the
+    # original sets, and its reflected sets are built on first use
+    rsets = _ReflectedSets(sets, period)
+    passes = (
+        (grid, sets, "asc",
+         {p: _offset_table(period, [(forward_gap(p, a.start, period), a.length)
+                                    for a in sets[p].arcs]) for p in grid}),
+        (sorted(rsets.source), rsets, "desc",
+         {r: _offset_table(period, [(forward_gap(a.end, p, period), a.length)
+                                    for a in sets[p].arcs])
+          for r, p in rsets.source.items()}),
+    )
+    for pass_grid, pass_sets, tag, table in passes:
         n = len(pass_grid)
         for i in range(n):
             for lag in lags:
                 p, q = pass_grid[i], pass_grid[(i + lag) % n]
-                if forward_gap(p, q, period) >= 0.5 * period:
+                g = forward_gap(p, q, period)
+                if g >= half:
+                    continue
+                tried += 1
+                if not _l4_may_apply(table[p], table[q], g, margin, half):
+                    prefiltered += 1
                     continue
                 cfg = _l4_config(period, pass_sets, p, q, margin)
                 if cfg is None:
@@ -514,6 +590,7 @@ def _check_l4(sys, grid, sets, set_tol, margin, lags=(1, 2, 3, 5, 8, 13, 21, 34)
                     if len(res.witnesses) < 3:
                         res.witnesses.append({"p": p, "q": q, "p1": cfg[0],
                                               "q1": cfg[1], "pass": tag})
+    res.counts = {"tried": tried, "prefiltered": prefiltered, "checked": res.checked}
     return res
 
 

@@ -365,7 +365,10 @@ def roots(s: TrigSeries) -> list[tuple[float, int]]:
     about eps^(1/m) apart (5e-6 for a triple zero), so eigenvalues whose
     angles lie within 1e-4 of each other, cyclically, form one zero and
     their number is its multiplicity.  Each zero is polished by Newton
-    steps on s^(m-1).
+    steps on s^(m-1).  A pair whose centre value has the opposite sign
+    to s at both cluster edges (5e-5 outside its eigenvalues), and is
+    larger than the rounding of s, is two simple zeros instead: each is
+    polished on s inside its half of the cluster.
     """
     K = s.degree
     if K == 0:
@@ -391,25 +394,40 @@ def roots(s: TrigSeries) -> list[tuple[float, int]]:
     if len(clusters) > 1 and clusters[0][0] + TWO_PI - clusters[-1][-1] < 1e-4:
         clusters[0] = [t - TWO_PI for t in clusters.pop()] + clusters[0]
     out = []
+    # a value beyond the rounding of evaluating s has a reliable sign
+    noise = 1e-13 * (abs(s.constant) + sum(abs(a) + abs(b) for _, a, b in s.harmonics))
     for cluster in clusters:
         m = len(cluster)
-        g, dg = s.derivative(m - 1), s.derivative(m)
         x = sum(cluster) / m
-        for _ in range(16):
-            slope = dg(x)
-            if slope == 0.0:
-                break
-            step = g(x) / slope
-            if not abs(step) < 1e-4:  # would leave the cluster
-                break
-            x -= step
-            if abs(step) <= 1e-15:
-                break
-        x %= TWO_PI
-        if TWO_PI - x < 1e-10:
-            x = 0.0
-        out.append((x, m))
+        lo, hi = cluster[0] - 0.5e-4, cluster[-1] + 0.5e-4
+        sx = s(x) if m == 2 else 0.0
+        if abs(sx) > noise and sx * s(lo) < 0.0 and sx * s(hi) < 0.0:
+            # two simple zeros closer than the clustering width
+            ds = s.derivative()
+            out += [(_polish(s, ds, cluster[0], lo, x), 1),
+                    (_polish(s, ds, cluster[1], x, hi), 1)]
+        else:
+            out.append((_polish(s.derivative(m - 1), s.derivative(m), x), m))
     return sorted(out)
+
+
+def _polish(g, dg, x: float, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """Newton steps on g from x, canonicalized; a step of 1e-4 or more,
+    or one that would leave [lo, hi], ends the polish."""
+    for _ in range(16):
+        slope = dg(x)
+        if slope == 0.0:
+            break
+        step = g(x) / slope
+        if not abs(step) < 1e-4 or not lo <= x - step <= hi:
+            break
+        x -= step
+        if abs(step) <= 1e-15:
+            break
+    x %= TWO_PI
+    if TWO_PI - x < 1e-10:
+        x = 0.0
+    return x
 
 
 def isolate_sign_changes(s: TrigSeries, domain: str = "full",

@@ -64,6 +64,20 @@ def test_axioms_mode(tmp_path):
     assert data["all_pass"] is True
 
 
+def test_axioms_sidecar_times_each_axiom(tmp_path):
+    code, data = run(tmp_path, WIDTH_SIN3, "axioms", "--axiom-grid", "32")
+    meta = json.loads((tmp_path / "report.json.meta.json").read_text())
+    names = ["L1", "L2", "L3", "L4", "L5", "L6", "L7"]
+    assert sorted(meta["axiom_seconds"]) == names
+    assert all(v == round(v, 3) >= 0.0 for v in meta["axiom_seconds"].values())
+    assert sum(meta["axiom_seconds"].values()) <= meta["seconds"] + 0.01
+    # 32 bases, 7 lags below half a period, both passes; none survives
+    l4 = next(r for r in data["axioms"] if r["axiom"] == "L4")
+    assert meta["l4_configurations"] == {"tried": 448, "prefiltered": 448,
+                                         "checked": l4["checked"]}
+    assert "axiom_seconds" not in data and "l4_configurations" not in data
+
+
 def test_theorem_c_mode(tmp_path):
     code, data = run(tmp_path, WIDTH_SIN3, "theorem-c",
                      "--out-svg", str(tmp_path / "tc.svg"), "--plot-samples", "256")

@@ -2,12 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curvex.circle import CircularSet, circle_dist, cyclic_between, forward_gap
+from curvex.circle import (
+    TWO_PI,
+    Arc,
+    CircularSet,
+    canonical,
+    circle_dist,
+    cyclic_between,
+    forward_gap,
+)
 from curvex.errors import EmptyY, PreconditionFailed
 from curvex.linesys import (
     AdmissibleInterval,
+    AxiomResult,
     LineSystem,
+    _check_l4,
+    _l4_config,
+    _reflected_set,
     check_axioms,
     clean_point_between,
     find_clean_inflection,
@@ -181,12 +194,12 @@ def test_axioms_pass_on_corpus(sys3, wsys_sin3):
         assert rep.all_pass, [r.to_json() for r in rep.results if not r.passed]
 
 
+def broken(ps):
+    # contact family without antipodal symmetry
+    return [CircularSet.from_points([p, p + math.pi, p + 1.0]) for p in ps], []
+
+
 def test_axioms_fault_injection():
-
-    def broken(ps):
-        # contact family without antipodal symmetry
-        return [CircularSet.from_points([p, p + math.pi, p + 1.0]) for p in ps], []
-
     rep = check_axioms(LineSystem(broken), grid_size=32)
     by_name = {r.axiom: r for r in rep.results}
     assert not by_name["L3"].passed
@@ -222,3 +235,112 @@ def test_reversed_system_view(sys3):
     rmids = sorted((2 * math.pi - c.midpoint) % (2 * math.pi)
                    for c in Frev.components())
     assert mids == pytest.approx(rmids, abs=1e-9)
+
+
+LAGS = (1, 2, 3, 5, 8, 13, 21, 34)
+MARGIN = 1e-3
+
+
+def l4_reference(sys, grid, sets, set_tol, margin, lags=LAGS):
+    """The order axiom without the prefilter: every lagged pair goes to
+    _l4_config, on eagerly reflected sets for the descending pass."""
+    res = AxiomResult("L4", True, 0)
+    period = sys.period
+    rsets = {canonical(-p, period): _reflected_set(sets[p]) for p in grid}
+    rgrid = sorted(rsets.keys())
+    for pass_grid, pass_sets, tag in ((grid, sets, "asc"), (rgrid, rsets, "desc")):
+        n = len(pass_grid)
+        for i in range(n):
+            for lag in lags:
+                p, q = pass_grid[i], pass_grid[(i + lag) % n]
+                if forward_gap(p, q, period) >= 0.5 * period:
+                    continue
+                cfg = _l4_config(period, pass_sets, p, q, margin)
+                if cfg is None:
+                    continue
+                res.checked += 1
+                if not pass_sets[p].set_equal(pass_sets[q], set_tol):
+                    res.passed = False
+                    if len(res.witnesses) < 3:
+                        res.witnesses.append({"p": p, "q": q, "p1": cfg[0],
+                                              "q1": cfg[1], "pass": tag})
+    return res
+
+
+def l4_both(sys, grid_size):
+    """_check_l4 and l4_reference on the grid check_axioms builds."""
+    grid = [canonical(i * sys.period / grid_size, sys.period) for i in range(grid_size)]
+    sets = dict(zip(grid, sys.F_many(grid)))
+    fast = _check_l4(sys, grid, sets, 1e-3, MARGIN)
+    ref = l4_reference(sys, grid, sets, 1e-3, MARGIN)
+    assert (fast.passed, fast.checked, fast.witnesses) == \
+        (ref.passed, ref.checked, ref.witnesses)
+    return fast
+
+
+@pytest.mark.parametrize("fixture", ["sys3", "sys5", "wsys_sin3", "wsys_mix25",
+                                     "wsys_mix4"])
+def test_l4_prefilter_matches_reference_on_corpus(fixture, request):
+    res = l4_both(request.getfixturevalue(fixture), 64)
+    # on honest families the prefilter leaves no configuration to try
+    assert res.counts == {"tried": 896, "prefiltered": 896, "checked": 0}
+
+
+@pytest.mark.parametrize("grid_size", [32, 256])
+def test_l4_prefilter_matches_reference_on_broken_family(grid_size):
+    res = l4_both(LineSystem(broken), grid_size)
+    assert res.checked > 0 and not res.passed
+
+
+def test_l4_fails_on_interleaved_contacts():
+    def interleaved(ps):
+        return [CircularSet.from_points([p, p + 1.0, p + math.pi, p + 1.0 + math.pi])
+                for p in ps], []
+
+    rep = check_axioms(LineSystem(interleaved), grid_size=256)
+    l4 = {r.axiom: r for r in rep.results}["L4"]
+    assert not l4.passed
+    assert l4.checked == 4096
+    assert l4.counts == {"tried": 4096, "prefiltered": 0, "checked": 4096}
+    assert l4.witnesses[0]["pass"] == "asc"
+    assert l4.to_json()["witness"] == l4.witnesses[0]
+
+
+@st.composite
+def symmetric_families(draw):
+    """Grid size and a translation-invariant, antipodally symmetric
+    family: a base arc and contacts at offsets d, some of them on the
+    edges of the L4 windows of one lag."""
+    n = draw(st.sampled_from([16, 32, 64]))
+    g = draw(st.sampled_from(LAGS)) * TWO_PI / n
+    d1 = draw(st.floats(0.01, 3.0))
+    edges = [g + MARGIN, d1, d1 + MARGIN - g, math.pi - MARGIN, math.pi - MARGIN - g]
+    contacts = draw(st.lists(st.tuples(st.sampled_from(edges) | st.floats(0.01, 3.1),
+                                       # points half of the time
+                                       st.sampled_from([0.0, 0.0, 0.002, 0.05])),
+                             max_size=4))
+    back = draw(st.sampled_from([0.0, 0.0005, 0.02]))
+    ahead = draw(st.sampled_from([0.0, 0.0005, 0.3, 1.2]))
+
+    def family(ps):
+        sets = []
+        for p in ps:
+            arcs = [Arc(p - back, back + ahead)] + [Arc(p + d, w) for d, w in contacts]
+            sets.append(CircularSet(arcs + [a.shifted(math.pi) for a in arcs]))
+        return sets, []
+
+    return n, family
+
+
+def test_l4_prefilter_matches_reference_on_random_families():
+    checked = []
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(symmetric_families())
+    def sweep(case):
+        n, family = case
+        checked.append(l4_both(LineSystem(family), n).checked)
+
+    sweep()
+    # the sweep reaches families on which L4 checks pairs, and others
+    assert any(checked) and not all(checked)

@@ -183,7 +183,13 @@ def test_isolate_tangential_zero():
     (TrigSeries(1.0, ((1, -1.0, 0.0),)), [(0.0, 2)], [0]),
     (TrigSeries(-math.cos(1e-3), ((1, 1.0, 0.0),)),
      [(1e-3, 1), (TWO_PI - 1e-3, 1)], [-1, 1]),
-], ids=["sin^3", "1-cos", "two-close-crossings"])
+    # two crossings inside one 1e-4 cluster of eigenvalues
+    (TrigSeries(-math.cos(1e-5), ((1, 1.0, 0.0),)),
+     [(1e-5, 1), (TWO_PI - 1e-5, 1)], [-1, 1]),
+    # a minimum that misses zero by 1e-12 stays one tangential zero
+    (TrigSeries(1.0 + 1e-12, ((1, -1.0, 0.0),)), [(0.0, 2)], [0]),
+], ids=["sin^3", "1-cos", "two-close-crossings", "crossings-in-one-cluster",
+        "near-miss-minimum"])
 def test_roots_multiplicities_and_directions(s, zeros, directions):
     got = roots(s)
     assert [m for _, m in got] == [m for _, m in zeros]
