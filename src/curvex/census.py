@@ -390,7 +390,11 @@ def detect_double_tangents(curve: ProjectiveCurve, n_a: int = 512,
     TB = curve.F1.eval_many(bgrid)
     TB -= UB * np.sum(UB * TB, axis=1)[:, None]
     TB /= np.linalg.norm(TB, axis=1)[:, None]
-    R = np.abs(N @ UB.T) + np.abs(N @ TB.T)
+    # an n_a x n_grid array takes 16 MB at the defaults: keep two alive at most
+    R = np.abs(N @ UB.T)
+    S = N @ TB.T
+    R += np.abs(S, out=S)
+    del S
 
     # forward offsets b - a mod 2 pi, wrapped in place
     offsets = bgrid - agrid[:, None]
@@ -524,8 +528,11 @@ class CensusReport:
 
 def census(curve: ProjectiveCurve, clean_points: list[float] | None = None) -> CensusReport:
     """Counts of independent inflections and double tangents with the
-    identity check i - 2*delta = 3."""
+    identity check i - 2*delta = 3.  Each clean point is snapped to the
+    nearest true inflection, a crossing of the indicator or that
+    crossing plus pi, and the snapped points are reported sorted."""
     rep = true_inflections(curve)
+    flexes = [e.parameter + h for e in rep.entries if e.crossing for h in (0.0, math.pi)]
     detection = detect_double_tangents(curve)
     family, warnings = family_and_warnings(detection.intervals, detection.dropped)
     i, delta = rep.count, len(family)
@@ -535,7 +542,8 @@ def census(curve: ProjectiveCurve, clean_points: list[float] | None = None) -> C
         delta=delta,
         identity_holds=(i - 2 * delta == 3),
         inflection_points=[e.parameter for e in rep.entries if e.crossing],
-        clean_points=list(clean_points or []),
+        clean_points=sorted(min(flexes, key=lambda r: circle_dist(r, p))
+                            for p in clean_points or []),
         double_tangents=[(iv.a, iv.b) for iv in family],
         warnings=warnings,
     )

@@ -216,8 +216,7 @@ def _contact_system(obj, args) -> LineSystem:
 
 
 def _run_sphere_census(curve: ProjectiveCurve, system, args) -> tuple[dict, bool]:
-    cleans = sorted(three_clean_inflections(system))
-    report = census(curve, clean_points=cleans).to_json()
+    report = census(curve, clean_points=three_clean_inflections(system)).to_json()
     emit_sphere_plot(curve, args.out_svg, args.out_csv, args.plot_samples,
                      inflections=report["inflection_points"],
                      chords=report["double_tangents"])

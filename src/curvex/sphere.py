@@ -27,7 +27,15 @@ from .circle import (
     circle_dist,
 )
 from .errors import DegeneratePoint, LineCurve, NoConvergence, NotAntiConvex
-from .trig import TrigSeries, VectorSeries, arc_offsets, isolate_sign_changes, triple_product
+from .trig import (
+    TrigSeries,
+    VectorSeries,
+    arc_offsets,
+    circle_zeros,
+    isolate_sign_changes,
+    laurent_rows,
+    triple_product,
+)
 
 EPS_CONTACT = 1e-8
 EPS_NORM = 1e-9
@@ -108,18 +116,9 @@ class ProjectiveCurve:
 
     @cached_property
     def _tangent_planes(self) -> np.ndarray:
-        """W = F x F' as a (3, 2M + 1) complex array: column M + j holds
-        the coefficient of y^j, y = exp(2is), in each component.  W has
-        even harmonics only, since F and F' are antiperiodic."""
-        W = self.F.cross(self.F1).components
-        M = max(c.degree for c in W) // 2
-        out = np.zeros((3, 2 * M + 1), dtype=complex)
-        for row, c in zip(out, W):
-            row[M] = c.constant
-            for k, a, b in c.harmonics:
-                row[M + k // 2] = complex(0.5 * a, -0.5 * b)
-                row[M - k // 2] = complex(0.5 * a, 0.5 * b)
-        return out
+        """W = F x F' as three Laurent rows in y = exp(2is): W has even
+        harmonics only, since F and F' are antiperiodic."""
+        return laurent_rows(self.F.cross(self.F1).components, step=2)
 
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -319,62 +318,25 @@ def _limit_block(curve, ts, eps_contact):
     return out
 
 
-def _through_point_series(curve: ProjectiveCurve, ts: np.ndarray) -> np.ndarray:
-    """The coefficients of T_t(s) = W(s) . F(t) for every base t, as an
-    (n, 2M + 1) complex array over y^(-M) .. y^M with y = exp(2is)."""
-    W = curve._tangent_planes
-    Ft = curve.F.eval_many(ts)
-    return Ft[:, :1] * W[0] + Ft[:, 1:2] * W[1] + Ft[:, 2:] * W[2]
-
-
 def _interior_zeros(curve: ProjectiveCurve, ts: np.ndarray):
-    """Zeros of T_t in the open arc (t, t + pi) for every base t, as flat
-    arrays (row, s) sorted by row.
+    """Zeros of T_t(s) = W(s) . F(t) in the open arc (t, t + pi) for
+    every base t, as flat arrays (row, s) sorted by row.
 
-    In y = exp(2is) the arc is the unit circle without w = exp(2it),
-    where T_t has the double zero of s = t and s = t + pi.  That zero is
-    divided out, and the zeros of the quotients are the eigenvalues of
-    their companion matrices, taken in one call per degree (a leading
-    coefficient below 1e-14 of the largest is dropped first).  As in
-    trig.roots, eigenvalues with |log|y|| < 1e-3 are kept, those within
-    1e-4 of each other form one zero whose multiplicity is their number,
-    and each zero is polished by Newton steps on the (m-1)-th derivative
-    of the quotient.
-    """
-    w = np.exp(2j * ts)
-    Q = _through_point_series(curve, ts)
-    if Q.shape[1] < 3:  # W is constant: the curve is a great circle
+    Q holds T_t in y = exp(2is), one row per base.  The double zero at
+    s = t, t + pi (y = w = exp(2it)) is divided out, and circle_zeros
+    solves the quotients from the origin t.  As (y - w)^2 =
+    -4 y w sin^2(s - t), the zeros are polished on the real series
+    -4 w y^(-N/2) Q = T_t / sin^2(s - t), away from the double zero
+    that would drown theirs in rounding near s = t."""
+    W = curve._tangent_planes
+    if W.shape[1] < 3:  # W is constant: the curve is a great circle
         return np.zeros(0, dtype=int), np.zeros(0)
+    Ft = curve.F.eval_many(ts)
+    Q = Ft[:, :1] * W[0] + Ft[:, 1:2] * W[1] + Ft[:, 2:] * W[2]
+    w = np.exp(2j * ts)
     for _ in range(2):
         Q = _divided(Q, w)
-    mag = np.abs(Q)
-    big = mag > 1e-14 * mag.max(axis=1, initial=0.0)[:, None]
-    degree = np.where(big.any(axis=1), Q.shape[1] - 1 - np.argmax(big[:, ::-1], axis=1), 0)
-    rows, zs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
-    for D in np.unique(degree[degree > 0]):
-        sel = np.nonzero(degree == D)[0]
-        companion = np.zeros((len(sel), D, D), dtype=complex)
-        companion[:, np.arange(1, D), np.arange(D - 1)] = 1.0
-        companion[:, :, -1] = -Q[sel, :D] / Q[sel, D:D + 1]
-        rows.append(np.repeat(sel, D))
-        zs.append(np.linalg.eigvals(companion).ravel())
-    rows, z = np.concatenate(rows), np.concatenate(zs)
-    r = np.abs(z)
-    keep = (r > math.exp(-1e-3)) & (r < math.exp(1e-3))
-    rows, z = rows[keep], z[keep]
-    off = ((np.angle(z) - 2.0 * ts[rows]) % TWO_PI) / 2.0
-    order = np.lexsort((off, rows))
-    rows, off = rows[order], off[order]
-    first = np.ones(len(off), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (np.diff(off) >= 1e-4)
-    cluster = np.cumsum(first) - 1
-    m = np.bincount(cluster)
-    rows = rows[first]
-    # (y - w)^2 = -4 y w sin^2(s - t), so R = -4 w y^(1-M) Q is the real
-    # series T_t / sin^2(s - t), whose zeros are polished away from the
-    # double zero that would drown theirs in rounding near s = t
-    R = -4.0 * w[rows, None] * Q[rows]
-    s = _polished(R, ts[rows] + np.bincount(cluster, weights=off) / m, m)
+    rows, s, _ = circle_zeros(Q, -4.0 * w, ts, step=2)
     off = s - ts[rows]
     keep = (off > 1e-6) & (off < math.pi - 1e-6)
     return rows[keep], s[keep]
@@ -388,31 +350,6 @@ def _divided(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     for m in range(p.shape[1] - 2, 0, -1):
         q[:, m - 1] = p[:, m] + w * q[:, m]
     return q
-
-
-def _polished(C: np.ndarray, s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Newton steps on the (m-1)-th derivative of the series with
-    coefficient rows C (as in _through_point_series) from each s, with
-    the stop rules of trig.roots, run in lockstep."""
-    M = (C.shape[1] - 1) // 2
-    k = 2.0 * np.arange(-M, M + 1)
-    i_pow = np.array([1.0, 1j, -1.0, -1j])
-
-    def derivative(live, order):
-        scale = i_pow[order % 4][:, None] * k ** order[:, None]
-        return (C[live] * scale * np.exp(1j * s[live, None] * k)).sum(axis=1).real
-
-    s = s.copy()
-    live = np.arange(len(s))
-    for _ in range(16):
-        if not live.size:
-            break
-        g, slope = derivative(live, m[live] - 1), derivative(live, m[live])
-        step = np.divide(g, slope, out=np.full_like(g, np.inf), where=slope != 0.0)
-        ok = np.abs(step) < 1e-4  # a longer step would leave the cluster
-        s[live[ok]] -= step[ok]
-        live = live[ok & (np.abs(step) > 1e-15)]
-    return s
 
 
 def _sets_and_warnings(found) -> tuple[list[CircularSet], list[str]]:

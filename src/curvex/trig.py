@@ -355,79 +355,120 @@ def arc_offsets(n: int) -> np.ndarray:
     return np.sort(np.concatenate([_END_LADDER, interior, math.pi - _END_LADDER]))
 
 
-def roots(s: TrigSeries) -> list[tuple[float, int]]:
-    """Zeros of s in [0, 2*pi) as sorted (angle, multiplicity) pairs.
+def laurent_rows(series: Sequence[TrigSeries], step: int = 1) -> np.ndarray:
+    """The series as rows of Laurent coefficients in y = exp(i*step*t):
+    column M + j holds the coefficient of y^j, with step*M the largest
+    degree.  Every harmonic index must be a multiple of step."""
+    M = max(s.degree for s in series) // step
+    out = np.zeros((len(series), 2 * M + 1), dtype=complex)
+    for row, s in zip(out, series):
+        row[M] = s.constant
+        for k, a, b in s.harmonics:
+            row[M + k // step] = complex(0.5 * a, -0.5 * b)
+            row[M - k // step] = complex(0.5 * a, 0.5 * b)
+    return out
 
-    With z = exp(it), z^K s(z) is a polynomial of degree 2K whose roots
-    on the unit circle are the real zeros of s; they are taken from the
-    eigenvalues of its companion matrix (J. P. Boyd, J. Eng. Math. 56
-    (2006) 203-219).  A zero of multiplicity m splits into m eigenvalues
-    about eps^(1/m) apart (5e-6 for a triple zero), so eigenvalues whose
-    angles lie within 1e-4 of each other, cyclically, form one zero and
-    their number is its multiplicity.  Each zero is polished by Newton
-    steps on s^(m-1).  A pair whose centre value has the opposite sign
-    to s at both cluster edges (5e-5 outside its eigenvalues), and is
-    larger than the rounding of s, is two simple zeros instead: each is
-    polished on s inside its half of the cluster.
-    """
+
+def circle_zeros(P: np.ndarray, scale: np.ndarray, origin: np.ndarray,
+                 step: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real zeros of the series scale * y^(-N/2) P(y), y = exp(i*step*t),
+    for each row of P (coefficients of y^0 .. y^N): flat arrays (row, t,
+    multiplicity) sorted by row, then by t - origin in [0, 2*pi/step).
+
+    The zeros are the unit-circle eigenvalues (|log|y|| < 1e-3) of the
+    rows' companion matrices, one eigvals call per degree after leading
+    coefficients below 1e-14 of a row's largest are dropped (J. P. Boyd,
+    J. Eng. Math. 56 (2006) 203-219).  An m-fold zero splits into m
+    eigenvalues about eps^(1/m) apart, so those whose offsets from the
+    origin (where no zero may lie) are within 1e-4 form one zero.  A
+    pair is two simple zeros, each bounded by its half of the cluster,
+    when the series at its centre beats rounding and has the opposite
+    sign at both edges (5e-5 outside).  Newton steps on the (m-1)-th
+    derivative polish all zeros in lockstep; a zero stops at a step of
+    1e-4 or more or one leaving its bounds (not taken), at one of at
+    most 1e-15, or after 16 steps."""
+    N = P.shape[1] - 1
+    mag = np.abs(P)
+    big = mag > 1e-14 * mag.max(axis=1, initial=0.0)[:, None]
+    degree = np.where(big.any(axis=1), N - np.argmax(big[:, ::-1], axis=1), 0)
+    rows, zs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
+    for D in np.unique(degree[degree > 0]):
+        sel = np.nonzero(degree == D)[0]
+        companion = np.zeros((len(sel), D, D), dtype=complex)
+        companion[:, np.arange(1, D), np.arange(D - 1)] = 1.0
+        companion[:, :, -1] = -P[sel, :D] / P[sel, D:D + 1]
+        rows.append(np.repeat(sel, D))
+        zs.append(np.linalg.eigvals(companion).ravel())
+    rows, z = np.concatenate(rows), np.concatenate(zs)
+    r = np.abs(z)
+    keep = (r > math.exp(-1e-3)) & (r < math.exp(1e-3))
+    rows, z = rows[keep], z[keep]
+    off = ((np.angle(z) - step * origin[rows]) % TWO_PI) / step
+    order = np.lexsort((off, rows))
+    rows, off = rows[order], off[order]
+    first = np.ones(len(off), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (np.diff(off) >= 1e-4)
+    k = step * np.arange(-(N // 2), N // 2 + 1.0)
+
+    def clusters():
+        cluster = np.cumsum(first) - 1
+        m = np.bincount(cluster)
+        return np.nonzero(first)[0], m, np.bincount(cluster, weights=off) / m
+
+    start, m, centre = clusters()
+    bounds = np.tile([[-math.inf], [math.inf]], len(off))
+    pair, mid = start[m == 2], centre[m == 2]
+    if pair.size:
+        left, right = off[pair] - 0.5e-4, off[pair + 1] + 0.5e-4
+        C = scale[rows[pair], None] * P[rows[pair]]
+        at = [(C * np.exp(1j * (origin[rows[pair]] + x)[:, None] * k)).sum(axis=1).real
+              for x in (mid, left, right)]
+        # a value beyond the rounding of evaluating the series has a reliable sign
+        split = (np.abs(at[0]) > 1e-13 * np.abs(C).sum(axis=1)) \
+            & (at[0] * at[1] < 0.0) & (at[0] * at[2] < 0.0)
+        pair, mid = pair[split], mid[split]
+        first[pair + 1] = True
+        bounds[:, pair] = left[split], mid
+        bounds[:, pair + 1] = mid, right[split]
+        start, m, centre = clusters()
+    rows = rows[start]
+    t = origin[rows] + centre
+    lo, hi = origin[rows] + bounds[:, start]
+
+    C = scale[rows, None] * P[rows]
+    i_pow = np.array([1.0, 1j, -1.0, -1j])
+    G = [C * (i_pow[o % 4][:, None] * k ** o[:, None]) for o in (m - 1, m)]
+    live = np.arange(len(t))
+    for _ in range(16):
+        if not live.size:
+            break
+        E = np.exp(1j * t[live, None] * k)
+        g, slope = ((Gi[live] * E).sum(axis=1).real for Gi in G)
+        step_t = np.divide(g, slope, out=np.full_like(g, np.inf), where=slope != 0.0)
+        moved = t[live] - step_t
+        ok = (np.abs(step_t) < 1e-4) & (lo[live] <= moved) & (moved <= hi[live])
+        t[live[ok]] = moved[ok]
+        live = live[ok & (np.abs(step_t) > 1e-15)]
+    return rows, t, m
+
+
+def roots(s: TrigSeries) -> list[tuple[float, int]]:
+    """Zeros of s in [0, 2*pi) as sorted (angle, multiplicity) pairs,
+    from circle_zeros of z^K s(z) with z = exp(it); angles within 1e-10
+    of 2*pi map to 0.  The origin is where |s| is largest on 8K points:
+    by Bernstein's inequality |s'| <= K max|s|, so no zero lies within
+    about 0.5/K of it.  It is taken one period back, so that |t| < 2*pi,
+    where a step that moves t by its last bit (8.9e-16) ends the polish."""
     K = s.degree
     if K == 0:
         return []
-    # c[j] is the coefficient of z^j in z^K s(z)
-    c = np.zeros(2 * K + 1, dtype=complex)
-    c[K] = s.constant
-    for k, a, b in s.harmonics:
-        c[K + k] = complex(0.5 * a, -0.5 * b)
-        c[K - k] = complex(0.5 * a, 0.5 * b)
-    companion = np.zeros((2 * K, 2 * K), dtype=complex)
-    companion[np.arange(1, 2 * K), np.arange(2 * K - 1)] = 1.0
-    companion[:, -1] = -c[:-1] / c[-1]
-    z = np.linalg.eigvals(companion)
-    z = z[np.abs(np.log(np.abs(z))) < 1e-3]
-    if not z.size:
-        return []
-    clusters = [[]]
-    for t in np.sort(np.angle(z) % TWO_PI):
-        if clusters[-1] and t - clusters[-1][-1] >= 1e-4:
-            clusters.append([])
-        clusters[-1].append(float(t))
-    if len(clusters) > 1 and clusters[0][0] + TWO_PI - clusters[-1][-1] < 1e-4:
-        clusters[0] = [t - TWO_PI for t in clusters.pop()] + clusters[0]
-    out = []
-    # a value beyond the rounding of evaluating s has a reliable sign
-    noise = 1e-13 * (abs(s.constant) + sum(abs(a) + abs(b) for _, a, b in s.harmonics))
-    for cluster in clusters:
-        m = len(cluster)
-        x = sum(cluster) / m
-        lo, hi = cluster[0] - 0.5e-4, cluster[-1] + 0.5e-4
-        sx = s(x) if m == 2 else 0.0
-        if abs(sx) > noise and sx * s(lo) < 0.0 and sx * s(hi) < 0.0:
-            # two simple zeros closer than the clustering width
-            ds = s.derivative()
-            out += [(_polish(s, ds, cluster[0], lo, x), 1),
-                    (_polish(s, ds, cluster[1], x, hi), 1)]
-        else:
-            out.append((_polish(s.derivative(m - 1), s.derivative(m), x), m))
-    return sorted(out)
-
-
-def _polish(g, dg, x: float, lo: float = -math.inf, hi: float = math.inf) -> float:
-    """Newton steps on g from x, canonicalized; a step of 1e-4 or more,
-    or one that would leave [lo, hi], ends the polish."""
-    for _ in range(16):
-        slope = dg(x)
-        if slope == 0.0:
-            break
-        step = g(x) / slope
-        if not abs(step) < 1e-4 or not lo <= x - step <= hi:
-            break
-        x -= step
-        if abs(step) <= 1e-15:
-            break
-    x %= TWO_PI
-    if TWO_PI - x < 1e-10:
-        x = 0.0
-    return x
+    P = laurent_rows([s])
+    # |ifft| of the row padded to 8K points is |s| / (8K) on the grid
+    origin = np.array([np.argmax(np.abs(np.fft.ifft(P[0], 8 * K))) * TWO_PI / (8 * K) - TWO_PI])
+    _, t, m = circle_zeros(P, np.ones(1), origin)
+    t %= TWO_PI
+    t[TWO_PI - t < 1e-10] = 0.0
+    return sorted(zip(t.tolist(), m.tolist()))
 
 
 def isolate_sign_changes(s: TrigSeries, domain: str = "full",

@@ -18,13 +18,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .circle import CircularSet, TWO_PI, canonical, circle_dist, forward_gap
+from .circle import CircularSet, TWO_PI, canonical, circle_dist
 from .errors import CertificateFailed, IdenticallyZero, NotConvex
 from .census import (
     CensusReport,
     DoubleTangentInterval,
     count_inflections_topological,
     family_and_warnings,
+    reduction,
     row_minima,
     tangent_pairs,
 )
@@ -293,30 +294,12 @@ def _a2_system(f, f1, lf, scale):
     return system
 
 
-def width_reduction_eval(sf: SupportFunction, a: float, b: float, outside: bool):
-    """Sphere evaluator of the reduction replacing f by the shared member
-    on [a, b] (outside=False) or on its complement (outside=True)."""
-    f = sf.f
-    phi = osculating_in_am(f, a, 2)
-    gap = forward_gap(a, b, math.pi)
-
-    def unit_many(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        on = np.mod(ts - a, math.pi) <= gap
-        if outside:
-            on = ~on
-        vals = np.where(on, phi(ts), f(ts))
-        pts = np.stack([np.cos(ts), np.sin(ts), vals], axis=-1)
-        return pts / np.linalg.norm(pts, axis=-1)[..., None]
-
-    return unit_many
-
-
 def census_fn(sf: SupportFunction, clean_points: list[float] | None = None,
               additivity_check: bool = True) -> CensusReport:
     """Census of order-2 flexes and independent width double tangents,
     with the identity i - 2*delta = 3 and, when a double tangent exists,
-    the reduction additivity cross-check."""
+    the additivity cross-check on the lift's two reductions at the first
+    (without their self-intersection test, which doubles its cost)."""
     lf = apply_flex_operator(sf.f, 2)
     if lf.is_zero(1e-14):
         raise IdenticallyZero("deviation lies in the circle-support space")
@@ -328,10 +311,10 @@ def census_fn(sf: SupportFunction, clean_points: list[float] | None = None,
     delta = len(family)
     if additivity_check and family:
         iv = family[0]
-        i1, _ = count_inflections_topological(
-            width_reduction_eval(sf, iv.a, iv.b, outside=False))
-        i2, _ = count_inflections_topological(
-            width_reduction_eval(sf, iv.a, iv.b, outside=True))
+        inside = reduction(sf.lift, iv.a, iv.b, check_simple=False)
+        outside = reduction(sf.lift, iv.b, iv.a + math.pi, check_simple=False)
+        i1, _ = count_inflections_topological(inside.unit_many)
+        i2, _ = count_inflections_topological(outside.unit_many)
         if i1 + i2 - 1 != i:
             warnings["additivity_mismatch"] = {"i1": i1, "i2": i2, "i": i}
     return CensusReport(

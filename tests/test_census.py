@@ -16,7 +16,8 @@ from curvex.census import (
     row_minima,
 )
 from curvex.errors import DegenerateChord
-from curvex.sphere import true_inflections
+from curvex.linesys import three_clean_inflections
+from curvex.sphere import inflection_indicator, true_inflections
 from curvex.trig import TrigSeries, isolate_sign_changes
 
 
@@ -215,6 +216,18 @@ class TestCensus:
         assert rep.delta == delta
         assert rep.identity_holds
         assert "greedy_family_mismatch" not in rep.warnings
+
+    @pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7"])
+    def test_clean_points_are_true_inflections(self, fixture, request):
+        crv = request.getfixturevalue(fixture)
+        system = request.getfixturevalue("sys" + fixture[-1])
+        rep = census(crv, clean_points=three_clean_inflections(system))
+        assert len(set(rep.clean_points)) == 3
+        # one Newton step from each point: its distance to a simple zero
+        w = inflection_indicator(crv)
+        dw = w.derivative()
+        for p in rep.clean_points:
+            assert abs(w(p) / dw(p)) < 1e-12
 
     def test_report_serializes(self, curve3):
         payload = census(curve3).to_json()

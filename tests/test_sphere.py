@@ -13,15 +13,15 @@ from curvex.sphere import (
     EPS_CONTACT,
     FALLBACK,
     ProjectiveCurve,
+    _interior_zeros,
     _limits,
-    _through_point_series,
     admissible_normal_arc,
     inflection_indicator,
     limiting_circle,
     normal_direction,
     true_inflections,
 )
-from curvex.trig import ANTIPERIODIC, TrigSeries, VectorSeries, cos_series, sin_series
+from curvex.trig import ANTIPERIODIC, TrigSeries, VectorSeries, cos_series, roots, sin_series
 
 
 def make_curve(g):
@@ -226,7 +226,7 @@ def test_vanishing_top_coefficient_raises_no_warning():
     # coefficient of T_t is a multiple of x(t) = sin t, exactly 0 at t = 0
     curve = ProjectiveCurve(VectorSeries(sin_series(1), cos_series(1) + cos_series(3, 0.1),
                                          sin_series(5, 0.05)))
-    assert _through_point_series(curve, np.array([0.0]))[0, -1] == 0.0
+    assert curve._tangent_planes[:, -1] @ curve.F(0.0) == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cd = limiting_circle(curve, 0.0)
@@ -247,3 +247,21 @@ def test_fallback_to_the_sampled_arc_end(curve3, monkeypatch):
     assert fallen.warnings == (FALLBACK,)
     assert fallen.theta == pytest.approx(cd.theta - 2e-9, abs=1e-12)
     assert fallen.contact.set_equal(cd.contact, 1e-6)
+
+
+@pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7", "sf_sin3", "sf_mix25",
+                                     "sf_mix4", "sf_mix7"])
+def test_interior_zeros_match_roots_of_the_series(fixture, request):
+    # the batch divides out the double zero at s = t, t + pi; roots solves
+    # T_t whole, and its zeros inside (t, t + pi) must be the same
+    obj = request.getfixturevalue(fixture)
+    curve = obj if isinstance(obj, ProjectiveCurve) else obj.lift
+    W = curve.F.cross(curve.F1)
+    ts = np.linspace(0.0, TWO_PI, 16, endpoint=False)
+    rows, ss = _interior_zeros(curve, ts)
+    for i, t in enumerate(ts):
+        x, y, z = curve.F(t)
+        T = W.x.scaled(x) + W.y.scaled(y) + W.z.scaled(z)
+        offsets = sorted((s - t) % TWO_PI for s, _ in roots(T))
+        expected = [off for off in offsets if 1e-6 < off < math.pi - 1e-6]
+        assert ss[rows == i] - t == pytest.approx(expected, abs=1e-10)

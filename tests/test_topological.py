@@ -16,7 +16,7 @@ from curvex.census import (
 )
 from curvex.circle import cyclic_runs
 from curvex.trig import apply_flex_operator, cos_series, sin_series
-from curvex.width import SupportFunction, a2_double_tangents, width_reduction_eval
+from curvex.width import SupportFunction, a2_double_tangents
 
 
 def walk_reference(unit_many, n_grid=2048, escape=1e-7, fd_step=1e-5):
@@ -59,14 +59,16 @@ def assert_same_count(unit_many, n_grid=2048):
 
 
 def width_reductions(sf):
-    """Both reduction evaluators at the first double tangent of the
-    census family, or None when the family is empty."""
+    """The lift's reductions at the first double tangent of the census
+    family and at the rest of its half period, or None when the family
+    is empty."""
     intervals, dropped = a2_double_tangents(sf)
     family, _ = family_and_warnings(intervals, dropped)
     if not family:
         return None
     a, b = family[0].a, family[0].b
-    return [width_reduction_eval(sf, a, b, outside) for outside in (False, True)]
+    return [reduction(sf.lift, lo, hi, check_simple=False).unit_many
+            for lo, hi in ((a, b), (b, a + math.pi))]
 
 
 def random_support(seed):

@@ -13,8 +13,10 @@ from curvex.trig import (
     VectorSeries,
     apply_flex_operator,
     basis_of_am,
+    circle_zeros,
     cos_series,
     isolate_sign_changes,
+    laurent_rows,
     newton2,
     osculating_in_am,
     roots,
@@ -197,6 +199,30 @@ def test_roots_multiplicities_and_directions(s, zeros, directions):
     isolated = isolate_sign_changes(s, tangential_tol=1e-9)
     assert [r.value for r in isolated] == [t for t, _ in got]
     assert [r.direction for r in isolated] == directions
+
+
+def test_circle_zeros_of_a_batch_equal_each_row_alone():
+    # degrees 3, 1, 1, 9 and 5: the lower rows carry zero leading
+    # coefficients, and the two rows of degree 1 share one eigvals call
+    rng = np.random.default_rng(3)
+    series = [sin_series(1) * sin_series(1) * sin_series(1),
+              TrigSeries(1.0, ((1, -1.0, 0.0),)),
+              TrigSeries(-math.cos(1e-5), ((1, 1.0, 0.0),)),
+              TrigSeries(0.3, tuple((k, rng.normal(), rng.normal()) for k in range(1, 10))),
+              TrigSeries(0.0, tuple((k, rng.normal(), rng.normal()) for k in (1, 3, 5)),
+                         ANTIPERIODIC)]
+    P = laurent_rows(series)
+    grid = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+    origin = np.array([grid[np.argmax(np.abs(s(grid)))] for s in series])
+    scale = np.linspace(0.5, 2.5, len(series))
+    rows, zeros, mult = circle_zeros(P, scale, origin)
+    assert rows.tolist() == sorted(rows.tolist())
+    # a triple zero, a double zero and a close pair of simple zeros
+    assert [mult[rows == i].tolist() for i in range(3)] == [[3, 3], [2], [1, 1]]
+    for i in range(len(series)):
+        alone = circle_zeros(P[i:i + 1], scale[i:i + 1], origin[i:i + 1])
+        assert alone[1].tolist() == zeros[rows == i].tolist()
+        assert alone[2].tolist() == mult[rows == i].tolist()
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)

@@ -17,9 +17,8 @@ from curvex.width import (
     is_positive_clean_flex,
     limiting_function,
     theorem_c_certificates,
-    width_reduction_eval,
 )
-from curvex.census import count_inflections_topological
+from curvex.census import count_inflections_topological, reduction
 from curvex.sphere import ProjectiveCurve, limiting_circle
 
 PI3 = math.pi / 3
@@ -198,9 +197,9 @@ class TestWidthCensus:
         intervals, _ = a2_double_tangents(sf_mix4)
         a, b = intervals[0].a, intervals[0].b
         i1, _ = count_inflections_topological(
-            width_reduction_eval(sf_mix4, a, b, outside=False))
+            reduction(sf_mix4.lift, a, b, check_simple=False).unit_many)
         i2, _ = count_inflections_topological(
-            width_reduction_eval(sf_mix4, a, b, outside=True))
+            reduction(sf_mix4.lift, b, a + math.pi, check_simple=False).unit_many)
         assert (i1, i2) == (3, 3)
 
 
