@@ -2,13 +2,14 @@
 
 A double tangent interval is detected from the two-equation tangency
 system (the tangent line normal at one parameter annihilating position
-and velocity at the other), Newton-refined from grid seeds and filtered
-by the defining conditions: genuine tangency at both ends, the arc not
-collapsed onto the chord, and the curve locally on the same side of the
-chord at both endpoints.  Replacing the arc by the chord yields the
-reduction, a piecewise evaluator on which inflections are counted
-topologically (crossing tangent lines), since the determinant criterion
-needs two derivatives the junctions do not have.
+and velocity at the other), Newton-refined from the points where the
+tangent lines meet the curve and filtered by the defining conditions:
+genuine tangency at both ends, the arc not collapsed onto the chord,
+and the curve locally on the same side of the chord at both endpoints.
+Replacing the arc by the chord yields the reduction, a piecewise
+evaluator on which inflections are counted topologically (crossing
+tangent lines), since the determinant criterion needs two derivatives
+the junctions do not have.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from .sphere import (
     EPS_NORM,
     ProjectiveCurve,
     admissible_normal_arc,
+    arc_zeros,
     normal_direction,
     true_inflections,
 )
-from .trig import newton2
+from .trig import laurent_rows, newton2
 
 NEWTON_RESIDUAL = 1e-11
-SEED_THRESHOLD = 1e-2
 DEDUPE_TOL = 1e-6
 OFF_CHORD_MIN = 1e-7
 ESCAPE_BLOCK = 32  # tangent circles per block of the topological count
@@ -295,21 +296,17 @@ def _tangency_system(curve: ProjectiveCurve):
     return system
 
 
-def row_minima(R: np.ndarray, threshold: float, cyclic: bool):
+def row_minima(R: np.ndarray, threshold: float):
     """(rows, cols) of the cells below threshold that are no larger than
-    their row neighbours, in row-major order.  Rows wrap around when
-    cyclic; otherwise the first and last columns are never taken.
+    their row neighbours, in row-major order; the first and last columns
+    are never taken.
 
     Row-wise minima keep seeds inside diagonal residual valleys that
     strict grid minima can straddle."""
     keep = R < threshold
     keep[:, 1:] &= R[:, 1:] <= R[:, :-1]
     keep[:, :-1] &= R[:, :-1] <= R[:, 1:]
-    if cyclic:
-        keep[:, 0] &= R[:, 0] <= R[:, -1]
-        keep[:, -1] &= R[:, -1] <= R[:, 0]
-    else:
-        keep[:, [0, -1]] = False
+    keep[:, [0, -1]] = False
     return np.nonzero(keep)
 
 
@@ -376,33 +373,27 @@ def detect_double_tangents(curve: ProjectiveCurve, n_a: int = 512,
                            margin: float = 0.02) -> DetectionResult:
     """All double tangent intervals on the projective line.
 
-    A residual scan over the (base, offset) grid seeds two-variable
-    Newton runs, solved in one batch; converged tangency pairs are
-    deduplicated and pushed through the defining filters.
+    The tangent line at a base a meets the curve at the zeros of
+    g_a(b) = n(a).F(b) in (a, a + pi), found by arc_zeros at n_a bases.
+    A double tangent is a double zero of g_a, so the zero count (with
+    multiplicity) differs between the two bases that bracket it.  At
+    both, each zero and each midpoint of adjacent zeros seeds newton2,
+    also transposed as (b, a + pi): from its other end a double tangent
+    is seen even where a second fold in the same base step hides it.
+    Converged pairs are deduplicated and pushed through the filters.
     """
     agrid = np.linspace(0.0, math.pi, n_a, endpoint=False)
-    bgrid = curve.grid
-    FA = curve.F.eval_many(agrid)
-    F1A = curve.F1.eval_many(agrid)
-    N = np.cross(FA, F1A)
-    N /= np.linalg.norm(N, axis=1)[:, None]
-    UB = curve.units
-    TB = curve.F1.eval_many(bgrid)
-    TB -= UB * np.sum(UB * TB, axis=1)[:, None]
-    TB /= np.linalg.norm(TB, axis=1)[:, None]
-    # an n_a x n_grid array takes 16 MB at the defaults: keep two alive at most
-    R = np.abs(N @ UB.T)
-    S = N @ TB.T
-    R += np.abs(S, out=S)
-    del S
-
-    # forward offsets b - a mod 2 pi, wrapped in place
-    offsets = bgrid - agrid[:, None]
-    np.add(offsets, TWO_PI, out=offsets, where=offsets < 0.0)
-    R[(offsets < margin) | (offsets > math.pi - margin)] = np.inf
-
-    rows, cols = row_minima(R, SEED_THRESHOLD, cyclic=True)
-    found, dropped = tangent_pairs(agrid[rows], bgrid[cols],
+    N = np.cross(curve.F.eval_many(agrid), curve.F1.eval_many(agrid))
+    # F has odd harmonics only: every other Laurent column is a row in exp(2ib)
+    rows, zeros, mult = arc_zeros(N @ laurent_rows(curve.F.components)[:, ::2], agrid)
+    count = np.bincount(rows, weights=mult, minlength=n_a)
+    fold = count != np.roll(count, -1)
+    seeding = (fold | np.roll(fold, 1))[rows]
+    pair = seeding[1:] & (rows[1:] == rows[:-1])
+    a0 = np.concatenate([agrid[rows[seeding]], agrid[rows[1:][pair]]])
+    b0 = np.concatenate([zeros[seeding], 0.5 * (zeros[1:] + zeros[:-1])[pair]])
+    found, dropped = tangent_pairs(np.concatenate([a0, b0]),
+                                   np.concatenate([b0, a0 + math.pi]),
                                    _tangency_system(curve), margin)
     intervals = []
     for a, gap in found:

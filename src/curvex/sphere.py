@@ -62,19 +62,15 @@ class GreatCircle:
 class ProjectiveCurve:
     """Antiperiodic vector series with its cached sphere lift."""
 
-    def __init__(self, F: VectorSeries, n_grid: int = N_GRID):
+    def __init__(self, F: VectorSeries):
         if not F.is_antiperiodic():
             raise ValueError("curve components must be pi-antiperiodic")
         self.F = F
         self.F1 = F.derivative()
         self.F2 = F.derivative(2)
-        self.grid = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-        pts = F.eval_many(self.grid)
-        norms = np.linalg.norm(pts, axis=1)
-        if float(np.min(norms)) < EPS_NORM:
+        pts = F.eval_many(np.linspace(0.0, TWO_PI, N_GRID, endpoint=False))
+        if float(np.min(np.linalg.norm(pts, axis=1))) < EPS_NORM:
             raise DegeneratePoint("|F| vanishes on the sample grid")
-        self.units = pts / norms[:, None]
-        self.norms = norms
 
     # -- pointwise geometry ------------------------------------------------
 
@@ -320,26 +316,34 @@ def _limit_block(curve, ts, eps_contact):
 
 def _interior_zeros(curve: ProjectiveCurve, ts: np.ndarray):
     """Zeros of T_t(s) = W(s) . F(t) in the open arc (t, t + pi) for
-    every base t, as flat arrays (row, s) sorted by row.
-
-    Q holds T_t in y = exp(2is), one row per base.  The double zero at
-    s = t, t + pi (y = w = exp(2it)) is divided out, and circle_zeros
-    solves the quotients from the origin t.  As (y - w)^2 =
-    -4 y w sin^2(s - t), the zeros are polished on the real series
-    -4 w y^(-N/2) Q = T_t / sin^2(s - t), away from the double zero
-    that would drown theirs in rounding near s = t."""
+    every base t, as flat arrays (row, s) sorted by row: arc_zeros of
+    T_t in y = exp(2is), one row per base."""
     W = curve._tangent_planes
-    if W.shape[1] < 3:  # W is constant: the curve is a great circle
-        return np.zeros(0, dtype=int), np.zeros(0)
     Ft = curve.F.eval_many(ts)
-    Q = Ft[:, :1] * W[0] + Ft[:, 1:2] * W[1] + Ft[:, 2:] * W[2]
+    rows, s, _ = arc_zeros(Ft[:, :1] * W[0] + Ft[:, 1:2] * W[1] + Ft[:, 2:] * W[2], ts)
+    return rows, s
+
+
+def arc_zeros(Q: np.ndarray, ts: np.ndarray):
+    """Zeros in the open arc (t, t + pi) of series with a double zero at
+    s = t, t + pi, one row of Q (coefficients of y^0 .. y^N, y = exp(2is),
+    N even or odd) per base t, as flat arrays (row, s, multiplicity)
+    sorted by row, then by s.
+
+    The double zero at y = w = exp(2it) is divided out, and circle_zeros
+    solves the quotients from the origin t.  As (y - w)^2 =
+    -4 y w sin^2(s - t), the zeros are polished on the quotient scaled
+    by -4 w, the row's series over sin^2(s - t), away from the double
+    zero that would drown theirs in rounding near s = t."""
+    if Q.shape[1] < 3:  # nothing is left beside the double zero
+        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int)
     w = np.exp(2j * ts)
     for _ in range(2):
         Q = _divided(Q, w)
-    rows, s, _ = circle_zeros(Q, -4.0 * w, ts, step=2)
+    rows, s, m = circle_zeros(Q, -4.0 * w, ts, step=2)
     off = s - ts[rows]
     keep = (off > 1e-6) & (off < math.pi - 1e-6)
-    return rows[keep], s[keep]
+    return rows[keep], s[keep], m[keep]
 
 
 def _divided(p: np.ndarray, w: np.ndarray) -> np.ndarray:

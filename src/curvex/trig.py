@@ -408,7 +408,7 @@ def circle_zeros(P: np.ndarray, scale: np.ndarray, origin: np.ndarray,
     rows, off = rows[order], off[order]
     first = np.ones(len(off), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]) | (np.diff(off) >= 1e-4)
-    k = step * np.arange(-(N // 2), N // 2 + 1.0)
+    k = step * (np.arange(N + 1) - N / 2)
 
     def clusters():
         cluster = np.cumsum(first) - 1

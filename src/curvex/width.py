@@ -249,7 +249,7 @@ def a2_double_tangents(sf: SupportFunction, n_a: int = 512, n_b: int = 512,
     # scales with their coefficient bounds
     scale = max(1.0, sum(abs(a) + abs(b) for _, a, b in f.harmonics)
                 * (1.0 + f.degree))
-    rows, cols = row_minima(R, SEED_THRESHOLD * scale, cyclic=False)
+    rows, cols = row_minima(R, SEED_THRESHOLD * scale)
     found, dropped = tangent_pairs(a_grid[rows], B[rows, cols],
                                    _a2_system(f, f1, lf, scale), margin)
     intervals = []

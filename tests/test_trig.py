@@ -225,6 +225,23 @@ def test_circle_zeros_of_a_batch_equal_each_row_alone():
         assert alone[2].tolist() == mult[rows == i].tolist()
 
 
+@pytest.mark.parametrize("s", [sin_series(1) * sin_series(1) * sin_series(1)] + [
+    random_series(np.random.default_rng(seed), parity=ANTIPERIODIC) for seed in range(4)])
+def test_circle_zeros_of_odd_degree_rows_match_roots(s):
+    # odd harmonics only: every other Laurent column is a row in
+    # y = exp(2it), of odd degree (3 for sin^3, 7 for the others)
+    P = laurent_rows([s])[:, ::2]
+    assert (P.shape[1] - 1) % 2 == 1
+    grid = np.linspace(0.0, math.pi, 512, endpoint=False)
+    origin = grid[np.argmax(np.abs(s(grid)))]
+    _, zeros, mult = circle_zeros(P, np.ones(1), np.array([origin]), step=2)
+    # the zeros of an antiperiodic series repeat after pi
+    expected = sorted(((t - origin) % math.pi, m) for t, m in roots(s))[::2]
+    assert mult.tolist() == [m for _, m in expected]
+    np.testing.assert_allclose(zeros - origin, [t for t, _ in expected],
+                               rtol=0, atol=1e-12)
+
+
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(st.integers(0, 22), st.integers(0, 2 ** 32 - 1))
 def test_crossings_match_a_fine_grid(n, seed):
