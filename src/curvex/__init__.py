@@ -39,7 +39,6 @@ from .census import (
     DoubleTangentInterval,
     ReducedCurve,
     anti_convexity_grid_test,
-    census,
     chord,
     count_inflections_topological,
     detect_double_tangents,

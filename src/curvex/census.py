@@ -140,14 +140,6 @@ class ReducedCurve:
         if check_simple:
             self._assert_simple()
 
-    def unit(self, t: float) -> np.ndarray:
-        off = forward_gap(self.a, t)
-        if off <= self.gap:
-            return self.chord.point(off / self.gap)
-        if off - math.pi <= self.gap and off >= math.pi:
-            return -self.chord.point((off - math.pi) / self.gap)
-        return self.base.lift(t)
-
     def unit_many(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         off = np.mod(ts - self.a, TWO_PI)

@@ -266,9 +266,6 @@ class CircularSet:
     def dilated(self, eps: float) -> "CircularSet":
         return CircularSet([a.dilated(eps) for a in self.arcs], self.period)
 
-    def union(self, other: "CircularSet") -> "CircularSet":
-        return CircularSet(self.arcs + other.arcs, self.period)
-
     def intersect_window(self, window: Arc) -> list[Arc]:
         out: list[Arc] = []
         for a in self.arcs:

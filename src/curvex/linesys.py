@@ -21,6 +21,7 @@ import numpy as np
 from .circle import (
     Arc,
     CircularSet,
+    EPS_ANGLE,
     EPS_GROUP,
     TWO_PI,
     antipode,
@@ -43,9 +44,6 @@ CLEAN_TOL = 1e-5
 MEMBER_TOL = 1e-6
 BISECT_CAP = 200
 EPS_SEARCH = 1e-9
-# widening of every bound in the L4 prefilter; more than EPS_ANGLE plus
-# the rounding of canonical, so no configuration L4 accepts is dropped
-L4_SLACK = 1e-9
 
 
 def _reflected_set(s: CircularSet) -> CircularSet:
@@ -478,46 +476,6 @@ def _check_l3(sys, grid, sets, set_tol):
     return res
 
 
-def _l4_config(period, sets, p, q, margin):
-    """Find p' in F(p), q' in F(q) with p < q < p' < q' < Tp, every gap
-    at least the margin; returns the pair or None.
-
-    Degenerate chains with coinciding points (e.g. q = p' = q', which
-    needs only one shared circle point) carry no two-intersection
-    rigidity and fail even on honest families, so only strictly
-    separated configurations are tested."""
-    tp = antipode(p, period)
-    if forward_gap(p, q, period) < margin or \
-            forward_gap(q, tp, period) < 3.0 * margin:
-        return None
-    try:
-        w1 = Arc.from_endpoints(canonical(q + margin, period),
-                                canonical(tp - margin, period), period)
-        p1 = sets[p].extremum_in_window(w1, "inf")
-        if forward_gap(p1, tp, period) < 2.0 * margin:
-            return None
-        w2 = Arc.from_endpoints(canonical(p1 + margin, period),
-                                canonical(tp - margin, period), period)
-        q1 = sets[q].extremum_in_window(w2, "sup")
-    except EmptyIntersection:
-        return None
-    return (p1, q1)
-
-
-class _ReflectedSets(dict):
-    """Reflected contact sets keyed by the reflected base -p, each built
-    from the set at p on first use."""
-
-    def __init__(self, sets: dict, period: float):
-        super().__init__()
-        self._sets = sets
-        self.source = {canonical(-p, period): p for p in sets}
-
-    def __missing__(self, r):
-        s = self[r] = _reflected_set(self._sets[self.source[r]])
-        return s
-
-
 def _offset_table(period, spans):
     """Sorted (lo, hi) forward offsets of a base's contact components,
     clipped to [0, period/2], from their (offset, length) spans; a
@@ -532,65 +490,71 @@ def _offset_table(period, spans):
     return sorted(out)
 
 
-def _l4_may_apply(tab_p, tab_q, g, margin, half):
-    """False only when _l4_config finds no pair for bases at forward gap
-    g with these offset tables.  Stage 1: p' is at least the first
-    contact of p in [g + margin, half - margin]; stage 2: some contact
-    of q must reach past p' + margin.  Every bound is widened by
-    L4_SLACK."""
-    top = half - margin + L4_SLACK
+def _l4_config(tab_p, tab_q, g, margin, half):
+    """Offsets from p of p' in F(p) and q' in F(q) with
+    p < q < p' < q' < Tp, every gap at least the margin, for bases p and
+    q at forward gap g with offset tables tab_p and tab_q; None when
+    there is no such pair.
+
+    p' is the first contact of p in [g + margin, half - margin], q' the
+    last contact of q in [p' + margin, half - margin]; window ends count
+    within EPS_ANGLE.  Degenerate chains with coinciding points (e.g.
+    q = p' = q', which needs only one shared circle point) carry no
+    two-intersection rigidity and fail even on honest families, so only
+    strictly separated configurations are tested."""
+    if g < margin:
+        return None
+    top = half - margin
     start = g + margin
     p1 = next((max(lo, start) for lo, hi in tab_p
-               if hi >= start - L4_SLACK and lo <= top), None)
-    if p1 is None:
-        return False
-    start = p1 + margin - L4_SLACK - g
-    return any(hi >= start and lo <= top - g for lo, hi in tab_q)
+               if hi >= start - EPS_ANGLE and lo <= top + EPS_ANGLE), None)
+    if p1 is None or half - p1 < 2.0 * margin:
+        return None
+    start = p1 + margin
+    ends = [max(min(hi + g, top), lo + g, start) for lo, hi in tab_q
+            if hi + g >= start - EPS_ANGLE and lo + g <= top + EPS_ANGLE]
+    return (p1, max(ends)) if ends else None
 
 
 def _check_l4(sys, grid, sets, set_tol, margin, lags=(1, 2, 3, 5, 8, 13, 21, 34)):
-    """The order axiom as a counterexample search: _l4_config defines a
-    configuration, and _l4_may_apply rules out, from per-base offset
-    tables, the pairs it cannot accept."""
+    """The order axiom as a counterexample search over lagged pairs, in
+    both orientations: every configuration _l4_config finds must have
+    F(p) = F(q)."""
     res = AxiomResult("L4", True, 0)
-    tried = prefiltered = 0
+    tried = 0
     period = sys.period
     half = 0.5 * period
-    # the descending configuration is the ascending one after an
-    # orientation flip: its offsets are the backward offsets of the
-    # original sets, and its reflected sets are built on first use
-    rsets = _ReflectedSets(sets, period)
+    # the descending pass is the ascending one on the reflected bases
+    # -p: their forward offsets are the backward offsets of the sets at p
+    source = {canonical(-p, period): p for p in grid}
     passes = (
-        (grid, sets, "asc",
+        (grid, {p: p for p in grid}, "asc",
          {p: _offset_table(period, [(forward_gap(p, a.start, period), a.length)
                                     for a in sets[p].arcs]) for p in grid}),
-        (sorted(rsets.source), rsets, "desc",
-         {r: _offset_table(period, [(forward_gap(a.end, p, period), a.length)
-                                    for a in sets[p].arcs])
-          for r, p in rsets.source.items()}),
+        (sorted(source), source, "desc",
+         {p: _offset_table(period, [(forward_gap(a.end, p, period), a.length)
+                                    for a in sets[p].arcs]) for p in grid}),
     )
-    for pass_grid, pass_sets, tag, table in passes:
-        n = len(pass_grid)
+    for bases, src, tag, table in passes:
+        n = len(bases)
         for i in range(n):
             for lag in lags:
-                p, q = pass_grid[i], pass_grid[(i + lag) % n]
+                p, q = bases[i], bases[(i + lag) % n]
                 g = forward_gap(p, q, period)
                 if g >= half:
                     continue
                 tried += 1
-                if not _l4_may_apply(table[p], table[q], g, margin, half):
-                    prefiltered += 1
-                    continue
-                cfg = _l4_config(period, pass_sets, p, q, margin)
+                cfg = _l4_config(table[src[p]], table[src[q]], g, margin, half)
                 if cfg is None:
                     continue
                 res.checked += 1
-                if not pass_sets[p].set_equal(pass_sets[q], set_tol):
+                if not sets[src[p]].set_equal(sets[src[q]], set_tol):
                     res.passed = False
                     if len(res.witnesses) < 3:
-                        res.witnesses.append({"p": p, "q": q, "p1": cfg[0],
-                                              "q1": cfg[1], "pass": tag})
-    res.counts = {"tried": tried, "prefiltered": prefiltered, "checked": res.checked}
+                        res.witnesses.append(
+                            {"p": p, "q": q, "p1": canonical(p + cfg[0], period),
+                             "q1": canonical(p + cfg[1], period), "pass": tag})
+    res.counts = {"tried": tried, "checked": res.checked}
     return res
 
 

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -30,6 +31,12 @@ from curvex.trig import (
 
 def interval(a, b):
     return DoubleTangentInterval(a, b, None)
+
+
+def test_census_names_the_submodule():
+    import curvex.census as module
+    assert isinstance(module, types.ModuleType)
+    assert module.census is census
 
 
 def lift(z: TrigSeries) -> ProjectiveCurve:
@@ -234,20 +241,21 @@ class TestReduction:
         iv = detect_double_tangents(curve5).intervals[0]
         red = reduction(curve5, iv.a, iv.b)
         t = iv.b + 0.4
-        assert np.allclose(red.unit(t), curve5.lift(t), atol=1e-12)
         inside = iv.a + 0.4 * (iv.b - iv.a)
-        assert abs(np.dot(red.unit(inside), iv.chord.normal)) < 1e-12
+        off, on = red.unit_many(np.array([t, inside]))
+        assert np.allclose(off, curve5.lift(t), atol=1e-12)
+        assert abs(np.dot(on, iv.chord.normal)) < 1e-12
 
     def test_reduction_is_continuous_and_tangent(self, curve5):
         iv = detect_double_tangents(curve5).intervals[0]
         red = reduction(curve5, iv.a, iv.b)
         h = 1e-7
         for junction in (iv.a, iv.b):
-            left = red.unit(junction - h)
-            right = red.unit(junction + h)
+            left, mid, right = red.unit_many(np.array([junction - h, junction,
+                                                       junction + h]))
             assert np.linalg.norm(left - right) < 1e-5
-            d_left = (red.unit(junction) - red.unit(junction - h)) / h
-            d_right = (red.unit(junction + h) - red.unit(junction)) / h
+            d_left = (mid - left) / h
+            d_right = (right - mid) / h
             cosang = np.dot(d_left, d_right) / (
                 np.linalg.norm(d_left) * np.linalg.norm(d_right))
             assert cosang > 1 - 1e-4
@@ -255,8 +263,8 @@ class TestReduction:
     def test_reduction_antiperiodic(self, curve5):
         iv = detect_double_tangents(curve5).intervals[0]
         red = reduction(curve5, iv.a, iv.b)
-        for t in (iv.a + 0.2, iv.b + 0.5, 0.0):
-            assert np.allclose(red.unit(t + math.pi), -red.unit(t), atol=1e-12)
+        ts = np.array([iv.a + 0.2, iv.b + 0.5, 0.0])
+        assert np.allclose(red.unit_many(ts + math.pi), -red.unit_many(ts), atol=1e-12)
 
     def test_additivity_and_anti_convexity(self, curve5):
         iv = detect_double_tangents(curve5).intervals[0]

@@ -8,12 +8,13 @@ from curvex.circle import (
     TWO_PI,
     Arc,
     CircularSet,
+    antipode,
     canonical,
     circle_dist,
     cyclic_between,
     forward_gap,
 )
-from curvex.errors import EmptyY, PreconditionFailed
+from curvex.errors import EmptyIntersection, EmptyY, PreconditionFailed
 from curvex.linesys import (
     AdmissibleInterval,
     AxiomResult,
@@ -242,10 +243,30 @@ MARGIN = 1e-3
 
 
 def l4_reference(sys, grid, sets, set_tol, margin, lags=LAGS):
-    """The order axiom without the prefilter: every lagged pair goes to
-    _l4_config, on eagerly reflected sets for the descending pass."""
-    res = AxiomResult("L4", True, 0)
+    """The order axiom with the configuration found by intersecting the
+    contact sets with Arc windows, on eagerly reflected sets for the
+    descending pass."""
     period = sys.period
+
+    def config(sets, p, q):
+        tp = antipode(p, period)
+        if forward_gap(p, q, period) < margin or \
+                forward_gap(q, tp, period) < 3.0 * margin:
+            return None
+        try:
+            w1 = Arc.from_endpoints(canonical(q + margin, period),
+                                    canonical(tp - margin, period), period)
+            p1 = sets[p].extremum_in_window(w1, "inf")
+            if forward_gap(p1, tp, period) < 2.0 * margin:
+                return None
+            w2 = Arc.from_endpoints(canonical(p1 + margin, period),
+                                    canonical(tp - margin, period), period)
+            q1 = sets[q].extremum_in_window(w2, "sup")
+        except EmptyIntersection:
+            return None
+        return (p1, q1)
+
+    res = AxiomResult("L4", True, 0)
     rsets = {canonical(-p, period): _reflected_set(sets[p]) for p in grid}
     rgrid = sorted(rsets.keys())
     for pass_grid, pass_sets, tag in ((grid, sets, "asc"), (rgrid, rsets, "desc")):
@@ -255,7 +276,7 @@ def l4_reference(sys, grid, sets, set_tol, margin, lags=LAGS):
                 p, q = pass_grid[i], pass_grid[(i + lag) % n]
                 if forward_gap(p, q, period) >= 0.5 * period:
                     continue
-                cfg = _l4_config(period, pass_sets, p, q, margin)
+                cfg = config(pass_sets, p, q)
                 if cfg is None:
                     continue
                 res.checked += 1
@@ -268,26 +289,31 @@ def l4_reference(sys, grid, sets, set_tol, margin, lags=LAGS):
 
 
 def l4_both(sys, grid_size):
-    """_check_l4 and l4_reference on the grid check_axioms builds."""
+    """_check_l4 and l4_reference on the grid check_axioms builds; the
+    witness angles are computed along different paths, so they agree
+    within rounding."""
     grid = [canonical(i * sys.period / grid_size, sys.period) for i in range(grid_size)]
     sets = dict(zip(grid, sys.F_many(grid)))
     fast = _check_l4(sys, grid, sets, 1e-3, MARGIN)
     ref = l4_reference(sys, grid, sets, 1e-3, MARGIN)
-    assert (fast.passed, fast.checked, fast.witnesses) == \
-        (ref.passed, ref.checked, ref.witnesses)
+    assert (fast.passed, fast.checked) == (ref.passed, ref.checked)
+    assert [w["pass"] for w in fast.witnesses] == [w["pass"] for w in ref.witnesses]
+    for w, v in zip(fast.witnesses, ref.witnesses):
+        for key in ("p", "q", "p1", "q1"):
+            assert circle_dist(w[key], v[key]) < 1e-12, (key, w, v)
     return fast
 
 
 @pytest.mark.parametrize("fixture", ["sys3", "sys5", "wsys_sin3", "wsys_mix25",
                                      "wsys_mix4"])
-def test_l4_prefilter_matches_reference_on_corpus(fixture, request):
+def test_l4_matches_reference_on_corpus(fixture, request):
     res = l4_both(request.getfixturevalue(fixture), 64)
-    # on honest families the prefilter leaves no configuration to try
-    assert res.counts == {"tried": 896, "prefiltered": 896, "checked": 0}
+    # honest families have no configuration to check
+    assert res.counts == {"tried": 896, "checked": 0}
 
 
 @pytest.mark.parametrize("grid_size", [32, 256])
-def test_l4_prefilter_matches_reference_on_broken_family(grid_size):
+def test_l4_matches_reference_on_broken_family(grid_size):
     res = l4_both(LineSystem(broken), grid_size)
     assert res.checked > 0 and not res.passed
 
@@ -301,9 +327,17 @@ def test_l4_fails_on_interleaved_contacts():
     l4 = {r.axiom: r for r in rep.results}["L4"]
     assert not l4.passed
     assert l4.checked == 4096
-    assert l4.counts == {"tried": 4096, "prefiltered": 0, "checked": 4096}
+    assert l4.counts == {"tried": 4096, "checked": 4096}
     assert l4.witnesses[0]["pass"] == "asc"
     assert l4.to_json()["witness"] == l4.witnesses[0]
+
+
+def test_l4_config_keeps_the_margin_between_p_and_q():
+    # contacts at offsets 1 from p and 1.5 from q make a configuration,
+    # unless q lies within the margin of p
+    tab_p, tab_q = [(0.0, 0.0), (1.0, 1.0)], [(0.0, 0.0), (1.5, 1.5)]
+    assert _l4_config(tab_p, tab_q, 0.01, MARGIN, math.pi) == (1.0, 1.51)
+    assert _l4_config(tab_p, tab_q, 0.5 * MARGIN, MARGIN, math.pi) is None
 
 
 @st.composite
@@ -332,7 +366,7 @@ def symmetric_families(draw):
     return n, family
 
 
-def test_l4_prefilter_matches_reference_on_random_families():
+def test_l4_matches_reference_on_random_families():
     checked = []
 
     @settings(max_examples=40, derandomize=True, deadline=None)
