@@ -34,11 +34,12 @@ from .sphere import (
     EPS_NORM,
     ProjectiveCurve,
     admissible_normal_arc,
-    arc_zeros,
+    nearest_inflection,
     normal_direction,
+    tangent_line_zeros,
     true_inflections,
 )
-from .trig import laurent_rows, newton2
+from .trig import newton2
 
 NEWTON_RESIDUAL = 1e-11
 DEDUPE_TOL = 1e-6
@@ -366,7 +367,8 @@ def detect_double_tangents(curve: ProjectiveCurve, n_a: int = 512,
     """All double tangent intervals on the projective line.
 
     The tangent line at a base a meets the curve at the zeros of
-    g_a(b) = n(a).F(b) in (a, a + pi), found by arc_zeros at n_a bases.
+    g_a(b) = n(a).F(b) in (a, a + pi), found by tangent_line_zeros at n_a
+    bases.
     A double tangent is a double zero of g_a, so the zero count (with
     multiplicity) differs between the two bases that bracket it.  At
     both, each zero and each midpoint of adjacent zeros seeds newton2,
@@ -375,9 +377,7 @@ def detect_double_tangents(curve: ProjectiveCurve, n_a: int = 512,
     Converged pairs are deduplicated and pushed through the filters.
     """
     agrid = np.linspace(0.0, math.pi, n_a, endpoint=False)
-    N = np.cross(curve.F.eval_many(agrid), curve.F1.eval_many(agrid))
-    # F has odd harmonics only: every other Laurent column is a row in exp(2ib)
-    rows, zeros, mult = arc_zeros(N @ laurent_rows(curve.F.components)[:, ::2], agrid)
+    rows, zeros, mult = tangent_line_zeros(curve, agrid)
     count = np.bincount(rows, weights=mult, minlength=n_a)
     fold = count != np.roll(count, -1)
     seeding = (fold | np.roll(fold, 1))[rows]
@@ -515,7 +515,6 @@ def census(curve: ProjectiveCurve, clean_points: list[float] | None = None) -> C
     nearest true inflection, a crossing of the indicator or that
     crossing plus pi, and the snapped points are reported sorted."""
     rep = true_inflections(curve)
-    flexes = [e.parameter + h for e in rep.entries if e.crossing for h in (0.0, math.pi)]
     detection = detect_double_tangents(curve)
     family, warnings = family_and_warnings(detection.intervals, detection.dropped)
     i, delta = rep.count, len(family)
@@ -525,7 +524,7 @@ def census(curve: ProjectiveCurve, clean_points: list[float] | None = None) -> C
         delta=delta,
         identity_holds=(i - 2 * delta == 3),
         inflection_points=[e.parameter for e in rep.entries if e.crossing],
-        clean_points=sorted(min(flexes, key=lambda r: circle_dist(r, p))
+        clean_points=sorted(nearest_inflection(rep.entries, p)[0]
                             for p in clean_points or []),
         double_tangents=[(iv.a, iv.b) for iv in family],
         warnings=warnings,

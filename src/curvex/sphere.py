@@ -178,6 +178,13 @@ def true_inflections(curve: ProjectiveCurve) -> InflectionReport:
     return InflectionReport(tuple(entries), count)
 
 
+def nearest_inflection(entries, p: float) -> tuple[float, InflectionEntry]:
+    """The crossing entry whose parameter, or parameter + pi, lies
+    nearest p on the circle, with that point."""
+    return min(((e.parameter + h, e) for e in entries if e.crossing
+                for h in (0.0, math.pi)), key=lambda c: circle_dist(c[0], p))
+
+
 @dataclass(frozen=True)
 class ContactData:
     """Limiting circle at a base parameter together with its contact set."""
@@ -286,9 +293,9 @@ def _limit_block(curve, ts, eps_contact):
             over = np.max(_dot3(normals[:, None], Fs[mine]) / radii[mine], axis=1,
                           initial=-math.inf)
             pos = (cand - arc.start) % TWO_PI
-            pos = pos[(pos <= arc.length + 1e-9) & (over <= eps_contact)]
-            if pos.size:
-                theta_star = canonical(arc.start + float(np.max(pos)))
+            ok = (pos <= arc.length + 1e-9) & (over <= eps_contact)
+            if ok.any():
+                theta_star = canonical(float(cand[ok][np.argmax(pos[ok])]))
             else:
                 warnings.append(FALLBACK)
                 theta_star = canonical(theta_hat)
@@ -322,6 +329,16 @@ def _interior_zeros(curve: ProjectiveCurve, ts: np.ndarray):
     Ft = curve.F.eval_many(ts)
     rows, s, _ = arc_zeros(Ft[:, :1] * W[0] + Ft[:, 1:2] * W[1] + Ft[:, 2:] * W[2], ts)
     return rows, s
+
+
+def tangent_line_zeros(curve: ProjectiveCurve, ts):
+    """Where the tangent line at each base a in ts meets the curve again:
+    the zeros of g_a(b) = n(a) . F(b), n(a) = F(a) x F'(a), in the open
+    arc (a, a + pi), as arc_zeros gives them (rows index ts)."""
+    ts = np.asarray(ts, dtype=float)
+    N = np.cross(curve.F.eval_many(ts), curve.F1.eval_many(ts))
+    # F has odd harmonics only: every other Laurent column is a row in exp(2ib)
+    return arc_zeros(N @ laurent_rows(curve.F.components)[:, ::2], ts)
 
 
 def arc_zeros(Q: np.ndarray, ts: np.ndarray):

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circle import CircularSet, TWO_PI, canonical, circle_dist
+from .circle import CircularSet, TWO_PI, canonical
 from .errors import CertificateFailed, IdenticallyZero, NotConvex
 from .census import (
     CensusReport,
@@ -30,14 +30,22 @@ from .census import (
     tangent_pairs,
 )
 from .linesys import LineSystem, three_clean_inflections
-from .sphere import EPS_CONTACT, ProjectiveCurve, _limits, _sets_and_warnings
+from .sphere import (
+    EPS_CONTACT,
+    InflectionEntry,
+    ProjectiveCurve,
+    _limits,
+    _sets_and_warnings,
+    nearest_inflection,
+    tangent_line_zeros,
+    true_inflections,
+)
 from .trig import (
     ANTIPERIODIC,
     TrigSeries,
     VectorSeries,
     apply_flex_operator,
     cos_series,
-    isolate_sign_changes,
     osculating_in_am,
     sin_series,
 )
@@ -68,38 +76,36 @@ class SupportFunction:
         """The sphere curve (cos t, sin t, f(t)), built once."""
         return ProjectiveCurve(VectorSeries(cos_series(1), sin_series(1), self.f))
 
-    @property
-    def h(self) -> TrigSeries:
-        return TrigSeries(0.5 * self.d, self.f.harmonics)
-
     def curvature_radius(self, t: float) -> float:
         return 0.5 * self.d + apply_flex_operator(self.f, 2)(t)
 
 
 def curve_point(sf: SupportFunction, t: float) -> np.ndarray:
-    """Boundary point whose tangent line makes angle t with the x-axis:
-    h'(t) e(t) - h(t) n(t)."""
-    h, h1 = 0.5 * sf.d + sf.f(t), sf.f.derivative()(t)
-    e = np.array([math.cos(t), math.sin(t)])
-    n = np.array([-math.sin(t), math.cos(t)])
-    return h1 * e - h * n
+    return curve_points(sf, np.array([t]))[0]
 
 
 def curve_points(sf: SupportFunction, ts: np.ndarray) -> np.ndarray:
+    """Boundary points whose tangent lines make the angles ts with the
+    x-axis: h'(t) e(t) - h(t) n(t), as (n, 2) rows."""
     h = 0.5 * sf.d + sf.f(ts)
     h1 = sf.f.derivative()(ts)
     return np.stack([h1 * np.cos(ts) + h * np.sin(ts),
                      h1 * np.sin(ts) - h * np.cos(ts)], axis=-1)
 
 
+def _flexes(sf: SupportFunction) -> list[InflectionEntry]:
+    """The crossings on [0, pi) of the lift's inflection indicator
+    det(F, F', F''), which for F = (cos t, sin t, f) is f + f''."""
+    if apply_flex_operator(sf.f, 2).is_zero(1e-14):
+        raise IdenticallyZero("deviation lies in the circle-support space; "
+                              "every width circle osculates")
+    return [e for e in true_inflections(sf.lift).entries if e.crossing]
+
+
 def d_inflections(sf: SupportFunction) -> list[float]:
     """Parameters where the osculating width-circle has higher contact,
     i.e. the curvature radius equals d/2; antipodal partners included."""
-    lf = apply_flex_operator(sf.f, 2)
-    if lf.is_zero(1e-14):
-        raise IdenticallyZero("every width circle osculates; f is a circle offset")
-    roots = isolate_sign_changes(lf, domain="full")
-    return [r.value for r in roots if r.direction != 0]
+    return sorted(e.parameter + h for e in _flexes(sf) for h in (0.0, math.pi))
 
 
 # -- limiting functions ------------------------------------------------------
@@ -168,29 +174,6 @@ def contact_system(sf: SupportFunction, eps_contact: float = EPS_CONTACT) -> Lin
     return LineSystem(contact_map(sf, eps_contact), name="width")
 
 
-def is_positive_clean_flex(sf: SupportFunction, p: float,
-                           eps_contact: float = EPS_CONTACT) -> bool:
-    """Two-point contact of the limiting function marks the clean flexes
-    whose circle supports the curve from the forward side."""
-    return len(limiting_function(sf, p, eps_contact).contact) == 2
-
-
-def _contacts(res: TrigSeries):
-    """Zeros of the residual f - phi of an osculating member, and their
-    components on the circle (zeros within 1e-6 merged)."""
-    roots = isolate_sign_changes(res, domain="full",
-                                 tangential_tol=1e-9 * max(res.max_coeff(), 1.0))
-    return roots, CircularSet.from_points([r.value for r in roots], merge_tol=1e-6)
-
-
-def is_clean_flex(sf: SupportFunction, p: float) -> bool:
-    """Zero set of f minus its osculating member connected modulo pi.
-
-    The residual is antiperiodic, so its contact components come in
-    antipodal pairs; one pair is one component modulo pi."""
-    return len(_contacts(sf.f - osculating_in_am(sf.f, p, 2))[1]) <= 2
-
-
 # -- clean flexes and the census ---------------------------------------------
 
 
@@ -205,23 +188,15 @@ def clean_flexes(sf: SupportFunction, system: LineSystem | None = None,
                  **kw) -> FlexTriple:
     """Three clean flexes in a half period, found by the intrinsic-system
     search (on contact_system(sf) unless a system is given) and snapped
-    to the nearest sign change of the flex operator."""
-    raw = three_clean_inflections(system or contact_system(sf), **kw)
-    flexes = d_inflections(sf)
-    polished = tuple(min(flexes, key=lambda r: circle_dist(r, s)) for s in raw)
-    half = sorted(canonical(s, math.pi) for s in polished)
-    signs = []
-    for t in half:
-        res = sf.f - osculating_in_am(sf.f, t, 2)
-        h = 1e-4
-        left, right = res(t - h), res(t + h)
-        if left < 0.0 < right:
-            signs.append(+1)
-        elif left > 0.0 > right:
-            signs.append(-1)
-        else:
-            signs.append(0)
-    return FlexTriple(tuple(half), tuple(signs), polished)
+    to the nearest true inflection of the lift or its antipode.
+
+    f - phi solves y'' + y = f + f'' with a double zero at the flex, so
+    it changes sign there as f + f'' does: against the entry's sign."""
+    flexes = _flexes(sf)
+    snapped = [nearest_inflection(flexes, s)
+               for s in three_clean_inflections(system or contact_system(sf), **kw)]
+    points, signs = zip(*sorted((e.parameter, -e.sign) for _, e in snapped))
+    return FlexTriple(points, signs, tuple(t for t, _ in snapped))
 
 
 def a2_double_tangents(sf: SupportFunction, n_a: int = 512, n_b: int = 512,
@@ -300,11 +275,7 @@ def census_fn(sf: SupportFunction, clean_points: list[float] | None = None,
     with the identity i - 2*delta = 3 and, when a double tangent exists,
     the additivity cross-check on the lift's two reductions at the first
     (without their self-intersection test, which doubles its cost)."""
-    lf = apply_flex_operator(sf.f, 2)
-    if lf.is_zero(1e-14):
-        raise IdenticallyZero("deviation lies in the circle-support space")
-    roots = isolate_sign_changes(lf, domain="half")
-    flexes = [r.value for r in roots if r.direction != 0]
+    flexes = [e.parameter for e in _flexes(sf)]
     i = len(flexes)
     intervals, dropped = a2_double_tangents(sf)
     family, warnings = family_and_warnings(intervals, dropped)
@@ -352,32 +323,23 @@ def theorem_c_certificates(sf: SupportFunction, radius_tol: float = 1e-8,
                            system: LineSystem | None = None) -> list[DCircleCertificate]:
     """Certificates for the three osculating width circles that cross the
     curve exactly twice, both times tangentially, at the clean flexes
-    (found on the system as in clean_flexes)."""
+    (found on the system as in clean_flexes).
+
+    The osculating member at a flex t is the lift's tangent line there,
+    so it meets f only at t and t + pi when that line meets the lift
+    nowhere in (t, t + pi).  Both are tangential crossings: a crossing of f + f''
+    is an odd zero of order at least three of f minus the member."""
     triple = clean_flexes(sf, system)
+    rows, zeros, _ = tangent_line_zeros(sf.lift, triple.points)
     out = []
-    for t in triple.points:
-        phi = osculating_in_am(sf.f, t, 2)
-        b = phi.harmonics[0][1] if phi.harmonics else 0.0
-        c = phi.harmonics[0][2] if phi.harmonics else 0.0
-        circle = DCircle((c, -b), 0.5 * sf.d)
-        res = sf.f - phi
-        roots, comp = _contacts(res)
-        ncomp = len(comp)
-        if ncomp != 2:
-            raise CertificateFailed(
-                "contact", f"flex {t}: {ncomp} contact components")
-        crossings = sum(1 for r in roots if r.direction != 0)
-        if crossings != 2:
-            raise CertificateFailed(
-                "crossing", f"flex {t}: {crossings} sign-changing contacts")
-        h = 1e-4
-        if not (abs(res(t)) <= 1e-9 and abs(res.derivative()(t)) <= 1e-7
-                and res(t - h) * res(t + h) < 0.0):
-            raise CertificateFailed(
-                "tangential", f"flex {t}: contact is not a tangential crossing")
+    for k, t in enumerate(triple.points):
+        if np.any(rows == k):
+            raise CertificateFailed("contact", f"flex {t}: the osculating circle "
+                                    f"meets the curve again at {zeros[rows == k].tolist()}")
         radius = sf.curvature_radius(t)
         if abs(radius - 0.5 * sf.d) > radius_tol:
             raise CertificateFailed(
                 "radius", f"flex {t}: curvature radius {radius} != {0.5 * sf.d}")
-        out.append(DCircleCertificate(t, circle, ncomp, crossings, True, radius))
+        _, b, c = (osculating_in_am(sf.f, t, 2).harmonics or ((1, 0.0, 0.0),))[0]
+        out.append(DCircleCertificate(t, DCircle((c, -b), 0.5 * sf.d), 2, 2, True, radius))
     return out

@@ -340,6 +340,37 @@ def test_l4_config_keeps_the_margin_between_p_and_q():
     assert _l4_config(tab_p, tab_q, 0.5 * MARGIN, MARGIN, math.pi) is None
 
 
+@pytest.mark.parametrize("p_off,q_arc", [
+    # p' inside the 2 * EPS_ANGLE band past Tp - 2 margin, q' at Tp - margin
+    (math.pi - 2 * MARGIN + 1e-10, (math.pi - MARGIN, 0.0)),
+    # p' at Tp - 1.5 margin and a contact arc of q over [Tp - 2 margin, Tp]
+    (math.pi - 1.5 * MARGIN, (math.pi - 2 * MARGIN, 2 * MARGIN)),
+], ids=["in-band", "beyond-band"])
+def test_l4_needs_two_margins_between_p1_and_the_antipode(p_off, q_arc):
+    # only bases 0 and 1 carry a contact beside their own pair.  Without
+    # the test that p' leaves two margins before Tp, _l4_config finds a
+    # configuration in both cases, which l4_reference does not: in the
+    # band q' = p' + margin, within EPS_ANGLE past Tp - margin; beyond
+    # it the q' window is empty, but the arc of q reaches across it, and
+    # q' = p' + margin lies half a margin past Tp - margin
+    n = 16
+
+    def family(ps):
+        sets = []
+        for p in ps:
+            arcs = [Arc(p, 0.0)]
+            k = round(p * n / TWO_PI) % n
+            if k == 0:
+                arcs.append(Arc(p + p_off, 0.0))
+            elif k == 1:
+                arcs.append(Arc(*q_arc))
+            sets.append(CircularSet(arcs + [a.shifted(math.pi) for a in arcs]))
+        return sets, []
+
+    res = l4_both(LineSystem(family), n)
+    assert (res.passed, res.checked) == (True, 0)
+
+
 @st.composite
 def symmetric_families(draw):
     """Grid size and a translation-invariant, antipodally symmetric

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from curvex.errors import IdenticallyZero, NotConvex
+from curvex import width
+from curvex.errors import CertificateFailed, IdenticallyZero, NotConvex
 from curvex.trig import TrigSeries, VectorSeries, cos_series, osculating_in_am, sin_series
 from curvex.width import (
     SupportFunction,
@@ -13,15 +14,20 @@ from curvex.width import (
     curve_point,
     curve_points,
     d_inflections,
-    is_clean_flex,
-    is_positive_clean_flex,
     limiting_function,
     theorem_c_certificates,
 )
 from curvex.census import count_inflections_topological, reduction
-from curvex.sphere import ProjectiveCurve, limiting_circle
+from curvex.sphere import ProjectiveCurve, limiting_circle, tangent_line_zeros, true_inflections
 
 PI3 = math.pi / 3
+FIXTURES = ["sf_sin3", "sf_mix25", "sf_mix4", "sf_mix7"]
+
+
+def is_clean(sf, p):
+    """The osculating circle at p meets the curve only at p and p + pi:
+    the lift's tangent line at p meets it nowhere in (p, p + pi)."""
+    return tangent_line_zeros(sf.lift, [p])[0].size == 0
 
 
 def test_convexity_guard():
@@ -36,6 +42,13 @@ def test_circle_case():
         assert np.linalg.norm(p) == pytest.approx(4.0)
     with pytest.raises(IdenticallyZero):
         d_inflections(sf)
+
+
+def test_translated_circle_fails_its_precondition():
+    # a first-harmonic deviation is a translated circle: every width
+    # circle osculates, which is the input's fault, not the search's
+    with pytest.raises(IdenticallyZero):
+        clean_flexes(SupportFunction(4.0, sin_series(1, 0.5)))
 
 
 def test_curve_point_example(sf_sin3):
@@ -99,17 +112,19 @@ class TestLimitingFunction:
             assert float(np.min(lf.psi(ts) - sf_sin3.f(ts))) >= -1e-8
 
     def test_contact_count_criterion(self, sf_sin3):
+        # two-point contact of the limiting function marks the clean
+        # flexes whose circle supports the curve from the forward side
         for p in (0.0, 2 * PI3, 4 * PI3):
-            assert is_positive_clean_flex(sf_sin3, p)
+            assert len(limiting_function(sf_sin3, p).contact) == 2
         for p in (PI3, math.pi, 5 * PI3, 0.8):
-            assert not is_positive_clean_flex(sf_sin3, p)
+            assert len(limiting_function(sf_sin3, p).contact) != 2
 
     def test_nonclean_point_of_mixed_deviation(self, sf_mix25):
         lf = limiting_function(sf_mix25, 0.45)
         assert len(lf.contact) > 2
 
 
-@pytest.mark.parametrize("fixture", ["sf_sin3", "sf_mix25", "sf_mix4", "sf_mix7"])
+@pytest.mark.parametrize("fixture", FIXTURES)
 def test_limiting_function_is_the_lifts_limiting_circle(fixture, request):
     sf = request.getfixturevalue(fixture)
     lift = ProjectiveCurve(VectorSeries(cos_series(1), sin_series(1), sf.f))
@@ -132,7 +147,7 @@ def test_limiting_function_is_the_lifts_limiting_circle(fixture, request):
 def test_unsigned_clean_flexes_sin3(sf_sin3):
     # every flex of this deviation is clean, of one sign or the other
     for k in range(6):
-        assert is_clean_flex(sf_sin3, k * PI3)
+        assert is_clean(sf_sin3, k * PI3)
 
 
 def test_clean_flexes_locations_and_signs(sf_sin3):
@@ -142,6 +157,21 @@ def test_clean_flexes_locations_and_signs(sf_sin3):
     # difference to the osculant flips sign as stated at each flex
     res = sf_sin3.f - osculating_in_am(sf_sin3.f, 0.0, 2)
     assert res(-0.1) > 0 > res(0.1)
+
+
+def test_clean_flexes_of_mix7(sf_mix7):
+    triple = clean_flexes(sf_mix7)
+    assert triple.points == pytest.approx([0.0, 0.5563627423087762, 2.585229911281017],
+                                          abs=1e-12)
+    assert triple.signs == (-1, +1, -1)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_flexes_are_the_lifts_true_inflections(fixture, request):
+    sf = request.getfixturevalue(fixture)
+    crossings = [e.parameter for e in true_inflections(sf.lift).entries if e.crossing]
+    assert census_fn(sf, additivity_check=False).inflection_points == crossings
+    assert d_inflections(sf) == sorted(crossings + [t + math.pi for t in crossings])
 
 
 class TestA2DoubleTangents:
@@ -222,7 +252,18 @@ class TestCertificates:
         assert len(certs) == 3
         for cert in certs:
             assert (cert.contact_components, cert.crossings) == (2, 2)
-            assert is_clean_flex(sf, cert.flex)
+            assert is_clean(sf, cert.flex)
+
+    def test_non_clean_flex_fails_the_contact_clause(self, sf_mix7, monkeypatch):
+        # the flex at pi/3 is a crossing of f + f'' whose osculating
+        # circle meets the curve again at 5pi/6 and near 3.018
+        assert not is_clean(sf_mix7, PI3)
+        monkeypatch.setattr(width, "three_clean_inflections",
+                            lambda system, **kw: [0.0, PI3, 2.585229911281017])
+        with pytest.raises(CertificateFailed) as err:
+            theorem_c_certificates(sf_mix7)
+        assert err.value.clause == "contact"
+        assert "2.617993" in str(err.value)
 
     def test_circle_centers_match_center_of_curvature(self, sf_sin3):
         for cert in theorem_c_certificates(sf_sin3):
