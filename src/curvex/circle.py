@@ -194,9 +194,10 @@ def admissible_arcs(A: np.ndarray, B: np.ndarray) -> list[Arc | None]:
 
 
 class CircularSet:
-    """A closed subset of the circle: ordered, pairwise-disjoint maximal arcs."""
+    """A closed subset of the circle: ordered, pairwise-disjoint maximal
+    arcs.  Sets are immutable, so a set remembers its last dilation."""
 
-    __slots__ = ("arcs", "period")
+    __slots__ = ("arcs", "period", "_dilation")
 
     def __init__(self, arcs: Sequence[Arc], period: float = TWO_PI, merge_tol: float = EPS_GROUP):
         self.period = period
@@ -264,7 +265,12 @@ class CircularSet:
         return self.shifted(0.5 * self.period)
 
     def dilated(self, eps: float) -> "CircularSet":
-        return CircularSet([a.dilated(eps) for a in self.arcs], self.period)
+        # the slot is set on the first dilation only
+        last = getattr(self, "_dilation", None)
+        if last is None or last[0] != eps:
+            last = self._dilation = (eps, CircularSet([a.dilated(eps) for a in self.arcs],
+                                                      self.period))
+        return last[1]
 
     def intersect_window(self, window: Arc) -> list[Arc]:
         out: list[Arc] = []

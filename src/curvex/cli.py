@@ -358,6 +358,7 @@ def main(argv=None) -> int:
     meta["seconds"] = round(time.time() - started, 3)
     if system is not None:
         meta["contact_warnings"] = dict(sorted(system.warnings.items()))
+        meta["contact_solves"] = dict(system.solves)
     _write_report(args.out_report, report, meta)
     return 0 if ok else 1
 

@@ -56,7 +56,8 @@ class LineSystem:
 
     The map takes a list of bases and returns their contact sets in
     order, with the warnings its solver raised; the system caches the
-    sets by base and counts the warnings by message.
+    sets by base, counts the warnings by message, and counts its calls
+    to the map and the bases they solved.
     """
 
     def __init__(self, contact_fn: Callable[[list[float]], tuple[list[CircularSet], list[str]]],
@@ -66,6 +67,7 @@ class LineSystem:
         self.name = name
         self._cache: dict[float, CircularSet] = {}
         self.warnings: Counter[str] = Counter()
+        self.solves = {"calls": 0, "bases": 0}
 
     def T(self, p: float) -> float:
         return antipode(p, self.period)
@@ -82,6 +84,8 @@ class LineSystem:
             sets, warnings = self._fn(missing)
             self._cache.update(zip(missing, sets))
             self.warnings.update(warnings)
+            self.solves["calls"] += 1
+            self.solves["bases"] += len(missing)
         return [self._cache[k] for k in keys]
 
     def F0(self, p: float) -> Arc:
@@ -572,18 +576,18 @@ def _check_l5(sys, grid, clean_tol):
 def _check_l6(sys, grid, sets, set_tol, margin):
     res = AxiomResult("L6", True, 0)
     period = sys.period
+    pairs = []  # (p, rep): a point of p's base component away from p
     for p in grid:
         comp = sets[p].component_containing(p, MEMBER_TOL)
-        if comp is None:
-            continue
-        for rep in (comp.start, comp.end, comp.midpoint):
-            if circle_dist(rep, p, period) <= margin:
-                continue
-            res.checked += 1
-            if not sys.F(rep).set_equal(sets[p], set_tol):
-                res.passed = False
-                if len(res.witnesses) < 3:
-                    res.witnesses.append({"p": p, "q": rep, "direction": "forward"})
+        if comp is not None:
+            pairs += [(p, rep) for rep in (comp.start, comp.end, comp.midpoint)
+                      if circle_dist(rep, p, period) > margin]
+    for (p, rep), F in zip(pairs, sys.F_many([rep for _, rep in pairs])):
+        res.checked += 1
+        if not F.set_equal(sets[p], set_tol):
+            res.passed = False
+            if len(res.witnesses) < 3:
+                res.witnesses.append({"p": p, "q": rep, "direction": "forward"})
     n = len(grid)
     for i in range(n):
         for j in range(i + 1, min(i + 4, n)):
@@ -601,33 +605,33 @@ def _check_l6(sys, grid, sets, set_tol, margin):
 
 
 def _check_l7(sys, grid, set_tol, bases: int = 6, depth: int = 14):
+    """Closedness along refinement chains p + step0 / 2^d, d = 1 .. depth,
+    from `bases` grid points: a contact tracked down the chain must end
+    in F(p).  The chain bases come from the system in two blocks, the
+    first depth of every chain and then the rest of the chains that
+    find a contact to track there."""
     res = AxiomResult("L7", True, 0)
     period = sys.period
     step0 = period / 16.0
-    for k in range(bases):
-        p = grid[(k * len(grid)) // bases]
-        s_prev = None
-        ok_chain = True
-        for d in range(1, depth + 1):
-            pk = canonical(p + step0 * 0.5 ** d, period)
-            Fk = sys.F(pk)
-            tp = sys.T(pk)
-            if s_prev is None:
-                # track a contact away from both base components, so the
-                # check is not trivially satisfied by p or Tp themselves
-                mids = [c.midpoint for c in Fk.components()
-                        if circle_dist(c.midpoint, pk, period) > 0.1
-                        and circle_dist(c.midpoint, tp, period) > 0.1]
-                if not mids:
-                    ok_chain = False
-                    break
-                s_prev = mids[0]
-            else:
-                mids = [c.midpoint for c in Fk.components()]
-                mids.sort(key=lambda m: circle_dist(m, s_prev, period))
-                s_prev = mids[0]
-        if not ok_chain or s_prev is None:
-            continue
+    starts = [grid[(k * len(grid)) // bases] for k in range(bases)]
+    chains = [[canonical(p + step0 * 0.5 ** d, period) for d in range(1, depth + 1)]
+              for p in starts]
+    tracked = []
+    for chain, F1 in zip(chains, sys.F_many([c[0] for c in chains])):
+        # track a contact away from both base components, so the check
+        # is not trivially satisfied by p or Tp themselves
+        tp = sys.T(chain[0])
+        tracked.append(next((c.midpoint for c in F1.components()
+                             if circle_dist(c.midpoint, chain[0], period) > 0.1
+                             and circle_dist(c.midpoint, tp, period) > 0.1), None))
+    live = [k for k, s in enumerate(tracked) if s is not None]
+    deeper = iter(sys.F_many([pk for k in live for pk in chains[k][1:]]))
+    for k in live:
+        s_prev = tracked[k]
+        for _ in chains[k][1:]:
+            s_prev = min((c.midpoint for c in next(deeper).components()),
+                         key=lambda m: circle_dist(m, s_prev, period))
+        p = starts[k]
         res.checked += 1
         if sys.F(p).distance_to(s_prev) > 10.0 * set_tol:
             res.passed = False

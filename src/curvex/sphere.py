@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -198,12 +198,36 @@ class ContactData:
     warnings: tuple[str, ...] = ()
 
 
+@lru_cache(maxsize=64)
+def _shift_table(ks: tuple[int, ...], n_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(k s) and sin(k s) at the offsets s = arc_offsets(n_s), one
+    row per harmonic k of ks."""
+    ks_s = np.array(ks, dtype=float)[:, None] * arc_offsets(n_s)
+    C, S = np.cos(ks_s), np.sin(ks_s)
+    C.flags.writeable = S.flags.writeable = False  # shared by every caller
+    return C, S
+
+
+def _shifted(s: TrigSeries, ts: np.ndarray, n_s: int) -> np.ndarray:
+    """s(t + arc_offsets(n_s)) for each base t, as (n, m) rows, by the
+    shift identity a cos k(t+s) + b sin k(t+s) =
+    (a cos kt + b sin kt) cos ks + (b cos kt - a sin kt) sin ks: each base
+    needs only its rotated coefficients, times one fixed table."""
+    C, S = _shift_table(tuple(k for k, _, _ in s.harmonics), n_s)
+    out = np.full((len(ts), C.shape[1]), s.constant)
+    for (k, a, b), c, sn in zip(s.harmonics, C, S):
+        ckt, skt = np.cos(k * ts)[:, None], np.sin(k * ts)[:, None]
+        out += (a * ckt + b * skt) * c + (b * ckt - a * skt) * sn
+    return out
+
+
 def _side_samples(curve: ProjectiveCurve, ts: np.ndarray,
                   frames: tuple[np.ndarray, np.ndarray], n_s: int):
     """Normalized side values A = nu . F / |F| and B = that . F / |F| of
     each base's frame normals at the offsets arc_offsets(n_s) along its
-    open forward arc (t, t + pi), as (n, m) rows."""
-    P = curve.F.eval_many(ts[:, None] + arc_offsets(n_s))
+    open forward arc (t, t + pi), as (n, m) rows.  Every step is
+    elementwise in the bases."""
+    P = np.stack([_shifted(c, ts, n_s) for c in curve.F.components], axis=-1)
     r = np.sqrt(_dot3(P, P))
     nu, that = frames
     return _dot3(nu[:, None], P) / r, _dot3(that[:, None], P) / r

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .circle import CircularSet, TWO_PI, canonical
-from .errors import CertificateFailed, IdenticallyZero, NotConvex
+from .errors import CertificateFailed, IdenticallyZero, LineCurve, NotConvex
 from .census import (
     CensusReport,
     DoubleTangentInterval,
@@ -95,11 +95,15 @@ def curve_points(sf: SupportFunction, ts: np.ndarray) -> np.ndarray:
 
 def _flexes(sf: SupportFunction) -> list[InflectionEntry]:
     """The crossings on [0, pi) of the lift's inflection indicator
-    det(F, F', F''), which for F = (cos t, sin t, f) is f + f''."""
-    if apply_flex_operator(sf.f, 2).is_zero(1e-14):
+    det(F, F', F''), which for F = (cos t, sin t, f) is f + f''.  When
+    that indicator vanishes, the lift lies on a line and f on the
+    circle-support space."""
+    try:
+        entries = true_inflections(sf.lift).entries
+    except LineCurve:
         raise IdenticallyZero("deviation lies in the circle-support space; "
-                              "every width circle osculates")
-    return [e for e in true_inflections(sf.lift).entries if e.crossing]
+                              "every width circle osculates") from None
+    return [e for e in entries if e.crossing]
 
 
 def d_inflections(sf: SupportFunction) -> list[float]:

@@ -15,6 +15,9 @@ SPHERE_SIN3 = {
     "z": {"parity": "antiperiodic", "constant": 0.0, "harmonics": [[3, 0.0, 0.1]]},
 }
 
+CURVE7 = dict(SPHERE_SIN3, z={"parity": "antiperiodic", "constant": 0.0,
+                             "harmonics": [[3, 0.0, 0.05], [5, 0.0, 0.05], [7, 0.0, 0.025]]})
+
 
 def write_input(tmp_path, payload, name="in.json"):
     path = tmp_path / name
@@ -75,6 +78,16 @@ def test_axioms_sidecar_times_each_axiom(tmp_path):
     l4 = next(r for r in data["axioms"] if r["axiom"] == "L4")
     assert meta["l4_configurations"] == {"tried": 448, "checked": l4["checked"]}
     assert "axiom_seconds" not in data and "l4_configurations" not in data
+
+
+def test_axioms_sidecar_counts_contact_solves(tmp_path):
+    # the 256 grid bases in one call; L6 reads no base off the grid here,
+    # and the first four depths of the L7 chains are grid bases, so the
+    # other 10 depths of all 6 chains come in one more call
+    code, _ = run(tmp_path, CURVE7, "axioms")
+    meta = json.loads((tmp_path / "report.json.meta.json").read_text())
+    assert code == 0
+    assert meta["contact_solves"] == {"calls": 2, "bases": 256 + 6 * 10}
 
 
 def test_theorem_c_mode(tmp_path):
@@ -174,6 +187,7 @@ def test_contact_warnings_reach_the_sidecar(tmp_path, monkeypatch, payload, mode
         main(["--input", write_input(tmp_path / sub, payload), "--mode", mode,
               "--axiom-grid", "32", "--out-report", str(report)])
         meta = json.loads((tmp_path / sub / "report.json.meta.json").read_text())
+        assert meta["contact_solves"]["bases"] >= meta["contact_solves"]["calls"] > 0
         return report.read_bytes(), meta["contact_warnings"]
 
     clean_report, clean = sidecar("clean")

@@ -15,7 +15,9 @@ from curvex.circle import (
     forward_gap,
 )
 from curvex.errors import EmptyIntersection, EmptyY, PreconditionFailed
+from curvex import linesys, width
 from curvex.linesys import (
+    MEMBER_TOL,
     AdmissibleInterval,
     AxiomResult,
     LineSystem,
@@ -30,6 +32,7 @@ from curvex.linesys import (
     three_clean_inflections,
     validate_admissible,
 )
+from curvex.sphere import contact_map
 
 FLEX3 = [k * math.pi / 3 for k in range(6)]
 
@@ -226,6 +229,113 @@ def test_sphere_and_width_systems_agree(sys3):
     wsys = contact_system(SupportFunction(2.0, sin_series(3, 0.1)))
     for p in (0.0, math.pi / 3, 0.8, 2.6):
         assert sys3.F(p).set_equal(wsys.F(p), 1e-6), p
+
+
+def l6_lazy(sys, grid, sets, set_tol, margin):
+    """The component axiom with one contact-map call per base it reads."""
+    res = AxiomResult("L6", True, 0)
+    period = sys.period
+    for p in grid:
+        comp = sets[p].component_containing(p, MEMBER_TOL)
+        if comp is None:
+            continue
+        for rep in (comp.start, comp.end, comp.midpoint):
+            if circle_dist(rep, p, period) <= margin:
+                continue
+            res.checked += 1
+            if not sys.F(rep).set_equal(sets[p], set_tol):
+                res.passed = False
+                if len(res.witnesses) < 3:
+                    res.witnesses.append({"p": p, "q": rep, "direction": "forward"})
+    n = len(grid)
+    for i in range(n):
+        for j in range(i + 1, min(i + 4, n)):
+            p, q = grid[i], grid[j]
+            if circle_dist(p, q, period) <= margin:
+                continue
+            if sets[p].set_equal(sets[q], set_tol):
+                res.checked += 1
+                comp = sets[p].component_containing(p, MEMBER_TOL)
+                if comp is None or not comp.contains(q, set_tol):
+                    res.passed = False
+                    if len(res.witnesses) < 3:
+                        res.witnesses.append({"p": p, "q": q, "direction": "reverse"})
+    return res
+
+
+def l7_lazy(sys, grid, set_tol, bases=6, depth=14):
+    """The closedness axiom walking each chain base by base, stopping a
+    chain at depth 1 when it finds no contact to track."""
+    res = AxiomResult("L7", True, 0)
+    period = sys.period
+    step0 = period / 16.0
+    for k in range(bases):
+        p = grid[(k * len(grid)) // bases]
+        s_prev = None
+        for d in range(1, depth + 1):
+            pk = canonical(p + step0 * 0.5 ** d, period)
+            Fk = sys.F(pk)
+            tp = sys.T(pk)
+            if s_prev is None:
+                mids = [c.midpoint for c in Fk.components()
+                        if circle_dist(c.midpoint, pk, period) > 0.1
+                        and circle_dist(c.midpoint, tp, period) > 0.1]
+                if not mids:
+                    break
+                s_prev = mids[0]
+            else:
+                mids = [c.midpoint for c in Fk.components()]
+                mids.sort(key=lambda m: circle_dist(m, s_prev, period))
+                s_prev = mids[0]
+        if s_prev is None:
+            continue
+        res.checked += 1
+        if sys.F(p).distance_to(s_prev) > 10.0 * set_tol:
+            res.passed = False
+            res.witnesses.append({"p": p, "limit": s_prev,
+                                  "dist": sys.F(p).distance_to(s_prev)})
+    return res
+
+
+def one_base_per_call(fn):
+    def solve(ps):
+        out = [fn([p]) for p in ps]
+        return [s for sets, _ in out for s in sets], [w for _, ws in out for w in ws]
+    return solve
+
+
+def patchy(ps):
+    # base components of positive length, so that L6 reads bases off the
+    # grid, and a far contact on part of the circle only, so that some
+    # L7 chains stop at depth 1
+    sets = []
+    for p in ps:
+        arcs = [Arc(p - 0.01, 0.03)] + ([Arc.point(p + 1.0)] if math.sin(3 * p) > 0 else [])
+        sets.append(CircularSet(arcs + [a.shifted(math.pi) for a in arcs]))
+    return sets, []
+
+
+@pytest.mark.parametrize("case", ["curve7", "sf_mix7", "patchy"])
+def test_prefetch_solves_what_the_lazy_path_solves(case, request, monkeypatch):
+    if case == "patchy":
+        fn = patchy
+    else:
+        obj = request.getfixturevalue(case)
+        fn = contact_map(obj) if case.startswith("curve") else width.contact_map(obj)
+    blocked = LineSystem(fn)
+    report = check_axioms(blocked).to_json()
+    monkeypatch.setattr(linesys, "_check_l6", l6_lazy)
+    monkeypatch.setattr(linesys, "_check_l7", l7_lazy)
+    lazy = LineSystem(one_base_per_call(fn))
+    assert check_axioms(lazy).to_json() == report
+    assert blocked._cache.keys() == lazy._cache.keys()
+    assert all(blocked._cache[k].arcs == lazy._cache[k].arcs for k in lazy._cache)
+    assert blocked.solves["bases"] == lazy.solves["bases"] == len(lazy._cache)
+    # the grid, the bases of L6, then the first depth and the rest of L7
+    assert blocked.solves["calls"] <= 4
+    if case == "patchy":
+        by_name = {r["axiom"]: r for r in report["axioms"]}
+        assert by_name["L6"]["checked"] > 0 and 0 < by_name["L7"]["checked"] < 6
 
 
 def test_reversed_system_view(sys3):

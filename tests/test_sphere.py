@@ -13,15 +13,25 @@ from curvex.sphere import (
     EPS_CONTACT,
     FALLBACK,
     ProjectiveCurve,
+    _dot3,
     _interior_zeros,
     _limits,
+    _side_samples,
     admissible_normal_arc,
     inflection_indicator,
     limiting_circle,
     normal_direction,
     true_inflections,
 )
-from curvex.trig import ANTIPERIODIC, TrigSeries, VectorSeries, cos_series, roots, sin_series
+from curvex.trig import (
+    ANTIPERIODIC,
+    TrigSeries,
+    VectorSeries,
+    arc_offsets,
+    cos_series,
+    roots,
+    sin_series,
+)
 
 
 def make_curve(g):
@@ -193,6 +203,27 @@ def test_batched_limits_equal_single_solves(fixture, request):
         assert (cd.theta, cd.tangent_at_base, cd.touches, cd.warnings) == \
             (one.theta, one.tangent_at_base, one.touches, one.warnings)
         assert cd.contact.arcs == one.contact.arcs
+
+
+@pytest.mark.parametrize("n_s", [256, 512, 1024])
+@pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7", "mixed"])
+def test_side_samples_match_direct_evaluation(fixture, n_s, request):
+    # the shift-identity table against F evaluated at t + s directly; the
+    # components of "mixed" carry different harmonic sets
+    if fixture == "mixed":
+        curve = ProjectiveCurve(VectorSeries(cos_series(1) + sin_series(3, 0.2),
+                                             sin_series(1),
+                                             cos_series(5, 0.1) + sin_series(7, 0.05)))
+    else:
+        curve = request.getfixturevalue(fixture)
+    ts = np.linspace(0.0, TWO_PI, 64, endpoint=False) + 0.3
+    nu, that = curve.frames(ts)
+    A, B = _side_samples(curve, ts, (nu, that), n_s)
+    P = curve.F.eval_many(ts[:, None] + arc_offsets(n_s))
+    r = np.sqrt(_dot3(P, P))
+    ulp = np.finfo(float).eps  # side values lie in [-1, 1]
+    np.testing.assert_allclose(A, _dot3(nu[:, None], P) / r, rtol=0, atol=8 * ulp)
+    np.testing.assert_allclose(B, _dot3(that[:, None], P) / r, rtol=0, atol=8 * ulp)
 
 
 def test_curve7_base_tangent_at_zero(curve7):

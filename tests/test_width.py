@@ -51,6 +51,16 @@ def test_translated_circle_fails_its_precondition():
         clean_flexes(SupportFunction(4.0, sin_series(1, 0.5)))
 
 
+@pytest.mark.parametrize("call", [d_inflections, census_fn])
+def test_near_circle_offset_is_identically_zero(call):
+    # f + f'' = -8e-13 sin 3t lies below the lift's line-curve threshold
+    # (1e-12 times the cube of its largest coefficient), which is the
+    # one test of a circle offset for every width mode
+    sf = SupportFunction(4.0, sin_series(1) + sin_series(3, 1e-13))
+    with pytest.raises(IdenticallyZero, match="circle-support space"):
+        call(sf)
+
+
 def test_curve_point_example(sf_sin3):
     assert curve_point(sf_sin3, 0.0) == pytest.approx([3.0, -10.0])
 
