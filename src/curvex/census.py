@@ -33,6 +33,7 @@ from .errors import DegenerateChord, LineCurve, SelfIntersection
 from .sphere import (
     EPS_NORM,
     ProjectiveCurve,
+    _cross3,
     admissible_normal_arc,
     nearest_inflection,
     normal_direction,
@@ -44,6 +45,8 @@ from .trig import newton2
 NEWTON_RESIDUAL = 1e-11
 DEDUPE_TOL = 1e-6
 OFF_CHORD_MIN = 1e-7
+PROBE_SAMPLES = 256  # side samples of a chord's transversal probe
+OFF_CHORD_SAMPLES = 257  # arc samples tested against a candidate's chord
 ESCAPE_BLOCK = 32  # tangent circles per block of the topological count
 
 
@@ -61,7 +64,7 @@ class Chord:
     @property
     def turn(self) -> float:
         """Signed rotation angle from pa to pb about the normal."""
-        ang = math.atan2(float(np.dot(self.normal, np.cross(self.pa, self.pb))),
+        ang = math.atan2(float(np.dot(self.normal, _cross3(self.pa, self.pb))),
                          float(np.dot(self.pa, self.pb)))
         if self.long_way:
             ang -= math.copysign(TWO_PI, ang)
@@ -70,49 +73,57 @@ class Chord:
     def point(self, frac: float) -> np.ndarray:
         """Point at the given fraction of the way from pa to pb."""
         ang = self.turn * frac
-        axis_part = np.cross(self.normal, self.pa)
+        axis_part = _cross3(self.normal, self.pa)
         return self.pa * math.cos(ang) + axis_part * math.sin(ang)
 
     def points(self, fracs: np.ndarray) -> np.ndarray:
         """Points at an array of fractions, as rows; agrees with point."""
         ang = self.turn * np.asarray(fracs, dtype=float)[..., None]
-        axis_part = np.cross(self.normal, self.pa)
+        axis_part = _cross3(self.normal, self.pa)
         return self.pa * np.cos(ang) + axis_part * np.sin(ang)
 
     def position_of(self, u: np.ndarray) -> float:
         """Fraction along the chord of a point assumed to lie on it."""
-        ang = math.atan2(float(np.dot(self.normal, np.cross(self.pa, u))),
+        ang = math.atan2(float(np.dot(self.normal, _cross3(self.pa, u))),
                          float(np.dot(self.pa, u)))
         return ang / self.turn
 
 
-def chord(curve: ProjectiveCurve, a: float, b: float) -> Chord:
+def chord(curve: ProjectiveCurve, a: float, b: float, probe) -> Chord:
     """The chord between two curve parameters, choosing the segment that
     stays inside one affine chart (tested with a transversal line at a
-    point of the complementary arc)."""
+    point of the complementary arc).  probe is the (arc, frame) of
+    chord_probes for (a, b)."""
     pa, pb = curve.lift(a), curve.lift(b)
-    cr = np.cross(pa, pb)
+    cr = _cross3(pa, pb)
     ncr = float(np.linalg.norm(cr))
     if ncr < EPS_NORM:
         raise DegenerateChord(f"curve points at {a} and {b} are (anti)aligned")
     normal = cr / ncr
-    c = canonical(b + 0.5 * forward_gap(b, a + math.pi))
-    arc, frame = admissible_normal_arc(curve, c, n_s=256)
+    arc, frame = probe
     long_way = False
     if arc is not None:
         n_c = normal_direction(frame, arc.midpoint)
-        x = np.cross(normal, n_c)
+        x = _cross3(normal, n_c)
         nx = float(np.linalg.norm(x))
         if nx > EPS_NORM:
             x /= nx
-            probe = Chord(a, b, pa, pb, normal)
+            short = Chord(a, b, pa, pb, normal)
             for cand in (x, -x):
-                frac = probe.position_of(cand)
+                frac = short.position_of(cand)
                 if 1e-9 < frac < 1.0 - 1e-9 and \
                         abs(float(np.dot(cand, normal))) < 1e-9:
                     long_way = True
                     break
     return Chord(a, b, pa, pb, normal, long_way)
+
+
+def chord_probes(curve: ProjectiveCurve, ends) -> list:
+    """The probe chord takes for each pair (a, b) of ends: the
+    admissible normal arc, with its frame, in the middle of the
+    complementary arc (b, a + pi), from one call for all pairs."""
+    ts = [canonical(b + 0.5 * forward_gap(b, a + math.pi)) for a, b in ends]
+    return admissible_normal_arc(curve, np.array(ts), n_s=PROBE_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -137,7 +148,8 @@ class ReducedCurve:
         self.gap = forward_gap(a, b)
         if not 0.0 < self.gap < math.pi:
             raise ValueError("replaced interval must be shorter than a half period")
-        self.chord = chord(base, self.a, canonical(b))
+        ends = (self.a, canonical(b))
+        self.chord = chord(base, *ends, chord_probes(base, [ends])[0])
         if check_simple:
             self._assert_simple()
 
@@ -204,7 +216,7 @@ def count_inflections_topological(unit_many, n_grid: int = 2048,
     U = unit_many(ts)
     T = unit_many(ts + fd_step) - unit_many(ts - fd_step)
     T /= np.linalg.norm(T, axis=1)[:, None]
-    N = np.cross(U, T)
+    N = _cross3(U, T)
     nn = np.linalg.norm(N, axis=1)
     if np.min(nn) < EPS_NORM:
         raise LineCurve("degenerate tangent frame")
@@ -242,7 +254,7 @@ def anti_convexity_grid_test(unit_many, n_base: int = 128, n_arc: int = 1024,
         tv = unit_many(np.array([t + fd_step]))[0] - unit_many(np.array([t - fd_step]))[0]
         tv = tv - u * float(np.dot(u, tv))
         tv /= np.linalg.norm(tv)
-        nu = np.cross(u, tv)
+        nu = _cross3(u, tv)
         arc_ts = t + np.linspace(1e-3, math.pi - 1e-3, n_arc)
         P = unit_many(arc_ts)
         if admissible_angles(P @ nu, P @ tv) is None:
@@ -272,14 +284,14 @@ def _tangency_system(curve: ProjectiveCurve):
 
     def system(a, b):
         fa = F.eval_many(a)
-        n = np.cross(fa, F1.eval_many(a))
+        n = _cross3(fa, F1.eval_many(a))
         fb, f1b = F.eval_many(b), F1.eval_many(b)
         r1, r2 = _rowdot(n, fb), _rowdot(n, f1b)
         scale = np.sqrt(_rowdot(n, n)) * np.sqrt(_rowdot(fb, fb))
         done = (np.abs(r1) + np.abs(r2)) / scale < NEWTON_RESIDUAL
         run = ~done
         n, fb, f1b, r1, r2 = n[run], fb[run], f1b[run], r1[run], r2[run]
-        dn = np.cross(fa[run], F2.eval_many(a[run]))
+        dn = _cross3(fa[run], F2.eval_many(a[run]))
         J = np.empty((len(r1), 2, 2))
         J[:, 0, 0] = _rowdot(dn, fb)
         J[:, 0, 1] = r2
@@ -336,25 +348,32 @@ def _side_sign(curve: ProjectiveCurve, normal: np.ndarray, t: float,
     return 0.0
 
 
-def _passes_filters(curve: ProjectiveCurve, a: float, b: float) -> Chord | None:
+def _arc_samples(a, b) -> np.ndarray:
+    """OFF_CHORD_SAMPLES parameters evenly spaced from a to b; one row
+    per entry when a and b are columns."""
+    return a + np.linspace(0.0, 1.0, OFF_CHORD_SAMPLES) * (b - a)
+
+
+def _passes_filters(curve: ProjectiveCurve, a: float, b: float, probe,
+                    samples: np.ndarray) -> Chord | None:
     """Conditions beyond tangency: some arc point off the chord, the arc
     locally on the same side at both ends, and coherent tangent
-    directions along the chord."""
+    directions along the chord.  probe goes to chord; samples are the
+    lifted _arc_samples(a, b)."""
     try:
-        ch = chord(curve, a, b)
+        ch = chord(curve, a, b, probe)
     except DegenerateChord:
         return None
     n = ch.normal
-    ss = a + np.linspace(0.0, 1.0, 257) * (b - a)
-    off = np.max(np.abs(curve.lift_many(ss) @ n))
+    off = np.max(np.abs(samples @ n))
     if off <= OFF_CHORD_MIN:
         return None
     sa = _side_sign(curve, n, a, -1.0)
     sb = _side_sign(curve, n, b, +1.0)
     if sa == 0.0 or sa != sb:
         return None
-    da = np.cross(n, curve.lift(a))
-    db = np.cross(n, curve.lift(b))
+    da = _cross3(n, curve.lift(a))
+    db = _cross3(n, curve.lift(b))
     ta = float(np.dot(da, curve.F1(a)))
     tb = float(np.dot(db, curve.F1(b)))
     if ta * tb <= 0.0:
@@ -374,7 +393,9 @@ def detect_double_tangents(curve: ProjectiveCurve, n_a: int = 512,
     both, each zero and each midpoint of adjacent zeros seeds newton2,
     also transposed as (b, a + pi): from its other end a double tangent
     is seen even where a second fold in the same base step hides it.
-    Converged pairs are deduplicated and pushed through the filters.
+    Converged pairs are deduplicated and pushed through the filters,
+    with the chord probes and the off-chord samples of every pair found
+    in one call each.
     """
     agrid = np.linspace(0.0, math.pi, n_a, endpoint=False)
     rows, zeros, mult = tangent_line_zeros(curve, agrid)
@@ -388,12 +409,19 @@ def detect_double_tangents(curve: ProjectiveCurve, n_a: int = 512,
                                    np.concatenate([b0, a0 + math.pi]),
                                    _tangency_system(curve), margin)
     intervals = []
-    for a, gap in found:
-        ch = _passes_filters(curve, a, a + gap)
+    if not found:
+        return DetectionResult(intervals, dropped)
+    a = np.array([x for x, _ in found])
+    b = a + np.array([gap for _, gap in found])
+    ends = list(zip(a.tolist(), b.tolist()))
+    probes = chord_probes(curve, ends)
+    samples = curve.lift_many(_arc_samples(a[:, None], b[:, None]).ravel())
+    for (x, y), probe, lifted in zip(ends, probes, samples.reshape(len(ends), -1, 3)):
+        ch = _passes_filters(curve, x, y, probe, lifted)
         if ch is None:
             dropped += 1
             continue
-        intervals.append(DoubleTangentInterval(a, a + gap, ch))
+        intervals.append(DoubleTangentInterval(x, y, ch))
     return DetectionResult(intervals, dropped)
 
 

@@ -46,6 +46,12 @@ BISECT_CAP = 200
 EPS_SEARCH = 1e-9
 
 
+def _reversed_base(key: float, period: float) -> float:
+    """The base of the system read by LineSystem.reversed for the key of
+    the reversed system."""
+    return canonical(-key, period)
+
+
 def _reflected_set(s: CircularSet) -> CircularSet:
     return CircularSet([Arc(-a.end, a.length, s.period) for a in s.arcs],
                        s.period, merge_tol=0.0)
@@ -72,13 +78,17 @@ class LineSystem:
     def T(self, p: float) -> float:
         return antipode(p, self.period)
 
+    def _key(self, p: float) -> float:
+        """The base under which F(p) is solved and cached."""
+        return round(canonical(p, self.period), 12)
+
     def F(self, p: float) -> CircularSet:
         return self.F_many([p])[0]
 
     def F_many(self, ps) -> list[CircularSet]:
         """F at every base of ps; the bases not cached yet go to the
         contact map in one call."""
-        keys = [round(canonical(p, self.period), 12) for p in ps]
+        keys = [self._key(p) for p in ps]
         missing = list(dict.fromkeys(k for k in keys if k not in self._cache))
         if missing:
             sets, warnings = self._fn(missing)
@@ -91,10 +101,7 @@ class LineSystem:
     def F0(self, p: float) -> Arc:
         """The component of F(p) containing p."""
         p = canonical(p, self.period)
-        comp = self.F(p).component_containing(p, tol=MEMBER_TOL)
-        if comp is None:
-            raise AxiomViolation("L1", f"p={p} not in its own contact set")
-        return comp
+        return _own_component(self.F(p), p)
 
     def is_positive_clean(self, p: float, tol: float = CLEAN_TOL) -> bool:
         """Whether the projected contact set equals its base component."""
@@ -119,13 +126,37 @@ class LineSystem:
         period = self.period
 
         def rev_fn(ps):
-            sets = self.F_many([canonical(-p, period) for p in ps])
+            sets = self.F_many([_reversed_base(p, period) for p in ps])
             return [_reflected_set(s) for s in sets], []
 
         return LineSystem(rev_fn, period, name=f"{self.name}~rev")
 
 
 # -- clean-point search ----------------------------------------------------
+
+
+def _own_component(F: CircularSet, p: float) -> Arc:
+    """The component of the contact set F of p containing p."""
+    comp = F.component_containing(p, tol=MEMBER_TOL)
+    if comp is None:
+        raise AxiomViolation("L1", f"p={p} not in its own contact set")
+    return comp
+
+
+# A clean-point search is a generator: it yields each base whose contact
+# set it needs next and is sent that set back, and it returns the clean
+# point.  _run reads the bases of one search through LineSystem.F;
+# three_clean_inflections runs two searches in lockstep.
+
+
+def _run(sys: LineSystem, search):
+    """The result of one search, its bases read through sys.F."""
+    try:
+        p = next(search)
+        while True:
+            p = search.send(sys.F(p))
+    except StopIteration as done:
+        return done.value
 
 
 def find_clean_inflection(sys: LineSystem, p: float, q: float, *,
@@ -139,13 +170,20 @@ def find_clean_inflection(sys: LineSystem, p: float, q: float, *,
     interval by a half bracketed between a point of the midpoint's base
     component and a witness of its non-cleanliness.
     """
-    period = sys.period
+    return _run(sys, _halving(p, q, sys.period, eps_search=eps_search,
+                              clean_tol=clean_tol, max_iter=max_iter))
+
+
+def _halving(p, q, period, *, eps_search=EPS_SEARCH, clean_tol=CLEAN_TOL,
+             max_iter=BISECT_CAP):
+    """The search of find_clean_inflection."""
     p, q = canonical(p, period), canonical(q, period)
-    if not cyclic_between(p, q, sys.T(p), period):
+    if not cyclic_between(p, q, antipode(p, period), period):
         raise PreconditionFailed(f"q={q} not strictly inside (p, Tp) for p={p}")
-    if not sys.F(p).contains(q, MEMBER_TOL):
+    Fp = yield p
+    if not Fp.contains(q, MEMBER_TOL):
         raise PreconditionFailed(f"q={q} is not a contact of p={p}")
-    base = sys.F0(p)
+    base = _own_component(Fp, p)
     fwd = forward_gap(p, base.end, period)
     if base.contains(q, MEMBER_TOL) or \
             MEMBER_TOL < fwd < forward_gap(p, q, period) - MEMBER_TOL:
@@ -156,11 +194,11 @@ def find_clean_inflection(sys: LineSystem, p: float, q: float, *,
         if forward_gap(lo, hi, period) < eps_search:
             return cyclic_midpoint(lo, hi, period)
         r = cyclic_midpoint(lo, hi, period)
-        Fr = sys.F(r)
-        F0r = CircularSet([sys.F0(r)], period)
+        Fr = yield r
+        F0r = CircularSet([_own_component(Fr, r)], period)
         if Fr.project_half().contained_in(F0r.project_half(), clean_tol):
             return r
-        q1 = _noncleanness_witness(sys, r, Fr, F0r, lo, hi, clean_tol)
+        q1 = _noncleanness_witness(period, Fr, F0r, lo, hi, clean_tol)
         if q1 is None:
             return r
         window = Arc.from_endpoints(lo, hi, period)
@@ -181,7 +219,7 @@ def find_clean_inflection(sys: LineSystem, p: float, q: float, *,
     raise SearchFailed(f"no clean point located within {max_iter} halvings")
 
 
-def _noncleanness_witness(sys, r, Fr, F0r, lo, hi, clean_tol):
+def _noncleanness_witness(period, Fr, F0r, lo, hi, clean_tol):
     """A contact of r, projectively away from r's base component, placed
     inside the current interval."""
     base_proj = F0r.project_half()
@@ -195,8 +233,8 @@ def _noncleanness_witness(sys, r, Fr, F0r, lo, hi, clean_tol):
         return None
     cands.sort(reverse=True)
     for _, mid in cands:
-        for rep in (mid, antipode(mid, sys.period)):
-            if cyclic_between(lo, rep, hi, sys.period):
+        for rep in (mid, antipode(mid, period)):
+            if cyclic_between(lo, rep, hi, period):
                 return rep
     raise NoConvergence(
         "non-clean witness escaped the bracketing interval (containment failed)")
@@ -208,26 +246,99 @@ def clean_point_between(sys: LineSystem, base: float, contact: float, **kw) -> f
     Handles both sides of the base point; the backward side runs the
     forward search on the orientation-reversed system.
     """
+    rev, search = _search_between(sys, base, contact, **kw)
+    if not rev:
+        return _run(sys, search)
+    return canonical(-_run(sys.reversed(), search), sys.period)
+
+
+def _search_between(sys, base, contact, **kw):
+    """(rev, search) for clean_point_between: the search runs on the
+    reversed system, between the reflected points, when rev is true."""
     period = sys.period
     base, contact = canonical(base, period), canonical(contact, period)
-    if cyclic_between(base, contact, sys.T(base), period):
-        window = Arc.from_endpoints(base, contact, period)
+    rev = not cyclic_between(base, contact, sys.T(base), period)
+    if rev:
+        base, contact = canonical(-base, period), canonical(-contact, period)
+    return rev, _forward_search(base, contact, period, **kw)
+
+
+def _forward_search(base, contact, period, **kw):
+    """Halving from the far end of base's own component towards the
+    contact, which lies in the forward half window of base."""
+    Fb = yield base
+    window = Arc.from_endpoints(base, contact, period)
+    try:
+        p1 = CircularSet([_own_component(Fb, base)], period).extremum_in_window(
+            window, "sup")
+    except EmptyIntersection:
+        p1 = base
+    return (yield from _halving(p1, contact, period, **kw))
+
+
+def _lockstep(sys: LineSystem, searches) -> list[float]:
+    """The results of (rev, search) pairs of _search_between, run side
+    by side: each step sends the bases all live searches ask for to
+    sys.F_many in one call.  A reversed search's base p is read as
+    LineSystem.reversed reads it: the reflection of the set at the
+    reversed base of p's key.
+
+    A failure raises what the searches run one after the other would
+    raise: the error of the first search, in list order, that fails.
+    The searches after a failed one stop; the bases they solved before
+    it failed stay solved."""
+    period = sys.period
+    out, errors = [0.0] * len(searches), {}
+    sent = dict.fromkeys(range(len(searches)))  # None starts a search
+    while True:
+        asked = {}
+        for i, F in sent.items():
+            rev, search = searches[i]
+            try:
+                asked[i] = search.send(_reflected_set(F) if rev and F is not None else F)
+            except StopIteration as done:
+                out[i] = canonical(-done.value, period) if rev else done.value
+            except Exception as err:  # raised below unless an earlier search fails
+                errors[i] = err
+        if errors:
+            asked = {i: p for i, p in asked.items() if i < min(errors)}
+        if not asked:
+            break
+        sent = _read(sys, {i: _reversed_base(sys._key(p), period) if searches[i][0] else p
+                           for i, p in asked.items()}, errors)
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
+def _read(sys: LineSystem, bases: dict, errors: dict) -> dict:
+    """F at the bases of {search: base} in one call; when that call
+    fails, base by base in order, up to the first base that fails, whose
+    error becomes its search's."""
+    try:
+        return dict(zip(bases, sys.F_many(list(bases.values()))))
+    except Exception as err:
+        if len(bases) == 1:
+            errors[next(iter(bases))] = err
+            return {}
+    sets = {}
+    for i, p in bases.items():
         try:
-            p1 = CircularSet([sys.F0(base)], period).extremum_in_window(window, "sup")
-        except EmptyIntersection:
-            p1 = base
-        return find_clean_inflection(sys, p1, contact, **kw)
-    rsys = sys.reversed()
-    s = clean_point_between(rsys, canonical(-base, period),
-                            canonical(-contact, period), **kw)
-    return canonical(-s, period)
+            sets[i] = sys.F(p)
+        except Exception as err:
+            errors[i] = err
+            break
+    return sets
 
 
 def three_clean_inflections(sys: LineSystem, *, scan: int = 64,
                             clean_tol: float = CLEAN_TOL,
                             **kw) -> tuple[float, float, float]:
     """Three positive clean points s1, s2, s3 with s2 in (s1, Ts1),
-    s3 in (Ts1, s1) and mutually disjoint contact sets."""
+    s3 in (Ts1, s1) and mutually disjoint contact sets.
+
+    Once s1 and the witness u are fixed, the searches for s2 and s3 do
+    not depend on each other, so they run in lockstep."""
     period = sys.period
     grid = [float(t) for t in np.linspace(0.0, period, scan, endpoint=False)]
     best, best_count = None, -1
@@ -246,8 +357,8 @@ def three_clean_inflections(sys: LineSystem, *, scan: int = 64,
         u = sys.T(u)
     if not cyclic_between(s1, u, ts1, period):
         raise SearchFailed("witness for the second search escaped (s1, Ts1)")
-    s2 = clean_point_between(sys, ts1, u, clean_tol=clean_tol, **kw)
-    s3 = clean_point_between(sys, ts1, sys.T(u), clean_tol=clean_tol, **kw)
+    s2, s3 = _lockstep(sys, [_search_between(sys, ts1, c, clean_tol=clean_tol, **kw)
+                             for c in (u, sys.T(u))])
 
     if not cyclic_between(s1, s2, ts1, period) or not cyclic_between(ts1, s3, s1, period):
         raise SearchFailed("clean points violate the cyclic placement")

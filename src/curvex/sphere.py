@@ -21,7 +21,6 @@ import numpy as np
 from .circle import (
     CircularSet,
     TWO_PI,
-    admissible_angles,
     admissible_arcs,
     canonical,
     circle_dist,
@@ -92,18 +91,7 @@ class ProjectiveCurve:
         """Left normals nu = lift x tangent and unit tangents at the bases
         ts, as (n, 3) rows computed elementwise, so that a row does not
         depend on the rows beside it."""
-        P, D = self.F.eval_many(ts), self.F1.eval_many(ts)
-        r = np.sqrt(_dot3(P, P))
-        if float(np.min(r)) < EPS_NORM:
-            raise DegeneratePoint("|F| vanishes at a requested base")
-        u, v = P / r[:, None], D / r[:, None]
-        v = v - u * _dot3(u, v)[:, None]
-        vn = np.sqrt(_dot3(v, v))
-        if float(np.min(vn)) < EPS_NORM:
-            raise DegeneratePoint(f"curve not regular at t={ts[np.argmin(vn)]}")
-        that = v / vn[:, None]
-        nu = np.cross(u, that)
-        return nu / np.sqrt(_dot3(nu, nu))[:, None], that
+        return _frames(self.F.eval_many(ts), self.F1.eval_many(ts), ts)
 
     def frame(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Left normal nu = lift x tangent, and the unit tangent."""
@@ -115,6 +103,30 @@ class ProjectiveCurve:
         """W = F x F' as three Laurent rows in y = exp(2is): W has even
         harmonics only, since F and F' are antiperiodic."""
         return laurent_rows(self.F.cross(self.F1).components, step=2)
+
+
+def _frames(P: np.ndarray, D: np.ndarray, ts: np.ndarray):
+    """ProjectiveCurve.frames from F and F' at the bases ts."""
+    r = np.sqrt(_dot3(P, P))
+    if float(np.min(r)) < EPS_NORM:
+        raise DegeneratePoint("|F| vanishes at a requested base")
+    u, v = P / r[:, None], D / r[:, None]
+    v = v - u * _dot3(u, v)[:, None]
+    vn = np.sqrt(_dot3(v, v))
+    if float(np.min(vn)) < EPS_NORM:
+        raise DegeneratePoint(f"curve not regular at t={ts[np.argmin(vn)]}")
+    that = v / vn[:, None]
+    nu = _cross3(u, that)
+    return nu / np.sqrt(_dot3(nu, nu))[:, None], that
+
+
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products over the last axis, written out without np.cross's
+    axis handling; each entry is rounded as np.cross rounds it, one
+    product minus another."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -233,15 +245,17 @@ def _side_samples(curve: ProjectiveCurve, ts: np.ndarray,
     return _dot3(nu[:, None], P) / r, _dot3(that[:, None], P) / r
 
 
-def admissible_normal_arc(curve: ProjectiveCurve, t: float, n_s: int = 512):
-    """The open arc of rotation angles whose circles keep the forward
-    half-curve strictly on the right, or None when no such circle exists.
+def admissible_normal_arc(curve: ProjectiveCurve, ts: np.ndarray, n_s: int = 512):
+    """At each base of ts, the open arc of rotation angles whose circles
+    keep the forward half-curve strictly on the right, or None when no
+    such circle exists.
 
-    Returns (arc, frame); map angles to normals with normal_direction.
+    Returns a list of (arc, frame), one per base, each computed as if
+    its base were alone; map angles to normals with normal_direction.
     """
-    nu, that = curve.frames(np.array([t]))
-    A, B = _side_samples(curve, np.array([t]), (nu, that), n_s)
-    return admissible_angles(A[0], B[0]), (nu[0], that[0])
+    nu, that = curve.frames(ts)
+    A, B = _side_samples(curve, ts, (nu, that), n_s)
+    return list(zip(admissible_arcs(A, B), zip(nu, that)))
 
 
 def limiting_circle(curve: ProjectiveCurve, t: float,
@@ -280,12 +294,13 @@ def _limits(curve: ProjectiveCurve, ts, eps_contact: float) -> list[ContactData]
 
 
 def _limit_block(curve, ts, eps_contact):
-    nu, that = curve.frames(ts)
+    Ft = curve.F.eval_many(ts)  # shared by the frames, the zeros and the planes
+    nu, that = _frames(Ft, curve.F1.eval_many(ts), ts)
     A, B = _side_samples(curve, ts, (nu, that), N_SIDE)
     arcs = admissible_arcs(A, B)
-    rows, ss = _interior_zeros(curve, ts)
+    rows, ss = _interior_zeros(curve, ts, Ft)
     Fs = curve.F.eval_many(ss)
-    planes = np.cross(curve.F.eval_many(ts)[rows], Fs)
+    planes = _cross3(Ft[rows], Fs)
     pn, pt = _dot3(planes, nu[rows]), _dot3(planes, that[rows])
     # orient each plane so that turning it further gives L(s) a positive side
     up = np.where(pn * _dot3(that[rows], Fs) < pt * _dot3(nu[rows], Fs), -1.0, 1.0)
@@ -345,12 +360,11 @@ def _limit_block(curve, ts, eps_contact):
     return out
 
 
-def _interior_zeros(curve: ProjectiveCurve, ts: np.ndarray):
+def _interior_zeros(curve: ProjectiveCurve, ts: np.ndarray, Ft: np.ndarray):
     """Zeros of T_t(s) = W(s) . F(t) in the open arc (t, t + pi) for
-    every base t, as flat arrays (row, s) sorted by row: arc_zeros of
-    T_t in y = exp(2is), one row per base."""
+    every base t, with Ft = F(t) as rows, as flat arrays (row, s) sorted
+    by row: arc_zeros of T_t in y = exp(2is), one row per base."""
     W = curve._tangent_planes
-    Ft = curve.F.eval_many(ts)
     rows, s, _ = arc_zeros(Ft[:, :1] * W[0] + Ft[:, 1:2] * W[1] + Ft[:, 2:] * W[2], ts)
     return rows, s
 
@@ -360,7 +374,7 @@ def tangent_line_zeros(curve: ProjectiveCurve, ts):
     the zeros of g_a(b) = n(a) . F(b), n(a) = F(a) x F'(a), in the open
     arc (a, a + pi), as arc_zeros gives them (rows index ts)."""
     ts = np.asarray(ts, dtype=float)
-    N = np.cross(curve.F.eval_many(ts), curve.F1.eval_many(ts))
+    N = _cross3(curve.F.eval_many(ts), curve.F1.eval_many(ts))
     # F has odd harmonics only: every other Laurent column is a row in exp(2ib)
     return arc_zeros(N @ laurent_rows(curve.F.components)[:, ::2], ts)
 

@@ -278,7 +278,9 @@ def census_fn(sf: SupportFunction, clean_points: list[float] | None = None,
     """Census of order-2 flexes and independent width double tangents,
     with the identity i - 2*delta = 3 and, when a double tangent exists,
     the additivity cross-check on the lift's two reductions at the first
-    (without their self-intersection test, which doubles its cost)."""
+    (without their self-intersection test, which doubles its cost).  An
+    even count of either reduction is flagged as topological_count_even
+    instead of an additivity mismatch."""
     flexes = [e.parameter for e in _flexes(sf)]
     i = len(flexes)
     intervals, dropped = a2_double_tangents(sf)
@@ -290,7 +292,11 @@ def census_fn(sf: SupportFunction, clean_points: list[float] | None = None,
         outside = reduction(sf.lift, iv.b, iv.a + math.pi, check_simple=False)
         i1, _ = count_inflections_topological(inside.unit_many)
         i2, _ = count_inflections_topological(outside.unit_many)
-        if i1 + i2 - 1 != i:
+        # an antiperiodic curve has an odd number of inflections, so an
+        # even count is the counter's fault, not a failed identity
+        if i1 % 2 == 0 or i2 % 2 == 0:
+            warnings["topological_count_even"] = {"i1": i1, "i2": i2}
+        elif i1 + i2 - 1 != i:
             warnings["additivity_mismatch"] = {"i1": i1, "i2": i2, "i": i}
     return CensusReport(
         kind="width-census",

@@ -9,6 +9,7 @@ from curvex.census import (
     anti_convexity_grid_test,
     census,
     chord,
+    chord_probes,
     count_inflections_topological,
     detect_double_tangents,
     greedy_maximal_family,
@@ -33,6 +34,10 @@ def interval(a, b):
     return DoubleTangentInterval(a, b, None)
 
 
+def chord_of(curve, a, b):
+    return chord(curve, a, b, chord_probes(curve, [(a, b)])[0])
+
+
 def test_census_names_the_submodule():
     import curvex.census as module
     assert isinstance(module, types.ModuleType)
@@ -46,7 +51,7 @@ def lift(z: TrigSeries) -> ProjectiveCurve:
 
 class TestChord:
     def test_basic_geometry(self, curve5):
-        ch = chord(curve5, 0.5, 1.4)
+        ch = chord_of(curve5, 0.5, 1.4)
         assert np.allclose(ch.pa, curve5.lift(0.5))
         assert np.allclose(ch.pb, curve5.lift(1.4))
         assert abs(np.dot(ch.normal, ch.pa)) < 1e-12
@@ -56,8 +61,8 @@ class TestChord:
         assert np.linalg.norm(mid) == pytest.approx(1.0)
 
     def test_swap_gives_same_point_set(self, curve5):
-        ch = chord(curve5, 0.5, 1.4)
-        rev = chord(curve5, 1.4, 0.5)
+        ch = chord_of(curve5, 0.5, 1.4)
+        rev = chord_of(curve5, 1.4, 0.5)
         fr = np.linspace(0, 1, 9)
         pts = np.array([ch.point(f) for f in fr])
         rpts = np.array([rev.point(f) for f in fr[::-1]])
@@ -65,14 +70,14 @@ class TestChord:
 
     @pytest.mark.parametrize("a,b", [(0.5, 1.4), (1.4, 0.5)])
     def test_points_match_point(self, curve5, a, b):
-        ch = chord(curve5, a, b)
+        ch = chord_of(curve5, a, b)
         fr = np.linspace(-0.25, 1.25, 61)
         np.testing.assert_allclose(ch.points(fr), [ch.point(f) for f in fr],
                                    rtol=0, atol=1e-15)
 
     def test_degenerate_chord(self, curve5):
         with pytest.raises(DegenerateChord):
-            chord(curve5, 0.5, 0.5 + math.pi)  # antipodal pair
+            chord_of(curve5, 0.5, 0.5 + math.pi)  # antipodal pair
 
     def test_intersection_ordering_along_chord(self, curve5):
         # order of curve/line meeting points along the chord is monotone
@@ -83,7 +88,7 @@ class TestChord:
         roots = [r.value for r in isolate_sign_changes(side, domain="full")]
         inside = sorted(t for t in roots if 0.0 < t < math.pi)
         assert len(inside) >= 3
-        ch = chord(curve5, inside[0], inside[-1])
+        ch = chord_of(curve5, inside[0], inside[-1])
         fracs = [ch.position_of(curve5.lift(t)) for t in inside]
         assert fracs == sorted(fracs)
 
@@ -146,10 +151,12 @@ class TestDetection:
     def test_complement_interval_rejected(self, curve5):
         # if (a, b) qualifies, the complementary interval must fail the
         # same-side condition
-        from curvex.census import _passes_filters
+        from curvex.census import _arc_samples, _passes_filters
         iv = detect_double_tangents(curve5).intervals[0]
-        assert _passes_filters(curve5, iv.a, iv.b) is not None
-        assert _passes_filters(curve5, iv.b, iv.a + math.pi) is None
+        for (a, b), qualifies in (((iv.a, iv.b), True), ((iv.b, iv.a + math.pi), False)):
+            ch = _passes_filters(curve5, a, b, chord_probes(curve5, [(a, b)])[0],
+                                 curve5.lift_many(_arc_samples(a, b)))
+            assert (ch is not None) == qualifies
 
 
 # (i, delta) of lifts z = sum a_k cos kt + b_k sin kt, as (k, a_k, b_k)

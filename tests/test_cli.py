@@ -90,6 +90,15 @@ def test_axioms_sidecar_counts_contact_solves(tmp_path):
     assert meta["contact_solves"] == {"calls": 2, "bases": 256 + 6 * 10}
 
 
+def test_sphere_census_sidecar_counts_lockstep_steps(tmp_path):
+    # the s2 and s3 searches of the clean points send their bases to the
+    # contact map together, one call per step
+    code, _ = run(tmp_path, CURVE7, "sphere-census")
+    meta = json.loads((tmp_path / "report.json.meta.json").read_text())
+    assert code == 0
+    assert meta["contact_solves"] == {"calls": 22, "bases": 94}
+
+
 def test_theorem_c_mode(tmp_path):
     code, data = run(tmp_path, WIDTH_SIN3, "theorem-c",
                      "--out-svg", str(tmp_path / "tc.svg"), "--plot-samples", "256")

@@ -14,14 +14,22 @@ from curvex.circle import (
     cyclic_between,
     forward_gap,
 )
-from curvex.errors import EmptyIntersection, EmptyY, PreconditionFailed
+from curvex.errors import (
+    EmptyIntersection,
+    EmptyY,
+    NoConvergence,
+    PreconditionFailed,
+    SearchFailed,
+)
 from curvex import linesys, width
 from curvex.linesys import (
+    CLEAN_TOL,
     MEMBER_TOL,
     AdmissibleInterval,
     AxiomResult,
     LineSystem,
     _check_l4,
+    _far_witness,
     _l4_config,
     _reflected_set,
     check_axioms,
@@ -32,7 +40,8 @@ from curvex.linesys import (
     three_clean_inflections,
     validate_admissible,
 )
-from curvex.sphere import contact_map
+from curvex.sphere import ProjectiveCurve, contact_map
+from curvex.trig import ANTIPERIODIC, TrigSeries, VectorSeries, cos_series, sin_series
 
 FLEX3 = [k * math.pi / 3 for k in range(6)]
 
@@ -107,6 +116,100 @@ def test_width_system_three_clean(wsys_sin3):
     assert len(found) == 3
     for e in (0.0, math.pi / 3, 2 * math.pi / 3):
         assert min(circle_dist(s, e, math.pi) for s in found) < 1e-4
+
+
+def sequential_triple(sys):
+    """three_clean_inflections with the s2 and s3 searches run one after
+    the other through clean_point_between, each base read through F."""
+    grid = [float(t) for t in np.linspace(0.0, sys.period, 64, endpoint=False)]
+    p = grid[int(np.argmax([len(F) for F in sys.F_many(grid)]))]
+    s1 = clean_point_between(sys, p, _far_witness(sys, p, sys.F(p), CLEAN_TOL))
+    ts1 = sys.T(s1)
+    u = _far_witness(sys, ts1, sys.F(ts1), CLEAN_TOL)
+    if not cyclic_between(s1, u, ts1):
+        u = sys.T(u)
+    s2 = clean_point_between(sys, ts1, u)
+    s3 = clean_point_between(sys, ts1, sys.T(u))
+    for s in (s1, s2, s3):  # the disjointness check reads these too
+        sys.F(s)
+    return s1, s2, s3
+
+
+def _random_lift(rng):
+    g = TrigSeries(0.0, tuple((k, rng.normal() / k ** 1.5, rng.normal() / k ** 1.5)
+                              for k in (3, 5, 7, 9)), ANTIPERIODIC)
+    return ProjectiveCurve(VectorSeries(cos_series(1), sin_series(1), g))
+
+
+_RNG5 = np.random.default_rng(5)
+LOCKSTEP_CASES = ["curve3", "curve5", "curve7", "sf_sin3", "sf_mix25", "sf_mix4",
+                  "sf_mix7"] + [pytest.param(_random_lift(_RNG5), id=f"rng5-{k}")
+                                for k in range(10)]
+
+
+@pytest.mark.parametrize("case", LOCKSTEP_CASES)
+def test_lockstep_triple_equals_the_sequential_searches(case, request):
+    # the s2 and s3 searches share every step's call to the contact map;
+    # their points and the bases they solve must not change
+    obj = request.getfixturevalue(case) if isinstance(case, str) else case
+    if isinstance(obj, ProjectiveCurve):
+        lock, seq = (LineSystem(contact_map(obj)) for _ in range(2))
+    else:
+        lock, seq = (width.contact_system(obj) for _ in range(2))
+    assert three_clean_inflections(lock) == sequential_triple(seq)
+    assert lock._cache.keys() == seq._cache.keys()
+    assert lock.solves["bases"] == seq.solves["bases"]
+    assert lock.solves["calls"] < seq.solves["calls"]
+
+
+def fake_search(bases, error):
+    """Asks for each base in turn, then raises error, or returns the
+    last base when error is None."""
+    for p in bases:
+        yield p
+    if error is not None:
+        raise error
+    return bases[-1]
+
+
+def failing_map(bad):
+    """A contact map that cannot solve the bases in bad."""
+    def fn(ps):
+        hit = [p for p in ps if p in bad]
+        if hit:
+            raise NoConvergence(f"no limit at {hit[0]}")
+        return [CircularSet.from_points([p]) for p in ps], []
+    return fn
+
+
+# the (bases, error) of the s2 and s3 searches, and the bases the map fails on
+FAILURES = {
+    "both-fail-s3-first": (([0.1, 0.2, 0.3], SearchFailed("s2")), ([1.1], SearchFailed("s3")), ()),
+    "s3-fails": (([0.1, 0.2, 0.3], None), ([1.1], SearchFailed("s3")), ()),
+    "s2-fails-first": (([0.1], SearchFailed("s2")), ([1.1, 1.2, 1.3], None), ()),
+    "none-fails": (([0.1, 0.2], None), ([1.1], None), ()),
+    "map-fails-s3-then-s2-fails": (([0.1, 0.2], SearchFailed("s2")), ([1.1], None), (1.1,)),
+    "map-fails-s3": (([0.1, 0.2], None), ([1.1], None), (1.1,)),
+    "map-fails-s2-late": (([0.1, 0.2], None), ([1.1], SearchFailed("s3")), (0.2,)),
+    "map-fails-both": (([0.1], None), ([1.1], None), (0.1, 1.1)),
+}
+
+
+@pytest.mark.parametrize("s2,s3,bad", list(FAILURES.values()), ids=list(FAILURES))
+def test_lockstep_raises_what_the_sequential_searches_raise(s2, s3, bad):
+    # the first failing search in list order names the error, whichever
+    # search fails at an earlier step, as when s2 runs to its end first
+    def outcome(run):
+        sys = LineSystem(failing_map(bad))
+        try:
+            return run(sys, [(False, fake_search(*s2)), (False, fake_search(*s3))]), sys
+        except (NoConvergence, SearchFailed) as err:
+            return (type(err), str(err)), sys
+
+    seq, seq_sys = outcome(lambda sys, searches: [linesys._run(sys, s) for _, s in searches])
+    lock, lock_sys = outcome(linesys._lockstep)
+    assert lock == seq
+    assert seq_sys._cache.keys() <= lock_sys._cache.keys()
 
 
 class TestMuBounds:

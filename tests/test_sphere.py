@@ -13,6 +13,7 @@ from curvex.sphere import (
     EPS_CONTACT,
     FALLBACK,
     ProjectiveCurve,
+    _cross3,
     _dot3,
     _interior_zeros,
     _limits,
@@ -105,15 +106,36 @@ def test_line_curve_rejected():
 
 def test_admissible_arc_on_great_circle():
     c = make_curve(TrigSeries.zero("antiperiodic"))
-    arc, _ = admissible_normal_arc(c, 0.3)
+    [(arc, _)] = admissible_normal_arc(c, np.array([0.3]))
     assert arc is not None
     assert arc.length == pytest.approx(math.pi, abs=1e-2)
 
 
 def test_admissible_arc_nonempty_on_corpus(curve3):
-    for t in np.linspace(0, math.pi, 16, endpoint=False):
-        arc, _ = admissible_normal_arc(curve3, float(t))
+    for arc, _ in admissible_normal_arc(curve3, np.linspace(0, math.pi, 16, endpoint=False)):
         assert arc is not None and arc.length > 0
+
+
+def test_cross3_matches_np_cross_bit_for_bit():
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=(200, 3)), rng.normal(size=(200, 3)) * 1e3
+    assert np.array_equal(_cross3(a, b), np.cross(a, b))
+    assert np.array_equal(_cross3(a, b[7]), np.cross(a, b[7]))
+    assert np.array_equal(_cross3(a[3], b[5]), np.cross(a[3], b[5]))
+    assert _cross3(a[3], b[5]).shape == (3,)
+
+
+@pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7"])
+@pytest.mark.parametrize("n_s", [256, 512])
+def test_admissible_normal_arc_on_many_bases_equals_single_calls(fixture, n_s, request):
+    curve = request.getfixturevalue(fixture)
+    ts = np.linspace(0.1, 0.1 + TWO_PI, 37, endpoint=False)
+    found = admissible_normal_arc(curve, ts, n_s)
+    assert len(found) == len(ts)
+    for t, (arc, (nu, that)) in zip(ts, found):
+        [(one, (nu1, that1))] = admissible_normal_arc(curve, np.array([t]), n_s)
+        assert (arc.start, arc.length) == (one.start, one.length)
+        assert np.array_equal(nu, nu1) and np.array_equal(that, that1)
 
 
 def test_anti_convexity_violated_for_warped_curve():
@@ -289,7 +311,7 @@ def test_interior_zeros_match_roots_of_the_series(fixture, request):
     curve = obj if isinstance(obj, ProjectiveCurve) else obj.lift
     W = curve.F.cross(curve.F1)
     ts = np.linspace(0.0, TWO_PI, 16, endpoint=False)
-    rows, ss = _interior_zeros(curve, ts)
+    rows, ss = _interior_zeros(curve, ts, curve.F.eval_many(ts))
     for i, t in enumerate(ts):
         x, y, z = curve.F(t)
         T = W.x.scaled(x) + W.y.scaled(y) + W.z.scaled(z)

@@ -242,6 +242,17 @@ class TestWidthCensus:
             reduction(sf_mix4.lift, b, a + math.pi, check_simple=False).unit_many)
         assert (i1, i2) == (3, 3)
 
+    def test_even_topological_count_is_flagged(self, sf_mix4, monkeypatch):
+        # an antiperiodic curve has an odd number of inflections: an even
+        # count is the counter's fault and must not read as a failed identity
+        counts = iter([(2, [0.5, 1.5]), (3, [0.2, 1.2, 2.2])])
+        monkeypatch.setattr(width, "count_inflections_topological",
+                            lambda unit_many: next(counts))
+        rep = census_fn(sf_mix4)
+        assert rep.warnings["topological_count_even"] == {"i1": 2, "i2": 3}
+        assert "additivity_mismatch" not in rep.warnings
+        assert (rep.i, rep.delta, rep.identity_holds) == (5, 1, True)
+
 
 class TestCertificates:
     def test_sin3_certificates(self, sf_sin3):
