@@ -159,6 +159,8 @@ def _scene_box(points: np.ndarray, extra: float = 0.1) -> tuple[float, float, fl
 def emit_sphere_plot(curve: ProjectiveCurve, svg_path: str | None,
                      csv_path: str | None, samples: int,
                      inflections: list[float] = (), chords=()) -> None:
+    if svg_path is None and csv_path is None:
+        return
     ts = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
     pts = curve.lift_many(ts)
     _write_csv(csv_path, ["t", "x", "y", "z"],
@@ -184,6 +186,8 @@ def emit_sphere_plot(curve: ProjectiveCurve, svg_path: str | None,
 def emit_width_plot(sf: SupportFunction, svg_path: str | None,
                     csv_path: str | None, samples: int,
                     flexes: list[float] = (), circles=()) -> None:
+    if svg_path is None and csv_path is None:
+        return
     ts = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
     pts = curve_points(sf, ts)
     _write_csv(csv_path, ["t", "x", "y"],

@@ -152,6 +152,15 @@ def inflection_indicator(curve: ProjectiveCurve) -> TrigSeries:
     return triple_product(curve.F, curve.F1, curve.F2)
 
 
+def nonzero_indicator(curve: ProjectiveCurve) -> TrigSeries:
+    """The indicator, or LineCurve when it vanishes identically."""
+    w = inflection_indicator(curve)
+    scale = max(c.max_coeff() for c in curve.F.components) or 1.0
+    if w.is_zero(1e-12 * scale ** 3):
+        raise LineCurve("indicator vanishes identically; curve lies on a line")
+    return w
+
+
 @dataclass(frozen=True)
 class InflectionEntry:
     parameter: float
@@ -171,10 +180,7 @@ def true_inflections(curve: ProjectiveCurve) -> InflectionReport:
     Zeros of the indicator come in antipodal pairs, so each pair is
     counted once; tangential zeros are reported but not counted.
     """
-    w = inflection_indicator(curve)
-    scale = max(c.max_coeff() for c in curve.F.components) or 1.0
-    if w.is_zero(1e-12 * scale ** 3):
-        raise LineCurve("indicator vanishes identically; curve lies on a line")
+    w = nonzero_indicator(curve)
     roots = isolate_sign_changes(w, domain="half",
                                  tangential_tol=1e-9 * max(w.max_coeff(), 1.0))
     entries = []

@@ -37,6 +37,7 @@ from .sphere import (
     _limits,
     _sets_and_warnings,
     nearest_inflection,
+    nonzero_indicator,
     tangent_line_zeros,
     true_inflections,
 )
@@ -51,6 +52,7 @@ from .trig import (
 )
 
 SEED_THRESHOLD = 1e-2
+CIRCLE_OFFSET = "deviation lies in the circle-support space; every width circle osculates"
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,7 @@ def _flexes(sf: SupportFunction) -> list[InflectionEntry]:
     try:
         entries = true_inflections(sf.lift).entries
     except LineCurve:
-        raise IdenticallyZero("deviation lies in the circle-support space; "
-                              "every width circle osculates") from None
+        raise IdenticallyZero(CIRCLE_OFFSET) from None
     return [e for e in entries if e.crossing]
 
 
@@ -207,10 +208,18 @@ def a2_double_tangents(sf: SupportFunction, n_a: int = 512, n_b: int = 512,
                        margin: float = 0.02) -> tuple[list[DoubleTangentInterval], int]:
     """Intervals whose endpoints share a tangent circle-support member.
 
-    Solves value and slope matching with Newton from residual-scan seeds
-    and filters by the off-member condition and equal curvature-defect
-    signs at the endpoints (which is what same-sided local extrema of
-    the difference mean)."""
+    Newton solves value and slope matching from the row minima below
+    SEED_THRESHOLD * scale of R = |f(a+s) - phi| + |f'(a+s) - dphi| on a
+    grid of bases a and offsets s (phi: the member osculating f at a),
+    with R exact where _residual_bound lets a seed lie and +inf elsewhere.
+    Solutions are filtered by the off-member condition and equal
+    curvature-defect signs at the endpoints (which is what same-sided
+    local extrema of the difference mean).  IdenticallyZero when f lies
+    in the circle-support space, where every cell would be a seed."""
+    try:
+        nonzero_indicator(sf.lift)
+    except LineCurve:
+        raise IdenticallyZero(CIRCLE_OFFSET) from None
     f = sf.f
     f1 = f.derivative()
     lf = apply_flex_operator(f, 2)
@@ -218,18 +227,24 @@ def a2_double_tangents(sf: SupportFunction, n_a: int = 512, n_b: int = 512,
     a_grid = np.linspace(0.0, math.pi, n_a, endpoint=False)
     off_grid = np.linspace(margin, math.pi - margin, n_b)
     fa, f1a = f(a_grid), f1(a_grid)
-    B = a_grid[:, None] + off_grid[None, :]
-    cosd, sind = np.cos(off_grid)[None, :], np.sin(off_grid)[None, :]
-    phi = fa[:, None] * cosd + f1a[:, None] * sind
-    dphi = -fa[:, None] * sind + f1a[:, None] * cosd
-    R = np.abs(f(B) - phi) + np.abs(f1(B) - dphi)
-
     # the residual carries the units of f and f', so the seeding band
     # scales with their coefficient bounds
     scale = max(1.0, sum(abs(a) + abs(b) for _, a, b in f.harmonics)
                 * (1.0 + f.degree))
-    rows, cols = row_minima(R, SEED_THRESHOLD * scale)
-    found, dropped = tangent_pairs(a_grid[rows], B[rows, cols],
+    threshold = SEED_THRESHOLD * scale
+    # a cell left at +inf has a bound of at least threshold + 1e-9*scale,
+    # which is R up to rounding (below 1e-14*scale), so its R >= threshold:
+    # row_minima neither takes it nor prefers it to a kept neighbour, and
+    # the seeds are those of the full grid, bit for bit
+    rows, cols = np.nonzero(_residual_bound(f, a_grid, off_grid, fa, f1a)
+                            < threshold + 1e-9 * scale)
+    B = a_grid[rows] + off_grid[cols]
+    cosd, sind = np.cos(off_grid)[cols], np.sin(off_grid)[cols]
+    R = np.full((n_a, n_b), np.inf)
+    R[rows, cols] = (np.abs(f(B) - (fa[rows] * cosd + f1a[rows] * sind))
+                     + np.abs(f1(B) - (-fa[rows] * sind + f1a[rows] * cosd)))
+    rows, cols = row_minima(R, threshold)
+    found, dropped = tangent_pairs(a_grid[rows], a_grid[rows] + off_grid[cols],
                                    _a2_system(f, f1, lf, scale), margin)
     intervals = []
     for a, gap in found:
@@ -246,6 +261,21 @@ def a2_double_tangents(sf: SupportFunction, n_a: int = 512, n_b: int = 512,
             continue
         intervals.append(DoubleTangentInterval(a, b, None))
     return intervals, dropped
+
+
+def _residual_bound(f, a_grid, off_grid, fa, f1a) -> np.ndarray:
+    """|f(a+s) - phi| + |f'(a+s) - dphi| on the grid, up to rounding, from
+    the shift identity f(a+s) = sum_k A_k(a) cos ks + B_k(a) sin ks with
+    A_k = a_k cos ka + b_k sin ka and B_k = b_k cos ka - a_k sin ka; phi
+    and dphi join as the k = 1 terms -f(a), -f'(a) and -f'(a), f(a)."""
+    k, ak, bk = (np.array(c, dtype=float) for c in zip(*f.harmonics))
+    cka, ska = np.cos(np.outer(a_grid, k)), np.sin(np.outer(a_grid, k))
+    A, Bk = ak * cka + bk * ska, bk * cka - ak * ska
+    value = np.hstack([A, -fa[:, None], Bk, -f1a[:, None]])
+    slope = np.hstack([k * Bk, -f1a[:, None], -k * A, fa[:, None]])
+    ks = np.outer(np.append(k, 1.0), off_grid)
+    basis = np.vstack([np.cos(ks), np.sin(ks)])
+    return np.abs(value @ basis) + np.abs(slope @ basis)
 
 
 def _a2_system(f, f1, lf, scale):

@@ -110,6 +110,19 @@ def test_row_minima_matches_a_double_loop():
     assert list(zip(rows.tolist(), cols.tolist())) == expected
 
 
+def test_row_minima_ignores_cells_at_or_above_threshold():
+    # cells >= threshold are never taken and never below a taken
+    # neighbour, so replacing them by +inf changes nothing (the width
+    # seed grid leaves every cell that cannot hold a seed at +inf)
+    rng = np.random.default_rng(5)
+    R = rng.integers(0, 8, size=(60, 11)).astype(float)
+    R[:, 3] = 4.0  # ties with the threshold itself
+    masked = np.where(R >= 4.0, np.inf, R)
+    for got, want in zip(row_minima(masked, 4.0), row_minima(R, 4.0)):
+        assert np.array_equal(got, want)
+    assert len(row_minima(R, 4.0)[0]) > 0
+
+
 class TestDetection:
     def test_curve7_counts_and_endpoints(self, curve7):
         det = detect_double_tangents(curve7)

@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 
-from curvex import sphere, width
+from curvex import cli, sphere, width
 from curvex.cli import main
 
 WIDTH_SIN3 = {"d": 20, "f": {"parity": "antiperiodic", "constant": 0.0,
@@ -59,6 +60,29 @@ def test_sphere_census_mode(tmp_path):
     assert csv_lines[0] == "t,x,y,z" and len(csv_lines) == 257
     # no double tangents here, so no chord overlay in the scene
     assert "<polyline" not in (tmp_path / "s.svg").read_text()
+
+
+@pytest.mark.parametrize("payload, mode", [(WIDTH_SIN3, "width-census"),
+                                           (SPHERE_SIN3, "sphere-census")])
+def test_plot_is_sampled_only_for_a_plot_path(tmp_path, monkeypatch, payload, mode):
+    def refuse(*args, **kw):
+        raise AssertionError("plot sampled without a plot path")
+    monkeypatch.setattr(cli, "curve_points", refuse)
+    lift_many = sphere.ProjectiveCurve.lift_many
+
+    def lift_many_unless_cli(self, ts):
+        # the census samples the lift too; only the plot's samples are refused
+        if sys._getframe(1).f_globals["__name__"] == "curvex.cli":
+            refuse()
+        return lift_many(self, ts)
+    monkeypatch.setattr(sphere.ProjectiveCurve, "lift_many", lift_many_unless_cli)
+    code, _ = run(tmp_path, payload, mode)
+    assert code == 0
+    monkeypatch.undo()
+    code, _ = run(tmp_path, payload, mode, "--out-csv", str(tmp_path / "p.csv"),
+                  "--plot-samples", "512")
+    assert code == 0
+    assert len((tmp_path / "p.csv").read_text().splitlines()) == 513
 
 
 def test_axioms_mode(tmp_path):

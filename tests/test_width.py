@@ -1,11 +1,20 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from curvex import width
 from curvex.errors import CertificateFailed, IdenticallyZero, NotConvex
-from curvex.trig import TrigSeries, VectorSeries, cos_series, osculating_in_am, sin_series
+from curvex.trig import (
+    TrigSeries,
+    VectorSeries,
+    apply_flex_operator,
+    cos_series,
+    osculating_in_am,
+    sin_series,
+    truncate,
+)
 from curvex.width import (
     SupportFunction,
     a2_double_tangents,
@@ -17,7 +26,7 @@ from curvex.width import (
     limiting_function,
     theorem_c_certificates,
 )
-from curvex.census import count_inflections_topological, reduction
+from curvex.census import count_inflections_topological, reduction, row_minima
 from curvex.sphere import ProjectiveCurve, limiting_circle, tangent_line_zeros, true_inflections
 
 PI3 = math.pi / 3
@@ -51,7 +60,7 @@ def test_translated_circle_fails_its_precondition():
         clean_flexes(SupportFunction(4.0, sin_series(1, 0.5)))
 
 
-@pytest.mark.parametrize("call", [d_inflections, census_fn])
+@pytest.mark.parametrize("call", [d_inflections, census_fn, a2_double_tangents])
 def test_near_circle_offset_is_identically_zero(call):
     # f + f'' = -8e-13 sin 3t lies below the lift's line-curve threshold
     # (1e-12 times the cube of its largest coefficient), which is the
@@ -59,6 +68,15 @@ def test_near_circle_offset_is_identically_zero(call):
     sf = SupportFunction(4.0, sin_series(1) + sin_series(3, 1e-13))
     with pytest.raises(IdenticallyZero, match="circle-support space"):
         call(sf)
+
+
+def test_circle_support_deviation_fails_fast_in_a2():
+    # every cell of the seed grid has residual 0 here, so without the up
+    # front check each of the 262144 cells would become a Newton seed
+    start = time.perf_counter()
+    with pytest.raises(IdenticallyZero, match="circle-support space"):
+        a2_double_tangents(SupportFunction(4.0, sin_series(1, 0.3)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_curve_point_example(sf_sin3):
@@ -219,6 +237,75 @@ class TestA2DoubleTangents:
         a, b = intervals[0].a, intervals[0].b
         assert lf(a) * lf(b) > 0
         assert lf(b) * lf(a + math.pi) < 0
+
+
+def full_grid_seeds(f, n_a=512, n_b=512, margin=0.02):
+    """The residual seeding evaluated at every cell, as a2_double_tangents
+    did before it bounded the residual: (R, scale, (rows, cols))."""
+    f1 = f.derivative()
+    a_grid = np.linspace(0.0, math.pi, n_a, endpoint=False)
+    off_grid = np.linspace(margin, math.pi - margin, n_b)
+    fa, f1a = f(a_grid), f1(a_grid)
+    B = a_grid[:, None] + off_grid[None, :]
+    cosd, sind = np.cos(off_grid)[None, :], np.sin(off_grid)[None, :]
+    phi = fa[:, None] * cosd + f1a[:, None] * sind
+    dphi = -fa[:, None] * sind + f1a[:, None] * cosd
+    R = np.abs(f(B) - phi) + np.abs(f1(B) - dphi)
+    scale = max(1.0, sum(abs(a) + abs(b) for _, a, b in f.harmonics)
+                * (1.0 + f.degree))
+    return R, scale, row_minima(R, width.SEED_THRESHOLD * scale)
+
+
+def seed_grid_inputs(draws=50):
+    """The width corpus with the cuts the truncate mode compares it with,
+    and default_rng(7) draws of the benchmark's recipe (odd k in 3..9,
+    coefficients N(0, 1) / k**1.5), as support functions."""
+    corpus = {"sin3": sin_series(3), "mix25": sin_series(3) + sin_series(5, 0.25),
+              "mix4": sin_series(3) + sin_series(5, 0.4),
+              "mix7": sin_series(3) + sin_series(5, 1.0) + sin_series(7, 0.5)}
+    series = dict(corpus)
+    for name, f in corpus.items():
+        n = max(2, (f.degree - 1) // 2)
+        series[f"{name}-cut{n}"] = truncate(f, n)
+    rng = np.random.default_rng(7)
+    for j in range(draws):
+        series[f"r{j}"] = TrigSeries(0.0, tuple(
+            (k, rng.normal() / k ** 1.5, rng.normal() / k ** 1.5)
+            for k in (3, 5, 7, 9)), "antiperiodic")
+    grid = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+    for name, f in series.items():
+        deficit = max(0.0, -float(np.min(apply_flex_operator(f, 2)(grid))))
+        yield name, SupportFunction(2.0 + 2.5 * deficit, f)
+
+
+def test_seed_grid_matches_the_full_grid(monkeypatch):
+    # a2_double_tangents evaluates the exact residual only where its bound
+    # lets a seed lie: the bound must stay far inside the 1e-9 * scale
+    # margin, and seeds, intervals and drops must equal the full grid's
+    seen = {}
+
+    def recording(R, threshold):
+        seen["grid"] = (R, threshold, row_minima(R, threshold))
+        return seen["grid"][2]
+
+    a_grid = np.linspace(0.0, math.pi, 512, endpoint=False)
+    off_grid = np.linspace(0.02, math.pi - 0.02, 512)
+    worst = 0.0
+    for name, sf in seed_grid_inputs():
+        monkeypatch.setattr(width, "row_minima", recording)
+        got = a2_double_tangents(sf)
+        R, scale, (rows, cols) = full_grid_seeds(sf.f)
+        masked, threshold, (got_rows, got_cols) = seen["grid"]
+        kept = np.isfinite(masked)
+        assert np.array_equal(masked[kept], R[kept]), name
+        assert np.all(R[~kept] >= threshold), name
+        assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols), name
+        monkeypatch.setattr(width, "row_minima", lambda R, threshold: (rows, cols))
+        assert got == a2_double_tangents(sf), name
+        f, f1 = sf.f, sf.f.derivative()
+        bound = width._residual_bound(f, a_grid, off_grid, f(a_grid), f1(a_grid))
+        worst = max(worst, float(np.max(np.abs(bound - R))) / scale)
+    assert worst < 1e-4 * 1e-9
 
 
 class TestWidthCensus:
