@@ -48,6 +48,10 @@ OFF_CHORD_MIN = 1e-7
 PROBE_SAMPLES = 256  # side samples of a chord's transversal probe
 OFF_CHORD_SAMPLES = 257  # arc samples tested against a candidate's chord
 ESCAPE_BLOCK = 32  # tangent circles per block of the topological count
+ESCAPE = 1e-7  # side-value band a tangent circle's walk must leave
+FD_STEP = 1e-5  # central-difference step of the topological tangent
+DETECT_BASES = 512  # bases whose tangent lines seed the double tangents
+GAP_MARGIN = 0.02  # least forward gap, and least gap to pi, of a tangent pair
 
 
 @dataclass(frozen=True)
@@ -166,16 +170,18 @@ class ReducedCurve:
             out[mask] = sign * self.chord.points((off[mask] - shift) / self.gap)
         return out
 
-    def _assert_simple(self, n: int = 512, sep: float = 0.05,
-                       min_dist: float = 1e-4):
+    def _assert_simple(self):
+        """Fail when two of 512 samples on [0, pi), more than 0.05 apart in
+        parameter, lie within 1e-4 of each other projectively."""
+        n = 512
         ts = np.linspace(0.0, math.pi, n, endpoint=False)
         U = self.unit_many(ts)
         dots = np.abs(U @ U.T)
-        close = dots > math.cos(min_dist)
+        close = dots > math.cos(1e-4)
         idx = np.arange(n)
         param_sep = np.minimum(np.abs(idx[:, None] - idx[None, :]),
                                n - np.abs(idx[:, None] - idx[None, :]))
-        bad = close & (param_sep > int(sep / (math.pi / n)))
+        bad = close & (param_sep > int(0.05 / (math.pi / n)))
         if np.any(bad):
             i, j = np.argwhere(bad)[0]
             raise SelfIntersection(
@@ -197,14 +203,12 @@ def _first_nonzero(walks: np.ndarray) -> np.ndarray:
     return walks[np.arange(len(walks)), first]
 
 
-def count_inflections_topological(unit_many, n_grid: int = 2048,
-                                  escape: float = 1e-7,
-                                  fd_step: float = 1e-5) -> tuple[int, list[float]]:
+def count_inflections_topological(unit_many, n_grid: int = 2048) -> tuple[int, list[float]]:
     """Independent true inflections of a piecewise-smooth antiperiodic
     evaluator, by crossing tests of tangent great circles.
 
     At each sample the side function of the tangent circle is walked
-    outward until it escapes the tolerance band; opposite escape signs
+    outward until it escapes the band ESCAPE; opposite escape signs
     mean the tangent circle crosses there.  Consecutive crossing samples
     (e.g. a whole chord segment of a reduction) group into one
     independent inflection.
@@ -214,7 +218,7 @@ def count_inflections_topological(unit_many, n_grid: int = 2048,
     """
     ts = np.linspace(0.0, math.pi, n_grid, endpoint=False)
     U = unit_many(ts)
-    T = unit_many(ts + fd_step) - unit_many(ts - fd_step)
+    T = unit_many(ts + FD_STEP) - unit_many(ts - FD_STEP)
     T /= np.linalg.norm(T, axis=1)[:, None]
     N = _cross3(U, T)
     nn = np.linalg.norm(N, axis=1)
@@ -231,7 +235,7 @@ def count_inflections_topological(unit_many, n_grid: int = 2048,
     for lo in range(0, n_grid, ESCAPE_BLOCK):
         j = np.arange(lo, min(lo + ESCAPE_BLOCK, n_grid))
         S = N[j] @ U.T
-        side = (S > escape).view(np.int8) - (S < -escape).view(np.int8)
+        side = (S > ESCAPE).view(np.int8) - (S < -ESCAPE).view(np.int8)
         walk = np.concatenate([-side, side, -side], axis=1)
         fwd = sliding_window_view(walk, n_grid, axis=1)[j - lo, n_grid + j + 1]
         bwd = sliding_window_view(walk[:, ::-1], n_grid, axis=1)[j - lo, 2 * n_grid - j]
@@ -315,9 +319,9 @@ def row_minima(R: np.ndarray, threshold: float):
     return np.nonzero(keep)
 
 
-def tangent_pairs(a0, b0, system, margin: float) -> tuple[list[tuple[float, float]], int]:
+def tangent_pairs(a0, b0, system) -> tuple[list[tuple[float, float]], int]:
     """Solve the seeds (a0[i], b0[i]) with newton2 on the system and keep
-    the solutions whose forward gap lies in (margin/2, pi - margin/2),
+    the solutions whose forward gap lies in (GAP_MARGIN/2, pi - GAP_MARGIN/2),
     deduplicated as (a mod pi, gap) pairs in seed order; returns them
     sorted, with the number of seeds that failed or landed outside."""
     sol_a, sol_b, converged = newton2(system, a0, b0)
@@ -328,7 +332,7 @@ def tangent_pairs(a0, b0, system, margin: float) -> tuple[list[tuple[float, floa
             dropped += 1
             continue
         gap = forward_gap(a, b)
-        if not margin * 0.5 < gap < math.pi - margin * 0.5:
+        if not GAP_MARGIN * 0.5 < gap < math.pi - GAP_MARGIN * 0.5:
             dropped += 1
             continue
         a = canonical(a, math.pi)
@@ -381,13 +385,12 @@ def _passes_filters(curve: ProjectiveCurve, a: float, b: float, probe,
     return ch
 
 
-def detect_double_tangents(curve: ProjectiveCurve, n_a: int = 512,
-                           margin: float = 0.02) -> DetectionResult:
+def detect_double_tangents(curve: ProjectiveCurve) -> DetectionResult:
     """All double tangent intervals on the projective line.
 
     The tangent line at a base a meets the curve at the zeros of
-    g_a(b) = n(a).F(b) in (a, a + pi), found by tangent_line_zeros at n_a
-    bases.
+    g_a(b) = n(a).F(b) in (a, a + pi), found by tangent_line_zeros at
+    DETECT_BASES bases.
     A double tangent is a double zero of g_a, so the zero count (with
     multiplicity) differs between the two bases that bracket it.  At
     both, each zero and each midpoint of adjacent zeros seeds newton2,
@@ -397,9 +400,9 @@ def detect_double_tangents(curve: ProjectiveCurve, n_a: int = 512,
     with the chord probes and the off-chord samples of every pair found
     in one call each.
     """
-    agrid = np.linspace(0.0, math.pi, n_a, endpoint=False)
+    agrid = np.linspace(0.0, math.pi, DETECT_BASES, endpoint=False)
     rows, zeros, mult = tangent_line_zeros(curve, agrid)
-    count = np.bincount(rows, weights=mult, minlength=n_a)
+    count = np.bincount(rows, weights=mult, minlength=DETECT_BASES)
     fold = count != np.roll(count, -1)
     seeding = (fold | np.roll(fold, 1))[rows]
     pair = seeding[1:] & (rows[1:] == rows[:-1])
@@ -407,7 +410,7 @@ def detect_double_tangents(curve: ProjectiveCurve, n_a: int = 512,
     b0 = np.concatenate([zeros[seeding], 0.5 * (zeros[1:] + zeros[:-1])[pair]])
     found, dropped = tangent_pairs(np.concatenate([a0, b0]),
                                    np.concatenate([b0, a0 + math.pi]),
-                                   _tangency_system(curve), margin)
+                                   _tangency_system(curve))
     intervals = []
     if not found:
         return DetectionResult(intervals, dropped)

@@ -234,8 +234,8 @@ class CircularSet:
         return sum(a.length for a in self.arcs)
 
     def components(self) -> list[Arc]:
-        """Maximal arcs in cyclic order, starting from the component
-        containing or first following angle 0."""
+        """Maximal arcs sorted by start in [0, period); a component that
+        wraps past 0 starts last, so it comes last."""
         return list(self.arcs)
 
     def contains(self, t: float, tol: float = EPS_ANGLE) -> bool:

@@ -35,6 +35,9 @@ from .width import (
 )
 
 MODES = ("sphere-census", "width-census", "flexes", "axioms", "theorem-c", "truncate")
+# the input kind each mode needs; the modes not listed take either kind
+CURVE, SUPPORT = (ProjectiveCurve, "an x/y/z curve"), (SupportFunction, "a d/f support")
+NEEDS = {"sphere-census": CURVE, "width-census": SUPPORT, "flexes": SUPPORT, "theorem-c": SUPPORT}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,8 +68,8 @@ def _validate(args) -> str | None:
     n = args.plot_samples
     if n < 256 or n > 65536 or n & (n - 1):
         return f"--plot-samples must be a power of two in [256, 65536], got {n}"
-    if args.axiom_grid < 1:
-        return f"--axiom-grid must be at least 1, got {args.axiom_grid}"
+    if args.axiom_grid < 2 or args.axiom_grid % 2:
+        return f"--axiom-grid must be a positive even number, got {args.axiom_grid}"
     if args.eps_contact <= 0:
         return "--eps-contact must be positive"
     return None
@@ -237,8 +240,6 @@ def _run_width_census(sf: SupportFunction, system, args) -> tuple[dict, bool]:
 
 
 def _run_flexes(obj, system, args) -> tuple[dict, bool]:
-    if not isinstance(obj, SupportFunction):
-        raise ValueError("flexes mode expects a support-function input")
     triple = clean_flexes(obj, system)
     report = {
         "kind": "flexes",
@@ -260,8 +261,6 @@ def _run_axioms(obj, system, args, meta: dict) -> tuple[dict, bool]:
 
 
 def _run_theorem_c(obj, system, args) -> tuple[dict, bool]:
-    if not isinstance(obj, SupportFunction):
-        raise ValueError("theorem-c mode expects a support-function input")
     certs = theorem_c_certificates(obj, system=system)
     report = {
         "kind": "theorem-c",
@@ -328,6 +327,9 @@ def main(argv=None) -> int:
         obj = _load_input(args.input)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read input: {exc}")
+    kind, name = NEEDS.get(args.mode, (object, ""))
+    if not isinstance(obj, kind):
+        return _fail(f"{args.mode} expects {name} input")
 
     # every mode but truncate reads the contact family of the input
     system = None if args.mode == "truncate" else _contact_system(obj, args)
@@ -337,12 +339,8 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         if args.mode == "sphere-census":
-            if isinstance(obj, SupportFunction):
-                return _fail("sphere-census expects an x/y/z curve input")
             report, ok = _run_sphere_census(obj, system, args)
         elif args.mode == "width-census":
-            if not isinstance(obj, SupportFunction):
-                return _fail("width-census expects a d/f support input")
             report, ok = _run_width_census(obj, system, args)
         elif args.mode == "flexes":
             report, ok = _run_flexes(obj, system, args)

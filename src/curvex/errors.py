@@ -50,7 +50,9 @@ class NoConvergence(CurvexError):
 
 
 class SearchFailed(CurvexError):
-    """A bisection search exceeded its iteration cap."""
+    """The clean-point search found no valid triple: no non-clean start
+    point or no witness, halving past its cap, or clean points misplaced
+    or with overlapping contact sets."""
 
 
 class EmptyY(CurvexError):

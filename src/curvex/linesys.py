@@ -44,11 +44,17 @@ CLEAN_TOL = 1e-5
 MEMBER_TOL = 1e-6
 BISECT_CAP = 200
 EPS_SEARCH = 1e-9
+SCAN = 64  # bases scanned for the first non-clean starting point
+SET_TOL = 1e-3  # set equality in the axioms
+MARGIN = 1e-3  # least separation of the points an axiom compares
+L2_MAX_COMPONENTS = 64
+L4_LAGS = (1, 2, 3, 5, 8, 13, 21, 34)
+L7_CHAINS, L7_DEPTH = 6, 14
 
 
 def _reversed_base(key: float, period: float) -> float:
-    """The base of the system read by LineSystem.reversed for the key of
-    the reversed system."""
+    """The base whose contact set, reflected, a backward search reads for
+    its own base of cache key `key`."""
     return canonical(-key, period)
 
 
@@ -67,10 +73,9 @@ class LineSystem:
     """
 
     def __init__(self, contact_fn: Callable[[list[float]], tuple[list[CircularSet], list[str]]],
-                 period: float = TWO_PI, name: str = ""):
+                 period: float = TWO_PI):
         self._fn = contact_fn
         self.period = period
-        self.name = name
         self._cache: dict[float, CircularSet] = {}
         self.warnings: Counter[str] = Counter()
         self.solves = {"calls": 0, "bases": 0}
@@ -121,16 +126,6 @@ class LineSystem:
         window = Arc.from_endpoints(p, self.T(p), self.period)
         return CircularSet(core.intersect_window(window), self.period, merge_tol=0.0)
 
-    def reversed(self) -> "LineSystem":
-        """The same family seen with the circle orientation reversed."""
-        period = self.period
-
-        def rev_fn(ps):
-            sets = self.F_many([_reversed_base(p, period) for p in ps])
-            return [_reflected_set(s) for s in sets], []
-
-        return LineSystem(rev_fn, period, name=f"{self.name}~rev")
-
 
 # -- clean-point search ----------------------------------------------------
 
@@ -145,24 +140,11 @@ def _own_component(F: CircularSet, p: float) -> Arc:
 
 # A clean-point search is a generator: it yields each base whose contact
 # set it needs next and is sent that set back, and it returns the clean
-# point.  _run reads the bases of one search through LineSystem.F;
-# three_clean_inflections runs two searches in lockstep.
+# point.  _lockstep runs every search: one alone, or the two of
+# three_clean_inflections side by side.
 
 
-def _run(sys: LineSystem, search):
-    """The result of one search, its bases read through sys.F."""
-    try:
-        p = next(search)
-        while True:
-            p = search.send(sys.F(p))
-    except StopIteration as done:
-        return done.value
-
-
-def find_clean_inflection(sys: LineSystem, p: float, q: float, *,
-                          eps_search: float = EPS_SEARCH,
-                          clean_tol: float = CLEAN_TOL,
-                          max_iter: int = BISECT_CAP) -> float:
+def find_clean_inflection(sys: LineSystem, p: float, q: float) -> float:
     """Positive clean point inside (p, q), by midpoint halving.
 
     Requires q in F(p) strictly inside the forward half window and the
@@ -170,12 +152,10 @@ def find_clean_inflection(sys: LineSystem, p: float, q: float, *,
     interval by a half bracketed between a point of the midpoint's base
     component and a witness of its non-cleanliness.
     """
-    return _run(sys, _halving(p, q, sys.period, eps_search=eps_search,
-                              clean_tol=clean_tol, max_iter=max_iter))
+    return _lockstep(sys, [(False, _halving(p, q, sys.period))])[0]
 
 
-def _halving(p, q, period, *, eps_search=EPS_SEARCH, clean_tol=CLEAN_TOL,
-             max_iter=BISECT_CAP):
+def _halving(p, q, period):
     """The search of find_clean_inflection."""
     p, q = canonical(p, period), canonical(q, period)
     if not cyclic_between(p, q, antipode(p, period), period):
@@ -190,15 +170,15 @@ def _halving(p, q, period, *, eps_search=EPS_SEARCH, clean_tol=CLEAN_TOL,
         raise PreconditionFailed("the gap (p, q) meets the base component of p")
 
     lo, hi = p, q
-    for _ in range(max_iter):
-        if forward_gap(lo, hi, period) < eps_search:
+    for _ in range(BISECT_CAP):
+        if forward_gap(lo, hi, period) < EPS_SEARCH:
             return cyclic_midpoint(lo, hi, period)
         r = cyclic_midpoint(lo, hi, period)
         Fr = yield r
         F0r = CircularSet([_own_component(Fr, r)], period)
-        if Fr.project_half().contained_in(F0r.project_half(), clean_tol):
+        if Fr.project_half().contained_in(F0r.project_half(), CLEAN_TOL):
             return r
-        q1 = _noncleanness_witness(period, Fr, F0r, lo, hi, clean_tol)
+        q1 = _noncleanness_witness(period, Fr, F0r, lo, hi)
         if q1 is None:
             return r
         window = Arc.from_endpoints(lo, hi, period)
@@ -216,19 +196,26 @@ def _halving(p, q, period, *, eps_search=EPS_SEARCH, clean_tol=CLEAN_TOL,
             lo, hi = q1, p1
         if forward_gap(lo, hi, period) > forward_gap(p, q, period):
             raise NoConvergence("halving interval grew; contact family inconsistent")
-    raise SearchFailed(f"no clean point located within {max_iter} halvings")
+    raise SearchFailed(f"no clean point located within {BISECT_CAP} halvings")
 
 
-def _noncleanness_witness(period, Fr, F0r, lo, hi, clean_tol):
+def _far_contacts(F: CircularSet, base: CircularSet) -> list[tuple[float, float]]:
+    """(distance, midpoint) of each component of F, in order, whose
+    midpoint lies projectively farther than CLEAN_TOL from the base
+    component."""
+    base_proj = base.project_half()
+    out = []
+    for comp in F.components():
+        d = base_proj.distance_to(canonical(comp.midpoint, base_proj.period))
+        if d > CLEAN_TOL:
+            out.append((d, comp.midpoint))
+    return out
+
+
+def _noncleanness_witness(period, Fr, F0r, lo, hi):
     """A contact of r, projectively away from r's base component, placed
     inside the current interval."""
-    base_proj = F0r.project_half()
-    cands = []
-    for comp in Fr.components():
-        mid = comp.midpoint
-        d = base_proj.distance_to(canonical(mid, base_proj.period))
-        if d > clean_tol:
-            cands.append((d, mid))
+    cands = _far_contacts(Fr, F0r)
     if not cands:
         return None
     cands.sort(reverse=True)
@@ -240,30 +227,28 @@ def _noncleanness_witness(period, Fr, F0r, lo, hi, clean_tol):
         "non-clean witness escaped the bracketing interval (containment failed)")
 
 
-def clean_point_between(sys: LineSystem, base: float, contact: float, **kw) -> float:
+def clean_point_between(sys: LineSystem, base: float, contact: float) -> float:
     """Positive clean point in the open interval bounded by base and contact.
 
     Handles both sides of the base point; the backward side runs the
-    forward search on the orientation-reversed system.
+    forward search between the reflected points, on reflected sets.
     """
-    rev, search = _search_between(sys, base, contact, **kw)
-    if not rev:
-        return _run(sys, search)
-    return canonical(-_run(sys.reversed(), search), sys.period)
+    return _lockstep(sys, [_search_between(sys, base, contact)])[0]
 
 
-def _search_between(sys, base, contact, **kw):
-    """(rev, search) for clean_point_between: the search runs on the
-    reversed system, between the reflected points, when rev is true."""
+def _search_between(sys, base, contact):
+    """(rev, search) for clean_point_between: when rev is true, the
+    search runs between the reflected points and _lockstep reads its
+    bases reflected."""
     period = sys.period
     base, contact = canonical(base, period), canonical(contact, period)
     rev = not cyclic_between(base, contact, sys.T(base), period)
     if rev:
         base, contact = canonical(-base, period), canonical(-contact, period)
-    return rev, _forward_search(base, contact, period, **kw)
+    return rev, _forward_search(base, contact, period)
 
 
-def _forward_search(base, contact, period, **kw):
+def _forward_search(base, contact, period):
     """Halving from the far end of base's own component towards the
     contact, which lies in the forward half window of base."""
     Fb = yield base
@@ -273,15 +258,16 @@ def _forward_search(base, contact, period, **kw):
             window, "sup")
     except EmptyIntersection:
         p1 = base
-    return (yield from _halving(p1, contact, period, **kw))
+    return (yield from _halving(p1, contact, period))
 
 
 def _lockstep(sys: LineSystem, searches) -> list[float]:
-    """The results of (rev, search) pairs of _search_between, run side
-    by side: each step sends the bases all live searches ask for to
-    sys.F_many in one call.  A reversed search's base p is read as
-    LineSystem.reversed reads it: the reflection of the set at the
-    reversed base of p's key.
+    """The results of (rev, search) pairs, as _search_between makes them,
+    run side by side: each step sends the bases all live searches ask for to
+    sys.F_many in one call.  A reversed search's base p is read as the
+    circle with its orientation reversed shows it: the reflection of the
+    set at the reversed base of p's key, so its point is the reflection
+    of the one it returns.
 
     A failure raises what the searches run one after the other would
     raise: the error of the first search, in list order, that fails.
@@ -331,34 +317,27 @@ def _read(sys: LineSystem, bases: dict, errors: dict) -> dict:
     return sets
 
 
-def three_clean_inflections(sys: LineSystem, *, scan: int = 64,
-                            clean_tol: float = CLEAN_TOL,
-                            **kw) -> tuple[float, float, float]:
+def three_clean_inflections(sys: LineSystem) -> tuple[float, float, float]:
     """Three positive clean points s1, s2, s3 with s2 in (s1, Ts1),
     s3 in (Ts1, s1) and mutually disjoint contact sets.
 
     Once s1 and the witness u are fixed, the searches for s2 and s3 do
     not depend on each other, so they run in lockstep."""
     period = sys.period
-    grid = [float(t) for t in np.linspace(0.0, period, scan, endpoint=False)]
-    best, best_count = None, -1
-    for t, F in zip(grid, sys.F_many(grid)):
-        if len(F) > best_count:
-            best, best_count = t, len(F)
-    if best is None or best_count <= 2:
+    grid = [float(t) for t in np.linspace(0.0, period, SCAN, endpoint=False)]
+    counts = [len(F) for F in sys.F_many(grid)]
+    if max(counts) <= 2:
         raise SearchFailed("no non-clean starting point found on the scan grid")
-    p = best
-    q = _far_witness(sys, p, sys.F(p), clean_tol)
-    s1 = clean_point_between(sys, p, q, clean_tol=clean_tol, **kw)
+    p = grid[counts.index(max(counts))]
+    s1 = clean_point_between(sys, p, _far_witness(sys, p))
 
     ts1 = sys.T(s1)
-    u = _far_witness(sys, ts1, sys.F(ts1), clean_tol)
+    u = _far_witness(sys, ts1)
     if not cyclic_between(s1, u, ts1, period):
         u = sys.T(u)
     if not cyclic_between(s1, u, ts1, period):
         raise SearchFailed("witness for the second search escaped (s1, Ts1)")
-    s2, s3 = _lockstep(sys, [_search_between(sys, ts1, c, clean_tol=clean_tol, **kw)
-                             for c in (u, sys.T(u))])
+    s2, s3 = _lockstep(sys, [_search_between(sys, ts1, c) for c in (u, sys.T(u))])
 
     if not cyclic_between(s1, s2, ts1, period) or not cyclic_between(ts1, s3, s1, period):
         raise SearchFailed("clean points violate the cyclic placement")
@@ -371,18 +350,13 @@ def three_clean_inflections(sys: LineSystem, *, scan: int = 64,
     return s1, s2, s3
 
 
-def _far_witness(sys, p, F, clean_tol):
-    """Contact of p farthest (projectively) from its base component."""
-    base_proj = CircularSet([sys.F0(p)], sys.period).project_half()
-    best, best_d = None, clean_tol
-    for comp in F.components():
-        mid = comp.midpoint
-        d = base_proj.distance_to(canonical(mid, base_proj.period))
-        if d > best_d:
-            best, best_d = mid, d
-    if best is None:
+def _far_witness(sys, p):
+    """Contact of p farthest (projectively) from its base component, the
+    first in order on a tie."""
+    cands = _far_contacts(sys.F(p), CircularSet([sys.F0(p)], sys.period))
+    if not cands:
         raise SearchFailed(f"p={p} looks clean; no witness component")
-    return best
+    return max(cands, key=lambda c: c[0])[1]
 
 
 # -- admissible intervals and the monotone bounds ---------------------------
@@ -398,15 +372,15 @@ class AdmissibleInterval:
         object.__setattr__(self, "b", canonical(self.b))
 
 
-def validate_admissible(sys: LineSystem, interval: AdmissibleInterval,
-                        grid: int = 16, clean_tol: float = CLEAN_TOL) -> bool:
-    """Spot check: b in (a, Ta) and no positive clean point strictly inside."""
+def validate_admissible(sys: LineSystem, interval: AdmissibleInterval) -> bool:
+    """Spot check: b in (a, Ta) and no positive clean point at 16 points
+    strictly inside."""
     a, b = interval.a, interval.b
     if not cyclic_between(a, b, sys.T(a), sys.period):
         return False
     gap = forward_gap(a, b, sys.period)
-    for frac in np.linspace(0.08, 0.92, grid):
-        if sys.is_positive_clean(canonical(a + float(frac) * gap, sys.period), clean_tol):
+    for frac in np.linspace(0.08, 0.92, 16):
+        if sys.is_positive_clean(canonical(a + float(frac) * gap, sys.period)):
             return False
     return True
 
@@ -417,22 +391,21 @@ class MuBounds:
     mu_plus: float
 
 
-def mu_bounds(sys: LineSystem, interval: AdmissibleInterval, p: float, *,
-              clean_tol: float = CLEAN_TOL, edge_tol: float = 1e-11) -> MuBounds:
+def mu_bounds(sys: LineSystem, interval: AdmissibleInterval, p: float) -> MuBounds:
     """Infimum and supremum of the forward witness set at p, with the
-    special branches at the interval endpoints."""
+    special branches at a clean endpoint within 1e-11 of p."""
     period = sys.period
     p = canonical(p, period)
     a, b = interval.a, interval.b
     window = Arc.from_endpoints(p, sys.T(p), period)
 
-    if circle_dist(p, a, period) <= edge_tol and sys.is_positive_clean(a, clean_tol):
+    if circle_dist(p, a, period) <= 1e-11 and sys.is_positive_clean(a):
         tf0 = CircularSet([sys.F0(a)], period).antipodal_image()
         mu_minus = tf0.extremum_in_window(window, "inf")
         y = sys.y_plus(a)
         mu_plus = y.extremum_in_window(window, "sup") if y else mu_minus
         return MuBounds(mu_minus, mu_plus)
-    if circle_dist(p, b, period) <= edge_tol and sys.is_positive_clean(b, clean_tol):
+    if circle_dist(p, b, period) <= 1e-11 and sys.is_positive_clean(b):
         f0 = CircularSet([sys.F0(b)], period)
         mu_plus = f0.extremum_in_window(window, "sup")
         y = sys.y_plus(b)
@@ -446,9 +419,8 @@ def mu_bounds(sys: LineSystem, interval: AdmissibleInterval, p: float, *,
                     y.extremum_in_window(window, "sup"))
 
 
-def intermediate_point(sys: LineSystem, interval: AdmissibleInterval, q: float, *,
-                       tol: float = EPS_GROUP, clean_tol: float = CLEAN_TOL) -> float:
-    """A point p in (a, b) whose witness bounds straddle q.
+def intermediate_point(sys: LineSystem, interval: AdmissibleInterval, q: float) -> float:
+    """A point p in (a, b) whose witness bounds straddle q within EPS_GROUP.
 
     q must lie strictly inside the window (mu+(b), mu-(a)); the point is
     the infimum of {x : mu+(x) <= q}, located by bisection using the
@@ -457,8 +429,8 @@ def intermediate_point(sys: LineSystem, interval: AdmissibleInterval, q: float, 
     period = sys.period
     a, b = interval.a, interval.b
     q = canonical(q, period)
-    mu_plus_b = mu_bounds(sys, interval, b, clean_tol=clean_tol).mu_plus
-    mu_minus_a = mu_bounds(sys, interval, a, clean_tol=clean_tol).mu_minus
+    mu_plus_b = mu_bounds(sys, interval, b).mu_plus
+    mu_minus_a = mu_bounds(sys, interval, a).mu_minus
     if not cyclic_between(mu_plus_b, q, mu_minus_a, period):
         raise PreconditionFailed(
             f"q={q} outside the window ({mu_plus_b}, {mu_minus_a})")
@@ -468,7 +440,7 @@ def intermediate_point(sys: LineSystem, interval: AdmissibleInterval, q: float, 
     gap = forward_gap(a, b, period)
 
     def predicate(x: float) -> bool:
-        mb = mu_bounds(sys, interval, x, clean_tol=clean_tol)
+        mb = mu_bounds(sys, interval, x)
         return forward_gap(anchor, mb.mu_plus, period) <= qpos
 
     lo_frac, hi_frac = 0.02, 0.98
@@ -486,11 +458,11 @@ def intermediate_point(sys: LineSystem, interval: AdmissibleInterval, q: float, 
     for frac in (0.5 * (lo_frac + hi_frac), hi_frac, lo_frac):
         x = canonical(a + frac * gap, period)
         try:
-            mb = mu_bounds(sys, interval, x, clean_tol=clean_tol)
+            mb = mu_bounds(sys, interval, x)
         except EmptyY:
             continue
-        lo_ok = forward_gap(anchor, mb.mu_minus, period) <= qpos + tol
-        hi_ok = forward_gap(anchor, mb.mu_plus, period) >= qpos - tol
+        lo_ok = forward_gap(anchor, mb.mu_minus, period) <= qpos + EPS_GROUP
+        hi_ok = forward_gap(anchor, mb.mu_plus, period) >= qpos - EPS_GROUP
         if lo_ok and hi_ok:
             return x
     raise NoConvergence(f"bounds never straddled q={q}")
@@ -528,34 +500,24 @@ class AxiomReport:
                 "axioms": [r.to_json() for r in self.results]}
 
 
-def check_axioms(sys: LineSystem, grid_size: int = 256, *,
-                 set_tol: float = 1e-3, margin: float = 1e-3,
-                 clean_tol: float = CLEAN_TOL) -> AxiomReport:
-    """Extensional check of the seven contact-family axioms on a grid.
+def check_axioms(sys: LineSystem, grid_size: int = 256) -> AxiomReport:
+    """Extensional check of the seven contact-family axioms on a grid of
+    a positive even size, so that every grid point's antipode is on it.
 
     Sampled configurations only: the order axiom runs over lagged pairs,
     the closedness axiom over grid-refinement sequences.  Failures are
     collected with witnesses instead of raised.
     """
+    if grid_size < 2 or grid_size % 2:
+        raise ValueError(f"the axiom grid must have a positive even size, got {grid_size}")
     period = sys.period
-    if grid_size % 2:
-        grid_size += 1
     grid = [canonical(i * period / grid_size, period) for i in range(grid_size)]
     sets = dict(zip(grid, sys.F_many(grid)))
-
-    checks = [
-        lambda: _check_l1(sys, grid, sets),
-        lambda: _check_l2(sys, grid, sets),
-        lambda: _check_l3(sys, grid, sets, set_tol),
-        lambda: _check_l4(sys, grid, sets, set_tol, margin),
-        lambda: _check_l5(sys, grid, clean_tol),
-        lambda: _check_l6(sys, grid, sets, set_tol, margin),
-        lambda: _check_l7(sys, grid, set_tol),
-    ]
     results = []
-    for check in checks:
+    for check in (_check_l1, _check_l2, _check_l3, _check_l4, _check_l5,
+                  _check_l6, _check_l7):
         started = time.perf_counter()
-        res = check()
+        res = check(sys, grid, sets)
         res.seconds = time.perf_counter() - started
         results.append(res)
     return AxiomReport(results)
@@ -570,11 +532,11 @@ def _check_l1(sys, grid, sets):
     return res
 
 
-def _check_l2(sys, grid, sets, max_components: int = 64):
+def _check_l2(sys, grid, sets):
     res = AxiomResult("L2", True, len(grid))
     for p in grid:
         F = sets[p]
-        if not F or F.is_full() or len(F) > max_components \
+        if not F or F.is_full() or len(F) > L2_MAX_COMPONENTS \
                 or F.measure > sys.period - 0.05:
             res.passed = False
             res.witnesses.append({"p": p, "components": len(F),
@@ -582,10 +544,10 @@ def _check_l2(sys, grid, sets, max_components: int = 64):
     return res
 
 
-def _check_l3(sys, grid, sets, set_tol):
+def _check_l3(sys, grid, sets):
     res = AxiomResult("L3", True, len(grid))
     for p in grid:
-        if not sets[p].set_equal(sets[p].antipodal_image(), set_tol):
+        if not sets[p].set_equal(sets[p].antipodal_image(), SET_TOL):
             res.passed = False
             res.witnesses.append({"p": p})
     return res
@@ -631,7 +593,7 @@ def _l4_config(tab_p, tab_q, g, margin, half):
     return (p1, max(ends)) if ends else None
 
 
-def _check_l4(sys, grid, sets, set_tol, margin, lags=(1, 2, 3, 5, 8, 13, 21, 34)):
+def _check_l4(sys, grid, sets):
     """The order axiom as a counterexample search over lagged pairs, in
     both orientations: every configuration _l4_config finds must have
     F(p) = F(q)."""
@@ -653,17 +615,17 @@ def _check_l4(sys, grid, sets, set_tol, margin, lags=(1, 2, 3, 5, 8, 13, 21, 34)
     for bases, src, tag, table in passes:
         n = len(bases)
         for i in range(n):
-            for lag in lags:
+            for lag in L4_LAGS:
                 p, q = bases[i], bases[(i + lag) % n]
                 g = forward_gap(p, q, period)
                 if g >= half:
                     continue
                 tried += 1
-                cfg = _l4_config(table[src[p]], table[src[q]], g, margin, half)
+                cfg = _l4_config(table[src[p]], table[src[q]], g, MARGIN, half)
                 if cfg is None:
                     continue
                 res.checked += 1
-                if not sets[src[p]].set_equal(sets[src[q]], set_tol):
+                if not sets[src[p]].set_equal(sets[src[q]], SET_TOL):
                     res.passed = False
                     if len(res.witnesses) < 3:
                         res.witnesses.append(
@@ -673,18 +635,18 @@ def _check_l4(sys, grid, sets, set_tol, margin, lags=(1, 2, 3, 5, 8, 13, 21, 34)
     return res
 
 
-def _check_l5(sys, grid, clean_tol):
+def _check_l5(sys, grid, sets):
     res = AxiomResult("L5", True, 0)
     for p in grid:
-        if sys.is_positive_clean(p, clean_tol):
+        if sys.is_positive_clean(p):
             res.checked += 1
-            if sys.is_positive_clean(sys.T(p), clean_tol):
+            if sys.is_positive_clean(sys.T(p)):
                 res.passed = False
                 res.witnesses.append({"p": p})
     return res
 
 
-def _check_l6(sys, grid, sets, set_tol, margin):
+def _check_l6(sys, grid, sets):
     res = AxiomResult("L6", True, 0)
     period = sys.period
     pairs = []  # (p, rep): a point of p's base component away from p
@@ -692,10 +654,10 @@ def _check_l6(sys, grid, sets, set_tol, margin):
         comp = sets[p].component_containing(p, MEMBER_TOL)
         if comp is not None:
             pairs += [(p, rep) for rep in (comp.start, comp.end, comp.midpoint)
-                      if circle_dist(rep, p, period) > margin]
+                      if circle_dist(rep, p, period) > MARGIN]
     for (p, rep), F in zip(pairs, sys.F_many([rep for _, rep in pairs])):
         res.checked += 1
-        if not F.set_equal(sets[p], set_tol):
+        if not F.set_equal(sets[p], SET_TOL):
             res.passed = False
             if len(res.witnesses) < 3:
                 res.witnesses.append({"p": p, "q": rep, "direction": "forward"})
@@ -703,29 +665,29 @@ def _check_l6(sys, grid, sets, set_tol, margin):
     for i in range(n):
         for j in range(i + 1, min(i + 4, n)):
             p, q = grid[i], grid[j]
-            if circle_dist(p, q, period) <= margin:
+            if circle_dist(p, q, period) <= MARGIN:
                 continue
-            if sets[p].set_equal(sets[q], set_tol):
+            if sets[p].set_equal(sets[q], SET_TOL):
                 res.checked += 1
                 comp = sets[p].component_containing(p, MEMBER_TOL)
-                if comp is None or not comp.contains(q, set_tol):
+                if comp is None or not comp.contains(q, SET_TOL):
                     res.passed = False
                     if len(res.witnesses) < 3:
                         res.witnesses.append({"p": p, "q": q, "direction": "reverse"})
     return res
 
 
-def _check_l7(sys, grid, set_tol, bases: int = 6, depth: int = 14):
-    """Closedness along refinement chains p + step0 / 2^d, d = 1 .. depth,
-    from `bases` grid points: a contact tracked down the chain must end
-    in F(p).  The chain bases come from the system in two blocks, the
+def _check_l7(sys, grid, sets):
+    """Closedness along refinement chains p + step0 / 2^d, d = 1 ..
+    L7_DEPTH, from L7_CHAINS grid points: a contact tracked down the
+    chain must end in F(p).  The chain bases come from the system in two blocks, the
     first depth of every chain and then the rest of the chains that
     find a contact to track there."""
     res = AxiomResult("L7", True, 0)
     period = sys.period
     step0 = period / 16.0
-    starts = [grid[(k * len(grid)) // bases] for k in range(bases)]
-    chains = [[canonical(p + step0 * 0.5 ** d, period) for d in range(1, depth + 1)]
+    starts = [grid[(k * len(grid)) // L7_CHAINS] for k in range(L7_CHAINS)]
+    chains = [[canonical(p + step0 * 0.5 ** d, period) for d in range(1, L7_DEPTH + 1)]
               for p in starts]
     tracked = []
     for chain, F1 in zip(chains, sys.F_many([c[0] for c in chains])):
@@ -744,7 +706,7 @@ def _check_l7(sys, grid, set_tol, bases: int = 6, depth: int = 14):
                          key=lambda m: circle_dist(m, s_prev, period))
         p = starts[k]
         res.checked += 1
-        if sys.F(p).distance_to(s_prev) > 10.0 * set_tol:
+        if sys.F(p).distance_to(s_prev) > 10.0 * SET_TOL:
             res.passed = False
             res.witnesses.append({"p": p, "limit": s_prev,
                                   "dist": sys.F(p).distance_to(s_prev)})

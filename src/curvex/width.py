@@ -21,6 +21,7 @@ import numpy as np
 from .circle import CircularSet, TWO_PI, canonical
 from .errors import CertificateFailed, IdenticallyZero, LineCurve, NotConvex
 from .census import (
+    GAP_MARGIN,
     CensusReport,
     DoubleTangentInterval,
     count_inflections_topological,
@@ -52,6 +53,7 @@ from .trig import (
 )
 
 SEED_THRESHOLD = 1e-2
+A2_GRID = 512  # bases, and offsets per base, of the a2 seed grid
 CIRCLE_OFFSET = "deviation lies in the circle-support space; every width circle osculates"
 
 
@@ -176,7 +178,7 @@ def contact_map(sf: SupportFunction, eps_contact: float = EPS_CONTACT):
 
 
 def contact_system(sf: SupportFunction, eps_contact: float = EPS_CONTACT) -> LineSystem:
-    return LineSystem(contact_map(sf, eps_contact), name="width")
+    return LineSystem(contact_map(sf, eps_contact))
 
 
 # -- clean flexes and the census ---------------------------------------------
@@ -189,8 +191,7 @@ class FlexTriple:
     circle_points: tuple[float, float, float]  # the positive clean points on S^1
 
 
-def clean_flexes(sf: SupportFunction, system: LineSystem | None = None,
-                 **kw) -> FlexTriple:
+def clean_flexes(sf: SupportFunction, system: LineSystem | None = None) -> FlexTriple:
     """Three clean flexes in a half period, found by the intrinsic-system
     search (on contact_system(sf) unless a system is given) and snapped
     to the nearest true inflection of the lift or its antipode.
@@ -199,19 +200,19 @@ def clean_flexes(sf: SupportFunction, system: LineSystem | None = None,
     it changes sign there as f + f'' does: against the entry's sign."""
     flexes = _flexes(sf)
     snapped = [nearest_inflection(flexes, s)
-               for s in three_clean_inflections(system or contact_system(sf), **kw)]
+               for s in three_clean_inflections(system or contact_system(sf))]
     points, signs = zip(*sorted((e.parameter, -e.sign) for _, e in snapped))
     return FlexTriple(points, signs, tuple(t for t, _ in snapped))
 
 
-def a2_double_tangents(sf: SupportFunction, n_a: int = 512, n_b: int = 512,
-                       margin: float = 0.02) -> tuple[list[DoubleTangentInterval], int]:
+def a2_double_tangents(sf: SupportFunction) -> tuple[list[DoubleTangentInterval], int]:
     """Intervals whose endpoints share a tangent circle-support member.
 
     Newton solves value and slope matching from the row minima below
     SEED_THRESHOLD * scale of R = |f(a+s) - phi| + |f'(a+s) - dphi| on a
-    grid of bases a and offsets s (phi: the member osculating f at a),
-    with R exact where _residual_bound lets a seed lie and +inf elsewhere.
+    grid of A2_GRID bases a by A2_GRID offsets s in [GAP_MARGIN,
+    pi - GAP_MARGIN] (phi: the member osculating f at a), with R exact
+    where _residual_bound lets a seed lie and +inf elsewhere.
     Solutions are filtered by the off-member condition and equal
     curvature-defect signs at the endpoints (which is what same-sided
     local extrema of the difference mean).  IdenticallyZero when f lies
@@ -224,8 +225,8 @@ def a2_double_tangents(sf: SupportFunction, n_a: int = 512, n_b: int = 512,
     f1 = f.derivative()
     lf = apply_flex_operator(f, 2)
 
-    a_grid = np.linspace(0.0, math.pi, n_a, endpoint=False)
-    off_grid = np.linspace(margin, math.pi - margin, n_b)
+    a_grid = np.linspace(0.0, math.pi, A2_GRID, endpoint=False)
+    off_grid = np.linspace(GAP_MARGIN, math.pi - GAP_MARGIN, A2_GRID)
     fa, f1a = f(a_grid), f1(a_grid)
     # the residual carries the units of f and f', so the seeding band
     # scales with their coefficient bounds
@@ -240,12 +241,12 @@ def a2_double_tangents(sf: SupportFunction, n_a: int = 512, n_b: int = 512,
                             < threshold + 1e-9 * scale)
     B = a_grid[rows] + off_grid[cols]
     cosd, sind = np.cos(off_grid)[cols], np.sin(off_grid)[cols]
-    R = np.full((n_a, n_b), np.inf)
+    R = np.full((A2_GRID, A2_GRID), np.inf)
     R[rows, cols] = (np.abs(f(B) - (fa[rows] * cosd + f1a[rows] * sind))
                      + np.abs(f1(B) - (-fa[rows] * sind + f1a[rows] * cosd)))
     rows, cols = row_minima(R, threshold)
     found, dropped = tangent_pairs(a_grid[rows], a_grid[rows] + off_grid[cols],
-                                   _a2_system(f, f1, lf, scale), margin)
+                                   _a2_system(f, f1, lf, scale))
     intervals = []
     for a, gap in found:
         b = a + gap

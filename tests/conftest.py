@@ -28,17 +28,17 @@ def curve7():
 
 @pytest.fixture(scope="session")
 def sys3(curve3):
-    return LineSystem(contact_map(curve3), name="sphere-3")
+    return LineSystem(contact_map(curve3))
 
 
 @pytest.fixture(scope="session")
 def sys5(curve5):
-    return LineSystem(contact_map(curve5), name="sphere-5")
+    return LineSystem(contact_map(curve5))
 
 
 @pytest.fixture(scope="session")
 def sys7(curve7):
-    return LineSystem(contact_map(curve7), name="sphere-7")
+    return LineSystem(contact_map(curve7))
 
 
 @pytest.fixture(scope="session")

@@ -161,9 +161,18 @@ def test_wrong_input_kind_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode", ["width-census", "flexes", "theorem-c"])
+def test_support_modes_refuse_a_curve_input(tmp_path, capsys, mode):
+    code, data = run(tmp_path, SPHERE_SIN3, mode)
+    assert code == 2 and data is None
+    assert not (tmp_path / "report.json.meta.json").exists()
+    assert "expects a d/f support input" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--plot-samples", "1000"),
                                          ("--axiom-grid", "0"),
-                                         ("--axiom-grid", "-3")])
+                                         ("--axiom-grid", "-3"),
+                                         ("--axiom-grid", "33")])
 def test_bad_grid_exits_2(tmp_path, flag, value):
     inp = write_input(tmp_path, WIDTH_SIN3)
     assert main(["--input", inp, "--mode", "axioms", flag, value]) == 2

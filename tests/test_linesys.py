@@ -23,8 +23,8 @@ from curvex.errors import (
 )
 from curvex import linesys, width
 from curvex.linesys import (
-    CLEAN_TOL,
     MEMBER_TOL,
+    SET_TOL,
     AdmissibleInterval,
     AxiomResult,
     LineSystem,
@@ -123,9 +123,9 @@ def sequential_triple(sys):
     the other through clean_point_between, each base read through F."""
     grid = [float(t) for t in np.linspace(0.0, sys.period, 64, endpoint=False)]
     p = grid[int(np.argmax([len(F) for F in sys.F_many(grid)]))]
-    s1 = clean_point_between(sys, p, _far_witness(sys, p, sys.F(p), CLEAN_TOL))
+    s1 = clean_point_between(sys, p, _far_witness(sys, p))
     ts1 = sys.T(s1)
-    u = _far_witness(sys, ts1, sys.F(ts1), CLEAN_TOL)
+    u = _far_witness(sys, ts1)
     if not cyclic_between(s1, u, ts1):
         u = sys.T(u)
     s2 = clean_point_between(sys, ts1, u)
@@ -162,6 +162,11 @@ def test_lockstep_triple_equals_the_sequential_searches(case, request):
     assert lock.solves["calls"] < seq.solves["calls"]
 
 
+def reflect(F):
+    """F with the orientation of the circle reversed, t -> -t."""
+    return CircularSet([Arc(-a.end, a.length) for a in F.arcs], merge_tol=0.0)
+
+
 def fake_search(bases, error):
     """Asks for each base in turn, then raises error, or returns the
     last base when error is None."""
@@ -175,14 +180,16 @@ def fake_search(bases, error):
 def failing_map(bad):
     """A contact map that cannot solve the bases in bad."""
     def fn(ps):
-        hit = [p for p in ps if p in bad]
+        hit = [p for p in ps if any(circle_dist(p, b) < 1e-9 for b in bad)]
         if hit:
             raise NoConvergence(f"no limit at {hit[0]}")
         return [CircularSet.from_points([p]) for p in ps], []
     return fn
 
 
-# the (bases, error) of the s2 and s3 searches, and the bases the map fails on
+# the (bases, error) of the s2 and s3 searches, with True appended for a
+# reversed search, and the bases the map fails on; a reversed search's
+# base p is solved at -p
 FAILURES = {
     "both-fail-s3-first": (([0.1, 0.2, 0.3], SearchFailed("s2")), ([1.1], SearchFailed("s3")), ()),
     "s3-fails": (([0.1, 0.2, 0.3], None), ([1.1], SearchFailed("s3")), ()),
@@ -192,6 +199,14 @@ FAILURES = {
     "map-fails-s3": (([0.1, 0.2], None), ([1.1], None), (1.1,)),
     "map-fails-s2-late": (([0.1, 0.2], None), ([1.1], SearchFailed("s3")), (0.2,)),
     "map-fails-both": (([0.1], None), ([1.1], None), (0.1, 1.1)),
+    "rev-none-fails": (([0.1, 0.2], None, True), ([1.1], None, True), ()),
+    "rev-s2-fails-first": (([0.1], SearchFailed("s2"), True), ([1.1, 1.2], None), ()),
+    "rev-both-fail-s3-first": (([0.1, 0.2, 0.3], SearchFailed("s2")),
+                               ([1.1], SearchFailed("s3"), True), ()),
+    "map-fails-rev-s3": (([0.1, 0.2], None), ([1.1, 1.2], None, True), (TWO_PI - 1.2,)),
+    "map-fails-rev-s2-late": (([0.1, 0.2], None, True), ([1.1], SearchFailed("s3")),
+                              (TWO_PI - 0.2,)),
+    "map-fails-at-p-not-at-rev-p": (([0.1, 0.2], None, True), ([1.1], None), (0.2,)),
 }
 
 
@@ -199,14 +214,34 @@ FAILURES = {
 def test_lockstep_raises_what_the_sequential_searches_raise(s2, s3, bad):
     # the first failing search in list order names the error, whichever
     # search fails at an earlier step, as when s2 runs to its end first
+    def one_by_one(sys, searches):
+        """Each search to its end in turn, its bases read through F; a
+        reversed search reads the set at -p reflected, and its point
+        is reflected back."""
+        out = []
+        for rev, search in searches:
+            try:
+                p = next(search)
+                while True:
+                    if rev:
+                        p = search.send(reflect(sys.F(canonical(-sys._key(p)))))
+                    else:
+                        p = search.send(sys.F(p))
+            except StopIteration as done:
+                out.append(canonical(-done.value) if rev else done.value)
+        return out
+
+    def pair(bases, error, rev=False):
+        return rev, fake_search(bases, error)
+
     def outcome(run):
         sys = LineSystem(failing_map(bad))
         try:
-            return run(sys, [(False, fake_search(*s2)), (False, fake_search(*s3))]), sys
+            return run(sys, [pair(*s2), pair(*s3)]), sys
         except (NoConvergence, SearchFailed) as err:
             return (type(err), str(err)), sys
 
-    seq, seq_sys = outcome(lambda sys, searches: [linesys._run(sys, s) for _, s in searches])
+    seq, seq_sys = outcome(one_by_one)
     lock, lock_sys = outcome(linesys._lockstep)
     assert lock == seq
     assert seq_sys._cache.keys() <= lock_sys._cache.keys()
@@ -219,7 +254,7 @@ class TestMuBounds:
 
     def test_validate(self, sys3):
         iv = self.interval(sys3)
-        assert validate_admissible(sys3, iv, grid=6)
+        assert validate_admissible(sys3, iv)
         assert not validate_admissible(sys3, AdmissibleInterval(0.0, math.pi + 0.3))
 
     def test_interior_bounds_in_range(self, sys3):
@@ -314,6 +349,12 @@ def test_axioms_fault_injection():
     assert not rep.all_pass
 
 
+@pytest.mark.parametrize("grid_size", [0, 33])
+def test_axioms_refuse_an_odd_or_empty_grid(grid_size):
+    with pytest.raises(ValueError, match="positive even"):
+        check_axioms(LineSystem(broken), grid_size=grid_size)
+
+
 def test_axiom_report_serializes(sys3):
     rep = check_axioms(sys3, grid_size=32)
     payload = rep.to_json()
@@ -334,7 +375,7 @@ def test_sphere_and_width_systems_agree(sys3):
         assert sys3.F(p).set_equal(wsys.F(p), 1e-6), p
 
 
-def l6_lazy(sys, grid, sets, set_tol, margin):
+def l6_lazy(sys, grid, sets):
     """The component axiom with one contact-map call per base it reads."""
     res = AxiomResult("L6", True, 0)
     period = sys.period
@@ -343,10 +384,10 @@ def l6_lazy(sys, grid, sets, set_tol, margin):
         if comp is None:
             continue
         for rep in (comp.start, comp.end, comp.midpoint):
-            if circle_dist(rep, p, period) <= margin:
+            if circle_dist(rep, p, period) <= linesys.MARGIN:
                 continue
             res.checked += 1
-            if not sys.F(rep).set_equal(sets[p], set_tol):
+            if not sys.F(rep).set_equal(sets[p], SET_TOL):
                 res.passed = False
                 if len(res.witnesses) < 3:
                     res.witnesses.append({"p": p, "q": rep, "direction": "forward"})
@@ -354,19 +395,19 @@ def l6_lazy(sys, grid, sets, set_tol, margin):
     for i in range(n):
         for j in range(i + 1, min(i + 4, n)):
             p, q = grid[i], grid[j]
-            if circle_dist(p, q, period) <= margin:
+            if circle_dist(p, q, period) <= linesys.MARGIN:
                 continue
-            if sets[p].set_equal(sets[q], set_tol):
+            if sets[p].set_equal(sets[q], SET_TOL):
                 res.checked += 1
                 comp = sets[p].component_containing(p, MEMBER_TOL)
-                if comp is None or not comp.contains(q, set_tol):
+                if comp is None or not comp.contains(q, SET_TOL):
                     res.passed = False
                     if len(res.witnesses) < 3:
                         res.witnesses.append({"p": p, "q": q, "direction": "reverse"})
     return res
 
 
-def l7_lazy(sys, grid, set_tol, bases=6, depth=14):
+def l7_lazy(sys, grid, sets, bases=6, depth=14):
     """The closedness axiom walking each chain base by base, stopping a
     chain at depth 1 when it finds no contact to track."""
     res = AxiomResult("L7", True, 0)
@@ -393,7 +434,7 @@ def l7_lazy(sys, grid, set_tol, bases=6, depth=14):
         if s_prev is None:
             continue
         res.checked += 1
-        if sys.F(p).distance_to(s_prev) > 10.0 * set_tol:
+        if sys.F(p).distance_to(s_prev) > 10.0 * SET_TOL:
             res.passed = False
             res.witnesses.append({"p": p, "limit": s_prev,
                                   "dist": sys.F(p).distance_to(s_prev)})
@@ -441,14 +482,37 @@ def test_prefetch_solves_what_the_lazy_path_solves(case, request, monkeypatch):
         assert by_name["L6"]["checked"] > 0 and 0 < by_name["L7"]["checked"] < 6
 
 
-def test_reversed_system_view(sys3):
-    rev = sys3.reversed()
-    F = sys3.F(0.35)
-    Frev = rev.F((2 * math.pi - 0.35) % (2 * math.pi))
-    mids = sorted(c.midpoint for c in F.components())
-    rmids = sorted((2 * math.pi - c.midpoint) % (2 * math.pi)
-                   for c in Frev.components())
-    assert mids == pytest.approx(rmids, abs=1e-9)
+def mirrored(sys):
+    """The line system whose set at p is the set of sys at -p, reflected."""
+    return LineSystem(lambda ps: ([reflect(F) for F in sys.F_many([canonical(-p) for p in ps])],
+                                  []))
+
+
+_RNG5_AGAIN = np.random.default_rng(5)
+MIRROR_CASES = ["curve3", "curve5", "sf_mix4"] + [
+    pytest.param(_random_lift(_RNG5_AGAIN), id=f"rng5-{k}") for k in range(5)]
+
+
+@pytest.mark.parametrize("case", MIRROR_CASES)
+def test_backward_search_is_the_mirrored_forward_search(case, request):
+    # _lockstep reads a backward search's bases reflected; the search must
+    # find the reflection of the forward search on a system that reflects
+    # every set by hand, from the same solved bases
+    obj = request.getfixturevalue(case) if isinstance(case, str) else case
+    if isinstance(obj, ProjectiveCurve):
+        probe, back, under = (LineSystem(contact_map(obj)) for _ in range(3))
+    else:
+        probe, back, under = (width.contact_system(obj) for _ in range(3))
+    grid = [float(t) for t in np.linspace(0.0, TWO_PI, 64, endpoint=False)]
+    p = grid[int(np.argmax([len(F) for F in probe.F_many(grid)]))]
+    c = _far_witness(probe, p)
+    if cyclic_between(p, c, probe.T(p)):
+        c = probe.T(c)  # its antipode, a contact on the backward side of p
+    s = clean_point_between(back, p, c)
+    assert cyclic_between(c, s, p)
+    assert s == canonical(-clean_point_between(mirrored(under), canonical(-p), canonical(-c)))
+    assert back._cache.keys() == under._cache.keys()
+    assert all(back._cache[k].arcs == under._cache[k].arcs for k in back._cache)
 
 
 LAGS = (1, 2, 3, 5, 8, 13, 21, 34)
@@ -507,7 +571,7 @@ def l4_both(sys, grid_size):
     within rounding."""
     grid = [canonical(i * sys.period / grid_size, sys.period) for i in range(grid_size)]
     sets = dict(zip(grid, sys.F_many(grid)))
-    fast = _check_l4(sys, grid, sets, 1e-3, MARGIN)
+    fast = _check_l4(sys, grid, sets)
     ref = l4_reference(sys, grid, sets, 1e-3, MARGIN)
     assert (fast.passed, fast.checked) == (ref.passed, ref.checked)
     assert [w["pass"] for w in fast.witnesses] == [w["pass"] for w in ref.witnesses]
