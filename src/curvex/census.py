@@ -50,7 +50,7 @@ OFF_CHORD_SAMPLES = 257  # arc samples tested against a candidate's chord
 ESCAPE_BLOCK = 32  # tangent circles per block of the topological count
 ESCAPE = 1e-7  # side-value band a tangent circle's walk must leave
 FD_STEP = 1e-5  # central-difference step of the topological tangent
-DETECT_BASES = 512  # bases whose tangent lines seed the double tangents
+DETECT_BASES = 512  # bases whose tangent lines seed both double-tangent detectors
 GAP_MARGIN = 0.02  # least forward gap, and least gap to pi, of a tangent pair
 
 
@@ -305,20 +305,6 @@ def _tangency_system(curve: ProjectiveCurve):
     return system
 
 
-def row_minima(R: np.ndarray, threshold: float):
-    """(rows, cols) of the cells below threshold that are no larger than
-    their row neighbours, in row-major order; the first and last columns
-    are never taken.
-
-    Row-wise minima keep seeds inside diagonal residual valleys that
-    strict grid minima can straddle."""
-    keep = R < threshold
-    keep[:, 1:] &= R[:, 1:] <= R[:, :-1]
-    keep[:, :-1] &= R[:, :-1] <= R[:, 1:]
-    keep[:, [0, -1]] = False
-    return np.nonzero(keep)
-
-
 def tangent_pairs(a0, b0, system) -> tuple[list[tuple[float, float]], int]:
     """Solve the seeds (a0[i], b0[i]) with newton2 on the system and keep
     the solutions whose forward gap lies in (GAP_MARGIN/2, pi - GAP_MARGIN/2),
@@ -385,20 +371,17 @@ def _passes_filters(curve: ProjectiveCurve, a: float, b: float, probe,
     return ch
 
 
-def detect_double_tangents(curve: ProjectiveCurve) -> DetectionResult:
-    """All double tangent intervals on the projective line.
+def _fold_seeds(curve: ProjectiveCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Newton seeds (a0, b0) for the double tangents of the curve.
 
     The tangent line at a base a meets the curve at the zeros of
     g_a(b) = n(a).F(b) in (a, a + pi), found by tangent_line_zeros at
-    DETECT_BASES bases.
-    A double tangent is a double zero of g_a, so the zero count (with
-    multiplicity) differs between the two bases that bracket it.  At
-    both, each zero and each midpoint of adjacent zeros seeds newton2,
-    also transposed as (b, a + pi): from its other end a double tangent
-    is seen even where a second fold in the same base step hides it.
-    Converged pairs are deduplicated and pushed through the filters,
-    with the chord probes and the off-chord samples of every pair found
-    in one call each.
+    DETECT_BASES bases.  A double tangent is a double zero of g_a, so the
+    zero count (with multiplicity) differs between the two bases that
+    bracket it.  At both, each zero and each midpoint of adjacent zeros
+    is a seed, also transposed as (b, a + pi): from its other end a
+    double tangent is seen even where a second fold in the same base
+    step hides it.
     """
     agrid = np.linspace(0.0, math.pi, DETECT_BASES, endpoint=False)
     rows, zeros, mult = tangent_line_zeros(curve, agrid)
@@ -408,9 +391,18 @@ def detect_double_tangents(curve: ProjectiveCurve) -> DetectionResult:
     pair = seeding[1:] & (rows[1:] == rows[:-1])
     a0 = np.concatenate([agrid[rows[seeding]], agrid[rows[1:][pair]]])
     b0 = np.concatenate([zeros[seeding], 0.5 * (zeros[1:] + zeros[:-1])[pair]])
-    found, dropped = tangent_pairs(np.concatenate([a0, b0]),
-                                   np.concatenate([b0, a0 + math.pi]),
-                                   _tangency_system(curve))
+    return np.concatenate([a0, b0]), np.concatenate([b0, a0 + math.pi])
+
+
+def detect_double_tangents(curve: ProjectiveCurve) -> DetectionResult:
+    """All double tangent intervals on the projective line.
+
+    newton2 solves the tangency system from the _fold_seeds of the
+    curve.  Converged pairs are deduplicated and pushed through the
+    filters, with the chord probes and the off-chord samples of every
+    pair found in one call each.
+    """
+    found, dropped = tangent_pairs(*_fold_seeds(curve), _tangency_system(curve))
     intervals = []
     if not found:
         return DetectionResult(intervals, dropped)

@@ -70,8 +70,8 @@ def _validate(args) -> str | None:
         return f"--plot-samples must be a power of two in [256, 65536], got {n}"
     if args.axiom_grid < 2 or args.axiom_grid % 2:
         return f"--axiom-grid must be a positive even number, got {args.axiom_grid}"
-    if args.eps_contact <= 0:
-        return "--eps-contact must be positive"
+    if not 0.0 < args.eps_contact < math.inf:
+        return f"--eps-contact must be positive and finite, got {args.eps_contact}"
     return None
 
 
@@ -325,7 +325,7 @@ def main(argv=None) -> int:
         return _fail(err)
     try:
         obj = _load_input(args.input)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, CurvexError) as exc:
         return _fail(f"cannot read input: {exc}")
     kind, name = NEEDS.get(args.mode, (object, ""))
     if not isinstance(obj, kind):

@@ -163,9 +163,12 @@ class TrigSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrigSeries":
-        return cls(float(obj.get("constant", 0.0)),
-                   tuple((int(k), float(a), float(b)) for k, a, b in obj.get("harmonics", [])),
-                   obj.get("parity", PERIODIC))
+        constant = float(obj.get("constant", 0.0))
+        harmonics = tuple((int(k), float(a), float(b)) for k, a, b in obj.get("harmonics", []))
+        coeffs = [constant] + [c for _, a, b in harmonics for c in (a, b)]
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError("series coefficients must be finite")
+        return cls(constant, harmonics, obj.get("parity", PERIODIC))
 
 
 def _pruned(constant: float, harmonics: Sequence[tuple[int, float, float]], parity: str) -> TrigSeries:

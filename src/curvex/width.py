@@ -21,13 +21,13 @@ import numpy as np
 from .circle import CircularSet, TWO_PI, canonical
 from .errors import CertificateFailed, IdenticallyZero, LineCurve, NotConvex
 from .census import (
-    GAP_MARGIN,
     CensusReport,
     DoubleTangentInterval,
+    _fold_seeds,
+    _tangency_system,
     count_inflections_topological,
     family_and_warnings,
     reduction,
-    row_minima,
     tangent_pairs,
 )
 from .linesys import LineSystem, three_clean_inflections
@@ -52,8 +52,6 @@ from .trig import (
     sin_series,
 )
 
-SEED_THRESHOLD = 1e-2
-A2_GRID = 512  # bases, and offsets per base, of the a2 seed grid
 CIRCLE_OFFSET = "deviation lies in the circle-support space; every width circle osculates"
 
 
@@ -67,8 +65,8 @@ class SupportFunction:
     def __post_init__(self):
         if self.f.parity != ANTIPERIODIC:
             raise ValueError("the deviation must be pi-antiperiodic")
-        if self.d <= 0:
-            raise ValueError("width must be positive")
+        if not 0.0 < self.d < math.inf:
+            raise ValueError(f"width must be positive and finite, got {self.d}")
         lf = apply_flex_operator(self.f, 2)
         grid = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
         if float(np.min(0.5 * self.d + lf(grid))) <= 0.0:
@@ -208,45 +206,27 @@ def clean_flexes(sf: SupportFunction, system: LineSystem | None = None) -> FlexT
 def a2_double_tangents(sf: SupportFunction) -> tuple[list[DoubleTangentInterval], int]:
     """Intervals whose endpoints share a tangent circle-support member.
 
-    Newton solves value and slope matching from the row minima below
-    SEED_THRESHOLD * scale of R = |f(a+s) - phi| + |f'(a+s) - dphi| on a
-    grid of A2_GRID bases a by A2_GRID offsets s in [GAP_MARGIN,
-    pi - GAP_MARGIN] (phi: the member osculating f at a), with R exact
-    where _residual_bound lets a seed lie and +inf elsewhere.
+    They are the lift's double tangents: n(a) = F(a) x F'(a) has
+    z-component 1 on F = (cos t, sin t, f(t)), so n(a).F(b) = f(b) - phi(b)
+    and n(a).F'(b) = f'(b) - phi'(b) for the member phi osculating f at a.
+    Newton solves that tangency system from the lift's _fold_seeds, which
+    follow the zeros of f - phi: scaling f moves them by rounding only.
     Solutions are filtered by the off-member condition and equal
     curvature-defect signs at the endpoints (which is what same-sided
     local extrema of the difference mean).  IdenticallyZero when f lies
-    in the circle-support space, where every cell would be a seed."""
+    in the circle-support space, where the tangency system vanishes
+    identically."""
     try:
         nonzero_indicator(sf.lift)
     except LineCurve:
         raise IdenticallyZero(CIRCLE_OFFSET) from None
     f = sf.f
-    f1 = f.derivative()
     lf = apply_flex_operator(f, 2)
-
-    a_grid = np.linspace(0.0, math.pi, A2_GRID, endpoint=False)
-    off_grid = np.linspace(GAP_MARGIN, math.pi - GAP_MARGIN, A2_GRID)
-    fa, f1a = f(a_grid), f1(a_grid)
-    # the residual carries the units of f and f', so the seeding band
-    # scales with their coefficient bounds
+    # the filters' bands carry the units of f, so they scale with its
+    # coefficient bounds
     scale = max(1.0, sum(abs(a) + abs(b) for _, a, b in f.harmonics)
                 * (1.0 + f.degree))
-    threshold = SEED_THRESHOLD * scale
-    # a cell left at +inf has a bound of at least threshold + 1e-9*scale,
-    # which is R up to rounding (below 1e-14*scale), so its R >= threshold:
-    # row_minima neither takes it nor prefers it to a kept neighbour, and
-    # the seeds are those of the full grid, bit for bit
-    rows, cols = np.nonzero(_residual_bound(f, a_grid, off_grid, fa, f1a)
-                            < threshold + 1e-9 * scale)
-    B = a_grid[rows] + off_grid[cols]
-    cosd, sind = np.cos(off_grid)[cols], np.sin(off_grid)[cols]
-    R = np.full((A2_GRID, A2_GRID), np.inf)
-    R[rows, cols] = (np.abs(f(B) - (fa[rows] * cosd + f1a[rows] * sind))
-                     + np.abs(f1(B) - (-fa[rows] * sind + f1a[rows] * cosd)))
-    rows, cols = row_minima(R, threshold)
-    found, dropped = tangent_pairs(a_grid[rows], a_grid[rows] + off_grid[cols],
-                                   _a2_system(f, f1, lf, scale))
+    found, dropped = tangent_pairs(*_fold_seeds(sf.lift), _tangency_system(sf.lift))
     intervals = []
     for a, gap in found:
         b = a + gap
@@ -262,46 +242,6 @@ def a2_double_tangents(sf: SupportFunction) -> tuple[list[DoubleTangentInterval]
             continue
         intervals.append(DoubleTangentInterval(a, b, None))
     return intervals, dropped
-
-
-def _residual_bound(f, a_grid, off_grid, fa, f1a) -> np.ndarray:
-    """|f(a+s) - phi| + |f'(a+s) - dphi| on the grid, up to rounding, from
-    the shift identity f(a+s) = sum_k A_k(a) cos ks + B_k(a) sin ks with
-    A_k = a_k cos ka + b_k sin ka and B_k = b_k cos ka - a_k sin ka; phi
-    and dphi join as the k = 1 terms -f(a), -f'(a) and -f'(a), f(a)."""
-    k, ak, bk = (np.array(c, dtype=float) for c in zip(*f.harmonics))
-    cka, ska = np.cos(np.outer(a_grid, k)), np.sin(np.outer(a_grid, k))
-    A, Bk = ak * cka + bk * ska, bk * cka - ak * ska
-    value = np.hstack([A, -fa[:, None], Bk, -f1a[:, None]])
-    slope = np.hstack([k * Bk, -f1a[:, None], -k * A, fa[:, None]])
-    ks = np.outer(np.append(k, 1.0), off_grid)
-    basis = np.vstack([np.cos(ks), np.sin(ks)])
-    return np.abs(value @ basis) + np.abs(slope @ basis)
-
-
-def _a2_system(f, f1, lf, scale):
-    """Value/slope matching for newton2; the Jacobian is closed-form in
-    the curvature defect: d(r1)/da = -L2f(a) sin(b-a), d(r2)/da = -L2f(a)
-    cos(b-a), d(r1)/db = r2, d(r2)/db = L2f(b) - r1."""
-    def system(a, b):
-        d = b - a
-        fa, f1a = f(a), f1(a)
-        cosd, sind = np.cos(d), np.sin(d)
-        phi = fa * cosd + f1a * sind
-        dphi = -fa * sind + f1a * cosd
-        r1 = f(b) - phi
-        r2 = f1(b) - dphi
-        done = (np.abs(r1) + np.abs(r2)) / scale < 1e-12
-        run = ~done
-        a, b, cosd, sind, r1, r2 = a[run], b[run], cosd[run], sind[run], r1[run], r2[run]
-        la = lf(a)
-        J = np.empty((len(a), 2, 2))
-        J[:, 0, 0] = -la * sind
-        J[:, 0, 1] = r2
-        J[:, 1, 0] = -la * cosd
-        J[:, 1, 1] = lf(b) - r1
-        return done, J, np.stack([r1, r2], axis=1)
-    return system
 
 
 def census_fn(sf: SupportFunction, clean_points: list[float] | None = None,

@@ -15,7 +15,6 @@ from curvex.census import (
     greedy_maximal_family,
     maximal_independent_family,
     reduction,
-    row_minima,
 )
 from curvex.errors import DegenerateChord
 from curvex.linesys import three_clean_inflections
@@ -91,36 +90,6 @@ class TestChord:
         ch = chord_of(curve5, inside[0], inside[-1])
         fracs = [ch.position_of(curve5.lift(t)) for t in inside]
         assert fracs == sorted(fracs)
-
-
-def test_row_minima_matches_a_double_loop():
-    rng = np.random.default_rng(3)
-    # few distinct values make ties common
-    R = rng.integers(0, 6, size=(40, 9)).astype(float)
-    R[rng.random(R.shape) < 0.15] = np.inf
-    R[0, :] = [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5]  # ends lowest, never taken
-    R[1, :] = [0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0]
-    n = R.shape[1]
-    expected = []
-    for i in range(R.shape[0]):
-        for k in range(1, n - 1):
-            if R[i, k] < 4.0 and R[i, k] <= R[i, k - 1] and R[i, k] <= R[i, k + 1]:
-                expected.append((i, k))
-    rows, cols = row_minima(R, 4.0)
-    assert list(zip(rows.tolist(), cols.tolist())) == expected
-
-
-def test_row_minima_ignores_cells_at_or_above_threshold():
-    # cells >= threshold are never taken and never below a taken
-    # neighbour, so replacing them by +inf changes nothing (the width
-    # seed grid leaves every cell that cannot hold a seed at +inf)
-    rng = np.random.default_rng(5)
-    R = rng.integers(0, 8, size=(60, 11)).astype(float)
-    R[:, 3] = 4.0  # ties with the threshold itself
-    masked = np.where(R >= 4.0, np.inf, R)
-    for got, want in zip(row_minima(masked, 4.0), row_minima(R, 4.0)):
-        assert np.array_equal(got, want)
-    assert len(row_minima(R, 4.0)[0]) > 0
 
 
 class TestDetection:

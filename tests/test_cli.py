@@ -169,6 +169,33 @@ def test_support_modes_refuse_a_curve_input(tmp_path, capsys, mode):
     assert "expects a d/f support input" in capsys.readouterr().err
 
 
+def with_coefficient(payload, key, value):
+    """A copy of payload whose series key (f, or x/y/z) has value as the
+    sine coefficient of its first harmonic."""
+    series = payload[key]
+    (k, a, _), *rest = series["harmonics"]
+    return dict(payload, **{key: dict(series, harmonics=[[k, a, value], *rest])})
+
+
+@pytest.mark.parametrize("payload, mode, extra", [
+    ({"d": 1, "f": WIDTH_SIN3["f"]}, "width-census", ()),  # not convex
+    (dict(SPHERE_SIN3, y={"parity": "antiperiodic", "harmonics": []},
+          z={"parity": "antiperiodic", "harmonics": []}), "sphere-census", ()),  # |F| = 0
+    (dict(WIDTH_SIN3, d=math.nan), "width-census", ()),
+    (dict(WIDTH_SIN3, d=math.inf), "theorem-c", ()),
+    (with_coefficient(WIDTH_SIN3, "f", math.nan), "width-census", ()),
+    (with_coefficient(SPHERE_SIN3, "z", math.inf), "sphere-census", ()),
+    (WIDTH_SIN3, "width-census", ("--eps-contact", "nan")),
+    (WIDTH_SIN3, "width-census", ("--eps-contact", "inf")),
+], ids=["not-convex", "zero-F", "d-nan", "d-inf", "coefficient-nan",
+        "coefficient-inf", "eps-contact-nan", "eps-contact-inf"])
+def test_bad_input_exits_2_without_a_report(tmp_path, capsys, payload, mode, extra):
+    code, data = run(tmp_path, payload, mode, *extra)
+    assert code == 2 and data is None
+    assert not (tmp_path / "report.json.meta.json").exists()
+    assert "curvex: error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--plot-samples", "1000"),
                                          ("--axiom-grid", "0"),
                                          ("--axiom-grid", "-3"),

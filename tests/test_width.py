@@ -13,7 +13,6 @@ from curvex.trig import (
     cos_series,
     osculating_in_am,
     sin_series,
-    truncate,
 )
 from curvex.width import (
     SupportFunction,
@@ -26,8 +25,9 @@ from curvex.width import (
     limiting_function,
     theorem_c_certificates,
 )
-from curvex.census import count_inflections_topological, reduction, row_minima
+from curvex.census import count_inflections_topological, detect_double_tangents, reduction
 from curvex.sphere import ProjectiveCurve, limiting_circle, tangent_line_zeros, true_inflections
+from test_census import RANDOM_LIFTS
 
 PI3 = math.pi / 3
 FIXTURES = ["sf_sin3", "sf_mix25", "sf_mix4", "sf_mix7"]
@@ -71,8 +71,8 @@ def test_near_circle_offset_is_identically_zero(call):
 
 
 def test_circle_support_deviation_fails_fast_in_a2():
-    # every cell of the seed grid has residual 0 here, so without the up
-    # front check each of the 262144 cells would become a Newton seed
+    # f - phi vanishes for every osculating member here, so without the
+    # up front check the lift's tangent lines would meet it everywhere
     start = time.perf_counter()
     with pytest.raises(IdenticallyZero, match="circle-support space"):
         a2_double_tangents(SupportFunction(4.0, sin_series(1, 0.3)))
@@ -205,7 +205,7 @@ def test_flexes_are_the_lifts_true_inflections(fixture, request):
 class TestA2DoubleTangents:
     def test_mix7_counts_and_endpoints(self, sf_mix7):
         intervals, dropped = a2_double_tangents(sf_mix7)
-        assert dropped == 276
+        assert dropped == 156
         # the last bits of the endpoints follow the host's BLAS kernels
         np.testing.assert_allclose([(iv.a, iv.b) for iv in intervals], [
             (0.8918632830405767, 2.2497293705492165),
@@ -239,73 +239,52 @@ class TestA2DoubleTangents:
         assert lf(b) * lf(a + math.pi) < 0
 
 
-def full_grid_seeds(f, n_a=512, n_b=512, margin=0.02):
-    """The residual seeding evaluated at every cell, as a2_double_tangents
-    did before it bounded the residual: (R, scale, (rows, cols))."""
-    f1 = f.derivative()
-    a_grid = np.linspace(0.0, math.pi, n_a, endpoint=False)
-    off_grid = np.linspace(margin, math.pi - margin, n_b)
-    fa, f1a = f(a_grid), f1(a_grid)
-    B = a_grid[:, None] + off_grid[None, :]
-    cosd, sind = np.cos(off_grid)[None, :], np.sin(off_grid)[None, :]
-    phi = fa[:, None] * cosd + f1a[:, None] * sind
-    dphi = -fa[:, None] * sind + f1a[:, None] * cosd
-    R = np.abs(f(B) - phi) + np.abs(f1(B) - dphi)
-    scale = max(1.0, sum(abs(a) + abs(b) for _, a, b in f.harmonics)
-                * (1.0 + f.degree))
-    return R, scale, row_minima(R, width.SEED_THRESHOLD * scale)
+def as_support(f):
+    """f at a width that clears its convexity bound."""
+    grid = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+    deficit = max(0.0, -float(np.min(apply_flex_operator(f, 2)(grid))))
+    return SupportFunction(2.0 + 2.5 * deficit, f)
 
 
-def seed_grid_inputs(draws=50):
-    """The width corpus with the cuts the truncate mode compares it with,
-    and default_rng(7) draws of the benchmark's recipe (odd k in 3..9,
-    coefficients N(0, 1) / k**1.5), as support functions."""
-    corpus = {"sin3": sin_series(3), "mix25": sin_series(3) + sin_series(5, 0.25),
-              "mix4": sin_series(3) + sin_series(5, 0.4),
-              "mix7": sin_series(3) + sin_series(5, 1.0) + sin_series(7, 0.5)}
-    series = dict(corpus)
-    for name, f in corpus.items():
-        n = max(2, (f.degree - 1) // 2)
-        series[f"{name}-cut{n}"] = truncate(f, n)
-    rng = np.random.default_rng(7)
-    for j in range(draws):
-        series[f"r{j}"] = TrigSeries(0.0, tuple(
+def lift_detector_inputs():
+    """The RANDOM_LIFTS harmonics of test_census and default_rng(11) draws
+    of the benchmark's recipe (odd k in 3..9, coefficients N(0, 1) /
+    k**1.5), as deviations."""
+    series = {name: TrigSeries(0.0, harmonics, "antiperiodic")
+              for name, (_, harmonics) in RANDOM_LIFTS.items()}
+    rng = np.random.default_rng(11)
+    for j in range(10):
+        series[f"rng11-{j}"] = TrigSeries(0.0, tuple(
             (k, rng.normal() / k ** 1.5, rng.normal() / k ** 1.5)
             for k in (3, 5, 7, 9)), "antiperiodic")
-    grid = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
-    for name, f in series.items():
-        deficit = max(0.0, -float(np.min(apply_flex_operator(f, 2)(grid))))
-        yield name, SupportFunction(2.0 + 2.5 * deficit, f)
+    return series
 
 
-def test_seed_grid_matches_the_full_grid(monkeypatch):
-    # a2_double_tangents evaluates the exact residual only where its bound
-    # lets a seed lie: the bound must stay far inside the 1e-9 * scale
-    # margin, and seeds, intervals and drops must equal the full grid's
-    seen = {}
+LIFT_DETECTOR_INPUTS = lift_detector_inputs()
 
-    def recording(R, threshold):
-        seen["grid"] = (R, threshold, row_minima(R, threshold))
-        return seen["grid"][2]
 
-    a_grid = np.linspace(0.0, math.pi, 512, endpoint=False)
-    off_grid = np.linspace(0.02, math.pi - 0.02, 512)
-    worst = 0.0
-    for name, sf in seed_grid_inputs():
-        monkeypatch.setattr(width, "row_minima", recording)
-        got = a2_double_tangents(sf)
-        R, scale, (rows, cols) = full_grid_seeds(sf.f)
-        masked, threshold, (got_rows, got_cols) = seen["grid"]
-        kept = np.isfinite(masked)
-        assert np.array_equal(masked[kept], R[kept]), name
-        assert np.all(R[~kept] >= threshold), name
-        assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols), name
-        monkeypatch.setattr(width, "row_minima", lambda R, threshold: (rows, cols))
-        assert got == a2_double_tangents(sf), name
-        f, f1 = sf.f, sf.f.derivative()
-        bound = width._residual_bound(f, a_grid, off_grid, f(a_grid), f1(a_grid))
-        worst = max(worst, float(np.max(np.abs(bound - R))) / scale)
-    assert worst < 1e-4 * 1e-9
+@pytest.mark.parametrize("name", FIXTURES + sorted(LIFT_DETECTOR_INPUTS))
+def test_a2_is_the_lifts_detector(name, request):
+    # the width tangency system is the lift's, term for term, and both
+    # detectors seed it alike: the two filters must then agree as well
+    if name in FIXTURES:
+        sf = request.getfixturevalue(name)
+    else:
+        sf = as_support(LIFT_DETECTOR_INPUTS[name])
+    intervals, dropped = a2_double_tangents(sf)
+    det = detect_double_tangents(sf.lift)
+    assert [(iv.a, iv.b) for iv in intervals] == [(iv.a, iv.b) for iv in det.intervals]
+    assert dropped == det.dropped
+
+
+def test_a2_does_not_depend_on_the_unit_of_length(sf_mix7):
+    # c*f at width c*d is the same curve drawn c times as large
+    small = SupportFunction(1e-3 * sf_mix7.d, sf_mix7.f.scaled(1e-3))
+    intervals, dropped = a2_double_tangents(sf_mix7)
+    small_intervals, small_dropped = a2_double_tangents(small)
+    assert small_dropped == dropped
+    np.testing.assert_allclose([(iv.a, iv.b) for iv in small_intervals],
+                               [(iv.a, iv.b) for iv in intervals], rtol=0, atol=1e-9)
 
 
 class TestWidthCensus:
