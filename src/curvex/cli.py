@@ -22,7 +22,13 @@ from . import __version__
 from .errors import CurvexError
 from .census import census
 from .linesys import LineSystem, check_axioms, three_clean_inflections
-from .sphere import EPS_CONTACT, ProjectiveCurve, contact_map as sphere_contact_map
+from .sphere import (
+    EPS_CONTACT,
+    ProjectiveCurve,
+    contact_map as sphere_contact_map,
+    exact_clean_points,
+    true_inflections,
+)
 from .trig import TrigSeries, VectorSeries, truncate
 from .width import (
     SupportFunction,
@@ -223,7 +229,8 @@ def _contact_system(obj, args) -> LineSystem:
 
 
 def _run_sphere_census(curve: ProjectiveCurve, system, args) -> tuple[dict, bool]:
-    report = census(curve, clean_points=three_clean_inflections(system)).to_json()
+    clean = exact_clean_points(curve, true_inflections(curve).entries)
+    report = census(curve, clean_points=three_clean_inflections(system, clean=clean)).to_json()
     emit_sphere_plot(curve, args.out_svg, args.out_csv, args.plot_samples,
                      inflections=report["inflection_points"],
                      chords=report["double_tangents"])
@@ -361,6 +368,8 @@ def main(argv=None) -> int:
     if system is not None:
         meta["contact_warnings"] = dict(sorted(system.warnings.items()))
         meta["contact_solves"] = dict(system.solves)
+        if args.mode != "axioms":  # the other modes search for clean points
+            meta["clean_search"] = dict(system.clean_search)
     _write_report(args.out_report, report, meta)
     return 0 if ok else 1
 

@@ -7,6 +7,11 @@ abstract map: the seven structural axioms are checked extensionally on
 grids, positive clean points are located by interval halving, and the
 monotone bounds mu-/mu+ on admissible intervals feed the
 intermediate-value construction.
+
+The one input from outside the map is optional: three_clean_inflections
+may be given the exactly-clean inflections of the curve behind it
+(sphere.exact_clean_points).  A halving whose bracket holds exactly one
+of them then returns it instead of halving further.
 """
 
 from __future__ import annotations
@@ -69,7 +74,10 @@ class LineSystem:
     The map takes a list of bases and returns their contact sets in
     order, with the warnings its solver raised; the system caches the
     sets by base, counts the warnings by message, and counts its calls
-    to the map and the bases they solved.
+    to the map and the bases they solved.  clean_search counts what the
+    clean-point searches did: the exactly-clean inflections they were
+    given (mod pi), the searches that ended on one of them, and the
+    midpoints they asked for.
     """
 
     def __init__(self, contact_fn: Callable[[list[float]], tuple[list[CircularSet], list[str]]],
@@ -79,6 +87,7 @@ class LineSystem:
         self._cache: dict[float, CircularSet] = {}
         self.warnings: Counter[str] = Counter()
         self.solves = {"calls": 0, "bases": 0}
+        self.clean_search = {"exact_clean": 0, "shortcuts": 0, "halvings": 0}
 
     def T(self, p: float) -> float:
         return antipode(p, self.period)
@@ -150,13 +159,19 @@ def find_clean_inflection(sys: LineSystem, p: float, q: float) -> float:
     Requires q in F(p) strictly inside the forward half window and the
     open gap (p, q) clear of p's own component.  Each step replaces the
     interval by a half bracketed between a point of the midpoint's base
-    component and a witness of its non-cleanliness.
+    component and a witness of its non-cleanliness.  The search reads
+    the map only: it is not given exactly-clean points, so it never
+    takes the shortcut of three_clean_inflections.
     """
-    return _lockstep(sys, [(False, _halving(p, q, sys.period))])[0]
+    return _lockstep(sys, [(False, _halving(sys, p, q))])[0]
 
 
-def _halving(p, q, period):
-    """The search of find_clean_inflection."""
+def _halving(sys, p, q, clean=()):
+    """The search of find_clean_inflection.  Before each midpoint, a
+    bracket holding exactly one point of clean strictly inside it, more
+    than 1e-7 from both ends, returns that point; with none or more
+    than one, it halves."""
+    period = sys.period
     p, q = canonical(p, period), canonical(q, period)
     if not cyclic_between(p, q, antipode(p, period), period):
         raise PreconditionFailed(f"q={q} not strictly inside (p, Tp) for p={p}")
@@ -171,9 +186,15 @@ def _halving(p, q, period):
 
     lo, hi = p, q
     for _ in range(BISECT_CAP):
-        if forward_gap(lo, hi, period) < EPS_SEARCH:
+        gap = forward_gap(lo, hi, period)
+        if gap < EPS_SEARCH:
             return cyclic_midpoint(lo, hi, period)
+        held = [c for c in clean if 1e-7 < forward_gap(lo, c, period) < gap - 1e-7]
+        if len(held) == 1:
+            sys.clean_search["shortcuts"] += 1
+            return held[0]
         r = cyclic_midpoint(lo, hi, period)
+        sys.clean_search["halvings"] += 1
         Fr = yield r
         F0r = CircularSet([_own_component(Fr, r)], period)
         if Fr.project_half().contained_in(F0r.project_half(), CLEAN_TOL):
@@ -236,21 +257,23 @@ def clean_point_between(sys: LineSystem, base: float, contact: float) -> float:
     return _lockstep(sys, [_search_between(sys, base, contact)])[0]
 
 
-def _search_between(sys, base, contact):
+def _search_between(sys, base, contact, clean=()):
     """(rev, search) for clean_point_between: when rev is true, the
-    search runs between the reflected points and _lockstep reads its
-    bases reflected."""
+    search runs between the reflected points, with the points of clean
+    reflected, and _lockstep reads its bases reflected."""
     period = sys.period
     base, contact = canonical(base, period), canonical(contact, period)
     rev = not cyclic_between(base, contact, sys.T(base), period)
     if rev:
         base, contact = canonical(-base, period), canonical(-contact, period)
-    return rev, _forward_search(base, contact, period)
+        clean = tuple(canonical(-c, period) for c in clean)
+    return rev, _forward_search(sys, base, contact, clean)
 
 
-def _forward_search(base, contact, period):
+def _forward_search(sys, base, contact, clean):
     """Halving from the far end of base's own component towards the
     contact, which lies in the forward half window of base."""
+    period = sys.period
     Fb = yield base
     window = Arc.from_endpoints(base, contact, period)
     try:
@@ -258,7 +281,7 @@ def _forward_search(base, contact, period):
             window, "sup")
     except EmptyIntersection:
         p1 = base
-    return (yield from _halving(p1, contact, period))
+    return (yield from _halving(sys, p1, contact, clean))
 
 
 def _lockstep(sys: LineSystem, searches) -> list[float]:
@@ -317,19 +340,25 @@ def _read(sys: LineSystem, bases: dict, errors: dict) -> dict:
     return sets
 
 
-def three_clean_inflections(sys: LineSystem) -> tuple[float, float, float]:
+def three_clean_inflections(sys: LineSystem, clean=()) -> tuple[float, float, float]:
     """Three positive clean points s1, s2, s3 with s2 in (s1, Ts1),
     s3 in (Ts1, s1) and mutually disjoint contact sets.
 
     Once s1 and the witness u are fixed, the searches for s2 and s3 do
-    not depend on each other, so they run in lockstep."""
+    not depend on each other, so they run in lockstep.  clean holds the
+    exactly-clean inflections of the curve behind the map, each with
+    its antipode, as sphere.exact_clean_points gives them: a halving
+    whose bracket holds exactly one of them returns it, and one holding
+    none or several halves as without them.  A backward search gets
+    them reflected."""
     period = sys.period
+    sys.clean_search["exact_clean"] = len(clean) // 2
     grid = [float(t) for t in np.linspace(0.0, period, SCAN, endpoint=False)]
     counts = [len(F) for F in sys.F_many(grid)]
     if max(counts) <= 2:
         raise SearchFailed("no non-clean starting point found on the scan grid")
     p = grid[counts.index(max(counts))]
-    s1 = clean_point_between(sys, p, _far_witness(sys, p))
+    s1 = _lockstep(sys, [_search_between(sys, p, _far_witness(sys, p), clean)])[0]
 
     ts1 = sys.T(s1)
     u = _far_witness(sys, ts1)
@@ -337,7 +366,7 @@ def three_clean_inflections(sys: LineSystem) -> tuple[float, float, float]:
         u = sys.T(u)
     if not cyclic_between(s1, u, ts1, period):
         raise SearchFailed("witness for the second search escaped (s1, Ts1)")
-    s2, s3 = _lockstep(sys, [_search_between(sys, ts1, c) for c in (u, sys.T(u))])
+    s2, s3 = _lockstep(sys, [_search_between(sys, ts1, c, clean) for c in (u, sys.T(u))])
 
     if not cyclic_between(s1, s2, ts1, period) or not cyclic_between(ts1, s3, s1, period):
         raise SearchFailed("clean points violate the cyclic placement")

@@ -385,6 +385,17 @@ def tangent_line_zeros(curve: ProjectiveCurve, ts):
     return arc_zeros(N @ laurent_rows(curve.F.components)[:, ::2], ts)
 
 
+def exact_clean_points(curve: ProjectiveCurve, entries) -> tuple[float, ...]:
+    """The exactly-clean inflections among the crossing entries, each
+    with its antipode p + pi, sorted: the parameters p whose tangent line
+    meets the curve nowhere in (p, p + pi), from one tangent_line_zeros
+    call."""
+    ps = [e.parameter for e in entries if e.crossing]
+    met = set(tangent_line_zeros(curve, ps)[0].tolist())
+    clean = [p for k, p in enumerate(ps) if k not in met]
+    return tuple(sorted(clean + [p + math.pi for p in clean]))
+
+
 def arc_zeros(Q: np.ndarray, ts: np.ndarray):
     """Zeros in the open arc (t, t + pi) of series with a double zero at
     s = t, t + pi, one row of Q (coefficients of y^0 .. y^N, y = exp(2is),

@@ -37,6 +37,7 @@ from .sphere import (
     ProjectiveCurve,
     _limits,
     _sets_and_warnings,
+    exact_clean_points,
     nearest_inflection,
     nonzero_indicator,
     tangent_line_zeros,
@@ -191,14 +192,16 @@ class FlexTriple:
 
 def clean_flexes(sf: SupportFunction, system: LineSystem | None = None) -> FlexTriple:
     """Three clean flexes in a half period, found by the intrinsic-system
-    search (on contact_system(sf) unless a system is given) and snapped
-    to the nearest true inflection of the lift or its antipode.
+    search (on contact_system(sf) unless a system is given), which ends
+    early on the lift's exactly-clean inflections, and snapped to the
+    nearest true inflection of the lift or its antipode.
 
     f - phi solves y'' + y = f + f'' with a double zero at the flex, so
     it changes sign there as f + f'' does: against the entry's sign."""
     flexes = _flexes(sf)
-    snapped = [nearest_inflection(flexes, s)
-               for s in three_clean_inflections(system or contact_system(sf))]
+    found = three_clean_inflections(system or contact_system(sf),
+                                    clean=exact_clean_points(sf.lift, flexes))
+    snapped = [nearest_inflection(flexes, s) for s in found]
     points, signs = zip(*sorted((e.parameter, -e.sign) for _, e in snapped))
     return FlexTriple(points, signs, tuple(t for t, _ in snapped))
 

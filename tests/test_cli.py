@@ -112,15 +112,19 @@ def test_axioms_sidecar_counts_contact_solves(tmp_path):
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
     assert code == 0
     assert meta["contact_solves"] == {"calls": 2, "bases": 256 + 6 * 10}
+    assert "clean_search" not in meta  # the axiom check searches nothing
 
 
 def test_sphere_census_sidecar_counts_lockstep_steps(tmp_path):
-    # the s2 and s3 searches of the clean points send their bases to the
-    # contact map together, one call per step
+    # the first bracket of each search holds exactly one of curve7's 3
+    # exactly-clean inflections, so no search solves a midpoint: the 64
+    # scan bases in one call, then Ts1 for the second witness, then s1 and
+    # s2 for the disjointness check (s3 = 0 is a scan base)
     code, _ = run(tmp_path, CURVE7, "sphere-census")
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
     assert code == 0
-    assert meta["contact_solves"] == {"calls": 22, "bases": 94}
+    assert meta["contact_solves"] == {"calls": 4, "bases": 67}
+    assert meta["clean_search"] == {"exact_clean": 3, "shortcuts": 3, "halvings": 0}
 
 
 def test_theorem_c_mode(tmp_path):
@@ -234,6 +238,16 @@ def test_identity_failure_exits_1(tmp_path):
     assert "error" in data
 
 
+def test_sphere_census_of_a_line_says_so(tmp_path):
+    # the exactly-clean inflections are read before the search, so a
+    # curve on a line fails on its vanishing indicator
+    code, data = run(tmp_path, dict(SPHERE_SIN3, z={"parity": "antiperiodic",
+                                                    "constant": 0.0, "harmonics": []}),
+                     "sphere-census")
+    assert code == 1
+    assert data["error"] == "LineCurve"
+
+
 def test_report_byte_stability(tmp_path):
     inp = write_input(tmp_path, WIDTH_SIN3)
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -257,6 +271,7 @@ def test_contact_warnings_reach_the_sidecar(tmp_path, monkeypatch, payload, mode
               "--axiom-grid", "32", "--out-report", str(report)])
         meta = json.loads((tmp_path / sub / "report.json.meta.json").read_text())
         assert meta["contact_solves"]["bases"] >= meta["contact_solves"]["calls"] > 0
+        assert ("clean_search" in meta) == (mode != "axioms")
         return report.read_bytes(), meta["contact_warnings"]
 
     clean_report, clean = sidecar("clean")

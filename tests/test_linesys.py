@@ -40,7 +40,13 @@ from curvex.linesys import (
     three_clean_inflections,
     validate_admissible,
 )
-from curvex.sphere import ProjectiveCurve, contact_map
+from curvex.sphere import (
+    ProjectiveCurve,
+    contact_map,
+    exact_clean_points,
+    nearest_inflection,
+    true_inflections,
+)
 from curvex.trig import ANTIPERIODIC, TrigSeries, VectorSeries, cos_series, sin_series
 
 FLEX3 = [k * math.pi / 3 for k in range(6)]
@@ -160,6 +166,84 @@ def test_lockstep_triple_equals_the_sequential_searches(case, request):
     assert lock._cache.keys() == seq._cache.keys()
     assert lock.solves["bases"] == seq.solves["bases"]
     assert lock.solves["calls"] < seq.solves["calls"]
+
+
+@pytest.mark.parametrize("case", LOCKSTEP_CASES)
+def test_exact_clean_points_keep_the_snapped_triple(case, request):
+    # the searches that end on an exactly-clean inflection snap to the
+    # inflections the full halvings snap to, from no more bases
+    obj = request.getfixturevalue(case) if isinstance(case, str) else case
+    if isinstance(obj, ProjectiveCurve):
+        curve, (plain, fast) = obj, (LineSystem(contact_map(obj)) for _ in range(2))
+    else:
+        curve, (plain, fast) = obj.lift, (width.contact_system(obj) for _ in range(2))
+    entries = true_inflections(curve).entries
+    clean = exact_clean_points(curve, entries)
+
+    def snapped(points):
+        return [nearest_inflection(entries, s)[0] for s in points]
+
+    assert snapped(three_clean_inflections(fast, clean=clean)) == \
+        snapped(three_clean_inflections(plain))
+    assert fast.solves["bases"] <= plain.solves["bases"]
+    assert fast.clean_search["exact_clean"] == len(clean) // 2 >= 3
+    assert fast.clean_search["shortcuts"] > 0
+    assert plain.clean_search == {"exact_clean": 0, "shortcuts": 0,
+                                  "halvings": plain.clean_search["halvings"]}
+
+
+def converging_map(s):
+    """A contact map whose halvings close in on s: each base r != s,
+    at signed offset d from s, meets the curve again at s - d/2, on the
+    other side of s, and the antipodes of both."""
+    def fn(ps):
+        sets = []
+        for r in ps:
+            d = canonical(r - s + math.pi) - math.pi
+            pts = [r, s - d / 2] if d else [r]
+            sets.append(CircularSet.from_points(pts + [t + math.pi for t in pts]))
+        return sets, []
+    return fn
+
+
+# the exactly-clean points, before their antipodes are added, of a search
+# from base b towards contact c on converging_map(1.0)
+SHORTCUT_CASES = {
+    "none": lambda b, c: [3.0],
+    "one": lambda b, c: [1.1],
+    "two": lambda b, c: [1.0 - 1e-6, 1.0 + 1e-6],
+    "near-base": lambda b, c: [b + math.copysign(5e-8, c - b)],
+    "near-contact": lambda b, c: [c - math.copysign(5e-8, c - b)],
+}
+
+
+@pytest.mark.parametrize("base, contact", [(0.5, 1.25), (1.5, 0.75)],
+                         ids=["forward", "backward"])
+@pytest.mark.parametrize("case", list(SHORTCUT_CASES))
+def test_halving_returns_the_one_clean_point_its_bracket_holds(case, base, contact):
+    # a bracket holding exactly one clean point, more than 1e-7 from its
+    # ends, returns it; none, two, or one near an end halve as without
+    # them.  The backward search runs on reflected points, so it must be
+    # given the reflected clean points to find 1.1
+    pts = SHORTCUT_CASES[case](base, contact)
+    clean = tuple(sorted(pts + [p + math.pi for p in pts]))
+
+    def search(clean):
+        sys = LineSystem(converging_map(1.0))
+        return linesys._lockstep(sys, [linesys._search_between(sys, base, contact, clean)])[0], sys
+
+    plain, plain_sys = search(())
+    s, sys = search(clean)
+    assert plain == pytest.approx(1.0, abs=1e-5)
+    assert plain_sys.clean_search["halvings"] > 5
+    if case == "one":
+        assert s == pytest.approx(1.1, abs=1e-12)
+        assert len(sys._cache) == 1  # the base's own set, no midpoint
+        assert sys.clean_search == {"exact_clean": 0, "shortcuts": 1, "halvings": 0}
+    else:
+        assert s == plain
+        assert sys._cache.keys() == plain_sys._cache.keys()
+        assert sys.clean_search == plain_sys.clean_search
 
 
 def reflect(F):

@@ -26,7 +26,13 @@ from curvex.width import (
     theorem_c_certificates,
 )
 from curvex.census import count_inflections_topological, detect_double_tangents, reduction
-from curvex.sphere import ProjectiveCurve, limiting_circle, tangent_line_zeros, true_inflections
+from curvex.sphere import (
+    ProjectiveCurve,
+    exact_clean_points,
+    limiting_circle,
+    tangent_line_zeros,
+    true_inflections,
+)
 from test_census import RANDOM_LIFTS
 
 PI3 = math.pi / 3
@@ -192,6 +198,17 @@ def test_clean_flexes_of_mix7(sf_mix7):
     assert triple.points == pytest.approx([0.0, 0.5563627423087762, 2.585229911281017],
                                           abs=1e-12)
     assert triple.signs == (-1, +1, -1)
+
+
+def test_exact_clean_points_of_mix7(sf_mix7):
+    # the crossing at pi/3 is not clean; the three clean flexes are, and
+    # each point comes with its antipode
+    clean = exact_clean_points(sf_mix7.lift, true_inflections(sf_mix7.lift).entries)
+    half = clean[:len(clean) // 2]
+    assert clean[len(half):] == tuple(t + math.pi for t in half)
+    assert all(is_clean(sf_mix7, t) for t in half)
+    assert not any(abs(t - PI3) < 1e-9 for t in half)
+    assert set(clean_flexes(sf_mix7).points) <= set(half)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
