@@ -30,12 +30,13 @@ from .circle import (
     forward_gap,
 )
 from .errors import DegenerateChord, LineCurve, SelfIntersection
+from .linesys import LineSystem
 from .sphere import (
     EPS_NORM,
     ProjectiveCurve,
     _cross3,
     admissible_normal_arc,
-    nearest_inflection,
+    clean_inflections,
     normal_direction,
     tangent_line_zeros,
     true_inflections,
@@ -134,7 +135,7 @@ def chord_probes(curve: ProjectiveCurve, ends) -> list:
 class DoubleTangentInterval:
     a: float  # in [0, pi)
     b: float  # in (a, a + pi)
-    chord: Chord | None = None  # None for support-function tangents
+    chord: Chord | None = None  # the detector's chord; None when built by hand
 
     @property
     def arc(self) -> Arc:
@@ -395,7 +396,13 @@ def _fold_seeds(curve: ProjectiveCurve) -> tuple[np.ndarray, np.ndarray]:
 
 
 def detect_double_tangents(curve: ProjectiveCurve) -> DetectionResult:
-    """All double tangent intervals on the projective line.
+    """All double tangent intervals on the projective line."""
+    return _double_tangents(curve)
+
+
+def _double_tangents(curve: ProjectiveCurve) -> DetectionResult:
+    """detect_double_tangents, also run by width.a2_double_tangents on a
+    lift (bench/layertrace.py traces the two names apart).
 
     newton2 solves the tangency system from the _fold_seeds of the
     curve.  Converged pairs are deduplicated and pushed through the
@@ -490,21 +497,6 @@ def greedy_maximal_family(intervals: list[DoubleTangentInterval],
     return [intervals[i] for i in greedy_maximal_indices(comp, order)]
 
 
-def family_and_warnings(intervals: list[DoubleTangentInterval],
-                        dropped: int) -> tuple[list[DoubleTangentInterval], dict]:
-    """The maximal independent family with the census warnings: dropped
-    candidates, and a greedy family (grown from the middle) whose size
-    differs from the optimum's."""
-    family = maximal_independent_family(intervals)
-    warnings = {}
-    if dropped:
-        warnings["dropped_candidates"] = dropped
-    cross = greedy_maximal_family(intervals, start=len(intervals) // 2)
-    if len(cross) != len(family):
-        warnings["greedy_family_mismatch"] = len(cross)
-    return family, warnings
-
-
 # -- the census --------------------------------------------------------------
 
 
@@ -532,23 +524,35 @@ class CensusReport:
         }
 
 
-def census(curve: ProjectiveCurve, clean_points: list[float] | None = None) -> CensusReport:
+def census_report(kind: str, flexes, detection: DetectionResult,
+                  clean_points) -> CensusReport:
+    """The report of a census: the crossing inflection entries flexes,
+    counted as independent inflections, a maximal independent family of
+    the detection's intervals, the identity check i - 2*delta = 3 and
+    the clean points as given.  Its warnings are the dropped candidates,
+    and a greedy family (grown from the middle) whose size differs from
+    the optimum's."""
+    intervals = detection.intervals
+    family = maximal_independent_family(intervals)
+    warnings = {}
+    if detection.dropped:
+        warnings["dropped_candidates"] = detection.dropped
+    cross = greedy_maximal_family(intervals, start=len(intervals) // 2)
+    if len(cross) != len(family):
+        warnings["greedy_family_mismatch"] = len(cross)
+    i, delta = len(flexes), len(family)
+    return CensusReport(kind=kind, i=i, delta=delta, identity_holds=(i - 2 * delta == 3),
+                        inflection_points=[e.parameter for e in flexes],
+                        clean_points=list(clean_points),
+                        double_tangents=[(iv.a, iv.b) for iv in family], warnings=warnings)
+
+
+def census(curve: ProjectiveCurve, system: LineSystem | None = None) -> CensusReport:
     """Counts of independent inflections and double tangents with the
-    identity check i - 2*delta = 3.  Each clean point is snapped to the
-    nearest true inflection, a crossing of the indicator or that
-    crossing plus pi, and the snapped points are reported sorted."""
-    rep = true_inflections(curve)
-    detection = detect_double_tangents(curve)
-    family, warnings = family_and_warnings(detection.intervals, detection.dropped)
-    i, delta = rep.count, len(family)
-    return CensusReport(
-        kind="sphere-census",
-        i=i,
-        delta=delta,
-        identity_holds=(i - 2 * delta == 3),
-        inflection_points=[e.parameter for e in rep.entries if e.crossing],
-        clean_points=sorted(nearest_inflection(rep.entries, p)[0]
-                            for p in clean_points or []),
-        double_tangents=[(iv.a, iv.b) for iv in family],
-        warnings=warnings,
-    )
+    identity check i - 2*delta = 3.  Given the curve's line system, the
+    report also carries the three clean inflections found on it
+    (sphere.clean_inflections), sorted."""
+    flexes = [e for e in true_inflections(curve).entries if e.crossing]
+    clean = [] if system is None else \
+        sorted(t for t, _ in clean_inflections(curve, system, flexes))
+    return census_report("sphere-census", flexes, detect_double_tangents(curve), clean)

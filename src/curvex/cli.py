@@ -21,14 +21,8 @@ import numpy as np
 from . import __version__
 from .errors import CurvexError
 from .census import census
-from .linesys import LineSystem, check_axioms, three_clean_inflections
-from .sphere import (
-    EPS_CONTACT,
-    ProjectiveCurve,
-    contact_map as sphere_contact_map,
-    exact_clean_points,
-    true_inflections,
-)
+from .linesys import LineSystem, check_axioms
+from .sphere import EPS_CONTACT, ProjectiveCurve, contact_map as sphere_contact_map
 from .trig import TrigSeries, VectorSeries, truncate
 from .width import (
     SupportFunction,
@@ -229,8 +223,7 @@ def _contact_system(obj, args) -> LineSystem:
 
 
 def _run_sphere_census(curve: ProjectiveCurve, system, args) -> tuple[dict, bool]:
-    clean = exact_clean_points(curve, true_inflections(curve).entries)
-    report = census(curve, clean_points=three_clean_inflections(system, clean=clean)).to_json()
+    report = census(curve, system).to_json()
     emit_sphere_plot(curve, args.out_svg, args.out_csv, args.plot_samples,
                      inflections=report["inflection_points"],
                      chords=report["double_tangents"])

@@ -11,7 +11,8 @@ intermediate-value construction.
 The one input from outside the map is optional: three_clean_inflections
 may be given the exactly-clean inflections of the curve behind it
 (sphere.exact_clean_points).  A halving whose bracket holds exactly one
-of them then returns it instead of halving further.
+of them then returns it instead of halving further.  sphere.clean_inflections
+passes them, for the sphere census and, on the lift, for the width modes.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from .circle import (
     circle_dist,
 )
 from .errors import DegeneratePoint, LineCurve, NoConvergence, NotAntiConvex
+from .linesys import LineSystem, three_clean_inflections
 from .trig import (
     TrigSeries,
     VectorSeries,
@@ -394,6 +395,16 @@ def exact_clean_points(curve: ProjectiveCurve, entries) -> tuple[float, ...]:
     met = set(tangent_line_zeros(curve, ps)[0].tolist())
     clean = [p for k, p in enumerate(ps) if k not in met]
     return tuple(sorted(clean + [p + math.pi for p in clean]))
+
+
+def clean_inflections(curve: ProjectiveCurve, system: LineSystem,
+                      entries) -> list[tuple[float, InflectionEntry]]:
+    """The three clean inflections of three_clean_inflections on the
+    curve's line system, which ends early on the exactly-clean
+    inflections among the entries, each snapped by nearest_inflection:
+    (point, entry) pairs in the order the search found them."""
+    found = three_clean_inflections(system, clean=exact_clean_points(curve, entries))
+    return [nearest_inflection(entries, s) for s in found]
 
 
 def arc_zeros(Q: np.ndarray, ts: np.ndarray):

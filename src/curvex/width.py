@@ -22,23 +22,21 @@ from .circle import CircularSet, TWO_PI, canonical
 from .errors import CertificateFailed, IdenticallyZero, LineCurve, NotConvex
 from .census import (
     CensusReport,
+    DetectionResult,
     DoubleTangentInterval,
-    _fold_seeds,
-    _tangency_system,
+    _double_tangents,
+    census_report,
     count_inflections_topological,
-    family_and_warnings,
     reduction,
-    tangent_pairs,
 )
-from .linesys import LineSystem, three_clean_inflections
+from .linesys import LineSystem
 from .sphere import (
     EPS_CONTACT,
     InflectionEntry,
     ProjectiveCurve,
     _limits,
     _sets_and_warnings,
-    exact_clean_points,
-    nearest_inflection,
+    clean_inflections,
     nonzero_indicator,
     tangent_line_zeros,
     true_inflections,
@@ -191,97 +189,57 @@ class FlexTriple:
 
 
 def clean_flexes(sf: SupportFunction, system: LineSystem | None = None) -> FlexTriple:
-    """Three clean flexes in a half period, found by the intrinsic-system
-    search (on contact_system(sf) unless a system is given), which ends
-    early on the lift's exactly-clean inflections, and snapped to the
-    nearest true inflection of the lift or its antipode.
+    """Three clean flexes in a half period: the lift's clean_inflections
+    on contact_system(sf), unless a system is given.
 
     f - phi solves y'' + y = f + f'' with a double zero at the flex, so
     it changes sign there as f + f'' does: against the entry's sign."""
-    flexes = _flexes(sf)
-    found = three_clean_inflections(system or contact_system(sf),
-                                    clean=exact_clean_points(sf.lift, flexes))
-    snapped = [nearest_inflection(flexes, s) for s in found]
+    snapped = clean_inflections(sf.lift, system or contact_system(sf), _flexes(sf))
     points, signs = zip(*sorted((e.parameter, -e.sign) for _, e in snapped))
     return FlexTriple(points, signs, tuple(t for t, _ in snapped))
 
 
 def a2_double_tangents(sf: SupportFunction) -> tuple[list[DoubleTangentInterval], int]:
-    """Intervals whose endpoints share a tangent circle-support member.
+    """Intervals whose endpoints share a tangent circle-support member,
+    with the number of dropped candidates.
 
     They are the lift's double tangents: n(a) = F(a) x F'(a) has
     z-component 1 on F = (cos t, sin t, f(t)), so n(a).F(b) = f(b) - phi(b)
     and n(a).F'(b) = f'(b) - phi'(b) for the member phi osculating f at a.
-    Newton solves that tangency system from the lift's _fold_seeds, which
-    follow the zeros of f - phi: scaling f moves them by rounding only.
-    Solutions are filtered by the off-member condition and equal
-    curvature-defect signs at the endpoints (which is what same-sided
-    local extrema of the difference mean).  IdenticallyZero when f lies
-    in the circle-support space, where the tangency system vanishes
-    identically."""
+    The sphere detector's own seeds, Newton solve and chord filters run
+    on the lift.  IdenticallyZero when f lies in the circle-support
+    space, where the tangency system vanishes identically."""
     try:
         nonzero_indicator(sf.lift)
     except LineCurve:
         raise IdenticallyZero(CIRCLE_OFFSET) from None
-    f = sf.f
-    lf = apply_flex_operator(f, 2)
-    # the filters' bands carry the units of f, so they scale with its
-    # coefficient bounds
-    scale = max(1.0, sum(abs(a) + abs(b) for _, a, b in f.harmonics)
-                * (1.0 + f.degree))
-    found, dropped = tangent_pairs(*_fold_seeds(sf.lift), _tangency_system(sf.lift))
-    intervals = []
-    for a, gap in found:
-        b = a + gap
-        phi_ab = osculating_in_am(f, a, 2)
-        diff = f - phi_ab
-        inner = a + np.linspace(0.0, 1.0, 257) * gap
-        if float(np.max(np.abs(diff(inner)))) <= 1e-7 * scale:
-            dropped += 1
-            continue
-        la, lb = lf(a), lf(b)
-        if la * lb <= 0.0 or min(abs(la), abs(lb)) < 1e-9 * scale:
-            dropped += 1
-            continue
-        intervals.append(DoubleTangentInterval(a, b, None))
-    return intervals, dropped
+    detection = _double_tangents(sf.lift)
+    return detection.intervals, detection.dropped
 
 
 def census_fn(sf: SupportFunction, clean_points: list[float] | None = None,
               additivity_check: bool = True) -> CensusReport:
-    """Census of order-2 flexes and independent width double tangents,
-    with the identity i - 2*delta = 3 and, when a double tangent exists,
-    the additivity cross-check on the lift's two reductions at the first
-    (without their self-intersection test, which doubles its cost).  An
-    even count of either reduction is flagged as topological_count_even
-    instead of an additivity mismatch."""
-    flexes = [e.parameter for e in _flexes(sf)]
-    i = len(flexes)
-    intervals, dropped = a2_double_tangents(sf)
-    family, warnings = family_and_warnings(intervals, dropped)
-    delta = len(family)
-    if additivity_check and family:
-        iv = family[0]
-        inside = reduction(sf.lift, iv.a, iv.b, check_simple=False)
-        outside = reduction(sf.lift, iv.b, iv.a + math.pi, check_simple=False)
+    """The census of the lift as a width-census: order-2 flexes and
+    independent width double tangents, with the identity i - 2*delta = 3
+    and, when a double tangent exists, the additivity cross-check on the
+    lift's two reductions at the first (without their self-intersection
+    test, which doubles its cost).  An even count of either reduction is
+    flagged as topological_count_even instead of an additivity mismatch."""
+    report = census_report("width-census", _flexes(sf),
+                           DetectionResult(*a2_double_tangents(sf)), clean_points or [])
+    if additivity_check and report.double_tangents:
+        a, b = report.double_tangents[0]
+        inside = reduction(sf.lift, a, b, check_simple=False)
+        outside = reduction(sf.lift, b, a + math.pi, check_simple=False)
         i1, _ = count_inflections_topological(inside.unit_many)
         i2, _ = count_inflections_topological(outside.unit_many)
         # an antiperiodic curve has an odd number of inflections, so an
         # even count is the counter's fault, not a failed identity
         if i1 % 2 == 0 or i2 % 2 == 0:
-            warnings["topological_count_even"] = {"i1": i1, "i2": i2}
-        elif i1 + i2 - 1 != i:
-            warnings["additivity_mismatch"] = {"i1": i1, "i2": i2, "i": i}
-    return CensusReport(
-        kind="width-census",
-        i=i,
-        delta=delta,
-        identity_holds=(i - 2 * delta == 3),
-        inflection_points=flexes,
-        clean_points=list(clean_points or []),
-        double_tangents=[(iv.a, iv.b) for iv in family],
-        warnings=warnings,
-    )
+            report.warnings["topological_count_even"] = {"i1": i1, "i2": i2}
+        elif i1 + i2 - 1 != report.i:
+            report.warnings["additivity_mismatch"] = {"i1": i1, "i2": i2, "i": report.i}
+    return report
 
 
 # -- osculating width circles -------------------------------------------------

@@ -17,7 +17,6 @@ from curvex.census import (
     reduction,
 )
 from curvex.errors import DegenerateChord
-from curvex.linesys import three_clean_inflections
 from curvex.sphere import ProjectiveCurve, inflection_indicator, true_inflections
 from curvex.trig import (
     ANTIPERIODIC,
@@ -293,7 +292,7 @@ class TestCensus:
     def test_clean_points_are_true_inflections(self, fixture, request):
         crv = request.getfixturevalue(fixture)
         system = request.getfixturevalue("sys" + fixture[-1])
-        rep = census(crv, clean_points=three_clean_inflections(system))
+        rep = census(crv, system)
         assert len(set(rep.clean_points)) == 3
         # one Newton step from each point: its distance to a simple zero
         w = inflection_indicator(crv)

@@ -127,6 +127,23 @@ def test_sphere_census_sidecar_counts_lockstep_steps(tmp_path):
     assert meta["clean_search"] == {"exact_clean": 3, "shortcuts": 3, "halvings": 0}
 
 
+def test_sphere_census_reads_the_inflections_once(tmp_path, monkeypatch):
+    # the clean-point search takes the exactly-clean points from the
+    # census's own inflection report instead of solving the indicator again
+    real, calls = sphere.true_inflections, []
+
+    def spy(curve):
+        calls.append(curve)
+        return real(curve)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("curvex") and getattr(module, "true_inflections", None) is real:
+            monkeypatch.setattr(module, "true_inflections", spy)
+    code, _ = run(tmp_path, CURVE7, "sphere-census")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_theorem_c_mode(tmp_path):
     code, data = run(tmp_path, WIDTH_SIN3, "theorem-c",
                      "--out-svg", str(tmp_path / "tc.svg"), "--plot-samples", "256")

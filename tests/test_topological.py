@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from curvex.census import (
     count_inflections_topological,
     detect_double_tangents,
-    family_and_warnings,
+    maximal_independent_family,
     reduction,
 )
 from curvex.circle import cyclic_runs
@@ -62,8 +62,7 @@ def width_reductions(sf):
     """The lift's reductions at the first double tangent of the census
     family and at the rest of its half period, or None when the family
     is empty."""
-    intervals, dropped = a2_double_tangents(sf)
-    family, _ = family_and_warnings(intervals, dropped)
+    family = maximal_independent_family(a2_double_tangents(sf)[0])
     if not family:
         return None
     a, b = family[0].a, family[0].b

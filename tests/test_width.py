@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from curvex import width
+from curvex import sphere, width
 from curvex.errors import CertificateFailed, IdenticallyZero, NotConvex
 from curvex.trig import (
     TrigSeries,
@@ -25,7 +25,12 @@ from curvex.width import (
     limiting_function,
     theorem_c_certificates,
 )
-from curvex.census import count_inflections_topological, detect_double_tangents, reduction
+from curvex.census import (
+    census,
+    count_inflections_topological,
+    detect_double_tangents,
+    reduction,
+)
 from curvex.sphere import (
     ProjectiveCurve,
     exact_clean_points,
@@ -282,8 +287,8 @@ LIFT_DETECTOR_INPUTS = lift_detector_inputs()
 
 @pytest.mark.parametrize("name", FIXTURES + sorted(LIFT_DETECTOR_INPUTS))
 def test_a2_is_the_lifts_detector(name, request):
-    # the width tangency system is the lift's, term for term, and both
-    # detectors seed it alike: the two filters must then agree as well
+    # the width detector runs the lift's seeds, Newton solve and filters,
+    # so the width census is the sphere census of the lift but for its kind
     if name in FIXTURES:
         sf = request.getfixturevalue(name)
     else:
@@ -292,6 +297,11 @@ def test_a2_is_the_lifts_detector(name, request):
     det = detect_double_tangents(sf.lift)
     assert [(iv.a, iv.b) for iv in intervals] == [(iv.a, iv.b) for iv in det.intervals]
     assert dropped == det.dropped
+    width_report = census_fn(sf, additivity_check=False).to_json()
+    lift_report = census(sf.lift).to_json()
+    assert (width_report.pop("kind"), lift_report.pop("kind")) == \
+        ("width-census", "sphere-census")
+    assert width_report == lift_report
 
 
 def test_a2_does_not_depend_on_the_unit_of_length(sf_mix7):
@@ -362,7 +372,7 @@ class TestCertificates:
         # the flex at pi/3 is a crossing of f + f'' whose osculating
         # circle meets the curve again at 5pi/6 and near 3.018
         assert not is_clean(sf_mix7, PI3)
-        monkeypatch.setattr(width, "three_clean_inflections",
+        monkeypatch.setattr(sphere, "three_clean_inflections",
                             lambda system, **kw: [0.0, PI3, 2.585229911281017])
         with pytest.raises(CertificateFailed) as err:
             theorem_c_certificates(sf_mix7)
