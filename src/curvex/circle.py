@@ -2,7 +2,7 @@
 
 Angles live on R/(period Z); the default period is 2*pi (the parameter
 circle of a lifted curve) and period pi is used for the projective
-quotient.  A closed subset is kept as an ordered tuple of pairwise
+quotient.  A closed subset is kept as the sorted spans of its pairwise
 disjoint arcs, merged within a grouping tolerance so that numerically
 fragmented contact sets collapse to their true components.
 """
@@ -10,6 +10,7 @@ fragmented contact sets collapse to their true components.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -122,10 +123,7 @@ class Arc:
         return self.length >= self.period - EPS_ANGLE
 
     def contains(self, t: float, tol: float = EPS_ANGLE) -> bool:
-        if self.is_full():
-            return True
-        return forward_gap(self.start, t, self.period) <= self.length + tol or \
-            forward_gap(self.start, t, self.period) >= self.period - tol
+        return _holds(self.start, self.length, t, tol, self.period)
 
     def position_of(self, t: float) -> float:
         """Offset of t from start along the arc orientation (in [0, period))."""
@@ -133,10 +131,6 @@ class Arc:
 
     def shifted(self, delta: float) -> "Arc":
         return Arc(self.start + delta, self.length, self.period)
-
-    def dilated(self, eps: float) -> "Arc":
-        length = min(self.length + 2.0 * eps, self.period)
-        return Arc(self.start - eps, length, self.period)
 
     def intersections(self, other: "Arc") -> list["Arc"]:
         """Intersection with another arc, as 0, 1 or 2 arcs."""
@@ -194,44 +188,56 @@ def admissible_arcs(A: np.ndarray, B: np.ndarray) -> list[Arc | None]:
 
 
 class CircularSet:
-    """A closed subset of the circle: ordered, pairwise-disjoint maximal
-    arcs.  Sets are immutable, so a set remembers its last dilation."""
+    """A closed subset of the circle: pairwise-disjoint maximal arcs, held
+    as spans, the (start, length) floats of their Arcs, sorted by start;
+    Arc objects are built only when asked for.  Sets are immutable, so a
+    set keeps its last dilation, which the comparisons ask for again."""
 
-    __slots__ = ("arcs", "period", "_dilation")
+    __slots__ = ("spans", "period", "_dilation")
 
     def __init__(self, arcs: Sequence[Arc], period: float = TWO_PI, merge_tol: float = EPS_GROUP):
+        arcs = [a for a in arcs if a is not None]
+        if any(a.period != period for a in arcs):
+            raise ValueError("mixed periods in one CircularSet")
         self.period = period
-        self.arcs: tuple[Arc, ...] = tuple(_merge(arcs, period, merge_tol))
+        self.spans = _merge([(a.start, a.length) for a in arcs], period, merge_tol)
+
+    @classmethod
+    def _of(cls, spans, period: float, merge_tol: float) -> "CircularSet":
+        """The set of canonical (start, length) spans, merged as arcs are."""
+        s = cls.__new__(cls)
+        s.period, s.spans = period, _merge(spans, period, merge_tol)
+        return s
 
     @classmethod
     def empty(cls, period: float = TWO_PI) -> "CircularSet":
         return cls((), period)
 
     @classmethod
-    def full(cls, period: float = TWO_PI) -> "CircularSet":
-        return cls((Arc.full(period),), period)
-
-    @classmethod
     def from_points(cls, points: Iterable[float], period: float = TWO_PI,
                     merge_tol: float = EPS_GROUP) -> "CircularSet":
-        return cls([Arc.point(t, period) for t in points], period, merge_tol)
+        return cls._of([(canonical(t, period), 0.0) for t in points], period, merge_tol)
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        return tuple(Arc(s, n, self.period) for s, n in self.spans)
 
     def __bool__(self) -> bool:
-        return bool(self.arcs)
+        return bool(self.spans)
 
     def __len__(self) -> int:
-        return len(self.arcs)
+        return len(self.spans)
 
     def __repr__(self) -> str:
         spans = ", ".join(f"[{a.start:.6f},{a.end:.6f}]" for a in self.arcs)
         return f"CircularSet({spans or 'empty'}; period={self.period:.6f})"
 
     def is_full(self) -> bool:
-        return len(self.arcs) == 1 and self.arcs[0].is_full()
+        return len(self.spans) == 1 and self.spans[0][1] >= self.period - EPS_ANGLE
 
     @property
     def measure(self) -> float:
-        return sum(a.length for a in self.arcs)
+        return sum(n for _, n in self.spans)
 
     def components(self) -> list[Arc]:
         """Maximal arcs sorted by start in [0, period); a component that
@@ -239,26 +245,22 @@ class CircularSet:
         return list(self.arcs)
 
     def contains(self, t: float, tol: float = EPS_ANGLE) -> bool:
-        return any(a.contains(t, tol) for a in self.arcs)
+        return any(_holds(s, n, t, tol, self.period) for s, n in self.spans)
 
     def component_containing(self, t: float, tol: float = EPS_ANGLE) -> Arc | None:
-        for a in self.arcs:
-            if a.contains(t, tol):
-                return a
-        return None
+        return next((Arc(s, n, self.period) for s, n in self.spans
+                     if _holds(s, n, t, tol, self.period)), None)
 
     def distance_to(self, t: float) -> float:
         """Distance from t to the set (0 if inside)."""
-        best = math.inf
-        for a in self.arcs:
-            if a.contains(t):
-                return 0.0
-            best = min(best, circle_dist(t, a.start, self.period),
-                       circle_dist(t, a.end, self.period))
-        return best
+        if self.contains(t):
+            return 0.0
+        return min((circle_dist(t, end, self.period) for s, n in self.spans
+                    for end in (s, canonical(s + n, self.period))), default=math.inf)
 
     def shifted(self, delta: float) -> "CircularSet":
-        return CircularSet([a.shifted(delta) for a in self.arcs], self.period, merge_tol=0.0)
+        return CircularSet._of([(canonical(s + delta, self.period), n) for s, n in self.spans],
+                               self.period, 0.0)
 
     def antipodal_image(self) -> "CircularSet":
         """The set shifted by half a period (rotation by pi when period=2*pi)."""
@@ -268,8 +270,9 @@ class CircularSet:
         # the slot is set on the first dilation only
         last = getattr(self, "_dilation", None)
         if last is None or last[0] != eps:
-            last = self._dilation = (eps, CircularSet([a.dilated(eps) for a in self.arcs],
-                                                      self.period))
+            last = self._dilation = (eps, CircularSet._of(
+                [(canonical(s - eps, self.period), min(n + 2.0 * eps, self.period))
+                 for s, n in self.spans], self.period, EPS_GROUP))
         return last[1]
 
     def intersect_window(self, window: Arc) -> list[Arc]:
@@ -279,21 +282,16 @@ class CircularSet:
         return out
 
     def extremum_in_window(self, window: Arc, which: str) -> float:
-        """Sup or inf of (set ∩ window) in the window's linear order.
-
-        Raises EmptyIntersection when the set misses the window.
-        """
+        """Sup or inf of (set ∩ window) in the window's linear order; raises
+        EmptyIntersection when the set misses the window."""
         pieces = self.intersect_window(window)
         if not pieces:
             raise EmptyIntersection(f"set misses window [{window.start}, {window.end}]")
-        positions: list[tuple[float, float]] = []
-        for a in pieces:
-            lo = window.position_of(a.start)
-            positions.append((lo, lo + a.length))
+        los = [window.position_of(a.start) for a in pieces]
         if which == "sup":
-            pos = max(hi for _, hi in positions)
+            pos = max(lo + a.length for lo, a in zip(los, pieces))
         elif which == "inf":
-            pos = min(lo for lo, _ in positions)
+            pos = min(los)
         else:
             raise ValueError(f"which must be 'sup' or 'inf', got {which!r}")
         return canonical(window.start + pos, self.period)
@@ -308,23 +306,26 @@ class CircularSet:
     def project_half(self) -> "CircularSet":
         """Image under the projection to the circle of half the period."""
         half = 0.5 * self.period
-        arcs = []
-        for a in self.arcs:
-            if a.length >= half:
-                return CircularSet.full(half)
-            arcs.append(Arc(canonical(a.start, half), a.length, half))
-        return CircularSet(arcs, half)
+        if any(n >= half for _, n in self.spans):
+            return CircularSet([Arc.full(half)], half)
+        return CircularSet._of([(canonical(s, half), n) for s, n in self.spans], half, EPS_GROUP)
 
     def contained_in(self, other: "CircularSet", tol: float = EPS_GROUP) -> bool:
-        """Every component of self lies inside `other` dilated by tol."""
-        if not self.arcs:
-            return True
-        fat = other.dilated(tol)
-        for a in self.arcs:
-            inside = any(
-                _arc_inside(a, b) for b in fat.arcs
-            )
-            if not inside:
+        """Every component of self lies inside `other` dilated by tol.  The
+        components of the dilation lie more than EPS_GROUP apart, so only
+        the last one starting at or before a component, or the next one
+        (canonical snaps a start by up to EPS_ANGLE), can hold it."""
+        fat, period = other.dilated(tol), self.period
+        if not fat.spans:
+            return not self.spans
+        starts = [s for s, _ in fat.spans]
+        for s, n in self.spans:
+            k = bisect_right(starts, s) - 1
+            for b, m in (fat.spans[k], fat.spans[(k + 1) % len(starts)]):
+                off = forward_gap(b, s, period)
+                if m >= period - EPS_ANGLE or off <= m + EPS_ANGLE and off + n <= m + EPS_ANGLE:
+                    break
+            else:
                 return False
         return True
 
@@ -340,22 +341,20 @@ class CircularSet:
         return True
 
 
-def _arc_inside(a: Arc, b: Arc) -> bool:
-    if b.is_full():
+def _holds(start: float, length: float, t: float, tol: float, period: float) -> bool:
+    """Arc.contains on a span."""
+    if length >= period - EPS_ANGLE:
         return True
-    off = forward_gap(b.start, a.start, b.period)
-    return off <= b.length + EPS_ANGLE and off + a.length <= b.length + EPS_ANGLE
+    off = forward_gap(start, t, period)
+    return off <= length + tol or off >= period - tol
 
 
-def _merge(arcs: Sequence[Arc], period: float, merge_tol: float) -> list[Arc]:
-    arcs = [a for a in arcs if a is not None]
-    if not arcs:
-        return []
-    if any(a.period != period for a in arcs):
-        raise ValueError("mixed periods in one CircularSet")
-    if any(a.is_full() for a in arcs):
-        return [Arc.full(period)]
-    items = sorted([a.start, a.start + a.length] for a in arcs)
+def _merge(spans, period: float, merge_tol: float) -> tuple[tuple[float, float], ...]:
+    """Canonical (start, length) spans merged into sorted maximal ones,
+    joining those at most merge_tol apart."""
+    if any(n >= period - EPS_ANGLE for _, n in spans):
+        return ((0.0, period),)
+    items = sorted([s, s + n] for s, n in spans)
     # merging around the wrap can create new adjacencies at the seam, so
     # iterate the linear + wraparound passes to a fixpoint
     for _ in range(len(items) + 2):
@@ -378,7 +377,7 @@ def _merge(arcs: Sequence[Arc], period: float, merge_tol: float) -> list[Arc]:
     out = []
     for s, e in items:
         if e - s >= period - merge_tol:
-            return [Arc.full(period)]
-        out.append(Arc(canonical(s, period), e - s, period))
-    out.sort(key=lambda a: a.start)
-    return out
+            return ((0.0, period),)
+        out.append((canonical(s, period), e - s))
+    out.sort(key=lambda a: a[0])
+    return tuple(out)

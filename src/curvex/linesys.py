@@ -123,7 +123,7 @@ class LineSystem:
         F = self.F(p)
         if F.is_full():
             return False
-        base = CircularSet([self.F0(p)], self.period)
+        base = CircularSet([_own_component(F, canonical(p, self.period))], self.period)
         return F.project_half().contained_in(base.project_half(), tol)
 
     def y_plus(self, p: float) -> CircularSet:
@@ -520,6 +520,7 @@ class AxiomResult:
 @dataclass
 class AxiomReport:
     results: list[AxiomResult]
+    solve_seconds: float = 0.0  # the grid prefetch; run metadata, not part of the report
 
     @property
     def all_pass(self) -> bool:
@@ -542,7 +543,9 @@ def check_axioms(sys: LineSystem, grid_size: int = 256) -> AxiomReport:
         raise ValueError(f"the axiom grid must have a positive even size, got {grid_size}")
     period = sys.period
     grid = [canonical(i * period / grid_size, period) for i in range(grid_size)]
+    started = time.perf_counter()
     sets = dict(zip(grid, sys.F_many(grid)))
+    solve_seconds = time.perf_counter() - started
     results = []
     for check in (_check_l1, _check_l2, _check_l3, _check_l4, _check_l5,
                   _check_l6, _check_l7):
@@ -550,7 +553,7 @@ def check_axioms(sys: LineSystem, grid_size: int = 256) -> AxiomReport:
         res = check(sys, grid, sets)
         res.seconds = time.perf_counter() - started
         results.append(res)
-    return AxiomReport(results)
+    return AxiomReport(results, solve_seconds)
 
 
 def _check_l1(sys, grid, sets):
@@ -636,11 +639,11 @@ def _check_l4(sys, grid, sets):
     source = {canonical(-p, period): p for p in grid}
     passes = (
         (grid, {p: p for p in grid}, "asc",
-         {p: _offset_table(period, [(forward_gap(p, a.start, period), a.length)
-                                    for a in sets[p].arcs]) for p in grid}),
+         {p: _offset_table(period, [(forward_gap(p, s, period), n)
+                                    for s, n in sets[p].spans]) for p in grid}),
         (sorted(source), source, "desc",
-         {p: _offset_table(period, [(forward_gap(a.end, p, period), a.length)
-                                    for a in sets[p].arcs]) for p in grid}),
+         {p: _offset_table(period, [(forward_gap(canonical(s + n, period), p, period), n)
+                                    for s, n in sets[p].spans]) for p in grid}),
     )
     for bases, src, tag, table in passes:
         n = len(bases)
@@ -667,10 +670,17 @@ def _check_l4(sys, grid, sets):
 
 def _check_l5(sys, grid, sets):
     res = AxiomResult("L5", True, 0)
+    clean = {}  # T(p) is mostly a grid point itself: classify each point once
+
+    def is_clean(p):
+        if p not in clean:
+            clean[p] = sys.is_positive_clean(p)
+        return clean[p]
+
     for p in grid:
-        if sys.is_positive_clean(p):
+        if is_clean(p):
             res.checked += 1
-            if sys.is_positive_clean(sys.T(p)):
+            if is_clean(sys.T(p)):
                 res.passed = False
                 res.witnesses.append({"p": p})
     return res
@@ -736,8 +746,8 @@ def _check_l7(sys, grid, sets):
                          key=lambda m: circle_dist(m, s_prev, period))
         p = starts[k]
         res.checked += 1
-        if sys.F(p).distance_to(s_prev) > 10.0 * SET_TOL:
+        dist = sys.F(p).distance_to(s_prev)
+        if dist > 10.0 * SET_TOL:
             res.passed = False
-            res.witnesses.append({"p": p, "limit": s_prev,
-                                  "dist": sys.F(p).distance_to(s_prev)})
+            res.witnesses.append({"p": p, "limit": s_prev, "dist": dist})
     return res

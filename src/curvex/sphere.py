@@ -246,10 +246,18 @@ def _side_samples(curve: ProjectiveCurve, ts: np.ndarray,
     each base's frame normals at the offsets arc_offsets(n_s) along its
     open forward arc (t, t + pi), as (n, m) rows.  Every step is
     elementwise in the bases."""
-    P = np.stack([_shifted(c, ts, n_s) for c in curve.F.components], axis=-1)
-    r = np.sqrt(_dot3(P, P))
-    nu, that = frames
-    return _dot3(nu[:, None], P) / r, _dot3(that[:, None], P) / r
+    x, y, z = (_shifted(c, ts, n_s) for c in curve.F.components)
+    r = _summed(x * x, y * y, z * z)
+    np.sqrt(r, out=r)
+    sides = [_summed(v[:, :1] * x, v[:, 1:2] * y, v[:, 2:] * z) for v in frames]
+    return [np.divide(s, r, out=s) for s in sides]
+
+
+def _summed(a, b, c):
+    """a + b + c, added left to right as _dot3 adds, into a."""
+    a += b
+    a += c
+    return a
 
 
 def admissible_normal_arc(curve: ProjectiveCurve, ts: np.ndarray, n_s: int = 512):
@@ -291,7 +299,8 @@ def _limits(curve: ProjectiveCurve, ts, eps_contact: float) -> list[ContactData]
     no such candidate the end of the arc is taken and FALLBACK reported.
     Touches are the zeros whose normalized side value is at most
     eps_contact.  Every step is elementwise in the bases, so a base's
-    circle does not depend on the bases solved beside it.
+    circle does not depend on the bases solved beside it, and a block
+    raises the error of its first failing base.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     out = []
@@ -313,57 +322,70 @@ def _limit_block(curve, ts, eps_contact):
     up = np.where(pn * _dot3(that[rows], Fs) < pt * _dot3(nu[rows], Fs), -1.0, 1.0)
     angles = np.arctan2(up * pt, up * pn)
     radii = np.sqrt(_dot3(Fs, Fs))
+    # a base with no admissible arc gets an empty one here and fails below
+    start = np.array([arc.start if arc else 0.0 for arc in arcs])
+    length = np.array([arc.length if arc else -1.0 for arc in arcs])
+    theta_hat = (start + length).tolist()
+
+    def grid_max(sel, theta):
+        """max_j cos(theta) A[j] + sin(theta) B[j] on the rows sel."""
+        c, s = (np.array([f(x) for x in theta]) for f in (math.cos, math.sin))
+        return np.max(c[:, None] * A[sel] + s[:, None] * B[sel], axis=1)
+
+    # the tangent circle at angle 0 or pi, when theta_hat lies within 1e-4 of it
+    theta_t = [0.0 if circle_dist(h, 0.0) < 1e-4 else
+               math.pi if circle_dist(h, math.pi) < 1e-4 else None for h in theta_hat]
+    near = [i for i, th in enumerate(theta_t) if th is not None]
+    tangent = np.zeros(len(ts), dtype=bool)
+    if near:
+        tangent[near] = grid_max(near, [theta_t[i] for i in near]) <= eps_contact
+    # each candidate against the zeros of its row, as (candidate, zero) pairs
     bounds = np.searchsorted(rows, np.arange(len(ts) + 1))
+    row_zeros = np.diff(bounds)[rows]
+    cand = np.repeat(np.arange(len(rows)), row_zeros)
+    zero = np.repeat(bounds[rows] - np.cumsum(row_zeros) + row_zeros, row_zeros) \
+        + np.arange(len(cand))
+    normals = np.cos(angles)[:, None] * nu[rows] + np.sin(angles)[:, None] * that[rows]
+    over = np.full(len(rows), -math.inf)
+    np.maximum.at(over, cand, _dot3(normals[cand], Fs[zero]) / radii[zero])
+    pos = (angles - start[rows]) % TWO_PI
+    ok = (pos <= length[rows] + 1e-9) & (over <= eps_contact)
+    # the first ok candidate of largest pos in each row, or -1
+    best = np.full(len(ts), -math.inf)
+    np.maximum.at(best, rows[ok], pos[ok])
+    hits = np.nonzero(ok & (pos == best[rows]))[0]
+    first = np.full(len(ts), len(rows))
+    np.minimum.at(first, rows[hits], hits)
+    pick = np.where(first < len(rows), first, -1)
+    theta = [th if tg else canonical(float(angles[j]) if j >= 0 else h)
+             for th, tg, j, h in zip(theta_t, tangent.tolist(), pick.tolist(), theta_hat)]
+
+    cos, sin = (np.array([f(x) for x in theta])[:, None] for f in (math.cos, math.sin))
+    normal = cos * nu + sin * that
+    side_max = grid_max(slice(None), theta).tolist()
+    touching = (np.abs(_dot3(normal[rows], Fs)) / radii <= eps_contact).tolist()
+    bounds = bounds.tolist()
+    ss = ss.tolist()
 
     out = []
-    for i, arc in enumerate(arcs):
-        t = float(ts[i])
+    for i, (t, arc) in enumerate(zip(ts.tolist(), arcs)):
         if arc is None:
             raise NotAntiConvex(t)
-        mine = slice(bounds[i], bounds[i + 1])
-
-        def grid_max(theta):
-            return float(np.max(math.cos(theta) * A[i] + math.sin(theta) * B[i]))
-
-        warnings = []
-        theta_hat = arc.start + arc.length
-        for theta_star in (0.0, math.pi):
-            if circle_dist(theta_hat, theta_star) < 1e-4 and \
-                    grid_max(theta_star) <= eps_contact:
-                tangent_at_base = True
-                break
-        else:
-            tangent_at_base = False
-            cand = angles[mine]
-            normals = np.cos(cand)[:, None] * nu[i] + np.sin(cand)[:, None] * that[i]
-            over = np.max(_dot3(normals[:, None], Fs[mine]) / radii[mine], axis=1,
-                          initial=-math.inf)
-            pos = (cand - arc.start) % TWO_PI
-            ok = (pos <= arc.length + 1e-9) & (over <= eps_contact)
-            if ok.any():
-                theta_star = canonical(float(cand[ok][np.argmax(pos[ok])]))
-            else:
-                warnings.append(FALLBACK)
-                theta_star = canonical(theta_hat)
-
-        normal = math.cos(theta_star) * nu[i] + math.sin(theta_star) * that[i]
-        side_max = grid_max(theta_star)
-        if side_max > 2.0 * eps_contact:
+        if side_max[i] > 2.0 * eps_contact:
             raise NoConvergence(
-                f"limiting circle at t={t} leaves the half-curve by {side_max:.3g}")
-
-        side = np.abs(_dot3(normal, Fs[mine])) / radii[mine]
-        touches = np.sort(ss[mine][side <= eps_contact])
-        touches = touches[np.diff(touches, prepend=-math.inf) > 1e-9].tolist()
+                f"limiting circle at t={t} leaves the half-curve by {side_max[i]:.3g}")
+        mine = slice(bounds[i], bounds[i + 1])
+        found = sorted(s for s, on in zip(ss[mine], touching[mine]) if on)
+        touches = [s for k, s in enumerate(found) if k == 0 or s - found[k - 1] > 1e-9]
         contact = CircularSet.from_points([t, t + math.pi] + touches
                                           + [s + math.pi for s in touches])
-
-        if not tangent_at_base and len(contact) < 3:
+        if not tangent[i] and len(contact) < 3:
             raise NoConvergence(
                 f"transversal limiting circle at t={t} shows {len(contact)} contact "
                 "components; expected at least three")
-        out.append(ContactData(GreatCircle(normal), contact, canonical(t), theta_star,
-                               tangent_at_base, tuple(touches), tuple(warnings)))
+        warnings = () if tangent[i] or pick[i] >= 0 else (FALLBACK,)
+        out.append(ContactData(GreatCircle(normal[i]), contact, canonical(t), theta[i],
+                               bool(tangent[i]), tuple(touches), warnings))
     return out
 
 

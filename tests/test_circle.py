@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from curvex.circle import (
     Arc,
     CircularSet,
+    EPS_ANGLE,
     EPS_GROUP,
     TWO_PI,
     admissible_angles,
@@ -16,6 +17,7 @@ from curvex.circle import (
     cyclic_between,
     cyclic_midpoint,
     cyclic_runs,
+    forward_gap,
 )
 from curvex.errors import EmptyIntersection
 
@@ -255,3 +257,175 @@ def test_admissible_angles_match_a_dense_scan(centre, samples):
     assert not any(inside[k] for k in np.nonzero(side > margin)[0])
     if arc is not None:
         assert _side_max(A, B, [arc.midpoint])[0] <= 1e-12 * scale
+
+
+# -- the float-backed sets against the Arc-object sets they replaced --------
+
+SET_TOL, CLEAN_TOL, MEMBER_TOL = 1e-3, 1e-5, 1e-6  # the tolerances of linesys
+
+
+def _ref_contains(a, t, tol=EPS_ANGLE):
+    if a.is_full():
+        return True
+    return forward_gap(a.start, t, a.period) <= a.length + tol or \
+        forward_gap(a.start, t, a.period) >= a.period - tol
+
+
+def _ref_inside(a, b):
+    if b.is_full():
+        return True
+    off = forward_gap(b.start, a.start, b.period)
+    return off <= b.length + EPS_ANGLE and off + a.length <= b.length + EPS_ANGLE
+
+
+def _ref_merge(arcs, period, merge_tol):
+    arcs = [a for a in arcs if a is not None]
+    if not arcs:
+        return []
+    if any(a.is_full() for a in arcs):
+        return [Arc.full(period)]
+    items = sorted([a.start, a.start + a.length] for a in arcs)
+    for _ in range(len(items) + 2):
+        merged = []
+        for s, e in items:
+            if merged and s <= merged[-1][1] + merge_tol:
+                merged[-1][1] = max(merged[-1][1], e)
+            else:
+                merged.append([s, e])
+        wrapped = False
+        if len(merged) > 1 and merged[0][0] + period <= merged[-1][1] + merge_tol:
+            merged[0][0] = merged[-1][0] - period
+            merged[0][1] = max(merged[0][1], merged[-1][1] - period)
+            merged.pop()
+            wrapped = True
+        if len(merged) == len(items) and not wrapped:
+            items = merged
+            break
+        items = sorted(merged)
+    out = []
+    for s, e in items:
+        if e - s >= period - merge_tol:
+            return [Arc.full(period)]
+        out.append(Arc(canonical(s, period), e - s, period))
+    out.sort(key=lambda a: a.start)
+    return out
+
+
+class RefSet:
+    """CircularSet as it was when every set was merged from Arc objects:
+    the reference whose arcs the float-backed sets must hold bit for bit,
+    and whose decisions they must make."""
+
+    def __init__(self, arcs, period=TWO_PI, merge_tol=EPS_GROUP):
+        self.period = period
+        self.arcs = tuple(_ref_merge(arcs, period, merge_tol))
+
+    @classmethod
+    def from_points(cls, points, period=TWO_PI):
+        return cls([Arc.point(t, period) for t in points], period)
+
+    def shifted(self, delta):
+        return RefSet([a.shifted(delta) for a in self.arcs], self.period, merge_tol=0.0)
+
+    def antipodal_image(self):
+        return self.shifted(0.5 * self.period)
+
+    def dilated(self, eps):
+        return RefSet([Arc(a.start - eps, min(a.length + 2.0 * eps, self.period), self.period)
+                       for a in self.arcs], self.period)
+
+    def project_half(self):
+        half = 0.5 * self.period
+        if any(a.length >= half for a in self.arcs):
+            return RefSet([Arc.full(half)], half)
+        return RefSet([Arc(canonical(a.start, half), a.length, half) for a in self.arcs], half)
+
+    def contained_in(self, other, tol=EPS_GROUP):
+        fat = other.dilated(tol)
+        return all(any(_ref_inside(a, b) for b in fat.arcs) for a in self.arcs)
+
+    def set_equal(self, other, tol=EPS_GROUP):
+        return self.contained_in(other, tol) and other.contained_in(self, tol)
+
+    def distance_to(self, t):
+        best = math.inf
+        for a in self.arcs:
+            if _ref_contains(a, t):
+                return 0.0
+            best = min(best, circle_dist(t, a.start, self.period),
+                       circle_dist(t, a.end, self.period))
+        return best
+
+
+def _ulps(x, k):
+    """x moved k ulps."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# starts and ends within a few EPS_ANGLE of the seam (and of pi), gaps
+# within a few ulps of the merge and dilation thresholds
+near_seam = st.sampled_from([0.0, TWO_PI, math.pi]).flatmap(
+    lambda x: st.floats(x - 3 * EPS_ANGLE, x + 3 * EPS_ANGLE))
+thresholds = [0.0, EPS_GROUP, SET_TOL, 2 * SET_TOL, 2 * SET_TOL + EPS_GROUP, CLEAN_TOL,
+              2 * CLEAN_TOL + EPS_GROUP]
+gaps = st.one_of(st.tuples(st.sampled_from(thresholds), st.integers(-4, 4)).map(
+    lambda g: _ulps(*g)), st.floats(0.0, 1.0))
+lengths = st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(0.0, 2.0))
+# shifts that put a start of a set's shifted copy within a few EPS_ANGLE of
+# a start of its dilation, on either side
+tol_shifts = st.tuples(st.sampled_from([SET_TOL, CLEAN_TOL, EPS_GROUP]),
+                       st.floats(-3 * EPS_ANGLE, 3 * EPS_ANGLE), st.sampled_from([-1.0, 1.0])
+                       ).map(lambda x: x[2] * (x[0] + x[1]))
+
+
+@st.composite
+def arc_lists(draw):
+    s = draw(st.one_of(near_seam, st.floats(0.0, TWO_PI)))
+    arcs = []
+    for length, gap in draw(st.lists(st.tuples(lengths, gaps), max_size=6)):
+        arcs.append(Arc(s, length))
+        s += length + gap
+    if draw(st.booleans()):  # an arc ending at the seam
+        length = draw(lengths)
+        arcs.append(Arc(draw(near_seam) - length, length))
+    return arcs
+
+
+def _same(new, ref):
+    assert new.period == ref.period
+    assert repr(new.spans) == repr(tuple((a.start, a.length) for a in ref.arcs))
+    assert new.arcs == ref.arcs
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(arc_lists(), arc_lists(), st.one_of(near_seam, st.floats(-7.0, 7.0), gaps, tol_shifts))
+def test_set_algebra_matches_the_arc_reference(arcs, other_arcs, delta):
+    for merge_tol in (EPS_GROUP, 0.0):
+        _same(CircularSet(arcs, merge_tol=merge_tol), RefSet(arcs, merge_tol=merge_tol))
+    pts = [a.start for a in arcs + other_arcs]
+    _same(CircularSet.from_points(pts), RefSet.from_points(pts))
+    new, ref = CircularSet(arcs), RefSet(arcs)
+    other, other_ref = CircularSet(other_arcs), RefSet(other_arcs)
+    images = [(new.shifted(delta), ref.shifted(delta)),
+              (new.antipodal_image(), ref.antipodal_image()),
+              (new.project_half(), ref.project_half())]
+    for img, img_ref in images:
+        _same(img, img_ref)
+    for tol in (SET_TOL, CLEAN_TOL, EPS_GROUP, 0.0):
+        _same(new.dilated(tol), ref.dilated(tol))
+    pairs = [((new, ref), (other, other_ref))] + [((new, ref), image) for image in images[:2]] \
+        + [(images[2], (other.project_half(), other_ref.project_half()))]
+    for (a, a_ref), (b, b_ref) in pairs:
+        for tol in (SET_TOL, CLEAN_TOL, EPS_GROUP):
+            assert a.contained_in(b, tol) == a_ref.contained_in(b_ref, tol)
+            assert b.contained_in(a, tol) == b_ref.contained_in(a_ref, tol)
+            assert a.set_equal(b, tol) == a_ref.set_equal(b_ref, tol)
+    # points of the other set, and the seam
+    for t in pts + [0.0, _ulps(TWO_PI, -1), delta]:
+        assert repr(new.distance_to(t)) == repr(ref.distance_to(t))
+        for tol in (EPS_ANGLE, MEMBER_TOL):
+            hit = next((a for a in ref.arcs if _ref_contains(a, t, tol)), None)
+            assert new.contains(t, tol) == (hit is not None)
+            assert new.component_containing(t, tol) == hit

@@ -98,6 +98,10 @@ def test_axioms_sidecar_times_each_axiom(tmp_path):
     assert sorted(meta["axiom_seconds"]) == names
     assert all(v == round(v, 3) >= 0.0 for v in meta["axiom_seconds"].values())
     assert sum(meta["axiom_seconds"].values()) <= meta["seconds"] + 0.01
+    # the grid prefetch, timed apart from the axioms
+    solve = meta["axiom_solve_seconds"]
+    assert solve == round(solve, 3) >= 0.0
+    assert solve + sum(meta["axiom_seconds"].values()) <= meta["seconds"] + 0.01
     # 32 bases, 7 lags below half a period, both passes
     l4 = next(r for r in data["axioms"] if r["axiom"] == "L4")
     assert meta["l4_configurations"] == {"tried": 448, "checked": l4["checked"]}

@@ -7,8 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from curvex import sphere
 from curvex.census import anti_convexity_grid_test
-from curvex.circle import TWO_PI, Arc
-from curvex.errors import DegeneratePoint, LineCurve
+from curvex.circle import TWO_PI, Arc, CircularSet, canonical, circle_dist
+from curvex.errors import (
+    CurvexError,
+    DegeneratePoint,
+    LineCurve,
+    NoConvergence,
+    NotAntiConvex,
+)
 from curvex.sphere import (
     EPS_CONTACT,
     FALLBACK,
@@ -227,6 +233,108 @@ def test_batched_limits_equal_single_solves(fixture, request):
         assert cd.contact.arcs == one.contact.arcs
 
 
+def limit_block_loop(curve, ts, eps_contact):
+    """A block of limiting circles solved base after base, as the solver
+    did before its block pass: the reference that pass must match bit
+    for bit, errors included."""
+    Ft = curve.F.eval_many(ts)
+    nu, that = sphere._frames(Ft, curve.F1.eval_many(ts), ts)
+    A, B = _side_samples(curve, ts, (nu, that), sphere.N_SIDE)
+    arcs = sphere.admissible_arcs(A, B)
+    rows, ss = _interior_zeros(curve, ts, Ft)
+    Fs = curve.F.eval_many(ss)
+    planes = _cross3(Ft[rows], Fs)
+    pn, pt = _dot3(planes, nu[rows]), _dot3(planes, that[rows])
+    up = np.where(pn * _dot3(that[rows], Fs) < pt * _dot3(nu[rows], Fs), -1.0, 1.0)
+    angles = np.arctan2(up * pt, up * pn)
+    radii = np.sqrt(_dot3(Fs, Fs))
+    bounds = np.searchsorted(rows, np.arange(len(ts) + 1))
+    out = []
+    for i, arc in enumerate(arcs):
+        t = float(ts[i])
+        if arc is None:
+            raise NotAntiConvex(t)
+        mine = slice(bounds[i], bounds[i + 1])
+
+        def grid_max(theta):
+            return float(np.max(math.cos(theta) * A[i] + math.sin(theta) * B[i]))
+
+        warns = []
+        theta_hat = arc.start + arc.length
+        for theta_star in (0.0, math.pi):
+            if circle_dist(theta_hat, theta_star) < 1e-4 and grid_max(theta_star) <= eps_contact:
+                tangent_at_base = True
+                break
+        else:
+            tangent_at_base = False
+            cand = angles[mine]
+            normals = np.cos(cand)[:, None] * nu[i] + np.sin(cand)[:, None] * that[i]
+            over = np.max(_dot3(normals[:, None], Fs[mine]) / radii[mine], axis=1,
+                          initial=-math.inf)
+            pos = (cand - arc.start) % TWO_PI
+            ok = (pos <= arc.length + 1e-9) & (over <= eps_contact)
+            if ok.any():
+                theta_star = canonical(float(cand[ok][np.argmax(pos[ok])]))
+            else:
+                warns.append(FALLBACK)
+                theta_star = canonical(theta_hat)
+        normal = math.cos(theta_star) * nu[i] + math.sin(theta_star) * that[i]
+        side_max = grid_max(theta_star)
+        if side_max > 2.0 * eps_contact:
+            raise NoConvergence(
+                f"limiting circle at t={t} leaves the half-curve by {side_max:.3g}")
+        side = np.abs(_dot3(normal, Fs[mine])) / radii[mine]
+        touches = np.sort(ss[mine][side <= eps_contact])
+        touches = touches[np.diff(touches, prepend=-math.inf) > 1e-9].tolist()
+        contact = CircularSet.from_points([t, t + math.pi] + touches
+                                          + [s + math.pi for s in touches])
+        if not tangent_at_base and len(contact) < 3:
+            raise NoConvergence(
+                f"transversal limiting circle at t={t} shows {len(contact)} contact "
+                "components; expected at least three")
+        out.append(sphere.ContactData(sphere.GreatCircle(normal), contact, canonical(t),
+                                      theta_star, tangent_at_base, tuple(touches),
+                                      tuple(warns)))
+    return out
+
+
+def _solved(solve, curve, ts, eps):
+    """Every float of the solved circles, or the error raised, by type and message."""
+    try:
+        return [(cd.circle.normal.tobytes(), repr(cd.contact.spans), cd.base, cd.theta,
+                 cd.tangent_at_base, cd.touches, cd.warnings)
+                for cd in solve(curve, ts, eps)]
+    except CurvexError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("eps,shorten", [(EPS_CONTACT, 0.0), (1e-6, 0.0), (1e-12, 0.0),
+                                         (EPS_CONTACT, 2e-9), (EPS_CONTACT, 1e-6)])
+@pytest.mark.parametrize("case", ["curve3", "curve7", "sf_mix7", "warped", "rng"])
+def test_block_pass_matches_the_per_base_loop(case, eps, shorten, request, monkeypatch):
+    # arcs cut short of their sampled end make bases fall back to the end
+    # of the arc (and then fail, for the longer cut), the warped curve has
+    # bases with no admissible arc; the block raises what the loop raises
+    real = sphere.admissible_arcs
+    monkeypatch.setattr(sphere, "admissible_arcs", lambda A, B: [
+        a and Arc(a.start, max(a.length - shorten, 0.0)) for a in real(A, B)])
+    if case == "rng":
+        rng = np.random.default_rng(3)
+        curves = [make_curve(TrigSeries(0.0, tuple(
+            (k, rng.normal() / k ** 1.5, rng.normal() / k ** 1.5) for k in (3, 5, 7, 9)),
+            ANTIPERIODIC)) for _ in range(4)]
+    elif case == "warped":  # the curve of test_anti_convexity_violated_for_warped_curve
+        curves = [ProjectiveCurve(VectorSeries(cos_series(1), sin_series(1) + cos_series(3, 0.7),
+                                               sin_series(3, 0.05)))]
+    else:
+        obj = request.getfixturevalue(case)
+        curves = [obj if isinstance(obj, ProjectiveCurve) else obj.lift]
+    for curve in curves:
+        for ts in (np.linspace(0.0, TWO_PI, 32, endpoint=False) + 0.01, np.array([0.7])):
+            assert _solved(sphere._limit_block, curve, ts, eps) == \
+                _solved(limit_block_loop, curve, ts, eps)
+
+
 @pytest.mark.parametrize("n_s", [256, 512, 1024])
 @pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7", "mixed"])
 def test_side_samples_match_direct_evaluation(fixture, n_s, request):
@@ -300,6 +408,37 @@ def test_fallback_to_the_sampled_arc_end(curve3, monkeypatch):
     assert fallen.warnings == (FALLBACK,)
     assert fallen.theta == pytest.approx(cd.theta - 2e-9, abs=1e-12)
     assert fallen.contact.set_equal(cd.contact, 1e-6)
+
+
+def _turned(a):
+    # the admissible arc turned by pi: its end keeps every sample on the
+    # wrong side, and no candidate lies on the point it leaves
+    return Arc(a.start + math.pi, 0.0)
+
+
+@pytest.mark.parametrize("first,second,error,words", [
+    (None, _turned, NotAntiConvex, "no admissible line at t="),
+    (_turned, None, NoConvergence, "limiting circle at t="),
+], ids=["not-anti-convex-first", "no-convergence-first"])
+def test_a_block_raises_the_error_of_its_first_failing_base(curve3, monkeypatch,
+                                                           first, second, error, words):
+    # bases 5 and 9 of one 32-base block fail, each in its own way; the
+    # block raises what solving its bases one by one in order raises: the
+    # error of base 5
+    ts = np.linspace(0.0, TWO_PI, 32, endpoint=False)
+    real = sphere.admissible_arcs
+    broken = {5: first, 9: second}
+
+    def failing(A, B):
+        arcs = real(A, B)
+        for i, make in broken.items():
+            arcs[i] = make and make(arcs[i])
+        return arcs
+
+    monkeypatch.setattr(sphere, "admissible_arcs", failing)
+    with pytest.raises(error) as block:
+        _limits(curve3, ts, EPS_CONTACT)
+    assert str(block.value).startswith(f"{words}{float(ts[5])!r}")
 
 
 @pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7", "sf_sin3", "sf_mix25",
