@@ -25,7 +25,7 @@ from .circle import (
     TWO_PI,
     admissible_angles,
     canonical,
-    circle_dist,
+    circle_dists,
     cyclic_runs,
     forward_gap,
 )
@@ -272,8 +272,17 @@ def anti_convexity_grid_test(unit_many, n_base: int = 128, n_arc: int = 1024,
 
 @dataclass
 class DetectionResult:
+    """Unpacks as (intervals, dropped), the pair a2_double_tangents gives."""
+
     intervals: list[DoubleTangentInterval]
     dropped: int = 0  # diverged or filtered-out Newton runs
+    newton: dict = field(default_factory=dict)  # tangent_pairs' Newton counters
+
+    def __iter__(self):
+        return iter((self.intervals, self.dropped))
+
+    def __getitem__(self, i):
+        return tuple(self)[i]
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -284,49 +293,67 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _tangency_system(curve: ProjectiveCurve):
-    """The residual (n(a).F(b), n(a).F'(b)) and its Jacobian, for newton2."""
-    F, F1, F2 = curve.F, curve.F1, curve.F2
+    """The residual (n(a).F(b), n(a).F'(b)) and its Jacobian, for newton2:
+    one curve.jet call per step gives F, F' and F'' at both ends."""
 
     def system(a, b):
-        fa = F.eval_many(a)
-        n = _cross3(fa, F1.eval_many(a))
-        fb, f1b = F.eval_many(b), F1.eval_many(b)
+        jet = curve.jet(np.concatenate([a, b])).reshape(2, len(a), 3, 3)
+        (fa, f1a, f2a), (fb, f1b, f2b) = jet.transpose(0, 2, 1, 3)
+        n = _cross3(fa, f1a)
         r1, r2 = _rowdot(n, fb), _rowdot(n, f1b)
         scale = np.sqrt(_rowdot(n, n)) * np.sqrt(_rowdot(fb, fb))
         done = (np.abs(r1) + np.abs(r2)) / scale < NEWTON_RESIDUAL
         run = ~done
         n, fb, f1b, r1, r2 = n[run], fb[run], f1b[run], r1[run], r2[run]
-        dn = _cross3(fa[run], F2.eval_many(a[run]))
+        dn = _cross3(fa[run], f2a[run])
         J = np.empty((len(r1), 2, 2))
         J[:, 0, 0] = _rowdot(dn, fb)
         J[:, 0, 1] = r2
         J[:, 1, 0] = _rowdot(dn, f1b)
-        J[:, 1, 1] = _rowdot(n, F2.eval_many(b[run]))
+        J[:, 1, 1] = _rowdot(n, f2b[run])
         return done, J, np.stack([r1, r2], axis=1)
     return system
 
 
-def tangent_pairs(a0, b0, system) -> tuple[list[tuple[float, float]], int]:
+def _first_distinct(close: np.ndarray) -> np.ndarray:
+    """The rows a pass in order keeps when it drops each row close to an
+    earlier kept one (close[i, j] for j < i): decided from the earliest
+    undecided rows on, one array step per link of the longest chain."""
+    kept = np.zeros(len(close), dtype=bool)
+    out = np.zeros(len(close), dtype=bool)
+    while not (kept | out).all():
+        kept |= ~(close & ~out).any(axis=1)
+        out |= (close & kept).any(axis=1)
+    return kept
+
+
+def tangent_pairs(a0, b0, system) -> tuple[list[tuple[float, float]], int, dict]:
     """Solve the seeds (a0[i], b0[i]) with newton2 on the system and keep
     the solutions whose forward gap lies in (GAP_MARGIN/2, pi - GAP_MARGIN/2),
     deduplicated as (a mod pi, gap) pairs in seed order; returns them
-    sorted, with the number of seeds that failed or landed outside."""
-    sol_a, sol_b, converged = newton2(system, a0, b0)
-    found: list[tuple[float, float]] = []
-    dropped = 0
-    for a, b, ok in zip(sol_a.tolist(), sol_b.tolist(), converged.tolist()):
-        if not ok:
-            dropped += 1
-            continue
-        gap = forward_gap(a, b)
-        if not GAP_MARGIN * 0.5 < gap < math.pi - GAP_MARGIN * 0.5:
-            dropped += 1
-            continue
-        a = canonical(a, math.pi)
-        if not any(circle_dist(a, fa, math.pi) < DEDUPE_TOL
-                   and abs(gap - fg) < DEDUPE_TOL for fa, fg in found):
-            found.append((a, gap))
-    return sorted(found), dropped
+    sorted, with the number of seeds that failed or landed outside and
+    the Newton counters (seeds, converged, steps: the system calls)."""
+    steps = 0
+
+    def counted(a, b):
+        nonlocal steps
+        steps += 1
+        return system(a, b)
+
+    sol_a, sol_b, converged = newton2(counted, a0, b0)
+    ends = [(a, forward_gap(a, b)) for a, b, ok in
+            zip(sol_a.tolist(), sol_b.tolist(), converged.tolist()) if ok]
+    rows = [(canonical(a, math.pi), gap) for a, gap in ends
+            if GAP_MARGIN * 0.5 < gap < math.pi - GAP_MARGIN * 0.5]
+    a, gap = np.array(rows).reshape(-1, 2).T
+    # close[i, j], j < i: row i lies within DEDUPE_TOL of the earlier row j
+    i, j = np.nonzero(np.tril(np.abs(gap[:, None] - gap) < DEDUPE_TOL, -1))
+    near = circle_dists(a[i], a[j], math.pi) < DEDUPE_TOL
+    close = np.zeros((len(rows), len(rows)), dtype=bool)
+    close[i[near], j[near]] = True
+    found = [rows[k] for k in np.flatnonzero(_first_distinct(close))]
+    newton = {"seeds": converged.size, "converged": len(ends), "steps": steps}
+    return sorted(found), converged.size - len(rows), newton
 
 
 def _side_sign(curve: ProjectiveCurve, normal: np.ndarray, t: float,
@@ -409,10 +436,10 @@ def _double_tangents(curve: ProjectiveCurve) -> DetectionResult:
     filters, with the chord probes and the off-chord samples of every
     pair found in one call each.
     """
-    found, dropped = tangent_pairs(*_fold_seeds(curve), _tangency_system(curve))
+    found, dropped, newton = tangent_pairs(*_fold_seeds(curve), _tangency_system(curve))
     intervals = []
     if not found:
-        return DetectionResult(intervals, dropped)
+        return DetectionResult(intervals, dropped, newton)
     a = np.array([x for x, _ in found])
     b = a + np.array([gap for _, gap in found])
     ends = list(zip(a.tolist(), b.tolist()))
@@ -424,7 +451,7 @@ def _double_tangents(curve: ProjectiveCurve) -> DetectionResult:
             dropped += 1
             continue
         intervals.append(DoubleTangentInterval(x, y, ch))
-    return DetectionResult(intervals, dropped)
+    return DetectionResult(intervals, dropped, newton)
 
 
 # -- independent (laminar) families -----------------------------------------
@@ -510,6 +537,7 @@ class CensusReport:
     clean_points: list[float]
     double_tangents: list[tuple[float, float]]
     warnings: dict = field(default_factory=dict)
+    newton: dict = field(default_factory=dict)  # the detection's, for the sidecar
 
     def to_json(self) -> dict:
         return {
@@ -531,7 +559,8 @@ def census_report(kind: str, flexes, detection: DetectionResult,
     the detection's intervals, the identity check i - 2*delta = 3 and
     the clean points as given.  Its warnings are the dropped candidates,
     and a greedy family (grown from the middle) whose size differs from
-    the optimum's."""
+    the optimum's.  It carries the detection's Newton counters outside
+    its JSON."""
     intervals = detection.intervals
     family = maximal_independent_family(intervals)
     warnings = {}
@@ -544,7 +573,8 @@ def census_report(kind: str, flexes, detection: DetectionResult,
     return CensusReport(kind=kind, i=i, delta=delta, identity_holds=(i - 2 * delta == 3),
                         inflection_points=[e.parameter for e in flexes],
                         clean_points=list(clean_points),
-                        double_tangents=[(iv.a, iv.b) for iv in family], warnings=warnings)
+                        double_tangents=[(iv.a, iv.b) for iv in family], warnings=warnings,
+                        newton=detection.newton)
 
 
 def census(curve: ProjectiveCurve, system: LineSystem | None = None) -> CensusReport:

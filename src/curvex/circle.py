@@ -70,6 +70,14 @@ def circle_dist(a: float, b: float, period: float = TWO_PI) -> float:
     return min(d, period - d)
 
 
+def circle_dists(a: np.ndarray, b: np.ndarray, period: float = TWO_PI) -> np.ndarray:
+    """circle_dist elementwise over broadcast arrays, rounded as it rounds."""
+    d = np.fmod(b - a, period)
+    d[d < 0.0] += period
+    d[period - d < EPS_ANGLE] = 0.0
+    return np.minimum(d, period - d)
+
+
 def cyclic_runs(mask) -> list[tuple[int, int]]:
     """Maximal runs of True in a cyclic boolean sequence, as (start,
     length) pairs in order of start; a run may wrap past the last index,

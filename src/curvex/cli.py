@@ -222,17 +222,21 @@ def _contact_system(obj, args) -> LineSystem:
     return LineSystem(sphere_contact_map(obj, args.eps_contact))
 
 
-def _run_sphere_census(curve: ProjectiveCurve, system, args) -> tuple[dict, bool]:
-    report = census(curve, system).to_json()
+def _run_sphere_census(curve: ProjectiveCurve, system, args, meta: dict) -> tuple[dict, bool]:
+    rep = census(curve, system)
+    meta["newton"] = rep.newton
+    report = rep.to_json()
     emit_sphere_plot(curve, args.out_svg, args.out_csv, args.plot_samples,
                      inflections=report["inflection_points"],
                      chords=report["double_tangents"])
     return report, report["identity_holds"]
 
 
-def _run_width_census(sf: SupportFunction, system, args) -> tuple[dict, bool]:
+def _run_width_census(sf: SupportFunction, system, args, meta: dict) -> tuple[dict, bool]:
     triple = clean_flexes(sf, system)
-    report = census_fn(sf, clean_points=list(triple.points)).to_json()
+    rep = census_fn(sf, clean_points=list(triple.points))
+    meta["newton"] = rep.newton
+    report = rep.to_json()
     report["clean_signs"] = list(triple.signs)
     emit_width_plot(sf, args.out_svg, args.out_csv, args.plot_samples,
                     flexes=list(triple.points))
@@ -340,9 +344,9 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         if args.mode == "sphere-census":
-            report, ok = _run_sphere_census(obj, system, args)
+            report, ok = _run_sphere_census(obj, system, args, meta)
         elif args.mode == "width-census":
-            report, ok = _run_width_census(obj, system, args)
+            report, ok = _run_width_census(obj, system, args, meta)
         elif args.mode == "flexes":
             report, ok = _run_flexes(obj, system, args)
         elif args.mode == "axioms":

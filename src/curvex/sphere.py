@@ -99,6 +99,34 @@ class ProjectiveCurve:
         nu, that = self.frames(np.array([t]))
         return nu[0], that[0]
 
+    def jet(self, ts) -> np.ndarray:
+        """F, F' and F'' at the parameters ts as (n, 9) rows.
+
+        Each harmonic k of the nine component series takes one cos(k ts)
+        and one sin(k ts); the rows add a cos + b sin in ascending k, as
+        TrigSeries evaluation adds each series' terms, and a component
+        without k adds an exact zero.  So every entry equals the
+        eval_many of F, F1 and F2."""
+        ks, A, B, const = self._jet_table
+        ts = np.asarray(ts, dtype=float)
+        out = np.empty((len(ts), 9))
+        out[:] = const
+        for k, a, b in zip(ks, A, B):
+            out += a * np.cos(k * ts)[:, None] + b * np.sin(k * ts)[:, None]
+        return out
+
+    @cached_property
+    def _jet_table(self):
+        """The distinct harmonics of F, F' and F'' with their cos and sin
+        coefficients as (K, 9) arrays, zero-padded, and the constants."""
+        series = self.F.components + self.F1.components + self.F2.components
+        ks = sorted({k for s in series for k, _, _ in s.harmonics})
+        A, B = np.zeros((len(ks), 9)), np.zeros((len(ks), 9))
+        for j, s in enumerate(series):
+            for k, a, b in s.harmonics:
+                A[ks.index(k), j], B[ks.index(k), j] = a, b
+        return ks, A, B, np.array([s.constant for s in series])
+
     @cached_property
     def _tangent_planes(self) -> np.ndarray:
         """W = F x F' as three Laurent rows in y = exp(2is): W has even
@@ -403,7 +431,8 @@ def tangent_line_zeros(curve: ProjectiveCurve, ts):
     the zeros of g_a(b) = n(a) . F(b), n(a) = F(a) x F'(a), in the open
     arc (a, a + pi), as arc_zeros gives them (rows index ts)."""
     ts = np.asarray(ts, dtype=float)
-    N = _cross3(curve.F.eval_many(ts), curve.F1.eval_many(ts))
+    jet = curve.jet(ts)
+    N = _cross3(jet[:, :3], jet[:, 3:6])
     # F has odd harmonics only: every other Laurent column is a row in exp(2ib)
     return arc_zeros(N @ laurent_rows(curve.F.components)[:, ::2], ts)
 

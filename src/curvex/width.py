@@ -23,7 +23,6 @@ from .errors import CertificateFailed, IdenticallyZero, LineCurve, NotConvex
 from .census import (
     CensusReport,
     DetectionResult,
-    DoubleTangentInterval,
     _double_tangents,
     census_report,
     count_inflections_topological,
@@ -199,9 +198,10 @@ def clean_flexes(sf: SupportFunction, system: LineSystem | None = None) -> FlexT
     return FlexTriple(points, signs, tuple(t for t, _ in snapped))
 
 
-def a2_double_tangents(sf: SupportFunction) -> tuple[list[DoubleTangentInterval], int]:
+def a2_double_tangents(sf: SupportFunction) -> DetectionResult:
     """Intervals whose endpoints share a tangent circle-support member,
-    with the number of dropped candidates.
+    with the number of dropped candidates: the lift's DetectionResult,
+    which unpacks as (intervals, dropped).
 
     They are the lift's double tangents: n(a) = F(a) x F'(a) has
     z-component 1 on F = (cos t, sin t, f(t)), so n(a).F(b) = f(b) - phi(b)
@@ -213,8 +213,7 @@ def a2_double_tangents(sf: SupportFunction) -> tuple[list[DoubleTangentInterval]
         nonzero_indicator(sf.lift)
     except LineCurve:
         raise IdenticallyZero(CIRCLE_OFFSET) from None
-    detection = _double_tangents(sf.lift)
-    return detection.intervals, detection.dropped
+    return _double_tangents(sf.lift)
 
 
 def census_fn(sf: SupportFunction, clean_points: list[float] | None = None,
@@ -225,8 +224,8 @@ def census_fn(sf: SupportFunction, clean_points: list[float] | None = None,
     lift's two reductions at the first (without their self-intersection
     test, which doubles its cost).  An even count of either reduction is
     flagged as topological_count_even instead of an additivity mismatch."""
-    report = census_report("width-census", _flexes(sf),
-                           DetectionResult(*a2_double_tangents(sf)), clean_points or [])
+    report = census_report("width-census", _flexes(sf), a2_double_tangents(sf),
+                           clean_points or [])
     if additivity_check and report.double_tangents:
         a, b = report.double_tangents[0]
         inside = reduction(sf.lift, a, b, check_simple=False)

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from curvex.census import (
+    DEDUPE_TOL,
+    GAP_MARGIN,
+    NEWTON_RESIDUAL,
     DoubleTangentInterval,
+    _first_distinct,
+    _fold_seeds,
+    _rowdot,
+    _tangency_system,
     anti_convexity_grid_test,
     census,
     chord,
@@ -15,15 +22,18 @@ from curvex.census import (
     greedy_maximal_family,
     maximal_independent_family,
     reduction,
+    tangent_pairs,
 )
+from curvex.circle import canonical, circle_dist, forward_gap
 from curvex.errors import DegenerateChord
-from curvex.sphere import ProjectiveCurve, inflection_indicator, true_inflections
+from curvex.sphere import ProjectiveCurve, _cross3, inflection_indicator, true_inflections
 from curvex.trig import (
     ANTIPERIODIC,
     TrigSeries,
     VectorSeries,
     cos_series,
     isolate_sign_changes,
+    newton2,
     sin_series,
 )
 
@@ -138,6 +148,79 @@ class TestDetection:
             ch = _passes_filters(curve5, a, b, chord_probes(curve5, [(a, b)])[0],
                                  curve5.lift_many(_arc_samples(a, b)))
             assert (ch is not None) == qualifies
+
+
+def per_series_tangency_system(curve):
+    """The tangency system with each end evaluated series by series: six
+    eval_many calls per step, as before the jet."""
+    F, F1, F2 = curve.F, curve.F1, curve.F2
+
+    def system(a, b):
+        fa = F.eval_many(a)
+        n = _cross3(fa, F1.eval_many(a))
+        fb, f1b = F.eval_many(b), F1.eval_many(b)
+        r1, r2 = _rowdot(n, fb), _rowdot(n, f1b)
+        scale = np.sqrt(_rowdot(n, n)) * np.sqrt(_rowdot(fb, fb))
+        done = (np.abs(r1) + np.abs(r2)) / scale < NEWTON_RESIDUAL
+        run = ~done
+        n, fb, f1b, r1, r2 = n[run], fb[run], f1b[run], r1[run], r2[run]
+        dn = _cross3(fa[run], F2.eval_many(a[run]))
+        J = np.empty((len(r1), 2, 2))
+        J[:, 0, 0] = _rowdot(dn, fb)
+        J[:, 0, 1] = r2
+        J[:, 1, 0] = _rowdot(dn, f1b)
+        J[:, 1, 1] = _rowdot(n, F2.eval_many(b[run]))
+        return done, J, np.stack([r1, r2], axis=1)
+    return system
+
+
+def scanned_pairs(sol_a, sol_b, converged):
+    """tangent_pairs' (found, dropped) by a scan of each row against the
+    rows kept before it."""
+    found, dropped = [], 0
+    for a, b, ok in zip(sol_a.tolist(), sol_b.tolist(), converged.tolist()):
+        if not ok:
+            dropped += 1
+            continue
+        gap = forward_gap(a, b)
+        if not GAP_MARGIN * 0.5 < gap < math.pi - GAP_MARGIN * 0.5:
+            dropped += 1
+            continue
+        a = canonical(a, math.pi)
+        if not any(circle_dist(a, fa, math.pi) < DEDUPE_TOL
+                   and abs(gap - fg) < DEDUPE_TOL for fa, fg in found):
+            found.append((a, gap))
+    return sorted(found), dropped
+
+
+def random_lifts(seed, n):
+    rng = np.random.default_rng(seed)
+    return [lift(TrigSeries(0.0, tuple((k, rng.normal() / k ** 1.5, rng.normal() / k ** 1.5)
+                                       for k in (3, 5, 7, 9)), ANTIPERIODIC))
+            for _ in range(n)]
+
+
+def test_one_jet_per_newton_step_is_bit_equal(curve7):
+    mix7 = lift(sin_series(3) + sin_series(5) + sin_series(7, 0.5))
+    for curve in [curve7, mix7] + random_lifts(5, 10):
+        a0, b0 = _fold_seeds(curve)
+        solved = newton2(_tangency_system(curve), a0, b0)
+        reference = newton2(per_series_tangency_system(curve), a0, b0)
+        assert all(np.array_equal(x, y) for x, y in zip(solved, reference))
+        found, dropped, newton = tangent_pairs(a0, b0, _tangency_system(curve))
+        assert (found, dropped) == scanned_pairs(*reference)
+        assert newton["seeds"] == a0.size
+        assert newton["converged"] == int(reference[2].sum())
+
+
+def test_dedupe_keeps_the_first_of_each_chain():
+    # 0 ~ 1 ~ 2 ~ 3 in a chain, 0 !~ 2: 1 goes with 0, so 2 is kept and 3
+    # goes with 2; 4 is close to nothing
+    close = np.zeros((5, 5), dtype=bool)
+    for i in (1, 2, 3):
+        close[i, i - 1] = True
+    assert _first_distinct(close).tolist() == [True, False, True, False, True]
+    assert _first_distinct(np.zeros((0, 0), dtype=bool)).size == 0
 
 
 # (i, delta) of lifts z = sum a_k cos kt + b_k sin kt, as (k, a_k, b_k)

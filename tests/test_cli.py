@@ -131,6 +131,21 @@ def test_sphere_census_sidecar_counts_lockstep_steps(tmp_path):
     assert meta["clean_search"] == {"exact_clean": 3, "shortcuts": 3, "halvings": 0}
 
 
+MIX7 = {"d": 120.0, "f": {"parity": "antiperiodic", "constant": 0.0,
+                          "harmonics": [[3, 0.0, 1.0], [5, 0.0, 1.0], [7, 0.0, 0.5]]}}
+
+
+@pytest.mark.parametrize("payload, mode", [(CURVE7, "sphere-census"), (MIX7, "width-census")])
+def test_census_sidecar_counts_newton(tmp_path, payload, mode):
+    # the counts of the per-series tangency system, before one jet per
+    # step: the same steps mean the same iteration
+    code, data = run(tmp_path, payload, mode)
+    meta = json.loads((tmp_path / "report.json.meta.json").read_text())
+    assert code == 0
+    assert meta["newton"] == {"seeds": 308, "converged": 188, "steps": 40}
+    assert "newton" not in data
+
+
 def test_sphere_census_reads_the_inflections_once(tmp_path, monkeypatch):
     # the clean-point search takes the exactly-clean points from the
     # census's own inflection report instead of solving the indicator again

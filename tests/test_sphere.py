@@ -382,6 +382,40 @@ def test_limiting_circle_is_extremal_on_random_lifts(seed, t):
     assert float(np.max(units @ turned)) > 0.0
 
 
+def per_series_jet(curve, ts):
+    return np.concatenate([curve.F.eval_many(ts), curve.F1.eval_many(ts),
+                           curve.F2.eval_many(ts)], axis=1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 257])
+def test_jet_is_bit_equal_to_per_series_evaluation(curve3, curve5, curve7, n):
+    # beside the lifts, a curve with harmonics of its own in x and y
+    other = ProjectiveCurve(VectorSeries(sin_series(1) + cos_series(3, 0.2),
+                                         cos_series(1) + sin_series(5, -0.1),
+                                         sin_series(3, 0.05) + cos_series(7, 0.01)))
+    ts = np.linspace(-1.0, 7.0, n)
+    for curve in (curve3, curve5, curve7, other):
+        jet = curve.jet(ts)
+        assert jet.shape == (n, 9)
+        assert np.array_equal(jet, per_series_jet(curve, ts))
+
+
+odd_terms = st.lists(st.tuples(st.sampled_from((1, 3, 5, 7, 9, 11)), st.floats(-2.0, 2.0),
+                               st.floats(-2.0, 2.0)), max_size=4)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(odd_terms, odd_terms, odd_terms, st.lists(st.floats(-20.0, 20.0), max_size=6))
+def test_jet_is_bit_equal_on_random_series(x, y, z, ts):
+    try:
+        curve = ProjectiveCurve(VectorSeries(*(TrigSeries(0.0, tuple(h), ANTIPERIODIC)
+                                               for h in (x, y, z))))
+    except DegeneratePoint:
+        return
+    ts = np.array(ts, dtype=float)
+    assert np.array_equal(curve.jet(ts), per_series_jet(curve, ts))
+
+
 def test_vanishing_top_coefficient_raises_no_warning():
     # only y carries cos 3t and only z the top harmonic, so the top
     # coefficient of T_t is a multiple of x(t) = sin t, exactly 0 at t = 0
