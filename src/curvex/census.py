@@ -538,6 +538,7 @@ class CensusReport:
     double_tangents: list[tuple[float, float]]
     warnings: dict = field(default_factory=dict)
     newton: dict = field(default_factory=dict)  # the detection's, for the sidecar
+    dropped: int = 0  # the detection's dropped candidates, for the sidecar
 
     def to_json(self) -> dict:
         return {
@@ -557,15 +558,12 @@ def census_report(kind: str, flexes, detection: DetectionResult,
     """The report of a census: the crossing inflection entries flexes,
     counted as independent inflections, a maximal independent family of
     the detection's intervals, the identity check i - 2*delta = 3 and
-    the clean points as given.  Its warnings are the dropped candidates,
-    and a greedy family (grown from the middle) whose size differs from
-    the optimum's.  It carries the detection's Newton counters outside
-    its JSON."""
+    the clean points as given.  It warns of a greedy family (grown from
+    the middle) whose size differs from the optimum's.  It carries the
+    detection's Newton counters and dropped candidates outside its JSON."""
     intervals = detection.intervals
     family = maximal_independent_family(intervals)
     warnings = {}
-    if detection.dropped:
-        warnings["dropped_candidates"] = detection.dropped
     cross = greedy_maximal_family(intervals, start=len(intervals) // 2)
     if len(cross) != len(family):
         warnings["greedy_family_mismatch"] = len(cross)
@@ -574,7 +572,7 @@ def census_report(kind: str, flexes, detection: DetectionResult,
                         inflection_points=[e.parameter for e in flexes],
                         clean_points=list(clean_points),
                         double_tangents=[(iv.a, iv.b) for iv in family], warnings=warnings,
-                        newton=detection.newton)
+                        newton=detection.newton, dropped=detection.dropped)
 
 
 def census(curve: ProjectiveCurve, system: LineSystem | None = None) -> CensusReport:

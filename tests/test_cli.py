@@ -143,7 +143,8 @@ def test_census_sidecar_counts_newton(tmp_path, payload, mode):
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
     assert code == 0
     assert meta["newton"] == {"seeds": 308, "converged": 188, "steps": 40}
-    assert "newton" not in data
+    assert meta["dropped_candidates"] == 156
+    assert "newton" not in data and "dropped_candidates" not in data["warnings"]
 
 
 def test_sphere_census_reads_the_inflections_once(tmp_path, monkeypatch):
