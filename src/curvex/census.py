@@ -2,10 +2,11 @@
 
 A double tangent interval is detected from the two-equation tangency
 system (the tangent line normal at one parameter annihilating position
-and velocity at the other), Newton-refined from the points where the
-tangent lines meet the curve and filtered by the defining conditions:
-genuine tangency at both ends, the arc not collapsed onto the chord,
-and the curve locally on the same side of the chord at both endpoints.
+and velocity at the other), Newton-refined from the lattice cells
+around which that system's field winds and filtered by the defining
+conditions: genuine tangency at both ends, the arc not collapsed onto
+the chord, and the curve locally on the same side of the chord at both
+endpoints.
 Replacing the arc by the chord yields the reduction, a piecewise
 evaluator on which inflections are counted topologically (crossing
 tangent lines), since the determinant criterion needs two derivatives
@@ -38,7 +39,6 @@ from .sphere import (
     admissible_normal_arc,
     clean_inflections,
     normal_direction,
-    tangent_line_zeros,
     true_inflections,
 )
 from .trig import newton2
@@ -51,8 +51,8 @@ OFF_CHORD_SAMPLES = 257  # arc samples tested against a candidate's chord
 ESCAPE_BLOCK = 32  # tangent circles per block of the topological count
 ESCAPE = 1e-7  # side-value band a tangent circle's walk must leave
 FD_STEP = 1e-5  # central-difference step of the topological tangent
-DETECT_BASES = 512  # bases whose tangent lines seed both double-tangent detectors
-GAP_MARGIN = 0.02  # least forward gap, and least gap to pi, of a tangent pair
+LATTICE_CELLS = 256  # lattice cells per half period in a that seed double tangents
+GAP_MARGIN = 2 * math.pi / LATTICE_CELLS  # pairs keep a gap in (h, pi - h), h one cell
 
 
 @dataclass(frozen=True)
@@ -399,27 +399,27 @@ def _passes_filters(curve: ProjectiveCurve, a: float, b: float, probe,
     return ch
 
 
-def _fold_seeds(curve: ProjectiveCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Newton seeds (a0, b0) for the double tangents of the curve.
-
-    The tangent line at a base a meets the curve at the zeros of
-    g_a(b) = n(a).F(b) in (a, a + pi), found by tangent_line_zeros at
-    DETECT_BASES bases.  A double tangent is a double zero of g_a, so the
-    zero count (with multiplicity) differs between the two bases that
-    bracket it.  At both, each zero and each midpoint of adjacent zeros
-    is a seed, also transposed as (b, a + pi): from its other end a
-    double tangent is seen even where a second fold in the same base
-    step hides it.
-    """
-    agrid = np.linspace(0.0, math.pi, DETECT_BASES, endpoint=False)
-    rows, zeros, mult = tangent_line_zeros(curve, agrid)
-    count = np.bincount(rows, weights=mult, minlength=DETECT_BASES)
-    fold = count != np.roll(count, -1)
-    seeding = (fold | np.roll(fold, 1))[rows]
-    pair = seeding[1:] & (rows[1:] == rows[:-1])
-    a0 = np.concatenate([agrid[rows[seeding]], agrid[rows[1:][pair]]])
-    b0 = np.concatenate([zeros[seeding], 0.5 * (zeros[1:] + zeros[:-1])[pair]])
-    return np.concatenate([a0, b0]), np.concatenate([b0, a0 + math.pi])
+def _cell_seeds(curve: ProjectiveCurve, cells: int = LATTICE_CELLS):
+    """Newton seeds (a0, b0) for the double tangents of the curve: the
+    centres of the cells of the lattice a = i h, b = a + m h, h = pi/cells,
+    0 < m < cells, around which the field (g, dg/db), g(a, b) = n(a).F(b),
+    n = F x F', winds, as it does around each zero inside.  The lattice
+    closes at a = pi on the a = 0 row turned by pi, as n(a + pi) = n(a)
+    and F(b + pi) = -F(b); the bands m = 0, cells it leaves out hold the
+    double zero at b = a, a + pi."""
+    h = math.pi / cells
+    F, F1, _ = np.split(curve.jet(np.arange(2 * cells) * h), 3, axis=1)
+    n = _cross3(F[:cells], F1[:cells])
+    i, m = np.arange(cells)[:, None], np.arange(1, cells)
+    theta = np.arctan2((n @ F1.T)[i, i + m], (n @ F.T)[i, i + m])
+    theta = np.concatenate([theta, theta[:1] + math.pi])
+    # the angle differences along the edges, wrapped into [-pi, pi]
+    along, across = (d - TWO_PI * np.rint(d / TWO_PI)
+                     for d in (np.diff(theta, axis=1), np.diff(theta, axis=0)))
+    winding = along[:-1] + across[:, 1:] - along[1:] - across[:, :-1]
+    i, m = np.nonzero(np.abs(winding) > math.pi)
+    a0 = (i + 0.5) * h
+    return a0, a0 + (m + 1.5) * h
 
 
 def detect_double_tangents(curve: ProjectiveCurve) -> DetectionResult:
@@ -431,12 +431,12 @@ def _double_tangents(curve: ProjectiveCurve) -> DetectionResult:
     """detect_double_tangents, also run by width.a2_double_tangents on a
     lift (bench/layertrace.py traces the two names apart).
 
-    newton2 solves the tangency system from the _fold_seeds of the
+    newton2 solves the tangency system from the _cell_seeds of the
     curve.  Converged pairs are deduplicated and pushed through the
     filters, with the chord probes and the off-chord samples of every
     pair found in one call each.
     """
-    found, dropped, newton = tangent_pairs(*_fold_seeds(curve), _tangency_system(curve))
+    found, dropped, newton = tangent_pairs(*_cell_seeds(curve), _tangency_system(curve))
     intervals = []
     if not found:
         return DetectionResult(intervals, dropped, newton)
@@ -537,8 +537,7 @@ class CensusReport:
     clean_points: list[float]
     double_tangents: list[tuple[float, float]]
     warnings: dict = field(default_factory=dict)
-    newton: dict = field(default_factory=dict)  # the detection's, for the sidecar
-    dropped: int = 0  # the detection's dropped candidates, for the sidecar
+    counters: dict = field(default_factory=dict)  # the detection's, for the sidecar
 
     def to_json(self) -> dict:
         return {
@@ -560,7 +559,7 @@ def census_report(kind: str, flexes, detection: DetectionResult,
     the detection's intervals, the identity check i - 2*delta = 3 and
     the clean points as given.  It warns of a greedy family (grown from
     the middle) whose size differs from the optimum's.  It carries the
-    detection's Newton counters and dropped candidates outside its JSON."""
+    detection's counters outside its JSON: newton and dropped_candidates."""
     intervals = detection.intervals
     family = maximal_independent_family(intervals)
     warnings = {}
@@ -572,7 +571,8 @@ def census_report(kind: str, flexes, detection: DetectionResult,
                         inflection_points=[e.parameter for e in flexes],
                         clean_points=list(clean_points),
                         double_tangents=[(iv.a, iv.b) for iv in family], warnings=warnings,
-                        newton=detection.newton, dropped=detection.dropped)
+                        counters={"newton": detection.newton,
+                                  "dropped_candidates": detection.dropped})
 
 
 def census(curve: ProjectiveCurve, system: LineSystem | None = None) -> CensusReport:

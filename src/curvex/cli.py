@@ -224,7 +224,7 @@ def _contact_system(obj, args) -> LineSystem:
 
 def _run_sphere_census(curve: ProjectiveCurve, system, args, meta: dict) -> tuple[dict, bool]:
     rep = census(curve, system)
-    meta.update(newton=rep.newton, dropped_candidates=rep.dropped)
+    meta.update(rep.counters)
     report = rep.to_json()
     emit_sphere_plot(curve, args.out_svg, args.out_csv, args.plot_samples,
                      inflections=report["inflection_points"],
@@ -235,7 +235,7 @@ def _run_sphere_census(curve: ProjectiveCurve, system, args, meta: dict) -> tupl
 def _run_width_census(sf: SupportFunction, system, args, meta: dict) -> tuple[dict, bool]:
     triple = clean_flexes(sf, system)
     rep = census_fn(sf, clean_points=list(triple.points))
-    meta.update(newton=rep.newton, dropped_candidates=rep.dropped)
+    meta.update(rep.counters)
     report = rep.to_json()
     report["clean_signs"] = list(triple.signs)
     emit_width_plot(sf, args.out_svg, args.out_csv, args.plot_samples,

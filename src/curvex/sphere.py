@@ -92,7 +92,7 @@ class ProjectiveCurve:
         """Left normals nu = lift x tangent and unit tangents at the bases
         ts, as (n, 3) rows computed elementwise, so that a row does not
         depend on the rows beside it."""
-        return _frames(self.F.eval_many(ts), self.F1.eval_many(ts), ts)
+        return _frames(*np.split(self.jet(ts), 3, axis=1)[:2], ts)
 
     def frame(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Left normal nu = lift x tangent, and the unit tangent."""
@@ -338,8 +338,8 @@ def _limits(curve: ProjectiveCurve, ts, eps_contact: float) -> list[ContactData]
 
 
 def _limit_block(curve, ts, eps_contact):
-    Ft = curve.F.eval_many(ts)  # shared by the frames, the zeros and the planes
-    nu, that = _frames(Ft, curve.F1.eval_many(ts), ts)
+    Ft, F1t, _ = np.split(curve.jet(ts), 3, axis=1)  # Ft: frames, zeros and planes
+    nu, that = _frames(Ft, F1t, ts)
     A, B = _side_samples(curve, ts, (nu, that), N_SIDE)
     arcs = admissible_arcs(A, B)
     rows, ss = _interior_zeros(curve, ts, Ft)

@@ -76,6 +76,18 @@ class SupportFunction:
         """The sphere curve (cos t, sin t, f(t)), built once."""
         return ProjectiveCurve(VectorSeries(cos_series(1), sin_series(1), self.f))
 
+    @cached_property
+    def flexes(self) -> tuple[InflectionEntry, ...]:
+        """The crossings on [0, pi) of the lift's inflection indicator
+        det(F, F', F''), which for F = (cos t, sin t, f) is f + f'',
+        solved once.  When that indicator vanishes, the lift lies on a
+        line and f on the circle-support space."""
+        try:
+            entries = true_inflections(self.lift).entries
+        except LineCurve:
+            raise IdenticallyZero(CIRCLE_OFFSET) from None
+        return tuple(e for e in entries if e.crossing)
+
     def curvature_radius(self, t: float) -> float:
         return 0.5 * self.d + apply_flex_operator(self.f, 2)(t)
 
@@ -93,22 +105,10 @@ def curve_points(sf: SupportFunction, ts: np.ndarray) -> np.ndarray:
                      h1 * np.sin(ts) - h * np.cos(ts)], axis=-1)
 
 
-def _flexes(sf: SupportFunction) -> list[InflectionEntry]:
-    """The crossings on [0, pi) of the lift's inflection indicator
-    det(F, F', F''), which for F = (cos t, sin t, f) is f + f''.  When
-    that indicator vanishes, the lift lies on a line and f on the
-    circle-support space."""
-    try:
-        entries = true_inflections(sf.lift).entries
-    except LineCurve:
-        raise IdenticallyZero(CIRCLE_OFFSET) from None
-    return [e for e in entries if e.crossing]
-
-
 def d_inflections(sf: SupportFunction) -> list[float]:
     """Parameters where the osculating width-circle has higher contact,
     i.e. the curvature radius equals d/2; antipodal partners included."""
-    return sorted(e.parameter + h for e in _flexes(sf) for h in (0.0, math.pi))
+    return sorted(e.parameter + h for e in sf.flexes for h in (0.0, math.pi))
 
 
 # -- limiting functions ------------------------------------------------------
@@ -193,7 +193,7 @@ def clean_flexes(sf: SupportFunction, system: LineSystem | None = None) -> FlexT
 
     f - phi solves y'' + y = f + f'' with a double zero at the flex, so
     it changes sign there as f + f'' does: against the entry's sign."""
-    snapped = clean_inflections(sf.lift, system or contact_system(sf), _flexes(sf))
+    snapped = clean_inflections(sf.lift, system or contact_system(sf), sf.flexes)
     points, signs = zip(*sorted((e.parameter, -e.sign) for _, e in snapped))
     return FlexTriple(points, signs, tuple(t for t, _ in snapped))
 
@@ -224,7 +224,7 @@ def census_fn(sf: SupportFunction, clean_points: list[float] | None = None,
     lift's two reductions at the first (without their self-intersection
     test, which doubles its cost).  An even count of either reduction is
     flagged as topological_count_even instead of an additivity mismatch."""
-    report = census_report("width-census", _flexes(sf), a2_double_tangents(sf),
+    report = census_report("width-census", sf.flexes, a2_double_tangents(sf),
                            clean_points or [])
     if additivity_check and report.double_tangents:
         a, b = report.double_tangents[0]

@@ -7,10 +7,11 @@ import pytest
 from curvex.census import (
     DEDUPE_TOL,
     GAP_MARGIN,
+    LATTICE_CELLS,
     NEWTON_RESIDUAL,
     DoubleTangentInterval,
     _first_distinct,
-    _fold_seeds,
+    _cell_seeds,
     _rowdot,
     _tangency_system,
     anti_convexity_grid_test,
@@ -104,16 +105,18 @@ class TestChord:
 class TestDetection:
     def test_curve7_counts_and_endpoints(self, curve7):
         det = detect_double_tangents(curve7)
-        assert det.dropped == 156
+        # one seed per nonzero lattice cell, and each of the 6 intervals
+        # seen from its other end fails the same-side filter
+        assert det.dropped == 6
         found = [(iv.a, iv.b) for iv in det.intervals]
         # the last bits of the endpoints follow the host's BLAS kernels
         np.testing.assert_allclose(found, [
-            (0.8918632830405755, 2.2497293705492174),
-            (0.9072907832219671, 1.6008888752629558),
-            (1.2397237089708937, 1.9018689446170938),
-            (1.5407037783266468, 2.2343018703679127),
-            (1.8625772744177838, 4.056411280470218),
-            (2.2267740267093674, 4.420608032761804)], rtol=0, atol=1e-12)
+            (0.8918632830405765, 2.249729370549217),
+            (0.9072907832219648, 1.6008888752629564),
+            (1.2397237089721203, 1.9018689446176726),
+            (1.5407037783268362, 2.234301870367826),
+            (1.8625772744177813, 4.05641128047021),
+            (2.2267740267093683, 4.420608032761803)], rtol=0, atol=1e-12)
         # the same intervals as seeding from a residual grid found
         np.testing.assert_allclose(found, [
             (0.8918632830405467, 2.2497293705492143),
@@ -203,7 +206,7 @@ def random_lifts(seed, n):
 def test_one_jet_per_newton_step_is_bit_equal(curve7):
     mix7 = lift(sin_series(3) + sin_series(5) + sin_series(7, 0.5))
     for curve in [curve7, mix7] + random_lifts(5, 10):
-        a0, b0 = _fold_seeds(curve)
+        a0, b0 = _cell_seeds(curve)
         solved = newton2(_tangency_system(curve), a0, b0)
         reference = newton2(per_series_tangency_system(curve), a0, b0)
         assert all(np.array_equal(x, y) for x, y in zip(solved, reference))
@@ -211,6 +214,84 @@ def test_one_jet_per_newton_step_is_bit_equal(curve7):
         assert (found, dropped) == scanned_pairs(*reference)
         assert newton["seeds"] == a0.size
         assert newton["converged"] == int(reference[2].sum())
+
+
+def shifted(curve, phi):
+    """The curve t -> F(t - phi): its double tangents move by phi."""
+    def shift(s):
+        return TrigSeries(s.constant, tuple(
+            (k, a * math.cos(k * phi) - b * math.sin(k * phi),
+             a * math.sin(k * phi) + b * math.cos(k * phi)) for k, a, b in s.harmonics),
+            s.parity)
+    return ProjectiveCurve(VectorSeries(*(shift(s) for s in curve.F.components)))
+
+
+class TestLatticeSeeds:
+    def test_gap_band_starts_at_the_first_cell(self):
+        # the band tangent_pairs keeps is the lattice's: a pair at a gap
+        # within one cell of 0 or pi lies in no cell, and is not kept
+        h = math.pi / LATTICE_CELLS
+        assert GAP_MARGIN / 2 == h
+        gaps = np.array([0.99, 1.01, LATTICE_CELLS - 1.01, LATTICE_CELLS - 0.99]) * h
+
+        def converged(a, b):
+            return np.ones(len(a), dtype=bool), np.empty((0, 2, 2)), np.empty((0, 2))
+
+        found, dropped, _ = tangent_pairs(np.full(4, 0.5), 0.5 + gaps, converged)
+        np.testing.assert_allclose(found, [(0.5, gaps[1]), (0.5, gaps[2])], rtol=0, atol=1e-15)
+        assert dropped == 2
+        for curve in random_lifts(5, 4):
+            a0, b0 = _cell_seeds(curve)
+            assert np.all((b0 - a0 > h) & (b0 - a0 < math.pi - h))
+
+    @pytest.mark.parametrize("end", [0.3, LATTICE_CELLS - 0.3])
+    def test_closure_at_pi(self, curve7, end):
+        # turn curve7 so that a double tangent's first end lies 0.3 cells
+        # past 0, or 0.3 cells short of pi, in the cell the closure row
+        # a = pi bounds; the row from that end is found there, not only
+        # the twin row from the other end
+        h = math.pi / LATTICE_CELLS
+        a, b = 0.9072907832219648, 1.6008888752629564
+        phi = end * h - a
+        found, _, _ = tangent_pairs(*_cell_seeds(shifted(curve7, phi)),
+                                    _tangency_system(shifted(curve7, phi)))
+        assert len(found) == 12
+        assert any(circle_dist(x, end * h, math.pi) < 1e-9 and abs(gap - (b - a)) < 1e-9
+                   for x, gap in found)
+
+    def test_double_folds_of_random_lifts(self):
+        # seeds taken where the zero count of g_a changes between 512
+        # bases missed these: two folds in one base step, at both ends
+        for z, intervals in SEED5_DOUBLE_FOLDS:
+            curve = lift(TrigSeries(0.0, z, ANTIPERIODIC))
+            found = [(iv.a, iv.b) for iv in detect_double_tangents(curve).intervals]
+            for a, b in intervals:
+                assert any(abs(a - x) < 1e-5 and abs(b - y) < 1e-5 for x, y in found)
+
+    def test_lattice_resolves_every_zero(self, curve3, curve5, curve7, sf_sin3, sf_mix25,
+                                         sf_mix4, sf_mix7):
+        # a lattice 4 times finer finds no more nonzero cells
+        corpus = [curve3, curve5, curve7] + [sf.lift for sf in (sf_sin3, sf_mix25,
+                                                                sf_mix4, sf_mix7)]
+        for curve in corpus + random_lifts(5, 19):
+            fine = _cell_seeds(curve, 4 * LATTICE_CELLS)[0].size
+            assert _cell_seeds(curve)[0].size == fine
+
+
+# lifts of the seed-5 sphere benchmark, with the double tangents (a, b)
+# that seeding from zero-count changes missed
+SEED5_DOUBLE_FOLDS = (
+    (((3, -0.016107339817685556, -0.22386294296556333),
+      (5, -0.0562852382301167, -0.04364856777051209),
+      (7, -0.03851530179991657, 0.0298796288459619),
+      (9, -0.0023365174787144134, -0.021830787334540917)),
+     [(0.28451, 1.68521)]),
+    (((3, 0.11992948300926896, 0.02491673103926555),
+      (5, 0.06349930418804232, -0.08220892072663266),
+      (7, -0.018234344483257305, 0.042829900305084594),
+      (9, 0.023362470373847553, 0.05734672929004749)),
+     [(1.25405, 2.73656), (2.82604, 4.39777)]),
+)
 
 
 def test_dedupe_keeps_the_first_of_each_chain():

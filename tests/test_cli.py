@@ -137,19 +137,18 @@ MIX7 = {"d": 120.0, "f": {"parity": "antiperiodic", "constant": 0.0,
 
 @pytest.mark.parametrize("payload, mode", [(CURVE7, "sphere-census"), (MIX7, "width-census")])
 def test_census_sidecar_counts_newton(tmp_path, payload, mode):
-    # the counts of the per-series tangency system, before one jet per
-    # step: the same steps mean the same iteration
+    # one seed per nonzero lattice cell: both ends of the 6 double
+    # tangents, of which the 6 seen from the far end fail a filter
     code, data = run(tmp_path, payload, mode)
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
     assert code == 0
-    assert meta["newton"] == {"seeds": 308, "converged": 188, "steps": 40}
-    assert meta["dropped_candidates"] == 156
+    assert meta["newton"] == {"seeds": 12, "converged": 12, "steps": 4}
+    assert meta["dropped_candidates"] == 6
     assert "newton" not in data and "dropped_candidates" not in data["warnings"]
 
 
-def test_sphere_census_reads_the_inflections_once(tmp_path, monkeypatch):
-    # the clean-point search takes the exactly-clean points from the
-    # census's own inflection report instead of solving the indicator again
+def inflection_solves(tmp_path, monkeypatch, payload, mode):
+    """The exit code of a run and its number of true_inflections calls."""
     real, calls = sphere.true_inflections, []
 
     def spy(curve):
@@ -159,9 +158,21 @@ def test_sphere_census_reads_the_inflections_once(tmp_path, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("curvex") and getattr(module, "true_inflections", None) is real:
             monkeypatch.setattr(module, "true_inflections", spy)
-    code, _ = run(tmp_path, CURVE7, "sphere-census")
-    assert code == 0
-    assert len(calls) == 1
+    code, _ = run(tmp_path, payload, mode)
+    return code, len(calls)
+
+
+def test_sphere_census_reads_the_inflections_once(tmp_path, monkeypatch):
+    # the clean-point search takes the exactly-clean points from the
+    # census's own inflection report instead of solving the indicator again
+    assert inflection_solves(tmp_path, monkeypatch, CURVE7, "sphere-census") == (0, 1)
+
+
+@pytest.mark.parametrize("mode", ["width-census", "flexes"])
+def test_width_modes_read_the_inflections_once(tmp_path, monkeypatch, mode):
+    # the clean-flex search and the census (or the d-inflections) read the
+    # flexes the support function keeps
+    assert inflection_solves(tmp_path, monkeypatch, MIX7, mode) == (0, 1)
 
 
 def test_theorem_c_mode(tmp_path):

@@ -416,6 +416,29 @@ def test_jet_is_bit_equal_on_random_series(x, y, z, ts):
     assert np.array_equal(curve.jet(ts), per_series_jet(curve, ts))
 
 
+class PerSeriesCurve(ProjectiveCurve):
+    """A curve whose jet evaluates F, F' and F'' series by series."""
+
+    def jet(self, ts):
+        return per_series_jet(self, np.asarray(ts, dtype=float))
+
+
+def test_frames_and_limits_through_the_jet_are_bit_equal(curve7):
+    # beside curve7, an anti-convex curve with harmonics of its own in x and y
+    other = ProjectiveCurve(VectorSeries(cos_series(1) + cos_series(3, 0.1),
+                                         sin_series(1) + sin_series(3, 0.05), curve7.F.z))
+    ts = np.linspace(0.0, math.pi, 40, endpoint=False)
+    for curve in (curve7, other):
+        reference = PerSeriesCurve(curve.F)
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(curve.frames(ts), reference.frames(ts)))
+        for cd, ref in zip(_limits(curve, ts, EPS_CONTACT), _limits(reference, ts, EPS_CONTACT)):
+            assert np.array_equal(cd.circle.normal, ref.circle.normal)
+            assert cd.contact.spans == ref.contact.spans
+            assert (cd.theta, cd.tangent_at_base, cd.touches, cd.warnings) == \
+                (ref.theta, ref.tangent_at_base, ref.touches, ref.warnings)
+
+
 def test_vanishing_top_coefficient_raises_no_warning():
     # only y carries cos 3t and only z the top harmonic, so the top
     # coefficient of T_t is a multiple of x(t) = sin t, exactly 0 at t = 0

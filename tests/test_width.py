@@ -227,7 +227,7 @@ def test_flexes_are_the_lifts_true_inflections(fixture, request):
 class TestA2DoubleTangents:
     def test_mix7_counts_and_endpoints(self, sf_mix7):
         intervals, dropped = a2_double_tangents(sf_mix7)
-        assert dropped == 156
+        assert dropped == 6
         # the last bits of the endpoints follow the host's BLAS kernels
         np.testing.assert_allclose([(iv.a, iv.b) for iv in intervals], [
             (0.8918632830405767, 2.2497293705492165),
