@@ -399,7 +399,8 @@ def _passes_filters(curve: ProjectiveCurve, a: float, b: float, probe,
     return ch
 
 
-def _cell_seeds(curve: ProjectiveCurve, cells: int = LATTICE_CELLS):
+def _cell_seeds(curve: ProjectiveCurve,
+                cells: int = LATTICE_CELLS) -> tuple[np.ndarray, np.ndarray]:
     """Newton seeds (a0, b0) for the double tangents of the curve: the
     centres of the cells of the lattice a = i h, b = a + m h, h = pi/cells,
     0 < m < cells, around which the field (g, dg/db), g(a, b) = n(a).F(b),
@@ -417,7 +418,7 @@ def _cell_seeds(curve: ProjectiveCurve, cells: int = LATTICE_CELLS):
     along, across = (d - TWO_PI * np.rint(d / TWO_PI)
                      for d in (np.diff(theta, axis=1), np.diff(theta, axis=0)))
     winding = along[:-1] + across[:, 1:] - along[1:] - across[:, :-1]
-    i, m = np.nonzero(np.abs(winding) > math.pi)
+    i, m = np.nonzero(np.abs(winding) > math.pi)  # windings are multiples of 2 pi
     a0 = (i + 0.5) * h
     return a0, a0 + (m + 1.5) * h
 

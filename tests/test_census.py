@@ -106,7 +106,7 @@ class TestDetection:
     def test_curve7_counts_and_endpoints(self, curve7):
         det = detect_double_tangents(curve7)
         # one seed per nonzero lattice cell, and each of the 6 intervals
-        # seen from its other end fails the same-side filter
+        # seen from its other end fails a chord filter
         assert det.dropped == 6
         found = [(iv.a, iv.b) for iv in det.intervals]
         # the last bits of the endpoints follow the host's BLAS kernels
@@ -240,9 +240,6 @@ class TestLatticeSeeds:
         found, dropped, _ = tangent_pairs(np.full(4, 0.5), 0.5 + gaps, converged)
         np.testing.assert_allclose(found, [(0.5, gaps[1]), (0.5, gaps[2])], rtol=0, atol=1e-15)
         assert dropped == 2
-        for curve in random_lifts(5, 4):
-            a0, b0 = _cell_seeds(curve)
-            assert np.all((b0 - a0 > h) & (b0 - a0 < math.pi - h))
 
     @pytest.mark.parametrize("end", [0.3, LATTICE_CELLS - 0.3])
     def test_closure_at_pi(self, curve7, end):
@@ -252,9 +249,8 @@ class TestLatticeSeeds:
         # the twin row from the other end
         h = math.pi / LATTICE_CELLS
         a, b = 0.9072907832219648, 1.6008888752629564
-        phi = end * h - a
-        found, _, _ = tangent_pairs(*_cell_seeds(shifted(curve7, phi)),
-                                    _tangency_system(shifted(curve7, phi)))
+        turned = shifted(curve7, end * h - a)
+        found, _, _ = tangent_pairs(*_cell_seeds(turned), _tangency_system(turned))
         assert len(found) == 12
         assert any(circle_dist(x, end * h, math.pi) < 1e-9 and abs(gap - (b - a)) < 1e-9
                    for x, gap in found)
