@@ -38,7 +38,6 @@ from .census import (
     Chord,
     DoubleTangentInterval,
     ReducedCurve,
-    anti_convexity_grid_test,
     chord,
     count_inflections_topological,
     detect_double_tangents,

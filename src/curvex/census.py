@@ -24,7 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .circle import (
     Arc,
     TWO_PI,
-    admissible_angles,
     canonical,
     circle_dists,
     cyclic_runs,
@@ -247,24 +246,6 @@ def count_inflections_topological(unit_many, n_grid: int = 2048) -> tuple[int, l
     params = [float(ts[((2 * start + length - 1) // 2) % n_grid])
               for start, length in cyclic_runs(crossing)]
     return len(params), params
-
-
-def anti_convexity_grid_test(unit_many, n_base: int = 128, n_arc: int = 1024,
-                             fd_step: float = 1e-5) -> bool:
-    """Anti-convexity on a grid: at every base sample some great circle
-    through the point and its antipode keeps the forward open arc
-    strictly on one side."""
-    for t in np.linspace(0.0, math.pi, n_base, endpoint=False):
-        u = unit_many(np.array([t]))[0]
-        tv = unit_many(np.array([t + fd_step]))[0] - unit_many(np.array([t - fd_step]))[0]
-        tv = tv - u * float(np.dot(u, tv))
-        tv /= np.linalg.norm(tv)
-        nu = _cross3(u, tv)
-        arc_ts = t + np.linspace(1e-3, math.pi - 1e-3, n_arc)
-        P = unit_many(arc_ts)
-        if admissible_angles(P @ nu, P @ tv) is None:
-            return False
-    return True
 
 
 # -- double tangent detection ----------------------------------------------

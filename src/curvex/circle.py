@@ -170,21 +170,13 @@ class Arc:
         return uniq
 
 
-def admissible_angles(A, B) -> Arc | None:
-    """The open arc of angles theta with cos(theta) A[j] + sin(theta) B[j] < 0
-    for every j, returned as its closure; None when no angle qualifies.
-
-    Sample j rules out the closed half circle centred on its direction
-    atan2(B[j], A[j]) (all of the circle when A[j] = B[j] = 0), so the
-    admissible angles are the middle of the one cyclic gap between
-    neighbouring directions that is wider than pi.
-    """
-    return admissible_arcs(np.asarray(A, dtype=float)[None],
-                           np.asarray(B, dtype=float)[None])[0]
-
-
 def admissible_arcs(A: np.ndarray, B: np.ndarray) -> list[Arc | None]:
-    """admissible_angles of each row of the (n, m) arrays A and B."""
+    """For each row of the (n, m) arrays A and B, the open arc of angles
+    theta with cos(theta) A[j] + sin(theta) B[j] < 0 for every j, as its
+    closure, or None.  Sample j rules out the closed half circle centred
+    on atan2(B[j], A[j]) (all of it when A[j] = B[j] = 0), so the arc is
+    the middle of the one cyclic gap wider than pi between neighbouring
+    directions."""
     phi = np.sort(np.arctan2(B, A), axis=1)
     gaps = np.diff(phi, axis=1, append=phi[:, :1] + TWO_PI)
     i = np.argmax(gaps, axis=1)

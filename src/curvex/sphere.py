@@ -5,9 +5,9 @@ series F; its lift to the unit sphere is F/|F|.  For each parameter t
 the great circles through the lifted point and its antipode are
 parametrized by an angle theta in the plane normal to the point, and the
 circles keeping the forward half of the curve strictly on their right
-form an open theta-interval.  Rotating to the positive end of that
-interval gives the limiting circle, whose intersection with the curve
-is the contact set driving everything downstream.
+form an open theta-interval that the zeros of T_t bound.  Rotating to
+its positive end gives the limiting circle, whose intersection with
+the curve is the contact set driving everything downstream.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ from .trig import (
     isolate_sign_changes,
     laurent_rows,
     triple_product,
+    unit_circle_roots,
 )
 
 EPS_CONTACT = 1e-8
 EPS_NORM = 1e-9
 N_GRID = 4096
 BLOCK = 32  # bases whose limiting circles are solved together
-N_SIDE = 1024  # interior side samples of each base's forward arc
-FALLBACK = "no tangent circle inside the sampled arc; fell back to its end"
 
 
 @dataclass(frozen=True)
@@ -319,16 +318,15 @@ def _limits(curve: ProjectiveCurve, ts, eps_contact: float) -> list[ContactData]
     T_t(s) = det(F(t), F(s), F'(s)) = W(s) . F(t).  Each zero gives one
     candidate, the circle of normal +-F(t) x F(s) that turning further
     would carry past L(s).  The tangent circle at t (angle 0 or pi) is
-    taken when it lies within 1e-4 of the positive end of the sampled
-    admissible arc and keeps the samples within eps_contact.  Otherwise
-    the limiting angle is the candidate inside the sampled arc nearest
-    its positive end that keeps every zero within eps_contact: the
-    sampled arc may reach past the limiting angle between samples.  With
-    no such candidate the end of the arc is taken and FALLBACK reported.
-    Touches are the zeros whose normalized side value is at most
-    eps_contact.  Every step is elementwise in the bases, so a base's
-    circle does not depend on the bases solved beside it, and a block
-    raises the error of its first failing base.
+    taken when it lies within 1e-4 of the positive end of the exact
+    admissible arc and keeps the zeros within eps_contact.  Otherwise
+    the limiting angle is the candidate inside the arc nearest its
+    positive end that keeps every zero within eps_contact, and with none
+    the base raises NoConvergence.  Touches are the zeros whose
+    normalized side value is at most eps_contact.  Every step is
+    elementwise in the bases, so a base's circle does not depend on the
+    bases solved beside it, and a block raises the error of its first
+    failing base.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     out = []
@@ -338,35 +336,33 @@ def _limits(curve: ProjectiveCurve, ts, eps_contact: float) -> list[ContactData]
 
 
 def _limit_block(curve, ts, eps_contact):
+    """_limits on one block; the side values A, B at the zeros, with 0 at
+    the ends of the forward arc, stand in for the whole arc."""
     Ft, F1t, _ = np.split(curve.jet(ts), 3, axis=1)  # Ft: frames, zeros and planes
     nu, that = _frames(Ft, F1t, ts)
-    A, B = _side_samples(curve, ts, (nu, that), N_SIDE)
-    arcs = admissible_arcs(A, B)
     rows, ss = _interior_zeros(curve, ts, Ft)
     Fs = curve.F.eval_many(ss)
+    radii = np.sqrt(_dot3(Fs, Fs))
+    A, B = _dot3(nu[rows], Fs) / radii, _dot3(that[rows], Fs) / radii
+    start, length = _exact_arcs(curve, ts, (nu, that), rows, A, B)
     planes = _cross3(Ft[rows], Fs)
     pn, pt = _dot3(planes, nu[rows]), _dot3(planes, that[rows])
     # orient each plane so that turning it further gives L(s) a positive side
     up = np.where(pn * _dot3(that[rows], Fs) < pt * _dot3(nu[rows], Fs), -1.0, 1.0)
     angles = np.arctan2(up * pt, up * pn)
-    radii = np.sqrt(_dot3(Fs, Fs))
-    # a base with no admissible arc gets an empty one here and fails below
-    start = np.array([arc.start if arc else 0.0 for arc in arcs])
-    length = np.array([arc.length if arc else -1.0 for arc in arcs])
     theta_hat = (start + length).tolist()
 
-    def grid_max(sel, theta):
-        """max_j cos(theta) A[j] + sin(theta) B[j] on the rows sel."""
+    def side_max(theta):
         c, s = (np.array([f(x) for x in theta]) for f in (math.cos, math.sin))
-        return np.max(c[:, None] * A[sel] + s[:, None] * B[sel], axis=1)
+        out = np.zeros(len(ts))
+        np.maximum.at(out, rows, c[rows] * A + s[rows] * B)
+        return out
 
     # the tangent circle at angle 0 or pi, when theta_hat lies within 1e-4 of it
     theta_t = [0.0 if circle_dist(h, 0.0) < 1e-4 else
                math.pi if circle_dist(h, math.pi) < 1e-4 else None for h in theta_hat]
-    near = [i for i, th in enumerate(theta_t) if th is not None]
-    tangent = np.zeros(len(ts), dtype=bool)
-    if near:
-        tangent[near] = grid_max(near, [theta_t[i] for i in near]) <= eps_contact
+    tangent = (np.array([th is not None for th in theta_t])
+               & (side_max([th or 0.0 for th in theta_t]) <= eps_contact))
     # each candidate against the zeros of its row, as (candidate, zero) pairs
     bounds = np.searchsorted(rows, np.arange(len(ts) + 1))
     row_zeros = np.diff(bounds)[rows]
@@ -385,23 +381,26 @@ def _limit_block(curve, ts, eps_contact):
     first = np.full(len(ts), len(rows))
     np.minimum.at(first, rows[hits], hits)
     pick = np.where(first < len(rows), first, -1)
-    theta = [th if tg else canonical(float(angles[j]) if j >= 0 else h)
-             for th, tg, j, h in zip(theta_t, tangent.tolist(), pick.tolist(), theta_hat)]
+    # a base with neither circle keeps angle 0 here and fails below
+    theta = [th if tg else canonical(float(angles[j])) if j >= 0 else 0.0
+             for th, tg, j in zip(theta_t, tangent.tolist(), pick.tolist())]
 
     cos, sin = (np.array([f(x) for x in theta])[:, None] for f in (math.cos, math.sin))
     normal = cos * nu + sin * that
-    side_max = grid_max(slice(None), theta).tolist()
+    leave = side_max(theta).tolist()
     touching = (np.abs(_dot3(normal[rows], Fs)) / radii <= eps_contact).tolist()
     bounds = bounds.tolist()
     ss = ss.tolist()
 
     out = []
-    for i, (t, arc) in enumerate(zip(ts.tolist(), arcs)):
-        if arc is None:
+    for i, t in enumerate(ts.tolist()):
+        if length[i] < 0.0:
             raise NotAntiConvex(t)
-        if side_max[i] > 2.0 * eps_contact:
+        if not tangent[i] and pick[i] < 0:
+            raise NoConvergence(f"limiting circle at t={t} not found in its admissible arc")
+        if leave[i] > 2.0 * eps_contact:
             raise NoConvergence(
-                f"limiting circle at t={t} leaves the half-curve by {side_max[i]:.3g}")
+                f"limiting circle at t={t} leaves the half-curve by {leave[i]:.3g}")
         mine = slice(bounds[i], bounds[i + 1])
         found = sorted(s for s, on in zip(ss[mine], touching[mine]) if on)
         touches = [s for k, s in enumerate(found) if k == 0 or s - found[k - 1] > 1e-9]
@@ -411,10 +410,31 @@ def _limit_block(curve, ts, eps_contact):
             raise NoConvergence(
                 f"transversal limiting circle at t={t} shows {len(contact)} contact "
                 "components; expected at least three")
-        warnings = () if tangent[i] or pick[i] >= 0 else (FALLBACK,)
         out.append(ContactData(GreatCircle(normal[i]), contact, canonical(t), theta[i],
-                               bool(tangent[i]), tuple(touches), warnings))
+                               bool(tangent[i]), tuple(touches)))
     return out
+
+
+def _exact_arcs(curve, ts, frames, rows, A, B):
+    """The admissible arcs (start, length) of the bases, length -1 for
+    none, from the side values A = nu . F / |F|, B = that . F / |F| at
+    their zeros of T_t (rows index ts).  Along the forward arc (A, B)
+    leaves and returns along (0, 1) and turns only at the zeros, but may
+    wind once round between two; so an arc holds when its middle circle,
+    n . F in y = exp(2is), has no unit_circle_roots in the open arc
+    (t + 1e-6, t + pi - 1e-6)."""
+    nu, that = frames
+    col = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    a, b = np.zeros((2, len(ts), int(col.max(initial=0)) + 2))
+    b += 1.0
+    a[rows, col], b[rows, col] = A, B
+    start, length = np.array([(arc.start, arc.length) if arc else (0.0, -1.0)
+                              for arc in admissible_arcs(a, b)]).reshape(-1, 2).T
+    mid = start + 0.5 * length
+    n_mid = np.cos(mid)[:, None] * nu + np.sin(mid)[:, None] * that
+    met, off = unit_circle_roots(n_mid @ laurent_rows(curve.F.components)[:, ::2], ts, 2)
+    length[met[(off > 1e-6) & (off < math.pi - 1e-6)]] = -1.0
+    return start, length
 
 
 def _interior_zeros(curve: ProjectiveCurve, ts: np.ndarray, Ft: np.ndarray):

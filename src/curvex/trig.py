@@ -372,24 +372,13 @@ def laurent_rows(series: Sequence[TrigSeries], step: int = 1) -> np.ndarray:
     return out
 
 
-def circle_zeros(P: np.ndarray, scale: np.ndarray, origin: np.ndarray,
-                 step: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real zeros of the series scale * y^(-N/2) P(y), y = exp(i*step*t),
-    for each row of P (coefficients of y^0 .. y^N): flat arrays (row, t,
-    multiplicity) sorted by row, then by t - origin in [0, 2*pi/step).
-
-    The zeros are the unit-circle eigenvalues (|log|y|| < 1e-3) of the
-    rows' companion matrices, one eigvals call per degree after leading
-    coefficients below 1e-14 of a row's largest are dropped (J. P. Boyd,
-    J. Eng. Math. 56 (2006) 203-219).  An m-fold zero splits into m
-    eigenvalues about eps^(1/m) apart, so those whose offsets from the
-    origin (where no zero may lie) are within 1e-4 form one zero.  A
-    pair is two simple zeros, each bounded by its half of the cluster,
-    when the series at its centre beats rounding and has the opposite
-    sign at both edges (5e-5 outside).  Newton steps on the (m-1)-th
-    derivative polish all zeros in lockstep; a zero stops at a step of
-    1e-4 or more or one leaving its bounds (not taken), at one of at
-    most 1e-15, or after 16 steps."""
+def unit_circle_roots(P: np.ndarray, origin: np.ndarray,
+                      step: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The roots y = exp(i*step*t), |log|y|| < 1e-3, of each row of P
+    (coefficients of y^0 .. y^N) as unpolished flat arrays (row, t -
+    origin in [0, 2*pi/step)): companion eigenvalues, one eigvals call
+    per degree once leading coefficients below 1e-14 of a row's largest
+    are dropped (J. P. Boyd, J. Eng. Math. 56 (2006) 203-219)."""
     N = P.shape[1] - 1
     mag = np.abs(P)
     big = mag > 1e-14 * mag.max(axis=1, initial=0.0)[:, None]
@@ -406,7 +395,26 @@ def circle_zeros(P: np.ndarray, scale: np.ndarray, origin: np.ndarray,
     r = np.abs(z)
     keep = (r > math.exp(-1e-3)) & (r < math.exp(1e-3))
     rows, z = rows[keep], z[keep]
-    off = ((np.angle(z) - step * origin[rows]) % TWO_PI) / step
+    return rows, ((np.angle(z) - step * origin[rows]) % TWO_PI) / step
+
+
+def circle_zeros(P: np.ndarray, scale: np.ndarray, origin: np.ndarray,
+                 step: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real zeros of the series scale * y^(-N/2) P(y), y = exp(i*step*t),
+    for each row of P (coefficients of y^0 .. y^N): flat arrays (row, t,
+    multiplicity) sorted by row, then by t - origin in [0, 2*pi/step).
+
+    The zeros start from unit_circle_roots.  An m-fold zero splits into m
+    eigenvalues about eps^(1/m) apart, so those whose offsets from the
+    origin (where no zero may lie) are within 1e-4 form one zero.  A
+    pair is two simple zeros, each bounded by its half of the cluster,
+    when the series at its centre beats rounding and has the opposite
+    sign at both edges (5e-5 outside).  Newton steps on the (m-1)-th
+    derivative polish all zeros in lockstep; a zero stops at a step of
+    1e-4 or more or one leaving its bounds (not taken), at one of at
+    most 1e-15, or after 16 steps."""
+    N = P.shape[1] - 1
+    rows, off = unit_circle_roots(P, origin, step)
     order = np.lexsort((off, rows))
     rows, off = rows[order], off[order]
     first = np.ones(len(off), dtype=bool)

@@ -1,13 +1,41 @@
+import math
+
+import numpy as np
 import pytest
 
+from curvex.circle import admissible_arcs
 from curvex.linesys import LineSystem
-from curvex.sphere import ProjectiveCurve, contact_map
+from curvex.sphere import ProjectiveCurve, _cross3, contact_map
 from curvex.trig import VectorSeries, cos_series, sin_series
 from curvex.width import SupportFunction, contact_system
 
 
 def sphere_curve(g):
     return ProjectiveCurve(VectorSeries(cos_series(1), sin_series(1), g))
+
+
+def admissible_angles(A, B):
+    """admissible_arcs of one row of samples."""
+    return admissible_arcs(np.asarray(A, dtype=float)[None],
+                           np.asarray(B, dtype=float)[None])[0]
+
+
+def anti_convexity_grid_test(unit_many, n_base: int = 128, n_arc: int = 1024,
+                             fd_step: float = 1e-5) -> bool:
+    """Anti-convexity on a grid, independent of the solver: at every base
+    sample some great circle through the point and its antipode keeps the
+    forward open arc strictly on one side, with the tangent taken by
+    central differences of unit_many."""
+    for t in np.linspace(0.0, math.pi, n_base, endpoint=False):
+        u = unit_many(np.array([t]))[0]
+        tv = unit_many(np.array([t + fd_step]))[0] - unit_many(np.array([t - fd_step]))[0]
+        tv = tv - u * float(np.dot(u, tv))
+        tv /= np.linalg.norm(tv)
+        nu = _cross3(u, tv)
+        P = unit_many(t + np.linspace(1e-3, math.pi - 1e-3, n_arc))
+        if admissible_angles(P @ nu, P @ tv) is None:
+            return False
+    return True
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,9 @@ import json
 import math
 
 import numpy as np
+from conftest import anti_convexity_grid_test
 
 from curvex.census import (
-    anti_convexity_grid_test,
     census,
     count_inflections_topological,
     detect_double_tangents,

@@ -3,6 +3,7 @@ import types
 
 import numpy as np
 import pytest
+from conftest import anti_convexity_grid_test
 
 from curvex.census import (
     DEDUPE_TOL,
@@ -14,7 +15,6 @@ from curvex.census import (
     _cell_seeds,
     _rowdot,
     _tangency_system,
-    anti_convexity_grid_test,
     census,
     chord,
     chord_probes,

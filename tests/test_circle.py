@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import admissible_angles
 from hypothesis import given, settings, strategies as st
 
 from curvex.circle import (
@@ -10,7 +11,6 @@ from curvex.circle import (
     EPS_ANGLE,
     EPS_GROUP,
     TWO_PI,
-    admissible_angles,
     antipode,
     canonical,
     circle_dist,

@@ -325,18 +325,19 @@ def test_contact_warnings_reach_the_sidecar(tmp_path, monkeypatch, payload, mode
     clean_report, clean = sidecar("clean")
     assert clean == {}
 
-    # the first circle solved reports a fallback
-    real, fallen = sphere._limits, []
+    # the first circle solved reports a warning
+    real, warned = sphere._limits, []
+    warning = "injected solver warning"
 
     def limits(curve, ts, eps_contact):
         out = real(curve, ts, eps_contact)
-        if not fallen:
-            fallen.append(out[0].base)
-            out[0] = dataclasses.replace(out[0], warnings=(sphere.FALLBACK,))
+        if not warned:
+            warned.append(out[0].base)
+            out[0] = dataclasses.replace(out[0], warnings=(warning,))
         return out
 
     monkeypatch.setattr(sphere, "_limits", limits)
     monkeypatch.setattr(width, "_limits", limits)
-    report, warnings = sidecar("fallen")
-    assert fallen and warnings == {sphere.FALLBACK: 1}
+    report, warnings = sidecar("warned")
+    assert warned and warnings == {warning: 1}
     assert report == clean_report

@@ -3,11 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import anti_convexity_grid_test
 from hypothesis import given, settings, strategies as st
 
 from curvex import sphere
-from curvex.census import anti_convexity_grid_test
-from curvex.circle import TWO_PI, Arc, CircularSet, canonical, circle_dist
+from curvex.circle import TWO_PI, CircularSet, canonical, circle_dist
 from curvex.errors import (
     CurvexError,
     DegeneratePoint,
@@ -17,7 +17,6 @@ from curvex.errors import (
 )
 from curvex.sphere import (
     EPS_CONTACT,
-    FALLBACK,
     ProjectiveCurve,
     _cross3,
     _dot3,
@@ -36,6 +35,7 @@ from curvex.trig import (
     VectorSeries,
     arc_offsets,
     cos_series,
+    laurent_rows,
     roots,
     sin_series,
 )
@@ -168,9 +168,9 @@ def test_limiting_circle_interior_touch(curve3):
 
 
 def test_limiting_circle_touch_between_arc_samples():
-    # the touch falls between samples of the forward arc, 7.8e-6 below
-    # the end of the sampled admissible arc, so the Newton bracket must
-    # reach that far down
+    # the touch fell between the samples of the forward arc, 7.8e-6
+    # below the end of the sampled admissible arc; the exact arc ends at
+    # its candidate
     g = (cos_series(3, 0.06904597456304642) + sin_series(3, 0.29072998350509477)
          + cos_series(5, -0.15977432307836448) + sin_series(5, 0.1508552982858421)
          + cos_series(7, -0.0025548893081229047) + sin_series(7, -0.04319478343743177)
@@ -234,57 +234,50 @@ def test_batched_limits_equal_single_solves(fixture, request):
 
 
 def limit_block_loop(curve, ts, eps_contact):
-    """A block of limiting circles solved base after base, as the solver
-    did before its block pass: the reference that pass must match bit
-    for bit, errors included."""
-    Ft = curve.F.eval_many(ts)
-    nu, that = sphere._frames(Ft, curve.F1.eval_many(ts), ts)
-    A, B = _side_samples(curve, ts, (nu, that), sphere.N_SIDE)
-    arcs = sphere.admissible_arcs(A, B)
-    rows, ss = _interior_zeros(curve, ts, Ft)
-    Fs = curve.F.eval_many(ss)
-    planes = _cross3(Ft[rows], Fs)
-    pn, pt = _dot3(planes, nu[rows]), _dot3(planes, that[rows])
-    up = np.where(pn * _dot3(that[rows], Fs) < pt * _dot3(nu[rows], Fs), -1.0, 1.0)
-    angles = np.arctan2(up * pt, up * pn)
-    radii = np.sqrt(_dot3(Fs, Fs))
-    bounds = np.searchsorted(rows, np.arange(len(ts) + 1))
+    """A block of limiting circles solved base after base, each from the
+    directions at its own zeros of T_t: the reference that the block
+    pass must match bit for bit, errors included."""
     out = []
-    for i, arc in enumerate(arcs):
-        t = float(ts[i])
-        if arc is None:
+    for t in ts.tolist():
+        base = np.array([t])
+        Ft = curve.F.eval_many(base)
+        nu, that = sphere._frames(Ft, curve.F1.eval_many(base), base)
+        rows, ss = _interior_zeros(curve, base, Ft)
+        Fs = curve.F.eval_many(ss)
+        radii = np.sqrt(_dot3(Fs, Fs))
+        A, B = _dot3(nu[0], Fs) / radii, _dot3(that[0], Fs) / radii
+        [start], [length] = sphere._exact_arcs(curve, base, (nu, that), rows, A, B)
+        if length < 0.0:
             raise NotAntiConvex(t)
-        mine = slice(bounds[i], bounds[i + 1])
+        planes = _cross3(Ft[0], Fs)
+        pn, pt = _dot3(planes, nu[0]), _dot3(planes, that[0])
+        up = np.where(pn * _dot3(that[0], Fs) < pt * _dot3(nu[0], Fs), -1.0, 1.0)
+        angles = np.arctan2(up * pt, up * pn)
 
-        def grid_max(theta):
-            return float(np.max(math.cos(theta) * A[i] + math.sin(theta) * B[i]))
+        def side_max(theta):  # the ends of the forward arc read 0
+            return float(np.max(math.cos(theta) * A + math.sin(theta) * B, initial=0.0))
 
-        warns = []
-        theta_hat = arc.start + arc.length
+        theta_hat = start + length
         for theta_star in (0.0, math.pi):
-            if circle_dist(theta_hat, theta_star) < 1e-4 and grid_max(theta_star) <= eps_contact:
+            if circle_dist(theta_hat, theta_star) < 1e-4 and side_max(theta_star) <= eps_contact:
                 tangent_at_base = True
                 break
         else:
             tangent_at_base = False
-            cand = angles[mine]
-            normals = np.cos(cand)[:, None] * nu[i] + np.sin(cand)[:, None] * that[i]
-            over = np.max(_dot3(normals[:, None], Fs[mine]) / radii[mine], axis=1,
-                          initial=-math.inf)
-            pos = (cand - arc.start) % TWO_PI
-            ok = (pos <= arc.length + 1e-9) & (over <= eps_contact)
-            if ok.any():
-                theta_star = canonical(float(cand[ok][np.argmax(pos[ok])]))
-            else:
-                warns.append(FALLBACK)
-                theta_star = canonical(theta_hat)
-        normal = math.cos(theta_star) * nu[i] + math.sin(theta_star) * that[i]
-        side_max = grid_max(theta_star)
-        if side_max > 2.0 * eps_contact:
+            normals = np.cos(angles)[:, None] * nu[0] + np.sin(angles)[:, None] * that[0]
+            over = np.max(_dot3(normals[:, None], Fs) / radii, axis=1, initial=-math.inf)
+            pos = (angles - start) % TWO_PI
+            ok = (pos <= length + 1e-9) & (over <= eps_contact)
+            if not ok.any():
+                raise NoConvergence(f"limiting circle at t={t} not found in its admissible arc")
+            theta_star = canonical(float(angles[ok][np.argmax(pos[ok])]))
+        normal = math.cos(theta_star) * nu[0] + math.sin(theta_star) * that[0]
+        leave = side_max(theta_star)
+        if leave > 2.0 * eps_contact:
             raise NoConvergence(
-                f"limiting circle at t={t} leaves the half-curve by {side_max:.3g}")
-        side = np.abs(_dot3(normal, Fs[mine])) / radii[mine]
-        touches = np.sort(ss[mine][side <= eps_contact])
+                f"limiting circle at t={t} leaves the half-curve by {leave:.3g}")
+        side = np.abs(_dot3(normal, Fs)) / radii
+        touches = np.sort(ss[side <= eps_contact])
         touches = touches[np.diff(touches, prepend=-math.inf) > 1e-9].tolist()
         contact = CircularSet.from_points([t, t + math.pi] + touches
                                           + [s + math.pi for s in touches])
@@ -293,8 +286,7 @@ def limit_block_loop(curve, ts, eps_contact):
                 f"transversal limiting circle at t={t} shows {len(contact)} contact "
                 "components; expected at least three")
         out.append(sphere.ContactData(sphere.GreatCircle(normal), contact, canonical(t),
-                                      theta_star, tangent_at_base, tuple(touches),
-                                      tuple(warns)))
+                                      theta_star, tangent_at_base, tuple(touches)))
     return out
 
 
@@ -312,12 +304,18 @@ def _solved(solve, curve, ts, eps):
                                          (EPS_CONTACT, 2e-9), (EPS_CONTACT, 1e-6)])
 @pytest.mark.parametrize("case", ["curve3", "curve7", "sf_mix7", "warped", "rng"])
 def test_block_pass_matches_the_per_base_loop(case, eps, shorten, request, monkeypatch):
-    # arcs cut short of their sampled end make bases fall back to the end
-    # of the arc (and then fail, for the longer cut), the warped curve has
-    # bases with no admissible arc; the block raises what the loop raises
-    real = sphere.admissible_arcs
-    monkeypatch.setattr(sphere, "admissible_arcs", lambda A, B: [
-        a and Arc(a.start, max(a.length - shorten, 0.0)) for a in real(A, B)])
+    # arcs past t = pi cut short of their end leave transversal bases
+    # there without their candidate, so a block fails partway, and the
+    # warped curve has bases with no admissible arc; the block raises what
+    # the loop raises
+    real = sphere._exact_arcs
+
+    def cut(curve, ts, *rest):
+        start, length = real(curve, ts, *rest)
+        return start, np.where(length < 0.0, length,
+                               np.maximum(length - shorten * (ts > math.pi), 0.0))
+
+    monkeypatch.setattr(sphere, "_exact_arcs", cut)
     if case == "rng":
         rng = np.random.default_rng(3)
         curves = [make_curve(TrigSeries(0.0, tuple(
@@ -357,9 +355,9 @@ def test_side_samples_match_direct_evaluation(fixture, n_s, request):
 
 
 def test_curve7_base_tangent_at_zero(curve7):
-    # rounding leaves one side sample of the tangent circle at t = 0
-    # positive (4e-17), so the sampled arc ends 7e-9 short of angle 0
-    # and only the snap to the base tangent recovers it
+    # the admissible arc ends where the forward arc does, along that,
+    # which is angle 0 only up to rounding; the base tangent is snapped
+    # to exactly 0
     cd = limiting_circle(curve7, 0.0)
     assert cd.tangent_at_base and cd.theta == 0.0
     assert cd.touches == () and len(cd.contact) == 2
@@ -451,31 +449,18 @@ def test_vanishing_top_coefficient_raises_no_warning():
     assert cd.contact.set_equal(limiting_circle(curve, 1e-9).contact, 1e-6)
 
 
-def test_fallback_to_the_sampled_arc_end(curve3, monkeypatch):
-    # an arc ending 2e-9 before the limiting angle leaves no candidate
-    # inside it; the end of the arc then still touches within eps_contact
-    cd = limiting_circle(curve3, 1.0)
-    real = sphere.admissible_arcs
-
-    def short(A, B):
-        return [Arc(a.start, (cd.theta - 2e-9 - a.start) % TWO_PI) for a in real(A, B)]
-
-    monkeypatch.setattr(sphere, "admissible_arcs", short)
-    fallen = limiting_circle(curve3, 1.0)
-    assert fallen.warnings == (FALLBACK,)
-    assert fallen.theta == pytest.approx(cd.theta - 2e-9, abs=1e-12)
-    assert fallen.contact.set_equal(cd.contact, 1e-6)
+def _turned(start, length):
+    # the admissible arc turned by pi to a point: no candidate lies on it
+    return start + math.pi, 0.0
 
 
-def _turned(a):
-    # the admissible arc turned by pi: its end keeps every sample on the
-    # wrong side, and no candidate lies on the point it leaves
-    return Arc(a.start + math.pi, 0.0)
+def _lost(start, length):
+    return start, -1.0
 
 
 @pytest.mark.parametrize("first,second,error,words", [
-    (None, _turned, NotAntiConvex, "no admissible line at t="),
-    (_turned, None, NoConvergence, "limiting circle at t="),
+    (_lost, _turned, NotAntiConvex, "no admissible line at t="),
+    (_turned, _lost, NoConvergence, "limiting circle at t="),
 ], ids=["not-anti-convex-first", "no-convergence-first"])
 def test_a_block_raises_the_error_of_its_first_failing_base(curve3, monkeypatch,
                                                            first, second, error, words):
@@ -483,19 +468,118 @@ def test_a_block_raises_the_error_of_its_first_failing_base(curve3, monkeypatch,
     # block raises what solving its bases one by one in order raises: the
     # error of base 5
     ts = np.linspace(0.0, TWO_PI, 32, endpoint=False)
-    real = sphere.admissible_arcs
+    real = sphere._exact_arcs
     broken = {5: first, 9: second}
 
-    def failing(A, B):
-        arcs = real(A, B)
+    def failing(*args):
+        start, length = real(*args)
         for i, make in broken.items():
-            arcs[i] = make and make(arcs[i])
-        return arcs
+            start[i], length[i] = make(start[i], length[i])
+        return start, length
 
-    monkeypatch.setattr(sphere, "admissible_arcs", failing)
+    monkeypatch.setattr(sphere, "_exact_arcs", failing)
     with pytest.raises(error) as block:
         _limits(curve3, ts, EPS_CONTACT)
     assert str(block.value).startswith(f"{words}{float(ts[5])!r}")
+
+
+def test_certificate_top_coefficient_vanishing_raises_no_warning():
+    # F(0) = (0, 1.12, 0), so every normal of the frame at 0 has an exact
+    # 0 in y, and only y carries the top harmonic: the certificate's
+    # polynomial n . F at t = 0 has a top coefficient of exactly 0
+    curve = ProjectiveCurve(VectorSeries(sin_series(1),
+                                         cos_series(1) + cos_series(3, 0.1) + cos_series(5, 0.02),
+                                         sin_series(3, 0.05)))
+    nu, that = curve.frame(0.0)
+    assert nu[1] == that[1] == 0.0
+    top = laurent_rows(curve.F.components)[:, -1]
+    assert top[0] == top[2] == 0.0 and top[1] != 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cd = limiting_circle(curve, 0.0)
+    assert not cd.tangent_at_base
+    assert cd.contact.set_equal(limiting_circle(curve, 1e-9).contact, 1e-6)
+
+
+def winding_curve():
+    """A curve with no constant terms that is not anti-convex: near
+    t = 1.645 and 4.786 the direction of F winds once round within one
+    stretch between zeros of T_t."""
+    rows = [((1, 1.446575, -0.700275), (3, 0.143955, 0.162697), (5, -0.117589, 0.052095),
+             (7, 0.060464, -0.068545), (9, -0.056762, 0.027743)),
+            ((1, 0.563071, 0.53664), (3, 0.206901, 0.016527), (5, 0.047096, 0.094563),
+             (7, -0.00571, 0.006473), (9, 0.00536, -0.00262)),
+            ((1, -0.537036, -0.091843), (3, -0.045038, -0.0957), (5, 0.015087, -0.04441),
+             (7, -0.027737, 0.031444), (9, 0.026039, -0.012727))]
+    return ProjectiveCurve(VectorSeries(*(TrigSeries(0.0, h, ANTIPERIODIC) for h in rows)))
+
+
+def direction_span(curve, t, n=2 ** 14):
+    """How far the direction atan2(that . F, nu . F) turns over n points
+    of the forward arc (t + 1e-6, t + pi - 1e-6)."""
+    nu, that = curve.frame(t)
+    P = curve.F.eval_many(t + np.linspace(1e-6, math.pi - 1e-6, n))
+    return float(np.ptp(np.unwrap(np.arctan2(P @ that, P @ nu))))
+
+
+@pytest.mark.parametrize("t", [1.633, 1.657, 4.774, 4.799])
+def test_certificate_catches_a_direction_winding_between_zeros(t):
+    curve = winding_curve()
+    assert direction_span(curve, t) > TWO_PI
+    # the directions at the zeros of T_t and at the ends alone leave an arc
+    ts = np.array([t])
+    Ft = curve.F.eval_many(ts)
+    nu, that = curve.frames(ts)
+    rows, ss = _interior_zeros(curve, ts, Ft)
+    P = curve.F.eval_many(ss)
+    [arc] = sphere.admissible_arcs(np.append(P @ nu[0], 0.0)[None],
+                                   np.append(P @ that[0], 1.0)[None])
+    assert arc.length == pytest.approx(2.93, abs=0.01)
+    with pytest.raises(NotAntiConvex):
+        limiting_circle(curve, t)
+
+
+@pytest.mark.parametrize("t", [0.5, 3.0])
+def test_certificate_passes_admissible_bases_of_the_winding_curve(t):
+    curve = winding_curve()
+    assert direction_span(curve, t) < math.pi
+    cd = limiting_circle(curve, t)
+    units = curve.lift_many(t + np.linspace(1e-6, math.pi - 1e-6, 2 ** 14))
+    assert float(np.max(units @ cd.circle.normal)) <= 2.0 * EPS_CONTACT
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 1.0, 1.5]),
+       st.floats(0.0, math.pi, exclude_max=True))
+def test_not_anti_convex_exactly_where_the_direction_spans_pi(seed, e, t):
+    # e = 0: a random lift; otherwise a random GL(3) image of the general
+    # curve x = cos t + e dx, y = sin t + e dy, z = dz with harmonics 3, 5
+    rng = np.random.default_rng(seed)
+
+    def dev(ks):
+        return TrigSeries(0.0, tuple((k, rng.normal() / k ** 1.5, rng.normal() / k ** 1.5)
+                                     for k in ks), ANTIPERIODIC)
+
+    if e == 0.0:
+        F = VectorSeries(cos_series(1), sin_series(1), dev((3, 5, 7, 9)))
+    else:
+        xyz = (cos_series(1) + dev((3, 5)).scaled(e), sin_series(1) + dev((3, 5)).scaled(e),
+               dev((3, 5)))
+        F = VectorSeries(*(sum((c.scaled(float(g)) for g, c in zip(row, xyz)),
+                               TrigSeries.zero(ANTIPERIODIC))
+                           for row in rng.normal(size=(3, 3))))
+    try:
+        curve = ProjectiveCurve(F)
+        curve.frames(t + np.linspace(0.0, math.pi, 8, endpoint=False))
+    except DegeneratePoint:
+        return
+    for base in (t + np.linspace(0.0, math.pi, 8, endpoint=False)).tolist():
+        try:
+            limiting_circle(curve, base)
+            raised = False
+        except NotAntiConvex:
+            raised = True
+        assert raised == (direction_span(curve, base) >= math.pi)
 
 
 @pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7", "sf_sin3", "sf_mix25",
