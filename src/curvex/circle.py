@@ -70,11 +70,17 @@ def circle_dist(a: float, b: float, period: float = TWO_PI) -> float:
     return min(d, period - d)
 
 
+def canonicals(t: np.ndarray, period: float = TWO_PI) -> np.ndarray:
+    """canonical elementwise over an array, rounded as it rounds."""
+    t = np.fmod(t, period)
+    t[t < 0.0] += period
+    t[period - t < EPS_ANGLE] = 0.0
+    return t
+
+
 def circle_dists(a: np.ndarray, b: np.ndarray, period: float = TWO_PI) -> np.ndarray:
     """circle_dist elementwise over broadcast arrays, rounded as it rounds."""
-    d = np.fmod(b - a, period)
-    d[d < 0.0] += period
-    d[period - d < EPS_ANGLE] = 0.0
+    d = canonicals(b - a, period)
     return np.minimum(d, period - d)
 
 

@@ -17,6 +17,7 @@ passes them, for the sphere census and, on the lift, for the width modes.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ from .circle import (
     TWO_PI,
     antipode,
     canonical,
+    canonicals,
     circle_dist,
     cyclic_between,
     cyclic_midpoint,
@@ -56,12 +58,6 @@ MARGIN = 1e-3  # least separation of the points an axiom compares
 L2_MAX_COMPONENTS = 64
 L4_LAGS = (1, 2, 3, 5, 8, 13, 21, 34)
 L7_CHAINS, L7_DEPTH = 6, 14
-
-
-def _reversed_base(key: float, period: float) -> float:
-    """The base whose contact set, reflected, a backward search reads for
-    its own base of cache key `key`."""
-    return canonical(-key, period)
 
 
 def _reflected_set(s: CircularSet) -> CircularSet:
@@ -314,7 +310,7 @@ def _lockstep(sys: LineSystem, searches) -> list[float]:
             asked = {i: p for i, p in asked.items() if i < min(errors)}
         if not asked:
             break
-        sent = _read(sys, {i: _reversed_base(sys._key(p), period) if searches[i][0] else p
+        sent = _read(sys, {i: canonical(-sys._key(p), period) if searches[i][0] else p
                            for i, p in asked.items()}, errors)
     if errors:
         raise errors[min(errors)]
@@ -535,8 +531,9 @@ def check_axioms(sys: LineSystem, grid_size: int = 256) -> AxiomReport:
     """Extensional check of the seven contact-family axioms on a grid of
     a positive even size, so that every grid point's antipode is on it.
 
-    Sampled configurations only: the order axiom runs over lagged pairs,
-    the closedness axiom over grid-refinement sequences.  Failures are
+    The grid is solved in one contact-map call.  Sampled configurations
+    only: the order axiom runs over lagged pairs, as arrays, the
+    closedness axiom over grid-refinement sequences.  Failures are
     collected with witnesses instead of raised.
     """
     if grid_size < 2 or grid_size % 2:
@@ -586,25 +583,11 @@ def _check_l3(sys, grid, sets):
     return res
 
 
-def _offset_table(period, spans):
-    """Sorted (lo, hi) forward offsets of a base's contact components,
-    clipped to [0, period/2], from their (offset, length) spans; a
-    component that runs past the base also appears shifted by -period,
-    so the part of it just after the base is kept."""
-    half = 0.5 * period
-    out = []
-    for lo, length in spans:
-        for a in (lo, lo - period):
-            if a + length >= 0.0 and a <= half:
-                out.append((max(a, 0.0), min(a + length, half)))
-    return sorted(out)
-
-
-def _l4_config(tab_p, tab_q, g, margin, half):
+def _l4_configs(tab_p, tab_q, g, margin, half):
     """Offsets from p of p' in F(p) and q' in F(q) with
-    p < q < p' < q' < Tp, every gap at least the margin, for bases p and
-    q at forward gap g with offset tables tab_p and tab_q; None when
-    there is no such pair.
+    p < q < p' < q' < Tp, every gap at least the margin, for pairs p, q
+    at forward gaps g, one per row of the (lo, hi) offset tables tab_p
+    and tab_q: arrays (found, p1, q1), one entry per pair.
 
     p' is the first contact of p in [g + margin, half - margin], q' the
     last contact of q in [p' + margin, half - margin]; window ends count
@@ -612,59 +595,68 @@ def _l4_config(tab_p, tab_q, g, margin, half):
     q = p' = q', which needs only one shared circle point) carry no
     two-intersection rigidity and fail even on honest families, so only
     strictly separated configurations are tested."""
-    if g < margin:
-        return None
-    top = half - margin
+    (lo_p, hi_p), (lo_q, hi_q) = tab_p, tab_q
+    top, g = half - margin, g[:, None]
     start = g + margin
-    p1 = next((max(lo, start) for lo, hi in tab_p
-               if hi >= start - EPS_ANGLE and lo <= top + EPS_ANGLE), None)
-    if p1 is None or half - p1 < 2.0 * margin:
-        return None
-    start = p1 + margin
-    ends = [max(min(hi + g, top), lo + g, start) for lo, hi in tab_q
-            if hi + g >= start - EPS_ANGLE and lo + g <= top + EPS_ANGLE]
-    return (p1, max(ends)) if ends else None
+    p1 = np.where((hi_p >= start - EPS_ANGLE) & (lo_p <= top + EPS_ANGLE),
+                  np.maximum(lo_p, start), math.inf).min(axis=1, initial=math.inf)
+    start = (p1 + margin)[:, None]
+    lo_q, hi_q = lo_q + g, hi_q + g
+    on = (hi_q >= start - EPS_ANGLE) & (lo_q <= top + EPS_ANGLE)
+    q1 = np.where(on, np.maximum(np.maximum(np.minimum(hi_q, top), lo_q), start),
+                  -math.inf).max(axis=1, initial=-math.inf)
+    return (g[:, 0] >= margin) & (half - p1 >= 2.0 * margin) & on.any(axis=1), p1, q1
 
 
 def _check_l4(sys, grid, sets):
     """The order axiom as a counterexample search over lagged pairs, in
-    both orientations: every configuration _l4_config finds must have
-    F(p) = F(q)."""
+    both orientations: every configuration _l4_configs finds must have
+    F(p) = F(q).  Each lag is one array step over the bases of both
+    passes; set_equal then runs on the configurations found, ascending
+    pass first, then by base, then by lag."""
     res = AxiomResult("L4", True, 0)
-    tried = 0
-    period = sys.period
-    half = 0.5 * period
-    # the descending pass is the ascending one on the reflected bases
-    # -p: their forward offsets are the backward offsets of the sets at p
-    source = {canonical(-p, period): p for p in grid}
-    passes = (
-        (grid, {p: p for p in grid}, "asc",
-         {p: _offset_table(period, [(forward_gap(p, s, period), n)
-                                    for s, n in sets[p].spans]) for p in grid}),
-        (sorted(source), source, "desc",
-         {p: _offset_table(period, [(forward_gap(canonical(s + n, period), p, period), n)
-                                    for s, n in sets[p].spans]) for p in grid}),
-    )
-    for bases, src, tag, table in passes:
-        n = len(bases)
-        for i in range(n):
-            for lag in L4_LAGS:
-                p, q = bases[i], bases[(i + lag) % n]
-                g = forward_gap(p, q, period)
-                if g >= half:
-                    continue
-                tried += 1
-                cfg = _l4_config(table[src[p]], table[src[q]], g, MARGIN, half)
-                if cfg is None:
-                    continue
-                res.checked += 1
-                if not sets[src[p]].set_equal(sets[src[q]], SET_TOL):
-                    res.passed = False
-                    if len(res.witnesses) < 3:
-                        res.witnesses.append(
-                            {"p": p, "q": q, "p1": canonical(p + cfg[0], period),
-                             "q1": canonical(p + cfg[1], period), "pass": tag})
-    res.counts = {"tried": tried, "checked": res.checked}
+    period, half, n = sys.period, 0.5 * sys.period, len(grid)
+    # every set's spans, one row per base, padded with NaN: no test keeps it
+    spans = [sets[p].spans for p in grid]
+    w = max(map(len, spans))
+    start, length = np.moveaxis(np.reshape(
+        [list(s) + [(math.nan, math.nan)] * (w - len(s)) for s in spans], (n, w, 2)), 2, 0)
+    # rows 0 .. n-1 are the ascending pass, on the grid in order, and rows
+    # n .. 2n-1 the descending one: the ascending pass on the reflected
+    # bases -p, sorted, whose forward offsets are the backward offsets of
+    # the sets at p; src maps each row to its grid index
+    base = np.array(grid, dtype=float)
+    reflected = canonicals(-base, period)
+    order = np.argsort(reflected, kind="stable")
+    bases, src = np.concatenate([base, reflected[order]]), np.concatenate([np.arange(n), order])
+    lo = np.concatenate([canonicals(start - base[:, None], period), canonicals(
+        base[:, None] - canonicals(start + length, period), period)[order]])
+    # offsets clipped to [0, half], padded with (inf, -inf); a component
+    # that runs past the base also appears shifted by -period, so the
+    # part of it just after the base is kept
+    lo, length = np.concatenate([lo, lo - period], axis=1), np.tile(length[src], 2)
+    keep = (lo + length >= 0.0) & (lo <= half)
+    tab = (np.where(keep, np.maximum(lo, 0.0), math.inf),
+           np.where(keep, np.minimum(lo + length, half), -math.inf))
+    rows, found = np.arange(2 * n), []
+    for lag in L4_LAGS:
+        nxt = rows - rows % n + (rows + lag) % n  # q, in the pass of p
+        g = canonicals(bases[nxt] - bases, period)
+        ok, p1, q1 = _l4_configs(tab, (tab[0][nxt], tab[1][nxt]), g, MARGIN, half)
+        found.append((g < half, ok & (g < half), p1, q1))
+    tried, ok, p1, q1 = (np.stack(x, axis=1) for x in zip(*found))
+    for i, k in zip(*np.nonzero(ok)):
+        j = i - i % n + (i + L4_LAGS[k]) % n
+        res.checked += 1
+        if not sets[grid[src[i]]].set_equal(sets[grid[src[j]]], SET_TOL):
+            res.passed = False
+            if len(res.witnesses) < 3:
+                p = float(bases[i])
+                res.witnesses.append(
+                    {"p": p, "q": float(bases[j]), "p1": canonical(p + float(p1[i, k]), period),
+                     "q1": canonical(p + float(q1[i, k]), period),
+                     "pass": "asc" if i < n else "desc"})
+    res.counts = {"tried": int(np.count_nonzero(tried)), "checked": res.checked}
     return res
 
 

@@ -41,7 +41,7 @@ from .trig import (
 EPS_CONTACT = 1e-8
 EPS_NORM = 1e-9
 N_GRID = 4096
-BLOCK = 32  # bases whose limiting circles are solved together
+BLOCK = 256  # bases solved in one pass: the default axiom grid
 
 
 @dataclass(frozen=True)
@@ -308,9 +308,11 @@ def limiting_circle(curve: ProjectiveCurve, t: float,
 
 
 def _limits(curve: ProjectiveCurve, ts, eps_contact: float) -> list[ContactData]:
-    """The limiting circles at the bases ts, solved BLOCK bases at a
-    time: the one solver behind limiting_circle, the contact maps and
-    width.limiting_function (on the lift of a support).
+    """The limiting circles at the bases ts, solved BLOCK bases per pass,
+    so that the default axiom grid is one pass and a larger grid keeps
+    its arrays bounded; [] for no bases.  The one solver behind
+    limiting_circle, the contact maps and width.limiting_function (on
+    the lift of a support).
 
     The limiting circle at t passes through the lifted point and is
     either the tangent circle at t or tangent to the curve at an
@@ -325,7 +327,7 @@ def _limits(curve: ProjectiveCurve, ts, eps_contact: float) -> list[ContactData]
     the base raises NoConvergence.  Touches are the zeros whose
     normalized side value is at most eps_contact.  Every step is
     elementwise in the bases, so a base's circle does not depend on the
-    bases solved beside it, and a block raises the error of its first
+    bases solved beside it, and a pass raises the error of its first
     failing base.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)

@@ -30,7 +30,7 @@ from curvex.linesys import (
     LineSystem,
     _check_l4,
     _far_witness,
-    _l4_config,
+    _l4_configs,
     _reflected_set,
     check_axioms,
     clean_point_between,
@@ -673,6 +673,22 @@ def test_l4_matches_reference_on_corpus(fixture, request):
     assert res.counts == {"tried": 896, "checked": 0}
 
 
+@pytest.mark.parametrize("grid_size", [64, 250, 256])
+@pytest.mark.parametrize("fixture", ["sys3", "sys7", "wsys_sin3", "wsys_mix4"])
+def test_l4_matches_reference_on_dilated_corpus(fixture, grid_size, request):
+    # every contact set dilated by 0.3: its arcs are wide enough to hold
+    # p' and q' on most pairs, and the dilated sets of nearby bases
+    # differ, so the array pass finds configurations and witnesses
+    honest = request.getfixturevalue(fixture)
+    dilated = LineSystem(lambda ps: ([F.dilated(0.3) for F in honest.F_many(ps)], []),
+                         honest.period)
+    res = l4_both(dilated, grid_size)
+    # both passes try every lag whose q lies less than half a period ahead
+    tried = 2 * grid_size * sum(2 * lag < grid_size for lag in LAGS)
+    assert res.counts == {"tried": tried, "checked": res.checked}
+    assert res.checked > 0.5 * tried and not res.passed
+
+
 @pytest.mark.parametrize("grid_size", [32, 256])
 def test_l4_matches_reference_on_broken_family(grid_size):
     res = l4_both(LineSystem(broken), grid_size)
@@ -696,9 +712,11 @@ def test_l4_fails_on_interleaved_contacts():
 def test_l4_config_keeps_the_margin_between_p_and_q():
     # contacts at offsets 1 from p and 1.5 from q make a configuration,
     # unless q lies within the margin of p
-    tab_p, tab_q = [(0.0, 0.0), (1.0, 1.0)], [(0.0, 0.0), (1.5, 1.5)]
-    assert _l4_config(tab_p, tab_q, 0.01, MARGIN, math.pi) == (1.0, 1.51)
-    assert _l4_config(tab_p, tab_q, 0.5 * MARGIN, MARGIN, math.pi) is None
+    tab_p = (np.array([[0.0, 1.0]] * 2), np.array([[0.0, 1.0]] * 2))
+    tab_q = (np.array([[0.0, 1.5]] * 2), np.array([[0.0, 1.5]] * 2))
+    found, p1, q1 = _l4_configs(tab_p, tab_q, np.array([0.01, 0.5 * MARGIN]), MARGIN, math.pi)
+    assert found.tolist() == [True, False]
+    assert (p1[0], q1[0]) == (1.0, 1.51)
 
 
 @pytest.mark.parametrize("p_off,q_arc", [

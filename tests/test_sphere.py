@@ -220,10 +220,11 @@ def test_theta_parametrization_consistency(curve3):
 
 @pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7"])
 def test_batched_limits_equal_single_solves(fixture, request):
-    # 70 bases span three blocks; a base's circle must not depend on the
-    # bases solved beside it, so that a cached contact set never depends
-    # on how the cache was filled
+    # 70 bases in one pass; a base's circle must not depend on the bases
+    # solved beside it, so that a cached contact set never depends on how
+    # the cache was filled
     curve = request.getfixturevalue(fixture)
+    assert _limits(curve, [], EPS_CONTACT) == []
     ts = np.linspace(0.0, TWO_PI, 70, endpoint=False)
     for t, cd in zip(ts, _limits(curve, ts, EPS_CONTACT)):
         one = _limits(curve, [t], EPS_CONTACT)[0]
@@ -305,9 +306,10 @@ def _solved(solve, curve, ts, eps):
 @pytest.mark.parametrize("case", ["curve3", "curve7", "sf_mix7", "warped", "rng"])
 def test_block_pass_matches_the_per_base_loop(case, eps, shorten, request, monkeypatch):
     # arcs past t = pi cut short of their end leave transversal bases
-    # there without their candidate, so a block fails partway, and the
-    # warped curve has bases with no admissible arc; the block raises what
-    # the loop raises
+    # there without their candidate, so a pass fails past its middle, and
+    # the warped curve has bases with no admissible arc; the pass raises
+    # what the loop raises, on the 32 bases of a block that the axiom
+    # grid held before, on the 256 of that grid and on one base
     real = sphere._exact_arcs
 
     def cut(curve, ts, *rest):
@@ -328,9 +330,9 @@ def test_block_pass_matches_the_per_base_loop(case, eps, shorten, request, monke
         obj = request.getfixturevalue(case)
         curves = [obj if isinstance(obj, ProjectiveCurve) else obj.lift]
     for curve in curves:
-        for ts in (np.linspace(0.0, TWO_PI, 32, endpoint=False) + 0.01, np.array([0.7])):
-            assert _solved(sphere._limit_block, curve, ts, eps) == \
-                _solved(limit_block_loop, curve, ts, eps)
+        for ts in (np.linspace(0.0, TWO_PI, 32, endpoint=False) + 0.01,
+                   np.linspace(0.0, TWO_PI, 256, endpoint=False) + 0.01, np.array([0.7])):
+            assert _solved(_limits, curve, ts, eps) == _solved(limit_block_loop, curve, ts, eps)
 
 
 @pytest.mark.parametrize("n_s", [256, 512, 1024])
@@ -464,8 +466,8 @@ def _lost(start, length):
 ], ids=["not-anti-convex-first", "no-convergence-first"])
 def test_a_block_raises_the_error_of_its_first_failing_base(curve3, monkeypatch,
                                                            first, second, error, words):
-    # bases 5 and 9 of one 32-base block fail, each in its own way; the
-    # block raises what solving its bases one by one in order raises: the
+    # bases 5 and 9 of one 32-base pass fail, each in its own way; the
+    # pass raises what solving its bases one by one in order raises: the
     # error of base 5
     ts = np.linspace(0.0, TWO_PI, 32, endpoint=False)
     real = sphere._exact_arcs
