@@ -6,7 +6,9 @@ and velocity at the other), Newton-refined from the lattice cells
 around which that system's field winds and filtered by the defining
 conditions: genuine tangency at both ends, the arc not collapsed onto
 the chord, and the curve locally on the same side of the chord at both
-endpoints.
+endpoints.  A chord is the short great-circle arc between its ends; for
+each interval it keeps, the detector checks the line that puts the
+chord in an affine chart (see chord) and raises NotAntiConvex without.
 Replacing the arc by the chord yields the reduction, a piecewise
 evaluator on which inflections are counted topologically (crossing
 tangent lines), since the determinant criterion needs two derivatives
@@ -29,7 +31,7 @@ from .circle import (
     cyclic_runs,
     forward_gap,
 )
-from .errors import DegenerateChord, LineCurve, SelfIntersection
+from .errors import DegenerateChord, LineCurve, NotAntiConvex, SelfIntersection
 from .linesys import LineSystem
 from .sphere import (
     EPS_NORM,
@@ -37,7 +39,6 @@ from .sphere import (
     _cross3,
     admissible_normal_arc,
     clean_inflections,
-    normal_direction,
     true_inflections,
 )
 from .trig import newton2
@@ -45,7 +46,6 @@ from .trig import newton2
 NEWTON_RESIDUAL = 1e-11
 DEDUPE_TOL = 1e-6
 OFF_CHORD_MIN = 1e-7
-PROBE_SAMPLES = 256  # side samples of a chord's transversal probe
 OFF_CHORD_SAMPLES = 257  # arc samples tested against a candidate's chord
 ESCAPE_BLOCK = 32  # tangent circles per block of the topological count
 ESCAPE = 1e-7  # side-value band a tangent circle's walk must leave
@@ -63,71 +63,36 @@ class Chord:
     pa: np.ndarray
     pb: np.ndarray
     normal: np.ndarray  # unit normal of the great circle through pa, pb
-    long_way: bool = False
 
     @property
     def turn(self) -> float:
         """Signed rotation angle from pa to pb about the normal."""
-        ang = math.atan2(float(np.dot(self.normal, _cross3(self.pa, self.pb))),
-                         float(np.dot(self.pa, self.pb)))
-        if self.long_way:
-            ang -= math.copysign(TWO_PI, ang)
-        return ang
-
-    def point(self, frac: float) -> np.ndarray:
-        """Point at the given fraction of the way from pa to pb."""
-        ang = self.turn * frac
-        axis_part = _cross3(self.normal, self.pa)
-        return self.pa * math.cos(ang) + axis_part * math.sin(ang)
+        return math.atan2(float(np.dot(self.normal, _cross3(self.pa, self.pb))),
+                          float(np.dot(self.pa, self.pb)))
 
     def points(self, fracs: np.ndarray) -> np.ndarray:
-        """Points at an array of fractions, as rows; agrees with point."""
+        """Points at an array of fractions of the way from pa to pb, as rows."""
         ang = self.turn * np.asarray(fracs, dtype=float)[..., None]
         axis_part = _cross3(self.normal, self.pa)
         return self.pa * np.cos(ang) + axis_part * np.sin(ang)
 
-    def position_of(self, u: np.ndarray) -> float:
-        """Fraction along the chord of a point assumed to lie on it."""
-        ang = math.atan2(float(np.dot(self.normal, _cross3(self.pa, u))),
-                         float(np.dot(self.pa, u)))
-        return ang / self.turn
 
+def chord(curve: ProjectiveCurve, a: float, b: float) -> Chord:
+    """The short great-circle arc between the lifted points at a and b,
+    which is the chord in an affine chart of the curve.
 
-def chord(curve: ProjectiveCurve, a: float, b: float, probe) -> Chord:
-    """The chord between two curve parameters, choosing the segment that
-    stays inside one affine chart (tested with a transversal line at a
-    point of the complementary arc).  probe is the (arc, frame) of
-    chord_probes for (a, b)."""
+    At a point q of the complementary arc (b, a + pi) of an anti-convex
+    curve, a line through q that meets the curve only at q is a great
+    circle with the lifted arc (a, b) in one of its open hemispheres.
+    A hemisphere holds the short arc between any two of its points, so
+    the short arc is the segment that stays inside that line's chart;
+    _double_tangents checks that the line exists."""
     pa, pb = curve.lift(a), curve.lift(b)
     cr = _cross3(pa, pb)
     ncr = float(np.linalg.norm(cr))
     if ncr < EPS_NORM:
         raise DegenerateChord(f"curve points at {a} and {b} are (anti)aligned")
-    normal = cr / ncr
-    arc, frame = probe
-    long_way = False
-    if arc is not None:
-        n_c = normal_direction(frame, arc.midpoint)
-        x = _cross3(normal, n_c)
-        nx = float(np.linalg.norm(x))
-        if nx > EPS_NORM:
-            x /= nx
-            short = Chord(a, b, pa, pb, normal)
-            for cand in (x, -x):
-                frac = short.position_of(cand)
-                if 1e-9 < frac < 1.0 - 1e-9 and \
-                        abs(float(np.dot(cand, normal))) < 1e-9:
-                    long_way = True
-                    break
-    return Chord(a, b, pa, pb, normal, long_way)
-
-
-def chord_probes(curve: ProjectiveCurve, ends) -> list:
-    """The probe chord takes for each pair (a, b) of ends: the
-    admissible normal arc, with its frame, in the middle of the
-    complementary arc (b, a + pi), from one call for all pairs."""
-    ts = [canonical(b + 0.5 * forward_gap(b, a + math.pi)) for a, b in ends]
-    return admissible_normal_arc(curve, np.array(ts), n_s=PROBE_SAMPLES)
+    return Chord(a, b, pa, pb, cr / ncr)
 
 
 @dataclass(frozen=True)
@@ -152,8 +117,7 @@ class ReducedCurve:
         self.gap = forward_gap(a, b)
         if not 0.0 < self.gap < math.pi:
             raise ValueError("replaced interval must be shorter than a half period")
-        ends = (self.a, canonical(b))
-        self.chord = chord(base, *ends, chord_probes(base, [ends])[0])
+        self.chord = chord(base, self.a, canonical(b))
         if check_simple:
             self._assert_simple()
 
@@ -353,14 +317,14 @@ def _arc_samples(a, b) -> np.ndarray:
     return a + np.linspace(0.0, 1.0, OFF_CHORD_SAMPLES) * (b - a)
 
 
-def _passes_filters(curve: ProjectiveCurve, a: float, b: float, probe,
+def _passes_filters(curve: ProjectiveCurve, a: float, b: float,
                     samples: np.ndarray) -> Chord | None:
     """Conditions beyond tangency: some arc point off the chord, the arc
     locally on the same side at both ends, and coherent tangent
-    directions along the chord.  probe goes to chord; samples are the
-    lifted _arc_samples(a, b)."""
+    directions along the chord.  samples are the lifted
+    _arc_samples(a, b)."""
     try:
-        ch = chord(curve, a, b, probe)
+        ch = chord(curve, a, b)
     except DegenerateChord:
         return None
     n = ch.normal
@@ -415,8 +379,11 @@ def _double_tangents(curve: ProjectiveCurve) -> DetectionResult:
 
     newton2 solves the tangency system from the _cell_seeds of the
     curve.  Converged pairs are deduplicated and pushed through the
-    filters, with the chord probes and the off-chord samples of every
-    pair found in one call each.
+    filters, with the off-chord samples of every pair found in one call.
+    Each interval's chord is the short arc, which needs a line through
+    the middle q of its complementary arc (b, a + pi) that meets the
+    curve only at q (chord): one admissible_normal_arc call checks every
+    q and raises NotAntiConvex at the first without one.
     """
     found, dropped, newton = tangent_pairs(*_cell_seeds(curve), _tangency_system(curve))
     intervals = []
@@ -424,15 +391,18 @@ def _double_tangents(curve: ProjectiveCurve) -> DetectionResult:
         return DetectionResult(intervals, dropped, newton)
     a = np.array([x for x, _ in found])
     b = a + np.array([gap for _, gap in found])
-    ends = list(zip(a.tolist(), b.tolist()))
-    probes = chord_probes(curve, ends)
     samples = curve.lift_many(_arc_samples(a[:, None], b[:, None]).ravel())
-    for (x, y), probe, lifted in zip(ends, probes, samples.reshape(len(ends), -1, 3)):
-        ch = _passes_filters(curve, x, y, probe, lifted)
+    for x, y, lifted in zip(a.tolist(), b.tolist(), samples.reshape(len(a), -1, 3)):
+        ch = _passes_filters(curve, x, y, lifted)
         if ch is None:
             dropped += 1
             continue
         intervals.append(DoubleTangentInterval(x, y, ch))
+    if intervals:
+        qs = [canonical(iv.b + 0.5 * forward_gap(iv.b, iv.a + math.pi)) for iv in intervals]
+        for q, (arc, _) in zip(qs, admissible_normal_arc(curve, qs)):
+            if arc is None:
+                raise NotAntiConvex(q)
     return DetectionResult(intervals, dropped, newton)
 
 

@@ -23,7 +23,7 @@ from .errors import CurvexError
 from .census import census
 from .linesys import LineSystem, check_axioms
 from .sphere import EPS_CONTACT, ProjectiveCurve, contact_map as sphere_contact_map
-from .trig import TrigSeries, VectorSeries, truncate
+from .trig import TrigSeries, VectorSeries, json_number, truncate
 from .width import (
     SupportFunction,
     census_fn,
@@ -84,7 +84,7 @@ def _load_input(path: str):
     if {"x", "y", "z"} <= obj.keys():
         return ProjectiveCurve(VectorSeries.from_json(obj))
     if {"d", "f"} <= obj.keys():
-        return SupportFunction(float(obj["d"]), TrigSeries.from_json(obj["f"]))
+        return SupportFunction(json_number(obj["d"]), TrigSeries.from_json(obj["f"]))
     raise ValueError("input must carry either x/y/z series or d and f")
 
 

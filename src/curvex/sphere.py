@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .circle import (
+    Arc,
     CircularSet,
     TWO_PI,
     admissible_arcs,
@@ -30,7 +31,6 @@ from .linesys import LineSystem, three_clean_inflections
 from .trig import (
     TrigSeries,
     VectorSeries,
-    arc_offsets,
     circle_zeros,
     isolate_sign_changes,
     laurent_rows,
@@ -244,60 +244,18 @@ class ContactData:
     warnings: tuple[str, ...] = ()
 
 
-@lru_cache(maxsize=64)
-def _shift_table(ks: tuple[int, ...], n_s: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(k s) and sin(k s) at the offsets s = arc_offsets(n_s), one
-    row per harmonic k of ks."""
-    ks_s = np.array(ks, dtype=float)[:, None] * arc_offsets(n_s)
-    C, S = np.cos(ks_s), np.sin(ks_s)
-    C.flags.writeable = S.flags.writeable = False  # shared by every caller
-    return C, S
-
-
-def _shifted(s: TrigSeries, ts: np.ndarray, n_s: int) -> np.ndarray:
-    """s(t + arc_offsets(n_s)) for each base t, as (n, m) rows, by the
-    shift identity a cos k(t+s) + b sin k(t+s) =
-    (a cos kt + b sin kt) cos ks + (b cos kt - a sin kt) sin ks: each base
-    needs only its rotated coefficients, times one fixed table."""
-    C, S = _shift_table(tuple(k for k, _, _ in s.harmonics), n_s)
-    out = np.full((len(ts), C.shape[1]), s.constant)
-    for (k, a, b), c, sn in zip(s.harmonics, C, S):
-        ckt, skt = np.cos(k * ts)[:, None], np.sin(k * ts)[:, None]
-        out += (a * ckt + b * skt) * c + (b * ckt - a * skt) * sn
-    return out
-
-
-def _side_samples(curve: ProjectiveCurve, ts: np.ndarray,
-                  frames: tuple[np.ndarray, np.ndarray], n_s: int):
-    """Normalized side values A = nu . F / |F| and B = that . F / |F| of
-    each base's frame normals at the offsets arc_offsets(n_s) along its
-    open forward arc (t, t + pi), as (n, m) rows.  Every step is
-    elementwise in the bases."""
-    x, y, z = (_shifted(c, ts, n_s) for c in curve.F.components)
-    r = _summed(x * x, y * y, z * z)
-    np.sqrt(r, out=r)
-    sides = [_summed(v[:, :1] * x, v[:, 1:2] * y, v[:, 2:] * z) for v in frames]
-    return [np.divide(s, r, out=s) for s in sides]
-
-
-def _summed(a, b, c):
-    """a + b + c, added left to right as _dot3 adds, into a."""
-    a += b
-    a += c
-    return a
-
-
-def admissible_normal_arc(curve: ProjectiveCurve, ts: np.ndarray, n_s: int = 512):
+def admissible_normal_arc(curve: ProjectiveCurve, ts):
     """At each base of ts, the open arc of rotation angles whose circles
     keep the forward half-curve strictly on the right, or None when no
-    such circle exists.
+    such circle exists: the exact arc of _limits, so None at a base is
+    where _limits raises NotAntiConvex.
 
     Returns a list of (arc, frame), one per base, each computed as if
     its base were alone; map angles to normals with normal_direction.
     """
-    nu, that = curve.frames(ts)
-    A, B = _side_samples(curve, ts, (nu, that), n_s)
-    return list(zip(admissible_arcs(A, B), zip(nu, that)))
+    _, (nu, that), *_, start, length = _arcs(curve, np.asarray(ts, dtype=float).reshape(-1))
+    return [(Arc(s, n) if n >= 0.0 else None, frame)
+            for s, n, frame in zip(start.tolist(), length.tolist(), zip(nu, that))]
 
 
 def limiting_circle(curve: ProjectiveCurve, t: float,
@@ -337,16 +295,25 @@ def _limits(curve: ProjectiveCurve, ts, eps_contact: float) -> list[ContactData]
     return out
 
 
-def _limit_block(curve, ts, eps_contact):
-    """_limits on one block; the side values A, B at the zeros, with 0 at
-    the ends of the forward arc, stand in for the whole arc."""
-    Ft, F1t, _ = np.split(curve.jet(ts), 3, axis=1)  # Ft: frames, zeros and planes
+def _arcs(curve, ts):
+    """The exact admissible arcs at the bases ts and what they are built
+    from: (F(ts), frames, rows, ss, F(ss), |F(ss)|, A, B, start, length),
+    with (rows, ss) the zeros of T_t, A and B the normalized side values
+    of the frame normals there and (start, length) _exact_arcs."""
+    Ft, F1t, _ = np.split(curve.jet(ts), 3, axis=1)
     nu, that = _frames(Ft, F1t, ts)
     rows, ss = _interior_zeros(curve, ts, Ft)
     Fs = curve.F.eval_many(ss)
     radii = np.sqrt(_dot3(Fs, Fs))
     A, B = _dot3(nu[rows], Fs) / radii, _dot3(that[rows], Fs) / radii
     start, length = _exact_arcs(curve, ts, (nu, that), rows, A, B)
+    return Ft, (nu, that), rows, ss, Fs, radii, A, B, start, length
+
+
+def _limit_block(curve, ts, eps_contact):
+    """_limits on one block; the side values A, B at the zeros, with 0 at
+    the ends of the forward arc, stand in for the whole arc."""
+    Ft, (nu, that), rows, ss, Fs, radii, A, B, start, length = _arcs(curve, ts)
     planes = _cross3(Ft[rows], Fs)
     pn, pt = _dot3(planes, nu[rows]), _dot3(planes, that[rows])
     # orient each plane so that turning it further gives L(s) a positive side

@@ -11,6 +11,7 @@ change isolation are all exact up to floating arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -162,13 +163,26 @@ class TrigSeries:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "TrigSeries":
-        constant = float(obj.get("constant", 0.0))
-        harmonics = tuple((int(k), float(a), float(b)) for k, a, b in obj.get("harmonics", []))
-        coeffs = [constant] + [c for _, a, b in harmonics for c in (a, b)]
-        if not all(math.isfinite(c) for c in coeffs):
-            raise ValueError("series coefficients must be finite")
-        return cls(constant, harmonics, obj.get("parity", PERIODIC))
+    def from_json(cls, obj) -> "TrigSeries":
+        """The series of a to_json object; ValueError for any other shape,
+        a harmonic index that is not an integer or a coefficient that is
+        not a finite number."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a series must be a JSON object, got {obj!r}")
+        rows = obj.get("harmonics", [])
+        if not isinstance(rows, list) or not all(  # a bool or 3.7 is no index k
+                isinstance(r, list) and len(r) == 3 and type(r[0]) is int for r in rows):
+            raise ValueError("harmonics must be a list of [k, a, b] triples, k an integer")
+        harmonics = tuple((k, json_number(a), json_number(b)) for k, a, b in rows)
+        return cls(json_number(obj.get("constant", 0.0)), harmonics,
+                   obj.get("parity", PERIODIC))
+
+
+def json_number(v) -> float:
+    """A finite JSON number as a float; ValueError for anything else."""
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:  # nan, inf, 10**400
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return float(v)
 
 
 def _pruned(constant: float, harmonics: Sequence[tuple[int, float, float]], parity: str) -> TrigSeries:
@@ -342,20 +356,6 @@ def newton2(system, a, b):
         a[live] -= step[:, 0]
         b[live] -= step[:, 1]
     return a, b, converged
-
-
-# offsets of extra samples packed against the ends of a half-period arc;
-# contact functions vanish at the endpoints, so both the transition at a
-# base-tangent member and the touch structures budding off a nearby clean
-# point live at small offsets of every scale
-_END_LADDER = np.geomspace(1e-9, 0.05, 48)
-
-
-def arc_offsets(n: int) -> np.ndarray:
-    """Sorted sample offsets along the open arc (0, pi): n interior
-    points plus the geometric ladder against both ends."""
-    interior = np.linspace(1e-4, math.pi - 1e-4, n)
-    return np.sort(np.concatenate([_END_LADDER, interior, math.pi - _END_LADDER]))
 
 
 def laurent_rows(series: Sequence[TrigSeries], step: int = 1) -> np.ndarray:
@@ -550,7 +550,9 @@ class VectorSeries:
         return {"x": self.x.to_json(), "y": self.y.to_json(), "z": self.z.to_json()}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "VectorSeries":
+    def from_json(cls, obj) -> "VectorSeries":
+        if not isinstance(obj, dict) or not {"x", "y", "z"} <= obj.keys():
+            raise ValueError("a curve must be a JSON object with x, y and z series")
         return cls(TrigSeries.from_json(obj["x"]),
                    TrigSeries.from_json(obj["y"]),
                    TrigSeries.from_json(obj["z"]))

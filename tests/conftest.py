@@ -55,6 +55,16 @@ def curve7():
 
 
 @pytest.fixture(scope="session")
+def curve7_gl3(curve7):
+    """curve7 under the linear map F -> M F, a curve that is no lift; CI
+    runs the same curve through sphere-census and axioms."""
+    M = [[1.0, 0.2, 0.5], [-0.3, 1.0, 0.4], [0.1, -0.2, 1.0]]
+    x, y, z = curve7.F.components
+    return ProjectiveCurve(VectorSeries(*(x.scaled(p) + y.scaled(q) + z.scaled(r)
+                                          for p, q, r in M)))
+
+
+@pytest.fixture(scope="session")
 def sys3(curve3):
     return LineSystem(contact_map(curve3))
 

@@ -3,7 +3,7 @@ import types
 
 import numpy as np
 import pytest
-from conftest import anti_convexity_grid_test
+from conftest import admissible_angles, anti_convexity_grid_test
 
 from curvex.census import (
     DEDUPE_TOL,
@@ -17,7 +17,6 @@ from curvex.census import (
     _tangency_system,
     census,
     chord,
-    chord_probes,
     count_inflections_topological,
     detect_double_tangents,
     greedy_maximal_family,
@@ -26,8 +25,15 @@ from curvex.census import (
     tangent_pairs,
 )
 from curvex.circle import canonical, circle_dist, forward_gap
-from curvex.errors import DegenerateChord
-from curvex.sphere import ProjectiveCurve, _cross3, inflection_indicator, true_inflections
+from curvex.errors import DegenerateChord, NotAntiConvex
+from curvex.sphere import (
+    ProjectiveCurve,
+    _cross3,
+    admissible_normal_arc,
+    inflection_indicator,
+    normal_direction,
+    true_inflections,
+)
 from curvex.trig import (
     ANTIPERIODIC,
     TrigSeries,
@@ -43,10 +49,6 @@ def interval(a, b):
     return DoubleTangentInterval(a, b, None)
 
 
-def chord_of(curve, a, b):
-    return chord(curve, a, b, chord_probes(curve, [(a, b)])[0])
-
-
 def test_census_names_the_submodule():
     import curvex.census as module
     assert isinstance(module, types.ModuleType)
@@ -60,33 +62,33 @@ def lift(z: TrigSeries) -> ProjectiveCurve:
 
 class TestChord:
     def test_basic_geometry(self, curve5):
-        ch = chord_of(curve5, 0.5, 1.4)
+        ch = chord(curve5, 0.5, 1.4)
         assert np.allclose(ch.pa, curve5.lift(0.5))
         assert np.allclose(ch.pb, curve5.lift(1.4))
         assert abs(np.dot(ch.normal, ch.pa)) < 1e-12
         assert abs(np.dot(ch.normal, ch.pb)) < 1e-12
-        mid = ch.point(0.5)
+        mid = ch.points(0.5)
         assert abs(np.dot(ch.normal, mid)) < 1e-12
         assert np.linalg.norm(mid) == pytest.approx(1.0)
 
     def test_swap_gives_same_point_set(self, curve5):
-        ch = chord_of(curve5, 0.5, 1.4)
-        rev = chord_of(curve5, 1.4, 0.5)
+        ch = chord(curve5, 0.5, 1.4)
+        rev = chord(curve5, 1.4, 0.5)
         fr = np.linspace(0, 1, 9)
-        pts = np.array([ch.point(f) for f in fr])
-        rpts = np.array([rev.point(f) for f in fr[::-1]])
-        assert np.allclose(pts, rpts, atol=1e-12)
+        assert np.allclose(ch.points(fr), rev.points(fr[::-1]), atol=1e-12)
 
     @pytest.mark.parametrize("a,b", [(0.5, 1.4), (1.4, 0.5)])
     def test_points_match_point(self, curve5, a, b):
-        ch = chord_of(curve5, a, b)
+        ch = chord(curve5, a, b)
         fr = np.linspace(-0.25, 1.25, 61)
-        np.testing.assert_allclose(ch.points(fr), [ch.point(f) for f in fr],
+        # each row as if alone, and the short arc: turns below pi
+        np.testing.assert_allclose(ch.points(fr), [ch.points(f) for f in fr],
                                    rtol=0, atol=1e-15)
+        assert 0.0 < ch.turn < math.pi
 
     def test_degenerate_chord(self, curve5):
         with pytest.raises(DegenerateChord):
-            chord_of(curve5, 0.5, 0.5 + math.pi)  # antipodal pair
+            chord(curve5, 0.5, 0.5 + math.pi)  # antipodal pair
 
     def test_intersection_ordering_along_chord(self, curve5):
         # order of curve/line meeting points along the chord is monotone
@@ -97,9 +99,10 @@ class TestChord:
         roots = [r.value for r in isolate_sign_changes(side, domain="full")]
         inside = sorted(t for t in roots if 0.0 < t < math.pi)
         assert len(inside) >= 3
-        ch = chord_of(curve5, inside[0], inside[-1])
-        fracs = [ch.position_of(curve5.lift(t)) for t in inside]
-        assert fracs == sorted(fracs)
+        ch = chord(curve5, inside[0], inside[-1])
+        u = curve5.lift_many(np.array(inside))
+        fracs = np.arctan2(_cross3(ch.pa, u) @ ch.normal, u @ ch.pa) / ch.turn
+        assert list(fracs) == sorted(fracs)
 
 
 class TestDetection:
@@ -148,8 +151,7 @@ class TestDetection:
         from curvex.census import _arc_samples, _passes_filters
         iv = detect_double_tangents(curve5).intervals[0]
         for (a, b), qualifies in (((iv.a, iv.b), True), ((iv.b, iv.a + math.pi), False)):
-            ch = _passes_filters(curve5, a, b, chord_probes(curve5, [(a, b)])[0],
-                                 curve5.lift_many(_arc_samples(a, b)))
+            ch = _passes_filters(curve5, a, b, curve5.lift_many(_arc_samples(a, b)))
             assert (ch is not None) == qualifies
 
 
@@ -339,6 +341,41 @@ RANDOM_LIFTS = {
 }
 
 
+def chart_middle(iv: DoubleTangentInterval) -> float:
+    """The middle of the complementary arc (b, a + pi) of an interval."""
+    return canonical(iv.b + 0.5 * forward_gap(iv.b, iv.a + math.pi))
+
+
+class TestChartCheck:
+    def test_census_raises_where_a_chord_has_no_chart(self):
+        # an interval passes the filters, but at the middle of its
+        # complementary arc no line meets the curve only once
+        curve = ProjectiveCurve(VectorSeries(cos_series(1), sin_series(1) + cos_series(3, 0.7),
+                                             sin_series(3, 0.05) + sin_series(5, 0.05)))
+        with pytest.raises(NotAntiConvex) as err:
+            census(curve)
+        t = err.value.t
+        assert t == pytest.approx(3.2058, abs=1e-4)
+        # 2^16 samples of the forward arc already leave no admissible angle
+        nu, that = curve.frame(t)
+        P = curve.lift_many(t + np.linspace(0.0, math.pi, 2 ** 16 + 2)[1:-1])
+        assert admissible_angles(P @ nu, P @ that) is None
+
+    @pytest.mark.parametrize("fixture", ["curve5", "curve7", "sf_mix7", "curve7_gl3"])
+    def test_detected_chords_lie_inside_their_charts(self, fixture, request):
+        # the line at the middle of the complementary arc keeps the lifted
+        # arc (a, b), and so the short chord, on its positive side
+        obj = request.getfixturevalue(fixture)
+        curve = obj if isinstance(obj, ProjectiveCurve) else obj.lift
+        intervals = detect_double_tangents(curve).intervals
+        assert intervals
+        probes = admissible_normal_arc(curve, [chart_middle(iv) for iv in intervals])
+        for iv, (arc, frame) in zip(intervals, probes):
+            n = normal_direction(frame, arc.midpoint)
+            assert np.min(iv.chord.points(np.linspace(0.0, 1.0, 65)) @ n) > 0.0
+            assert np.min(curve.lift_many(np.linspace(iv.a, iv.b, 65)) @ n) > 0.0
+
+
 class TestDetectionRegressions:
     @pytest.mark.parametrize("scale", [10.0, 20.0, 50.0])
     def test_projective_images_of_curve7(self, curve7, scale):
@@ -351,6 +388,10 @@ class TestDetectionRegressions:
         assert (rep.i, rep.delta) == (7, 2)
         assert any(abs(a - 0.8919) < 1e-4 and abs(b - 2.2497) < 1e-4
                    for a, b in rep.double_tangents)
+
+    def test_general_projective_image_of_curve7(self, curve7_gl3):
+        rep = census(curve7_gl3)
+        assert (rep.i, rep.delta) == (7, 2) and rep.identity_holds
 
     @pytest.mark.parametrize("name", sorted(RANDOM_LIFTS))
     def test_random_lifts(self, name):

@@ -248,6 +248,33 @@ def test_bad_input_exits_2_without_a_report(tmp_path, capsys, payload, mode, ext
     assert "curvex: error:" in capsys.readouterr().err
 
 
+def with_harmonic(payload, key, row):
+    """A copy of payload whose series key has the one harmonic row."""
+    return dict(payload, **{key: dict(payload[key], harmonics=[row])})
+
+
+@pytest.mark.parametrize("payload", [
+    {"x": 1, "y": 1, "z": 1},
+    {"d": 20, "f": [1, 2]},
+    {"d": None, "f": WIDTH_SIN3["f"]},
+    dict(WIDTH_SIN3, f=dict(WIDTH_SIN3["f"], harmonics={"3": [0.0, 1.0]})),
+    with_harmonic(WIDTH_SIN3, "f", [3, 1.0]),
+    with_harmonic(WIDTH_SIN3, "f", [3, 0.0, None]),
+    with_harmonic(WIDTH_SIN3, "f", [3, 0.0, "1.0"]),
+    with_harmonic(WIDTH_SIN3, "f", [3, 0.0, 10 ** 400]),
+    dict(WIDTH_SIN3, f=dict(WIDTH_SIN3["f"], constant=None)),
+    with_harmonic(WIDTH_SIN3, "f", [3.7, 0.0, 1.0]),
+    with_harmonic(WIDTH_SIN3, "f", [True, 0.0, 1.0]),
+    with_harmonic(SPHERE_SIN3, "z", [3.0, 0.0, 0.1]),
+], ids=["series-not-objects", "f-a-list", "d-null", "harmonics-not-a-list",
+        "harmonic-of-two", "coefficient-null", "coefficient-string", "coefficient-huge-int",
+        "constant-null", "index-fraction", "index-bool", "index-float"])
+def test_malformed_series_cannot_be_read(tmp_path, capsys, payload):
+    code, data = run(tmp_path, payload, "flexes")
+    assert code == 2 and data is None
+    assert "cannot read input" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--plot-samples", "1000"),
                                          ("--axiom-grid", "0"),
                                          ("--axiom-grid", "-3"),

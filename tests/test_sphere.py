@@ -22,7 +22,6 @@ from curvex.sphere import (
     _dot3,
     _interior_zeros,
     _limits,
-    _side_samples,
     admissible_normal_arc,
     inflection_indicator,
     limiting_circle,
@@ -33,7 +32,6 @@ from curvex.trig import (
     ANTIPERIODIC,
     TrigSeries,
     VectorSeries,
-    arc_offsets,
     cos_series,
     laurent_rows,
     roots,
@@ -132,24 +130,52 @@ def test_cross3_matches_np_cross_bit_for_bit():
 
 
 @pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7"])
-@pytest.mark.parametrize("n_s", [256, 512])
-def test_admissible_normal_arc_on_many_bases_equals_single_calls(fixture, n_s, request):
+def test_admissible_normal_arc_on_many_bases_equals_single_calls(fixture, request):
     curve = request.getfixturevalue(fixture)
     ts = np.linspace(0.1, 0.1 + TWO_PI, 37, endpoint=False)
-    found = admissible_normal_arc(curve, ts, n_s)
+    found = admissible_normal_arc(curve, ts)
     assert len(found) == len(ts)
     for t, (arc, (nu, that)) in zip(ts, found):
-        [(one, (nu1, that1))] = admissible_normal_arc(curve, np.array([t]), n_s)
+        [(one, (nu1, that1))] = admissible_normal_arc(curve, np.array([t]))
         assert (arc.start, arc.length) == (one.start, one.length)
         assert np.array_equal(nu, nu1) and np.array_equal(that, that1)
+
+
+def warped_curve():
+    return ProjectiveCurve(VectorSeries(cos_series(1), sin_series(1) + cos_series(3, 0.7),
+                                        sin_series(3, 0.05)))
+
+
+@pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7", "sf_mix7", "curve7_gl3"])
+def test_admissible_normal_arc_middle_circle_keeps_the_half_curve_negative(fixture, request):
+    # the exact arc against 2^14 samples of each base's open forward arc
+    obj = request.getfixturevalue(fixture)
+    curve = obj if isinstance(obj, ProjectiveCurve) else obj.lift
+    ts = np.linspace(0.0, TWO_PI, 128, endpoint=False) + 0.01
+    offsets = np.linspace(0.0, math.pi, 2 ** 14 + 2)[1:-1]
+    for t, (arc, frame) in zip(ts, admissible_normal_arc(curve, ts)):
+        n = normal_direction(frame, arc.midpoint)
+        assert np.max(curve.lift_many(t + offsets) @ n) < 0.0
+
+
+def test_admissible_normal_arc_is_none_exactly_where_limits_are_not_anti_convex():
+    curve = warped_curve()
+    ts = np.linspace(0.0, TWO_PI, 128, endpoint=False) + 0.01
+    failing = []
+    for t in ts:
+        try:
+            limiting_circle(curve, t)
+            failing.append(False)
+        except NotAntiConvex:
+            failing.append(True)
+    assert 0 < sum(failing) < len(ts)
+    assert [arc is None for arc, _ in admissible_normal_arc(curve, ts)] == failing
 
 
 def test_anti_convexity_violated_for_warped_curve():
     # graphs over a great circle always admit separating circles; folding
     # the horizontal part with a third harmonic breaks that
-    F = VectorSeries(cos_series(1), sin_series(1) + cos_series(3, 0.7),
-                     sin_series(3, 0.05))
-    assert not anti_convexity_grid_test(ProjectiveCurve(F).lift_many)
+    assert not anti_convexity_grid_test(warped_curve().lift_many)
 
 
 def test_limiting_circle_clean_point(curve3):
@@ -324,8 +350,7 @@ def test_block_pass_matches_the_per_base_loop(case, eps, shorten, request, monke
             (k, rng.normal() / k ** 1.5, rng.normal() / k ** 1.5) for k in (3, 5, 7, 9)),
             ANTIPERIODIC)) for _ in range(4)]
     elif case == "warped":  # the curve of test_anti_convexity_violated_for_warped_curve
-        curves = [ProjectiveCurve(VectorSeries(cos_series(1), sin_series(1) + cos_series(3, 0.7),
-                                               sin_series(3, 0.05)))]
+        curves = [warped_curve()]
     else:
         obj = request.getfixturevalue(case)
         curves = [obj if isinstance(obj, ProjectiveCurve) else obj.lift]
@@ -333,27 +358,6 @@ def test_block_pass_matches_the_per_base_loop(case, eps, shorten, request, monke
         for ts in (np.linspace(0.0, TWO_PI, 32, endpoint=False) + 0.01,
                    np.linspace(0.0, TWO_PI, 256, endpoint=False) + 0.01, np.array([0.7])):
             assert _solved(_limits, curve, ts, eps) == _solved(limit_block_loop, curve, ts, eps)
-
-
-@pytest.mark.parametrize("n_s", [256, 512, 1024])
-@pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7", "mixed"])
-def test_side_samples_match_direct_evaluation(fixture, n_s, request):
-    # the shift-identity table against F evaluated at t + s directly; the
-    # components of "mixed" carry different harmonic sets
-    if fixture == "mixed":
-        curve = ProjectiveCurve(VectorSeries(cos_series(1) + sin_series(3, 0.2),
-                                             sin_series(1),
-                                             cos_series(5, 0.1) + sin_series(7, 0.05)))
-    else:
-        curve = request.getfixturevalue(fixture)
-    ts = np.linspace(0.0, TWO_PI, 64, endpoint=False) + 0.3
-    nu, that = curve.frames(ts)
-    A, B = _side_samples(curve, ts, (nu, that), n_s)
-    P = curve.F.eval_many(ts[:, None] + arc_offsets(n_s))
-    r = np.sqrt(_dot3(P, P))
-    ulp = np.finfo(float).eps  # side values lie in [-1, 1]
-    np.testing.assert_allclose(A, _dot3(nu[:, None], P) / r, rtol=0, atol=8 * ulp)
-    np.testing.assert_allclose(B, _dot3(that[:, None], P) / r, rtol=0, atol=8 * ulp)
 
 
 def test_curve7_base_tangent_at_zero(curve7):
