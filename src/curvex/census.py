@@ -32,7 +32,7 @@ from .circle import (
     forward_gap,
 )
 from .errors import DegenerateChord, LineCurve, NotAntiConvex, SelfIntersection
-from .linesys import LineSystem
+from .linesys import SCAN, LineSystem
 from .sphere import (
     EPS_NORM,
     ProjectiveCurve,
@@ -530,9 +530,19 @@ def census_report(kind: str, flexes, detection: DetectionResult,
 def census(curve: ProjectiveCurve, system: LineSystem | None = None) -> CensusReport:
     """Counts of independent inflections and double tangents with the
     identity check i - 2*delta = 3.  Given the curve's line system, the
-    report also carries the three clean inflections found on it
-    (sphere.clean_inflections), sorted."""
+    report also carries, sorted, the three clean inflections that
+    sphere.clean_inflections picks and checks on it.  Before them, one
+    admissible_normal_arc call on the SCAN bases of the system's search
+    grid checks anti-convexity, which the detector checks only at the
+    intervals it keeps: the first base without an arc raises
+    NotAntiConvex.  A support's lift needs no such check, as the great
+    circle through the pole meets it only at the base and its antipode."""
     flexes = [e for e in true_inflections(curve).entries if e.crossing]
-    clean = [] if system is None else \
-        sorted(t for t, _ in clean_inflections(curve, system, flexes))
+    clean = []
+    if system is not None:
+        grid = [system._key(t) for t in np.linspace(0.0, system.period, SCAN, endpoint=False)]
+        for t, (arc, _) in zip(grid, admissible_normal_arc(curve, grid)):
+            if arc is None:
+                raise NotAntiConvex(t)
+        clean = sorted(t for t, _ in clean_inflections(curve, system, flexes))
     return census_report("sphere-census", flexes, detect_double_tangents(curve), clean)

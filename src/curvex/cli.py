@@ -364,9 +364,8 @@ def main(argv=None) -> int:
 
     meta["seconds"] = round(time.time() - started, 3)
     if system is not None:
-        meta["contact_warnings"] = dict(sorted(system.warnings.items()))
         meta["contact_solves"] = dict(system.solves)
-        if args.mode != "axioms":  # the other modes search for clean points
+        if args.mode != "axioms":  # the other modes find clean points
             meta["clean_search"] = dict(system.clean_search)
     _write_report(args.out_report, report, meta)
     return 0 if ok else 1

@@ -50,9 +50,9 @@ class NoConvergence(CurvexError):
 
 
 class SearchFailed(CurvexError):
-    """The clean-point search found no valid triple: no non-clean start
-    point or no witness, halving past its cap, or clean points misplaced
-    or with overlapping contact sets."""
+    """No valid clean triple: none placed among the points given, no
+    non-clean start or witness for the search, halving past its cap, or
+    clean points misplaced or with overlapping contact sets."""
 
 
 class EmptyY(CurvexError):

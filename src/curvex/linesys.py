@@ -8,18 +8,15 @@ grids, positive clean points are located by interval halving, and the
 monotone bounds mu-/mu+ on admissible intervals feed the
 intermediate-value construction.
 
-The one input from outside the map is optional: three_clean_inflections
-may be given the exactly-clean inflections of the curve behind it
-(sphere.exact_clean_points).  A halving whose bracket holds exactly one
-of them then returns it instead of halving further.  sphere.clean_inflections
-passes them, for the sphere census and, on the lift, for the width modes.
+The one input from outside the map is optional: given the curve's
+exactly-clean inflections (sphere.clean_inflections), three_clean_inflections
+picks its triple among them instead of searching.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,7 +49,7 @@ CLEAN_TOL = 1e-5
 MEMBER_TOL = 1e-6
 BISECT_CAP = 200
 EPS_SEARCH = 1e-9
-SCAN = 64  # bases scanned for the first non-clean starting point
+SCAN = 64  # bases of the search's start scan and of the census's anti-convexity check
 SET_TOL = 1e-3  # set equality in the axioms
 MARGIN = 1e-3  # least separation of the points an axiom compares
 L2_MAX_COMPONENTS = 64
@@ -69,22 +66,19 @@ class LineSystem:
     """Cached view over a contact map on the full circle.
 
     The map takes a list of bases and returns their contact sets in
-    order, with the warnings its solver raised; the system caches the
-    sets by base, counts the warnings by message, and counts its calls
-    to the map and the bases they solved.  clean_search counts what the
-    clean-point searches did: the exactly-clean inflections they were
-    given (mod pi), the searches that ended on one of them, and the
-    midpoints they asked for.
+    order; the system caches the sets by base and counts its calls to
+    the map and the bases they solved.  clean_search counts what
+    three_clean_inflections did: the clean points it was given and the
+    midpoints its search asked for.
     """
 
-    def __init__(self, contact_fn: Callable[[list[float]], tuple[list[CircularSet], list[str]]],
+    def __init__(self, contact_fn: Callable[[list[float]], list[CircularSet]],
                  period: float = TWO_PI):
         self._fn = contact_fn
         self.period = period
         self._cache: dict[float, CircularSet] = {}
-        self.warnings: Counter[str] = Counter()
         self.solves = {"calls": 0, "bases": 0}
-        self.clean_search = {"exact_clean": 0, "shortcuts": 0, "halvings": 0}
+        self.clean_search = {"exact_clean": 0, "halvings": 0}
 
     def T(self, p: float) -> float:
         return antipode(p, self.period)
@@ -102,9 +96,7 @@ class LineSystem:
         keys = [self._key(p) for p in ps]
         missing = list(dict.fromkeys(k for k in keys if k not in self._cache))
         if missing:
-            sets, warnings = self._fn(missing)
-            self._cache.update(zip(missing, sets))
-            self.warnings.update(warnings)
+            self._cache.update(zip(missing, self._fn(missing)))
             self.solves["calls"] += 1
             self.solves["bases"] += len(missing)
         return [self._cache[k] for k in keys]
@@ -156,18 +148,13 @@ def find_clean_inflection(sys: LineSystem, p: float, q: float) -> float:
     Requires q in F(p) strictly inside the forward half window and the
     open gap (p, q) clear of p's own component.  Each step replaces the
     interval by a half bracketed between a point of the midpoint's base
-    component and a witness of its non-cleanliness.  The search reads
-    the map only: it is not given exactly-clean points, so it never
-    takes the shortcut of three_clean_inflections.
+    component and a witness of its non-cleanliness.
     """
     return _lockstep(sys, [(False, _halving(sys, p, q))])[0]
 
 
-def _halving(sys, p, q, clean=()):
-    """The search of find_clean_inflection.  Before each midpoint, a
-    bracket holding exactly one point of clean strictly inside it, more
-    than 1e-7 from both ends, returns that point; with none or more
-    than one, it halves."""
+def _halving(sys, p, q):
+    """The search of find_clean_inflection."""
     period = sys.period
     p, q = canonical(p, period), canonical(q, period)
     if not cyclic_between(p, q, antipode(p, period), period):
@@ -186,10 +173,6 @@ def _halving(sys, p, q, clean=()):
         gap = forward_gap(lo, hi, period)
         if gap < EPS_SEARCH:
             return cyclic_midpoint(lo, hi, period)
-        held = [c for c in clean if 1e-7 < forward_gap(lo, c, period) < gap - 1e-7]
-        if len(held) == 1:
-            sys.clean_search["shortcuts"] += 1
-            return held[0]
         r = cyclic_midpoint(lo, hi, period)
         sys.clean_search["halvings"] += 1
         Fr = yield r
@@ -254,20 +237,19 @@ def clean_point_between(sys: LineSystem, base: float, contact: float) -> float:
     return _lockstep(sys, [_search_between(sys, base, contact)])[0]
 
 
-def _search_between(sys, base, contact, clean=()):
+def _search_between(sys, base, contact):
     """(rev, search) for clean_point_between: when rev is true, the
-    search runs between the reflected points, with the points of clean
-    reflected, and _lockstep reads its bases reflected."""
+    search runs between the reflected points, and _lockstep reads its
+    bases reflected."""
     period = sys.period
     base, contact = canonical(base, period), canonical(contact, period)
     rev = not cyclic_between(base, contact, sys.T(base), period)
     if rev:
         base, contact = canonical(-base, period), canonical(-contact, period)
-        clean = tuple(canonical(-c, period) for c in clean)
-    return rev, _forward_search(sys, base, contact, clean)
+    return rev, _forward_search(sys, base, contact)
 
 
-def _forward_search(sys, base, contact, clean):
+def _forward_search(sys, base, contact):
     """Halving from the far end of base's own component towards the
     contact, which lies in the forward half window of base."""
     period = sys.period
@@ -278,7 +260,7 @@ def _forward_search(sys, base, contact, clean):
             window, "sup")
     except EmptyIntersection:
         p1 = base
-    return (yield from _halving(sys, p1, contact, clean))
+    return (yield from _halving(sys, p1, contact))
 
 
 def _lockstep(sys: LineSystem, searches) -> list[float]:
@@ -337,34 +319,36 @@ def _read(sys: LineSystem, bases: dict, errors: dict) -> dict:
     return sets
 
 
-def three_clean_inflections(sys: LineSystem, clean=()) -> tuple[float, float, float]:
+def three_clean_inflections(sys: LineSystem, clean=None) -> tuple[float, float, float]:
     """Three positive clean points s1, s2, s3 with s2 in (s1, Ts1),
     s3 in (Ts1, s1) and mutually disjoint contact sets.
 
-    Once s1 and the witness u are fixed, the searches for s2 and s3 do
-    not depend on each other, so they run in lockstep.  clean holds the
-    exactly-clean inflections of the curve behind the map, each with
-    its antipode, as sphere.exact_clean_points gives them: a halving
-    whose bracket holds exactly one of them returns it, and one holding
-    none or several halves as without them.  A backward search gets
-    them reflected."""
+    Given positive clean points clean, s1 is the first of them, in
+    ascending order on [0, period), with one in (s1, Ts1) and one in
+    (Ts1, s1), and s2 and s3 are the first after s1 and after Ts1; with
+    no such s1 it raises SearchFailed before solving any base.  Without
+    clean it runs the paper's search, the searches for s2 and s3 in
+    lockstep once s1 and the witness u are fixed.  Either way each
+    point's contact set is read on its own to check the triple."""
     period = sys.period
-    sys.clean_search["exact_clean"] = len(clean) // 2
-    grid = [float(t) for t in np.linspace(0.0, period, SCAN, endpoint=False)]
-    counts = [len(F) for F in sys.F_many(grid)]
-    if max(counts) <= 2:
-        raise SearchFailed("no non-clean starting point found on the scan grid")
-    p = grid[counts.index(max(counts))]
-    s1 = _lockstep(sys, [_search_between(sys, p, _far_witness(sys, p), clean)])[0]
-
+    if clean is not None:
+        sys.clean_search["exact_clean"] = len(clean)
+        s1, s2, s3 = _placed_triple(clean, period)
+    else:
+        grid = [float(t) for t in np.linspace(0.0, period, SCAN, endpoint=False)]
+        counts = [len(F) for F in sys.F_many(grid)]
+        if max(counts) <= 2:
+            raise SearchFailed("no non-clean starting point found on the scan grid")
+        p = grid[counts.index(max(counts))]
+        s1 = _lockstep(sys, [_search_between(sys, p, _far_witness(sys, p))])[0]
+        ts1 = sys.T(s1)
+        u = _far_witness(sys, ts1)
+        if not cyclic_between(s1, u, ts1, period):
+            u = sys.T(u)
+        if not cyclic_between(s1, u, ts1, period):
+            raise SearchFailed("witness for the second search escaped (s1, Ts1)")
+        s2, s3 = _lockstep(sys, [_search_between(sys, ts1, c) for c in (u, sys.T(u))])
     ts1 = sys.T(s1)
-    u = _far_witness(sys, ts1)
-    if not cyclic_between(s1, u, ts1, period):
-        u = sys.T(u)
-    if not cyclic_between(s1, u, ts1, period):
-        raise SearchFailed("witness for the second search escaped (s1, Ts1)")
-    s2, s3 = _lockstep(sys, [_search_between(sys, ts1, c, clean) for c in (u, sys.T(u))])
-
     if not cyclic_between(s1, s2, ts1, period) or not cyclic_between(ts1, s3, s1, period):
         raise SearchFailed("clean points violate the cyclic placement")
     sets = [sys.F(s) for s in (s1, s2, s3)]
@@ -374,6 +358,19 @@ def three_clean_inflections(sys: LineSystem, clean=()) -> tuple[float, float, fl
                 raise SearchFailed(
                     f"contact sets of clean points {i + 1} and {j + 1} overlap")
     return s1, s2, s3
+
+
+def _placed_triple(clean, period):
+    """The triple three_clean_inflections picks from the points clean."""
+    pts = sorted(canonical(c, period) for c in clean)
+    for k, s1 in enumerate(pts):
+        ts1 = antipode(s1, period)
+        after = pts[k + 1:] + pts[:k]  # forward from s1
+        s2 = next((c for c in after if cyclic_between(s1, c, ts1, period)), None)
+        s3 = next((c for c in after if cyclic_between(ts1, c, s1, period)), None)
+        if s2 is not None and s3 is not None:
+            return s1, s2, s3
+    raise SearchFailed(f"no placed triple among the {len(clean)} clean points given")
 
 
 def _far_witness(sys, p):

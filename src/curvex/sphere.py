@@ -241,7 +241,7 @@ class ContactData:
     theta: float
     tangent_at_base: bool
     touches: tuple[float, ...] = ()
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = ()  # no solver sets one; bench/layertrace.py reads it
 
 
 def admissible_normal_arc(curve: ProjectiveCurve, ts):
@@ -427,22 +427,21 @@ def tangent_line_zeros(curve: ProjectiveCurve, ts):
 
 
 def exact_clean_points(curve: ProjectiveCurve, entries) -> tuple[float, ...]:
-    """The exactly-clean inflections among the crossing entries, each
-    with its antipode p + pi, sorted: the parameters p whose tangent line
-    meets the curve nowhere in (p, p + pi), from one tangent_line_zeros
-    call."""
-    ps = [e.parameter for e in entries if e.crossing]
-    met = set(tangent_line_zeros(curve, ps)[0].tolist())
-    clean = [p for k, p in enumerate(ps) if k not in met]
-    return tuple(sorted(clean + [p + math.pi for p in clean]))
+    """The exactly-clean inflections among the crossing entries, sorted:
+    the parameters p whose tangent line meets the curve nowhere in
+    (p, p + pi), from one tangent_line_zeros call, each as its positive
+    representative, p for a positive entry and p + pi for a negative one."""
+    crossing = [e for e in entries if e.crossing]
+    met = set(tangent_line_zeros(curve, [e.parameter for e in crossing])[0].tolist())
+    return tuple(sorted(e.parameter + (0.0 if e.sign > 0 else math.pi)
+                        for k, e in enumerate(crossing) if k not in met))
 
 
 def clean_inflections(curve: ProjectiveCurve, system: LineSystem,
                       entries) -> list[tuple[float, InflectionEntry]]:
-    """The three clean inflections of three_clean_inflections on the
-    curve's line system, which ends early on the exactly-clean
-    inflections among the entries, each snapped by nearest_inflection:
-    (point, entry) pairs in the order the search found them."""
+    """The three clean inflections of the Theorem, as (point, entry)
+    pairs snapped by nearest_inflection: three_clean_inflections picks
+    them from exact_clean_points and checks them on the system."""
     found = three_clean_inflections(system, clean=exact_clean_points(curve, entries))
     return [nearest_inflection(entries, s) for s in found]
 
@@ -479,18 +478,13 @@ def _divided(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     return q
 
 
-def _sets_and_warnings(found) -> tuple[list[CircularSet], list[str]]:
-    """The contact sets and the warnings of solved limits, for a line system."""
-    return [f.contact for f in found], [w for f in found for w in f.warnings]
-
-
 def contact_map(curve: ProjectiveCurve, eps_contact: float = EPS_CONTACT):
-    """bases -> (contact sets, warnings) of their limiting circles, for
-    building line systems.  A single base is solved by limiting_circle,
-    so that its name counts single solves (bench/layertrace.py traces
-    it); more bases are solved together."""
+    """bases -> contact sets of their limiting circles, for building line
+    systems.  A single base is solved by limiting_circle, so that its
+    name counts single solves (bench/layertrace.py traces it); more
+    bases are solved together."""
     def fn(ps):
         if len(ps) == 1:
-            return _sets_and_warnings([limiting_circle(curve, ps[0], eps_contact)])
-        return _sets_and_warnings(_limits(curve, ps, eps_contact))
+            return [limiting_circle(curve, ps[0], eps_contact).contact]
+        return [f.contact for f in _limits(curve, ps, eps_contact)]
     return fn

@@ -34,7 +34,6 @@ from .sphere import (
     InflectionEntry,
     ProjectiveCurve,
     _limits,
-    _sets_and_warnings,
     clean_inflections,
     nonzero_indicator,
     tangent_line_zeros,
@@ -121,7 +120,6 @@ class LimitingFunction:
     psi: TrigSeries
     contact: CircularSet
     touches: tuple[float, ...]
-    warnings: tuple[str, ...] = ()
 
 
 def _slope_family(sf: SupportFunction, p: float, s: float) -> TrigSeries:
@@ -151,8 +149,7 @@ def limiting_function(sf: SupportFunction, p: float,
         nx, ny, nz = lim.circle.normal
         s0 = float((nx * math.sin(p) - ny * math.cos(p)) / nz)
     return LimitingFunction(p, s0, _slope_family(sf, p, s0), lim.contact,
-                            tuple(sorted(canonical(t) for t in lim.touches)),
-                            lim.warnings)
+                            tuple(sorted(canonical(t) for t in lim.touches)))
 
 
 def _lift(sf: SupportFunction) -> ProjectiveCurve:
@@ -162,14 +159,14 @@ def _lift(sf: SupportFunction) -> ProjectiveCurve:
 
 
 def contact_map(sf: SupportFunction, eps_contact: float = EPS_CONTACT):
-    """bases -> (contact sets, warnings) of their limiting functions.  A
-    single base is solved by limiting_function, so that its name counts
-    single solves (bench/layertrace.py traces it); more bases are solved
+    """bases -> contact sets of their limiting functions.  A single base
+    is solved by limiting_function, so that its name counts single
+    solves (bench/layertrace.py traces it); more bases are solved
     together on the lift."""
     def fn(ps):
         if len(ps) == 1:
-            return _sets_and_warnings([limiting_function(sf, ps[0], eps_contact)])
-        return _sets_and_warnings(_limits(_lift(sf), ps, eps_contact))
+            return [limiting_function(sf, ps[0], eps_contact).contact]
+        return [f.contact for f in _limits(_lift(sf), ps, eps_contact)]
     return fn
 
 

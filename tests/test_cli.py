@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import sys
@@ -120,15 +119,13 @@ def test_axioms_sidecar_counts_contact_solves(tmp_path):
 
 
 def test_sphere_census_sidecar_counts_lockstep_steps(tmp_path):
-    # the first bracket of each search holds exactly one of curve7's 3
-    # exactly-clean inflections, so no search solves a midpoint: the 64
-    # scan bases in one call, then Ts1 for the second witness, then s1 and
-    # s2 for the disjointness check (s3 = 0 is a scan base)
+    # the triple is picked from curve7's 3 exactly-clean inflections, and
+    # the check reads the contact set of each point in its own call
     code, _ = run(tmp_path, CURVE7, "sphere-census")
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
     assert code == 0
-    assert meta["contact_solves"] == {"calls": 4, "bases": 67}
-    assert meta["clean_search"] == {"exact_clean": 3, "shortcuts": 3, "halvings": 0}
+    assert meta["contact_solves"] == {"calls": 3, "bases": 3}
+    assert meta["clean_search"] == {"exact_clean": 3, "halvings": 0}
 
 
 MIX7 = {"d": 120.0, "f": {"parity": "antiperiodic", "constant": 0.0,
@@ -310,11 +307,13 @@ def test_identity_failure_exits_1(tmp_path):
     }
     code, data = run(tmp_path, payload, "sphere-census")
     assert code == 1
-    assert "error" in data
+    # its detector keeps no interval: the census's own check of the start
+    # bases names the first without an admissible line
+    assert data["error"] == "NotAntiConvex" and data["message"].endswith("t=0.0")
 
 
 def test_sphere_census_of_a_line_says_so(tmp_path):
-    # the exactly-clean inflections are read before the search, so a
+    # the inflections are read before the clean points are picked, so a
     # curve on a line fails on its vanishing indicator
     code, data = run(tmp_path, dict(SPHERE_SIN3, z={"parity": "antiperiodic",
                                                     "constant": 0.0, "harmonics": []}),
@@ -338,33 +337,14 @@ def test_report_byte_stability(tmp_path):
                                            (WIDTH_SIN3, "flexes"),
                                            (WIDTH_SIN3, "theorem-c"),
                                            (WIDTH_SIN3, "axioms")])
-def test_contact_warnings_reach_the_sidecar(tmp_path, monkeypatch, payload, mode):
-    def sidecar(sub):
-        (tmp_path / sub).mkdir()
-        report = tmp_path / sub / "report.json"
-        main(["--input", write_input(tmp_path / sub, payload), "--mode", mode,
-              "--axiom-grid", "32", "--out-report", str(report)])
-        meta = json.loads((tmp_path / sub / "report.json.meta.json").read_text())
-        assert meta["contact_solves"]["bases"] >= meta["contact_solves"]["calls"] > 0
-        assert ("clean_search" in meta) == (mode != "axioms")
-        return report.read_bytes(), meta["contact_warnings"]
-
-    clean_report, clean = sidecar("clean")
-    assert clean == {}
-
-    # the first circle solved reports a warning
-    real, warned = sphere._limits, []
-    warning = "injected solver warning"
-
-    def limits(curve, ts, eps_contact):
-        out = real(curve, ts, eps_contact)
-        if not warned:
-            warned.append(out[0].base)
-            out[0] = dataclasses.replace(out[0], warnings=(warning,))
-        return out
-
-    monkeypatch.setattr(sphere, "_limits", limits)
-    monkeypatch.setattr(width, "_limits", limits)
-    report, warnings = sidecar("warned")
-    assert warned and warnings == {warning: 1}
-    assert report == clean_report
+def test_contact_warnings_reach_the_sidecar(tmp_path, payload, mode):
+    # no solver sets a warning, so the sidecar keeps no contact_warnings:
+    # what reaches it are the contact solves and, but for axioms, the
+    # clean search
+    report = tmp_path / "report.json"
+    main(["--input", write_input(tmp_path, payload), "--mode", mode,
+          "--axiom-grid", "32", "--out-report", str(report)])
+    meta = json.loads((tmp_path / "report.json.meta.json").read_text())
+    assert "contact_warnings" not in meta
+    assert meta["contact_solves"]["bases"] >= meta["contact_solves"]["calls"] > 0
+    assert ("clean_search" in meta) == (mode != "axioms")

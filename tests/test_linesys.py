@@ -170,80 +170,41 @@ def test_lockstep_triple_equals_the_sequential_searches(case, request):
 
 @pytest.mark.parametrize("case", LOCKSTEP_CASES)
 def test_exact_clean_points_keep_the_snapped_triple(case, request):
-    # the searches that end on an exactly-clean inflection snap to the
-    # inflections the full halvings snap to, from no more bases
+    # the picked triple is placed, made of exactly-clean points whose
+    # contact sets are their tangent circles' {s, s + pi}, read once each;
+    # where the corpus has just three such points, the plain search ends on them
     obj = request.getfixturevalue(case) if isinstance(case, str) else case
     if isinstance(obj, ProjectiveCurve):
-        curve, (plain, fast) = obj, (LineSystem(contact_map(obj)) for _ in range(2))
+        curve, (plain, picked) = obj, (LineSystem(contact_map(obj)) for _ in range(2))
     else:
-        curve, (plain, fast) = obj.lift, (width.contact_system(obj) for _ in range(2))
+        curve, (plain, picked) = obj.lift, (width.contact_system(obj) for _ in range(2))
     entries = true_inflections(curve).entries
     clean = exact_clean_points(curve, entries)
-
-    def snapped(points):
-        return [nearest_inflection(entries, s)[0] for s in points]
-
-    assert snapped(three_clean_inflections(fast, clean=clean)) == \
-        snapped(three_clean_inflections(plain))
-    assert fast.solves["bases"] <= plain.solves["bases"]
-    assert fast.clean_search["exact_clean"] == len(clean) // 2 >= 3
-    assert fast.clean_search["shortcuts"] > 0
-    assert plain.clean_search == {"exact_clean": 0, "shortcuts": 0,
-                                  "halvings": plain.clean_search["halvings"]}
-
-
-def converging_map(s):
-    """A contact map whose halvings close in on s: each base r != s,
-    at signed offset d from s, meets the curve again at s - d/2, on the
-    other side of s, and the antipodes of both."""
-    def fn(ps):
-        sets = []
-        for r in ps:
-            d = canonical(r - s + math.pi) - math.pi
-            pts = [r, s - d / 2] if d else [r]
-            sets.append(CircularSet.from_points(pts + [t + math.pi for t in pts]))
-        return sets, []
-    return fn
+    triple = three_clean_inflections(picked, clean=clean)
+    s1, s2, s3 = triple
+    assert set(triple) <= set(clean)
+    assert cyclic_between(s1, s2, picked.T(s1)) and cyclic_between(picked.T(s1), s3, s1)
+    sets = [picked.F(s) for s in triple]
+    for s, F in zip(triple, sets):
+        assert len(F) == 2 and F.contains(s, MEMBER_TOL) and F.contains(s + math.pi, MEMBER_TOL)
+    assert all(sets[i].disjoint_from(sets[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    assert picked.solves == {"calls": 3, "bases": 3}
+    assert picked.clean_search == {"exact_clean": len(clean), "halvings": 0}
+    if isinstance(case, str) and len(clean) == 3:
+        assert sorted(triple) == sorted(nearest_inflection(entries, s)[0]
+                                        for s in three_clean_inflections(plain))
 
 
-# the exactly-clean points, before their antipodes are added, of a search
-# from base b towards contact c on converging_map(1.0)
-SHORTCUT_CASES = {
-    "none": lambda b, c: [3.0],
-    "one": lambda b, c: [1.1],
-    "two": lambda b, c: [1.0 - 1e-6, 1.0 + 1e-6],
-    "near-base": lambda b, c: [b + math.copysign(5e-8, c - b)],
-    "near-contact": lambda b, c: [c - math.copysign(5e-8, c - b)],
-}
-
-
-@pytest.mark.parametrize("base, contact", [(0.5, 1.25), (1.5, 0.75)],
-                         ids=["forward", "backward"])
-@pytest.mark.parametrize("case", list(SHORTCUT_CASES))
-def test_halving_returns_the_one_clean_point_its_bracket_holds(case, base, contact):
-    # a bracket holding exactly one clean point, more than 1e-7 from its
-    # ends, returns it; none, two, or one near an end halve as without
-    # them.  The backward search runs on reflected points, so it must be
-    # given the reflected clean points to find 1.1
-    pts = SHORTCUT_CASES[case](base, contact)
-    clean = tuple(sorted(pts + [p + math.pi for p in pts]))
-
-    def search(clean):
-        sys = LineSystem(converging_map(1.0))
-        return linesys._lockstep(sys, [linesys._search_between(sys, base, contact, clean)])[0], sys
-
-    plain, plain_sys = search(())
-    s, sys = search(clean)
-    assert plain == pytest.approx(1.0, abs=1e-5)
-    assert plain_sys.clean_search["halvings"] > 5
-    if case == "one":
-        assert s == pytest.approx(1.1, abs=1e-12)
-        assert len(sys._cache) == 1  # the base's own set, no midpoint
-        assert sys.clean_search == {"exact_clean": 0, "shortcuts": 1, "halvings": 0}
-    else:
-        assert s == plain
-        assert sys._cache.keys() == plain_sys._cache.keys()
-        assert sys.clean_search == plain_sys.clean_search
+@pytest.mark.parametrize("clean", [(), (2.0,), (0.5, 2.0), (1.0, 1.0, 2.0)],
+                         ids=["none", "one", "two", "repeated"])
+def test_clean_points_without_a_placed_triple_fail(clean):
+    # three points distinct mod pi always hold a placed triple; with fewer,
+    # no point has a clean point on both sides, and SearchFailed names how
+    # many were given, before any base is solved and without searching instead
+    sys = LineSystem(lambda ps: pytest.fail(f"solved {ps}"))
+    with pytest.raises(SearchFailed, match=f"among the {len(clean)} clean points given"):
+        three_clean_inflections(sys, clean=clean)
+    assert sys.solves == {"calls": 0, "bases": 0}
 
 
 def reflect(F):
@@ -267,7 +228,7 @@ def failing_map(bad):
         hit = [p for p in ps if any(circle_dist(p, b) < 1e-9 for b in bad)]
         if hit:
             raise NoConvergence(f"no limit at {hit[0]}")
-        return [CircularSet.from_points([p]) for p in ps], []
+        return [CircularSet.from_points([p]) for p in ps]
     return fn
 
 
@@ -407,8 +368,7 @@ def test_intermediate_point_outside_window(sys3):
 
 
 def test_empty_y_raises():
-    sys = LineSystem(lambda ps: ([CircularSet.from_points([p, p + math.pi])
-                                  for p in ps], []))
+    sys = LineSystem(lambda ps: [CircularSet.from_points([p, p + math.pi]) for p in ps])
     iv = AdmissibleInterval(0.1, 0.9)
     with pytest.raises(EmptyY):
         mu_bounds(sys, iv, 0.5)
@@ -422,7 +382,7 @@ def test_axioms_pass_on_corpus(sys3, wsys_sin3):
 
 def broken(ps):
     # contact family without antipodal symmetry
-    return [CircularSet.from_points([p, p + math.pi, p + 1.0]) for p in ps], []
+    return [CircularSet.from_points([p, p + math.pi, p + 1.0]) for p in ps]
 
 
 def test_axioms_fault_injection():
@@ -527,8 +487,7 @@ def l7_lazy(sys, grid, sets, bases=6, depth=14):
 
 def one_base_per_call(fn):
     def solve(ps):
-        out = [fn([p]) for p in ps]
-        return [s for sets, _ in out for s in sets], [w for _, ws in out for w in ws]
+        return [fn([p])[0] for p in ps]
     return solve
 
 
@@ -540,7 +499,7 @@ def patchy(ps):
     for p in ps:
         arcs = [Arc(p - 0.01, 0.03)] + ([Arc.point(p + 1.0)] if math.sin(3 * p) > 0 else [])
         sets.append(CircularSet(arcs + [a.shifted(math.pi) for a in arcs]))
-    return sets, []
+    return sets
 
 
 @pytest.mark.parametrize("case", ["curve7", "sf_mix7", "patchy"])
@@ -568,8 +527,7 @@ def test_prefetch_solves_what_the_lazy_path_solves(case, request, monkeypatch):
 
 def mirrored(sys):
     """The line system whose set at p is the set of sys at -p, reflected."""
-    return LineSystem(lambda ps: ([reflect(F) for F in sys.F_many([canonical(-p) for p in ps])],
-                                  []))
+    return LineSystem(lambda ps: [reflect(F) for F in sys.F_many([canonical(-p) for p in ps])])
 
 
 _RNG5_AGAIN = np.random.default_rng(5)
@@ -680,7 +638,7 @@ def test_l4_matches_reference_on_dilated_corpus(fixture, grid_size, request):
     # p' and q' on most pairs, and the dilated sets of nearby bases
     # differ, so the array pass finds configurations and witnesses
     honest = request.getfixturevalue(fixture)
-    dilated = LineSystem(lambda ps: ([F.dilated(0.3) for F in honest.F_many(ps)], []),
+    dilated = LineSystem(lambda ps: [F.dilated(0.3) for F in honest.F_many(ps)],
                          honest.period)
     res = l4_both(dilated, grid_size)
     # both passes try every lag whose q lies less than half a period ahead
@@ -698,7 +656,7 @@ def test_l4_matches_reference_on_broken_family(grid_size):
 def test_l4_fails_on_interleaved_contacts():
     def interleaved(ps):
         return [CircularSet.from_points([p, p + 1.0, p + math.pi, p + 1.0 + math.pi])
-                for p in ps], []
+                for p in ps]
 
     rep = check_axioms(LineSystem(interleaved), grid_size=256)
     l4 = {r.axiom: r for r in rep.results}["L4"]
@@ -744,7 +702,7 @@ def test_l4_needs_two_margins_between_p1_and_the_antipode(p_off, q_arc):
             elif k == 1:
                 arcs.append(Arc(*q_arc))
             sets.append(CircularSet(arcs + [a.shifted(math.pi) for a in arcs]))
-        return sets, []
+        return sets
 
     res = l4_both(LineSystem(family), n)
     assert (res.passed, res.checked) == (True, 0)
@@ -771,7 +729,7 @@ def symmetric_families(draw):
         for p in ps:
             arcs = [Arc(p - back, back + ahead)] + [Arc(p + d, w) for d, w in contacts]
             sets.append(CircularSet(arcs + [a.shifted(math.pi) for a in arcs]))
-        return sets, []
+        return sets
 
     return n, family
 

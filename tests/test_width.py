@@ -206,14 +206,18 @@ def test_clean_flexes_of_mix7(sf_mix7):
 
 
 def test_exact_clean_points_of_mix7(sf_mix7):
-    # the crossing at pi/3 is not clean; the three clean flexes are, and
-    # each point comes with its antipode
-    clean = exact_clean_points(sf_mix7.lift, true_inflections(sf_mix7.lift).entries)
-    half = clean[:len(clean) // 2]
-    assert clean[len(half):] == tuple(t + math.pi for t in half)
-    assert all(is_clean(sf_mix7, t) for t in half)
-    assert not any(abs(t - PI3) < 1e-9 for t in half)
-    assert set(clean_flexes(sf_mix7).points) <= set(half)
+    # the crossing at pi/3 is not clean; the three clean flexes are, each
+    # as its positive representative: the flex, or the flex + pi for a
+    # negative one
+    entries = true_inflections(sf_mix7.lift).entries
+    flex_of = {e.parameter + (0.0 if e.sign > 0 else math.pi): e.parameter
+               for e in entries if e.crossing}
+    clean = exact_clean_points(sf_mix7.lift, entries)
+    assert clean == tuple(sorted(clean)) and set(clean) <= flex_of.keys()
+    flexes = [flex_of[t] for t in clean]
+    assert all(is_clean(sf_mix7, t) for t in flexes)
+    assert not any(abs(t - PI3) < 1e-9 for t in flexes)
+    assert set(clean_flexes(sf_mix7).points) <= set(flexes)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
