@@ -529,20 +529,20 @@ def census_report(kind: str, flexes, detection: DetectionResult,
 
 def census(curve: ProjectiveCurve, system: LineSystem | None = None) -> CensusReport:
     """Counts of independent inflections and double tangents with the
-    identity check i - 2*delta = 3.  Given the curve's line system, the
-    report also carries, sorted, the three clean inflections that
-    sphere.clean_inflections picks and checks on it.  Before them, one
-    admissible_normal_arc call on the SCAN bases of the system's search
-    grid checks anti-convexity, which the detector checks only at the
-    intervals it keeps: the first base without an arc raises
-    NotAntiConvex.  A support's lift needs no such check, as the great
-    circle through the pole meets it only at the base and its antipode."""
+    identity check i - 2*delta = 3.  The detector checks anti-convexity
+    only at the intervals it keeps; after it, one admissible_normal_arc
+    call on SCAN bases, those of linspace(0, 2 pi, SCAN) keyed as a line
+    system keys them, checks it with or without a line system: the first
+    base without an arc raises NotAntiConvex.  Given the curve's line
+    system, the report also carries, sorted, the three clean inflections
+    that sphere.clean_inflections picks and checks on it.  A support's
+    lift needs no such check, as the great circle through the pole meets
+    it only at the base and its antipode."""
     flexes = [e for e in true_inflections(curve).entries if e.crossing]
-    clean = []
-    if system is not None:
-        grid = [system._key(t) for t in np.linspace(0.0, system.period, SCAN, endpoint=False)]
-        for t, (arc, _) in zip(grid, admissible_normal_arc(curve, grid)):
-            if arc is None:
-                raise NotAntiConvex(t)
-        clean = sorted(t for t, _ in clean_inflections(curve, system, flexes))
-    return census_report("sphere-census", flexes, detect_double_tangents(curve), clean)
+    found = detect_double_tangents(curve)
+    grid = [round(canonical(t), 12) for t in np.linspace(0.0, TWO_PI, SCAN, endpoint=False)]
+    for t, (arc, _) in zip(grid, admissible_normal_arc(curve, grid)):
+        if arc is None:
+            raise NotAntiConvex(t)
+    clean = [] if system is None else sorted(t for t, _ in clean_inflections(curve, system, flexes))
+    return census_report("sphere-census", flexes, found, clean)

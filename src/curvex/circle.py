@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -196,10 +197,9 @@ def admissible_arcs(A: np.ndarray, B: np.ndarray) -> list[Arc | None]:
 class CircularSet:
     """A closed subset of the circle: pairwise-disjoint maximal arcs, held
     as spans, the (start, length) floats of their Arcs, sorted by start;
-    Arc objects are built only when asked for.  Sets are immutable, so a
-    set keeps its last dilation, which the comparisons ask for again."""
+    Arc objects are built only when asked for."""
 
-    __slots__ = ("spans", "period", "_dilation")
+    __slots__ = ("spans", "period")
 
     def __init__(self, arcs: Sequence[Arc], period: float = TWO_PI, merge_tol: float = EPS_GROUP):
         arcs = [a for a in arcs if a is not None]
@@ -273,13 +273,8 @@ class CircularSet:
         return self.shifted(0.5 * self.period)
 
     def dilated(self, eps: float) -> "CircularSet":
-        # the slot is set on the first dilation only
-        last = getattr(self, "_dilation", None)
-        if last is None or last[0] != eps:
-            last = self._dilation = (eps, CircularSet._of(
-                [(canonical(s - eps, self.period), min(n + 2.0 * eps, self.period))
-                 for s, n in self.spans], self.period, EPS_GROUP))
-        return last[1]
+        return CircularSet._of([(canonical(s - eps, self.period), min(n + 2.0 * eps, self.period))
+                                for s, n in self.spans], self.period, EPS_GROUP)
 
     def intersect_window(self, window: Arc) -> list[Arc]:
         out: list[Arc] = []
@@ -357,33 +352,121 @@ def _holds(start: float, length: float, t: float, tol: float, period: float) -> 
 
 def _merge(spans, period: float, merge_tol: float) -> tuple[tuple[float, float], ...]:
     """Canonical (start, length) spans merged into sorted maximal ones,
-    joining those at most merge_tol apart."""
+    joining those at most merge_tol apart: a linear pass over the sorted
+    [start, unwrapped end] pairs, and while the last run reaches round to
+    the first, a join at the seam and another pass."""
     if any(n >= period - EPS_ANGLE for _, n in spans):
         return ((0.0, period),)
-    items = sorted([s, s + n] for s, n in spans)
-    # merging around the wrap can create new adjacencies at the seam, so
-    # iterate the linear + wraparound passes to a fixpoint
-    for _ in range(len(items) + 2):
-        merged: list[list[float]] = []  # [start, end_unwrapped]
-        for s, e in items:
-            if merged and s <= merged[-1][1] + merge_tol:
-                merged[-1][1] = max(merged[-1][1], e)
-            else:
-                merged.append([s, e])
-        wrapped = False
-        if len(merged) > 1 and merged[0][0] + period <= merged[-1][1] + merge_tol:
-            merged[0][0] = merged[-1][0] - period
-            merged[0][1] = max(merged[0][1], merged[-1][1] - period)
-            merged.pop()
-            wrapped = True
-        if len(merged) == len(items) and not wrapped:
-            items = merged
-            break
-        items = sorted(merged)
-    out = []
+    items = _runs(sorted([s, s + n] for s, n in spans), merge_tol)
+    while len(items) > 1 and items[0][0] + period <= items[-1][1] + merge_tol:
+        s, e = items.pop()
+        items = _runs([[s - period, max(items[0][1], e - period)]] + items[1:], merge_tol)
+    if any(e - s >= period - merge_tol for s, e in items):
+        return ((0.0, period),)
+    return tuple(sorted(((canonical(s, period), e - s) for s, e in items), key=lambda a: a[0]))
+
+
+def _runs(items, merge_tol: float) -> list[list[float]]:
+    """One linear pass of _merge: each run of sorted items that start at
+    most merge_tol past the running end, as [start, end]."""
+    runs: list[list[float]] = []
     for s, e in items:
-        if e - s >= period - merge_tol:
-            return ((0.0, period),)
-        out.append((canonical(s, period), e - s))
-    out.sort(key=lambda a: a[0])
-    return tuple(out)
+        if runs and s <= runs[-1][1] + merge_tol:
+            runs[-1][1] = max(runs[-1][1], e)
+        else:
+            runs.append([s, e])
+    return runs
+
+
+# -- span tables: many sets as arrays, one set per row ----------------------
+#
+# A table is a pair (start, length) of (rows, width >= 1) arrays, each
+# row's spans padded with NaN at its end.  Each *_rows function does what
+# the method or helper it names does to each row's set, with the same
+# float operations, so it gives the same floats and answers.
+
+
+def span_table(sets) -> tuple[np.ndarray, np.ndarray]:
+    """The spans of the sets, one row each."""
+    spans = [s.spans for s in sets]
+    counts = np.fromiter(map(len, spans), int, len(spans))
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(spans)), float, 2 * counts.sum())
+    tab = np.full((2, len(spans), max(1, counts.max(initial=0))), math.nan)
+    cols = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    tab[:, np.repeat(np.arange(len(spans)), counts), cols] = flat.reshape(-1, 2).T
+    return tab[0], tab[1]
+
+
+def holds_rows(start, length, t, tol: float, period: float) -> np.ndarray:
+    """_holds elementwise over broadcast arrays."""
+    off = canonicals(t - start, period)
+    return (length >= period - EPS_ANGLE) | (off <= length + tol) | (off >= period - tol)
+
+
+def merged_rows(start, length, period: float, merge_tol: float):
+    """_merge on every row: a linear pass keeps a running max of the sorted
+    ends, and a row whose last run reaches round to its first joins them
+    at the seam and passes again."""
+    order = np.argsort(start, axis=1, kind="stable")
+    s = np.take_along_axis(start, order, axis=1)
+    e = s + np.take_along_axis(length, order, axis=1)
+    full, rows = np.any(length >= period - EPS_ANGLE, axis=1), np.arange(len(s))
+    while True:
+        valid = ~np.isnan(s)
+        reach = np.maximum.accumulate(np.where(valid, e, -math.inf), axis=1)
+        new = valid.copy()
+        new[:, 1:] &= ~(s[:, 1:] <= reach[:, :-1] + merge_tol)
+        last = valid & np.append(new[:, 1:] | ~valid[:, 1:], np.ones((len(s), 1), bool), axis=1)
+        run = np.cumsum(new, axis=1) - 1
+        runs = np.full((2, len(s), max(1, run[:, -1].max(initial=0) + 1)), math.nan)
+        runs[0][new.nonzero()[0], run[new]] = s[new]
+        runs[1][last.nonzero()[0], run[last]] = reach[last]
+        (s, e), k = runs, run[:, -1]  # k: each row's last run
+        seam = (k > 0) & (s[:, 0] + period <= e[rows, k] + merge_tol)
+        if not seam.any():
+            break
+        r, k = rows[seam], k[seam]
+        s[r, 0], e[r, 0] = s[r, k] - period, np.maximum(e[r, 0], e[r, k] - period)
+        s[r, k] = e[r, k] = math.nan
+    full |= np.any(e - s >= period - merge_tol, axis=1)
+    start, length = canonicals(s, period), e - s
+    order = np.argsort(start, axis=1, kind="stable")
+    s, length = np.take_along_axis(start, order, axis=1), np.take_along_axis(length, order, axis=1)
+    s[full], length[full] = math.nan, math.nan
+    s[full, 0], length[full, 0] = 0.0, period
+    return s, length
+
+
+def dilated_rows(tab, eps: float, period: float):
+    """CircularSet.dilated on every row."""
+    return merged_rows(canonicals(tab[0] - eps, period), np.minimum(tab[1] + 2.0 * eps, period),
+                       period, EPS_GROUP)
+
+
+def projected_rows(tab, period: float):
+    """CircularSet.project_half on every row."""
+    return merged_rows(canonicals(tab[0], 0.5 * period), tab[1], 0.5 * period, EPS_GROUP)
+
+
+def contained_rows(tab, fat, period: float) -> np.ndarray:
+    """CircularSet.contained_in on every row, given fat, the other table
+    already dilated."""
+    (s, n), (b, m) = tab, fat
+    count = np.count_nonzero(~np.isnan(b), axis=1)[:, None]
+    k = np.count_nonzero(b[:, None, :] <= s[:, :, None], axis=2) - 1
+    k = np.where(k < 0, count - 1, k)
+    inside = np.isnan(s)
+    for j in (k, (k + 1) % np.maximum(count, 1)):
+        bj, mj = np.take_along_axis(b, j, axis=1), np.take_along_axis(m, j, axis=1)
+        off = canonicals(s - bj, period)
+        inside |= (mj >= period - EPS_ANGLE) | (off <= mj + EPS_ANGLE) & (off + n <= mj + EPS_ANGLE)
+    return inside.all(axis=1)
+
+
+def equal_rows(a, b, tol: float, period: float) -> tuple[np.ndarray, np.ndarray]:
+    """CircularSet.set_equal on every row, and which rows had a dilation
+    that joined components."""
+    fat_a, fat_b = dilated_rows(a, tol, period), dilated_rows(b, tol, period)
+    joined = [np.count_nonzero(~np.isnan(f[0]), axis=1) < np.count_nonzero(~np.isnan(x[0]), axis=1)
+              for x, f in ((a, fat_a), (b, fat_b))]
+    return contained_rows(a, fat_b, period) & contained_rows(b, fat_a, period), joined[0] | joined[1]

@@ -32,9 +32,17 @@ from .circle import (
     canonical,
     canonicals,
     circle_dist,
+    circle_dists,
+    contained_rows,
     cyclic_between,
     cyclic_midpoint,
+    dilated_rows,
+    equal_rows,
     forward_gap,
+    holds_rows,
+    merged_rows,
+    projected_rows,
+    span_table,
 )
 from .errors import (
     AxiomViolation,
@@ -528,10 +536,11 @@ def check_axioms(sys: LineSystem, grid_size: int = 256) -> AxiomReport:
     """Extensional check of the seven contact-family axioms on a grid of
     a positive even size, so that every grid point's antipode is on it.
 
-    The grid is solved in one contact-map call.  Sampled configurations
-    only: the order axiom runs over lagged pairs, as arrays, the
-    closedness axiom over grid-refinement sequences.  Failures are
-    collected with witnesses instead of raised.
+    The grid is solved in one contact-map call, and L1 and L3 to L6 read
+    its sets as one span table, in array passes.  Sampled configurations
+    only: the order axiom runs over lagged pairs, the closedness axiom
+    over grid-refinement sequences.  Failures are collected with
+    witnesses instead of raised.
     """
     if grid_size < 2 or grid_size % 2:
         raise ValueError(f"the axiom grid must have a positive even size, got {grid_size}")
@@ -551,12 +560,9 @@ def check_axioms(sys: LineSystem, grid_size: int = 256) -> AxiomReport:
 
 
 def _check_l1(sys, grid, sets):
-    res = AxiomResult("L1", True, len(grid))
-    for p in grid:
-        if not sets[p].contains(p, MEMBER_TOL):
-            res.passed = False
-            res.witnesses.append({"p": p})
-    return res
+    found = _own_rows(span_table([sets[p] for p in grid]), np.array(grid), sys.period)[0]
+    return AxiomResult("L1", bool(found.all()), len(grid),
+                       [{"p": p} for p, ok in zip(grid, found) if not ok])
 
 
 def _check_l2(sys, grid, sets):
@@ -572,11 +578,15 @@ def _check_l2(sys, grid, sets):
 
 
 def _check_l3(sys, grid, sets):
-    res = AxiomResult("L3", True, len(grid))
-    for p in grid:
-        if not sets[p].set_equal(sets[p].antipodal_image(), SET_TOL):
-            res.passed = False
-            res.witnesses.append({"p": p})
+    """Antipodal symmetry: every grid set equals its half-turn image, all
+    rows in one array pass."""
+    period = sys.period
+    start, length = tab = span_table([sets[p] for p in grid])
+    turned = merged_rows(canonicals(start + 0.5 * period, period), length, period, 0.0)
+    equal, joined = equal_rows(tab, turned, SET_TOL, period)
+    res = AxiomResult("L3", bool(equal.all()), len(grid),
+                      [{"p": grid[i]} for i in np.flatnonzero(~equal)])
+    res.counts = {"rows": len(grid), "merged": int(joined.sum())}
     return res
 
 
@@ -609,15 +619,12 @@ def _check_l4(sys, grid, sets):
     """The order axiom as a counterexample search over lagged pairs, in
     both orientations: every configuration _l4_configs finds must have
     F(p) = F(q).  Each lag is one array step over the bases of both
-    passes; set_equal then runs on the configurations found, ascending
-    pass first, then by base, then by lag."""
+    passes; the sets of the configurations found are then compared in one
+    more, and witnesses come ascending pass first, then by base and lag."""
     res = AxiomResult("L4", True, 0)
     period, half, n = sys.period, 0.5 * sys.period, len(grid)
     # every set's spans, one row per base, padded with NaN: no test keeps it
-    spans = [sets[p].spans for p in grid]
-    w = max(map(len, spans))
-    start, length = np.moveaxis(np.reshape(
-        [list(s) + [(math.nan, math.nan)] * (w - len(s)) for s in spans], (n, w, 2)), 2, 0)
+    start, length = tab = span_table([sets[p] for p in grid])
     # rows 0 .. n-1 are the ascending pass, on the grid in order, and rows
     # n .. 2n-1 the descending one: the ascending pass on the reflected
     # bases -p, sorted, whose forward offsets are the backward offsets of
@@ -633,76 +640,102 @@ def _check_l4(sys, grid, sets):
     # part of it just after the base is kept
     lo, length = np.concatenate([lo, lo - period], axis=1), np.tile(length[src], 2)
     keep = (lo + length >= 0.0) & (lo <= half)
-    tab = (np.where(keep, np.maximum(lo, 0.0), math.inf),
-           np.where(keep, np.minimum(lo + length, half), -math.inf))
+    offs = (np.where(keep, np.maximum(lo, 0.0), math.inf),
+            np.where(keep, np.minimum(lo + length, half), -math.inf))
     rows, found = np.arange(2 * n), []
     for lag in L4_LAGS:
         nxt = rows - rows % n + (rows + lag) % n  # q, in the pass of p
         g = canonicals(bases[nxt] - bases, period)
-        ok, p1, q1 = _l4_configs(tab, (tab[0][nxt], tab[1][nxt]), g, MARGIN, half)
+        ok, p1, q1 = _l4_configs(offs, (offs[0][nxt], offs[1][nxt]), g, MARGIN, half)
         found.append((g < half, ok & (g < half), p1, q1))
     tried, ok, p1, q1 = (np.stack(x, axis=1) for x in zip(*found))
-    for i, k in zip(*np.nonzero(ok)):
-        j = i - i % n + (i + L4_LAGS[k]) % n
-        res.checked += 1
-        if not sets[grid[src[i]]].set_equal(sets[grid[src[j]]], SET_TOL):
-            res.passed = False
-            if len(res.witnesses) < 3:
-                p = float(bases[i])
-                res.witnesses.append(
-                    {"p": p, "q": float(bases[j]), "p1": canonical(p + float(p1[i, k]), period),
-                     "q1": canonical(p + float(q1[i, k]), period),
-                     "pass": "asc" if i < n else "desc"})
+    i, k = np.nonzero(ok)
+    j = i - i % n + (i + np.take(L4_LAGS, k)) % n
+    equal, _ = equal_rows((tab[0][src[i]], tab[1][src[i]]), (tab[0][src[j]], tab[1][src[j]]),
+                          SET_TOL, period)
+    res.checked, res.passed = len(i), bool(equal.all())
+    bad = np.flatnonzero(~equal)[:3]
+    for row, lag, other in zip(i[bad], k[bad], j[bad]):
+        p = float(bases[row])
+        res.witnesses.append(
+            {"p": p, "q": float(bases[other]), "p1": canonical(p + float(p1[row, lag]), period),
+             "q1": canonical(p + float(q1[row, lag]), period),
+             "pass": "asc" if row < n else "desc"})
     res.counts = {"tried": int(np.count_nonzero(tried)), "checked": res.checked}
     return res
 
 
+def _own_rows(tab, bases, period):
+    """The component of each row's set that _own_component picks for the
+    row's base: (found, start, length)."""
+    start, length = tab
+    holds = holds_rows(start, length, bases[:, None], MEMBER_TOL, period)
+    k = np.argmax(holds, axis=1)[:, None]
+    return (holds.any(axis=1), np.take_along_axis(start, k, axis=1)[:, 0],
+            np.take_along_axis(length, k, axis=1)[:, 0])
+
+
+def _clean_rows(tab, bases, period):
+    """LineSystem.is_positive_clean on every row, where a set that misses
+    its base is not clean."""
+    found, start, length = _own_rows(tab, bases, period)
+    own = projected_rows(merged_rows(start[:, None], length[:, None], period, EPS_GROUP), period)
+    inside = contained_rows(projected_rows(tab, period), dilated_rows(own, CLEAN_TOL, 0.5 * period),
+                            0.5 * period)
+    return found & (tab[1][:, 0] < period - EPS_ANGLE) & inside
+
+
 def _check_l5(sys, grid, sets):
-    res = AxiomResult("L5", True, 0)
-    clean = {}  # T(p) is mostly a grid point itself: classify each point once
-
-    def is_clean(p):
-        if p not in clean:
-            clean[p] = sys.is_positive_clean(p)
-        return clean[p]
-
-    for p in grid:
-        if is_clean(p):
-            res.checked += 1
-            if is_clean(sys.T(p)):
-                res.passed = False
-                res.witnesses.append({"p": p})
+    """The clean-point axiom: no clean p with T(p) clean.  Every grid row
+    is classified in one array pass, and T(p) read by index, as the grid
+    holds the antipode of each of its points; where the system keys T(p)
+    apart from that point, the sets of those T(p) are read in one call and
+    classified as rows of their own.  A set that misses its base is not
+    clean: L1 reports it."""
+    period, n = sys.period, len(grid)
+    clean = _clean_rows(span_table([sets[p] for p in grid]), np.array(grid), period)
+    asked = np.flatnonzero(clean)
+    opposite = (asked + n // 2) % n
+    far = sys.F_many([sys.T(grid[i]) for i in asked])
+    far_clean = clean[opposite]
+    odd = [k for k, F in enumerate(far) if F is not sets[grid[opposite[k]]]]
+    if odd:
+        far_clean[odd] = _clean_rows(span_table([far[k] for k in odd]),
+                                     np.array([sys.T(grid[asked[k]]) for k in odd]), period)
+    res = AxiomResult("L5", not far_clean.any(), len(asked),
+                      [{"p": grid[i]} for i in asked[far_clean]])
+    res.counts = {"rows": n + len(odd)}
     return res
 
 
 def _check_l6(sys, grid, sets):
-    res = AxiomResult("L6", True, 0)
-    period = sys.period
-    pairs = []  # (p, rep): a point of p's base component away from p
-    for p in grid:
-        comp = sets[p].component_containing(p, MEMBER_TOL)
-        if comp is not None:
-            pairs += [(p, rep) for rep in (comp.start, comp.end, comp.midpoint)
-                      if circle_dist(rep, p, period) > MARGIN]
-    for (p, rep), F in zip(pairs, sys.F_many([rep for _, rep in pairs])):
-        res.checked += 1
-        if not F.set_equal(sets[p], SET_TOL):
-            res.passed = False
-            if len(res.witnesses) < 3:
-                res.witnesses.append({"p": p, "q": rep, "direction": "forward"})
-    n = len(grid)
-    for i in range(n):
-        for j in range(i + 1, min(i + 4, n)):
-            p, q = grid[i], grid[j]
-            if circle_dist(p, q, period) <= MARGIN:
-                continue
-            if sets[p].set_equal(sets[q], SET_TOL):
-                res.checked += 1
-                comp = sets[p].component_containing(p, MEMBER_TOL)
-                if comp is None or not comp.contains(q, SET_TOL):
-                    res.passed = False
-                    if len(res.witnesses) < 3:
-                        res.witnesses.append({"p": p, "q": q, "direction": "reverse"})
+    """The component axiom.  Forward: every point of a base component
+    farther than MARGIN from its base (its ends and middle) has the set of
+    the base; their sets are read in one call.  Reverse: grid neighbours
+    up to 3 apart with equal sets lie in one component.  Each part is one
+    array pass over its rows; witnesses come forward first, in order,
+    then by base and lag."""
+    period, n = sys.period, len(grid)
+    base = np.array(grid)
+    start, length = tab = span_table([sets[p] for p in grid])
+    found, own, size = _own_rows(tab, base, period)
+    reps = np.stack([own, canonicals(own + size, period), canonicals(own + 0.5 * size, period)], 1)
+    far = found[:, None] & (circle_dists(reps, base[:, None], period) > MARGIN)
+    rows, qs = np.nonzero(far)[0], reps[far].tolist()
+    forward, joined = equal_rows(span_table(sys.F_many(qs)), (start[rows], length[rows]),
+                                 SET_TOL, period)
+    i = np.repeat(np.arange(n), 3)
+    j = i + np.tile([1, 2, 3], n)
+    i, j = i[j < n], j[j < n]
+    apart = circle_dists(base[i], base[j], period) > MARGIN
+    i, j = i[apart], j[apart]
+    equal, joined_ij = equal_rows((start[i], length[i]), (start[j], length[j]), SET_TOL, period)
+    off = equal & ~(found[i] & holds_rows(own[i], size[i], base[j], SET_TOL, period))
+    bad = [{"p": grid[r], "q": q, "direction": "forward"}
+           for r, q, ok in zip(rows, qs, forward) if not ok]
+    bad += [{"p": grid[r], "q": grid[c], "direction": "reverse"} for r, c in zip(i[off], j[off])]
+    res = AxiomResult("L6", not bad, len(qs) + int(equal.sum()), bad[:3])
+    res.counts = {"rows": len(qs) + len(i), "merged": int(joined.sum() + joined_ij.sum())}
     return res
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,10 +32,10 @@ from .trig import (
     TrigSeries,
     VectorSeries,
     circle_zeros,
+    companion_roots,
     isolate_sign_changes,
     laurent_rows,
     triple_product,
-    unit_circle_roots,
 )
 
 EPS_CONTACT = 1e-8
@@ -389,9 +389,11 @@ def _exact_arcs(curve, ts, frames, rows, A, B):
     none, from the side values A = nu . F / |F|, B = that . F / |F| at
     their zeros of T_t (rows index ts).  Along the forward arc (A, B)
     leaves and returns along (0, 1) and turns only at the zeros, but may
-    wind once round between two; so an arc holds when its middle circle,
-    n . F in y = exp(2is), has no unit_circle_roots in the open arc
-    (t + 1e-6, t + pi - 1e-6)."""
+    wind once round between two; so an arc holds when its middle circle
+    n . F has no zero t + x, |Im x| < 5e-4, Re x in (1e-6, pi - 1e-6).
+    Over cos^M(x), n . F is a real polynomial in u = tan(x) with the same
+    zeros, but for x = pi/2, where its degree drops; its zero u = 0 at
+    the base, where n . F(t) is rounding, is divided out."""
     nu, that = frames
     col = np.arange(len(rows)) - np.searchsorted(rows, rows)
     a, b = np.zeros((2, len(ts), int(col.max(initial=0)) + 2))
@@ -401,9 +403,28 @@ def _exact_arcs(curve, ts, frames, rows, A, B):
                               for arc in admissible_arcs(a, b)]).reshape(-1, 2).T
     mid = start + 0.5 * length
     n_mid = np.cos(mid)[:, None] * nu + np.sin(mid)[:, None] * that
-    met, off = unit_circle_roots(n_mid @ laurent_rows(curve.F.components)[:, ::2], ts, 2)
-    length[met[(off > 1e-6) & (off < math.pi - 1e-6)]] = -1.0
+    # F has odd harmonics only: column m of Q is exp(i(2m - M)s)
+    Q = n_mid @ laurent_rows(curve.F.components)[:, ::2]
+    M = Q.shape[1] - 1
+    met, u, degree = companion_roots(
+        ((Q * np.exp(1j * (2 * np.arange(M + 1) - M) * ts[:, None])) @ _tan_basis(M)).real[:, 1:])
+    with np.errstate(divide="ignore", invalid="ignore"):  # u = +-i is no zero
+        x = np.arctan(u)
+    off = x.real % math.pi
+    length[met[(np.abs(x.imag) < 5e-4) & (off > 1e-6) & (off < math.pi - 1e-6)]] = -1.0
+    length[degree < M - 1] = -1.0
     return start, length
+
+
+@lru_cache
+def _tan_basis(M: int) -> np.ndarray:
+    """Row m: exp(i(2m - M)x) / cos^M(x) = (1 + iu)^m (1 - iu)^(M - m) as
+    coefficients of u^0 .. u^M, u = tan(x)."""
+    basis = np.array([np.convolve([math.comb(m, a) * 1j ** a for a in range(m + 1)],
+                                  [math.comb(M - m, b) * (-1j) ** b for b in range(M - m + 1)])
+                      for m in range(M + 1)])
+    basis.flags.writeable = False  # shared by every call
+    return basis
 
 
 def _interior_zeros(curve: ProjectiveCurve, ts: np.ndarray, Ft: np.ndarray):

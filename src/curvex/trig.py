@@ -372,13 +372,12 @@ def laurent_rows(series: Sequence[TrigSeries], step: int = 1) -> np.ndarray:
     return out
 
 
-def unit_circle_roots(P: np.ndarray, origin: np.ndarray,
-                      step: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The roots y = exp(i*step*t), |log|y|| < 1e-3, of each row of P
-    (coefficients of y^0 .. y^N) as unpolished flat arrays (row, t -
-    origin in [0, 2*pi/step)): companion eigenvalues, one eigvals call
-    per degree once leading coefficients below 1e-14 of a row's largest
-    are dropped (J. P. Boyd, J. Eng. Math. 56 (2006) 203-219)."""
+def companion_roots(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The roots of each row of P (coefficients of y^0 .. y^N, real or
+    complex) as flat arrays (row, root), and each row's degree: companion
+    eigenvalues, one eigvals call per degree once leading coefficients
+    below 1e-14 of a row's largest are dropped (J. P. Boyd, J. Eng. Math.
+    56 (2006) 203-219)."""
     N = P.shape[1] - 1
     mag = np.abs(P)
     big = mag > 1e-14 * mag.max(axis=1, initial=0.0)[:, None]
@@ -386,16 +385,12 @@ def unit_circle_roots(P: np.ndarray, origin: np.ndarray,
     rows, zs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
     for D in np.unique(degree[degree > 0]):
         sel = np.nonzero(degree == D)[0]
-        companion = np.zeros((len(sel), D, D), dtype=complex)
+        companion = np.zeros((len(sel), D, D), dtype=P.dtype)
         companion[:, np.arange(1, D), np.arange(D - 1)] = 1.0
         companion[:, :, -1] = -P[sel, :D] / P[sel, D:D + 1]
         rows.append(np.repeat(sel, D))
         zs.append(np.linalg.eigvals(companion).ravel())
-    rows, z = np.concatenate(rows), np.concatenate(zs)
-    r = np.abs(z)
-    keep = (r > math.exp(-1e-3)) & (r < math.exp(1e-3))
-    rows, z = rows[keep], z[keep]
-    return rows, ((np.angle(z) - step * origin[rows]) % TWO_PI) / step
+    return np.concatenate(rows), np.concatenate(zs), degree
 
 
 def circle_zeros(P: np.ndarray, scale: np.ndarray, origin: np.ndarray,
@@ -404,7 +399,8 @@ def circle_zeros(P: np.ndarray, scale: np.ndarray, origin: np.ndarray,
     for each row of P (coefficients of y^0 .. y^N): flat arrays (row, t,
     multiplicity) sorted by row, then by t - origin in [0, 2*pi/step).
 
-    The zeros start from unit_circle_roots.  An m-fold zero splits into m
+    The zeros start from the companion_roots y = exp(i*step*t) with
+    |log|y|| < 1e-3, unpolished.  An m-fold zero splits into m
     eigenvalues about eps^(1/m) apart, so those whose offsets from the
     origin (where no zero may lie) are within 1e-4 form one zero.  A
     pair is two simple zeros, each bounded by its half of the cluster,
@@ -414,7 +410,9 @@ def circle_zeros(P: np.ndarray, scale: np.ndarray, origin: np.ndarray,
     1e-4 or more or one leaving its bounds (not taken), at one of at
     most 1e-15, or after 16 steps."""
     N = P.shape[1] - 1
-    rows, off = unit_circle_roots(P, origin, step)
+    rows, z, _ = companion_roots(P)
+    keep = (np.abs(z) > math.exp(-1e-3)) & (np.abs(z) < math.exp(1e-3))
+    rows, off = rows[keep], ((np.angle(z[keep]) - step * origin[rows[keep]]) % TWO_PI) / step
     order = np.lexsort((off, rows))
     rows, off = rows[order], off[order]
     first = np.ones(len(off), dtype=bool)

@@ -1,3 +1,4 @@
+import json
 import math
 import types
 
@@ -25,6 +26,7 @@ from curvex.census import (
     tangent_pairs,
 )
 from curvex.circle import canonical, circle_dist, forward_gap
+from curvex.cli import main
 from curvex.errors import DegenerateChord, NotAntiConvex
 from curvex.sphere import (
     ProjectiveCurve,
@@ -346,12 +348,17 @@ def chart_middle(iv: DoubleTangentInterval) -> float:
     return canonical(iv.b + 0.5 * forward_gap(iv.b, iv.a + math.pi))
 
 
+def chart_curve():
+    """A curve that is not anti-convex, whose detector keeps an interval."""
+    return ProjectiveCurve(VectorSeries(cos_series(1), sin_series(1) + cos_series(3, 0.7),
+                                        sin_series(3, 0.05) + sin_series(5, 0.05)))
+
+
 class TestChartCheck:
     def test_census_raises_where_a_chord_has_no_chart(self):
         # an interval passes the filters, but at the middle of its
         # complementary arc no line meets the curve only once
-        curve = ProjectiveCurve(VectorSeries(cos_series(1), sin_series(1) + cos_series(3, 0.7),
-                                             sin_series(3, 0.05) + sin_series(5, 0.05)))
+        curve = chart_curve()
         with pytest.raises(NotAntiConvex) as err:
             census(curve)
         t = err.value.t
@@ -360,6 +367,26 @@ class TestChartCheck:
         nu, that = curve.frame(t)
         P = curve.lift_many(t + np.linspace(0.0, math.pi, 2 ** 16 + 2)[1:-1])
         assert admissible_angles(P @ nu, P @ that) is None
+
+    def test_census_without_a_system_checks_anti_convexity(self):
+        # the detector of this warped curve keeps no interval, so only the
+        # start bases can see that it is not anti-convex
+        warped = ProjectiveCurve(VectorSeries(cos_series(1), sin_series(1) + cos_series(3, 0.7),
+                                              sin_series(3, 0.05)))
+        with pytest.raises(NotAntiConvex) as err:
+            census(warped)
+        assert err.value.t == 0.0
+
+    def test_truncate_checks_the_lower_cut(self, tmp_path):
+        # the lower cut at n = 2 is the warped curve above; truncate
+        # censuses it first and stops at its first start base, not at
+        # the detector's chart check of the upper cut (t = 3.2058)
+        path, report = tmp_path / "chart.json", tmp_path / "report.json"
+        path.write_text(json.dumps(chart_curve().F.to_json()))
+        code = main(["--input", str(path), "--mode", "truncate", "--truncate-n", "2",
+                     "--out-report", str(report)])
+        data = json.loads(report.read_text())
+        assert code == 1 and data["error"] == "NotAntiConvex" and data["message"].endswith("t=0.0")
 
     @pytest.mark.parametrize("fixture", ["curve5", "curve7", "sf_mix7", "curve7_gl3"])
     def test_detected_chords_lie_inside_their_charts(self, fixture, request):

@@ -13,11 +13,18 @@ from curvex.circle import (
     TWO_PI,
     antipode,
     canonical,
+    canonicals,
     circle_dist,
+    contained_rows,
     cyclic_between,
     cyclic_midpoint,
     cyclic_runs,
+    dilated_rows,
+    equal_rows,
     forward_gap,
+    merged_rows,
+    projected_rows,
+    span_table,
 )
 from curvex.errors import EmptyIntersection
 
@@ -429,3 +436,55 @@ def test_set_algebra_matches_the_arc_reference(arcs, other_arcs, delta):
             hit = next((a for a in ref.arcs if _ref_contains(a, t, tol)), None)
             assert new.contains(t, tol) == (hit is not None)
             assert new.component_containing(t, tol) == hit
+
+
+# -- span tables against the set algebra -------------------------------------
+
+
+def _rows(tab):
+    """The spans of each row of a span table, as repr strings."""
+    return [repr(tuple((s, n) for s, n in zip(*row) if not math.isnan(s)))
+            for row in zip(tab[0].tolist(), tab[1].tolist())]
+
+
+def test_span_tables_match_the_set_algebra():
+    seen = []
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(arc_lists() | st.just([Arc.full()]),
+                              st.none() | tol_shifts | arc_lists() | st.just([Arc.full()])),
+                    min_size=1, max_size=5))
+    def sweep(rows):
+        # rows of wrapping spans, gaps within ulps of the dilations' merge
+        # thresholds, full and empty sets, and shifts that put the starts of
+        # a dilation within EPS_ANGLE of a span's start: every row function
+        # gives bit for bit what its method gives on the row's set
+        sets = [CircularSet(a) for a, _ in rows]
+        others = [s.antipodal_image() if b is None else s.shifted(b) if isinstance(b, float)
+                  else CircularSet(b) for s, (_, b) in zip(sets, rows)]
+        tab, other = span_table(sets), span_table(others)
+        assert _rows(tab) == [repr(s.spans) for s in sets]
+        turned = merged_rows(canonicals(tab[0] + math.pi, TWO_PI), tab[1], TWO_PI, 0.0)
+        assert _rows(turned) == [repr(s.antipodal_image().spans) for s in sets]
+        assert _rows(projected_rows(tab, TWO_PI)) == [repr(s.project_half().spans) for s in sets]
+        for tol in (SET_TOL, CLEAN_TOL, EPS_GROUP):
+            assert _rows(dilated_rows(tab, tol, TWO_PI)) == [repr(s.dilated(tol).spans)
+                                                             for s in sets]
+            inside = contained_rows(tab, dilated_rows(other, tol, TWO_PI), TWO_PI)
+            assert inside.tolist() == [a.contained_in(b, tol) for a, b in zip(sets, others)]
+            equal, joined = equal_rows(tab, other, tol, TWO_PI)
+            assert equal.tolist() == [a.set_equal(b, tol) for a, b in zip(sets, others)]
+            assert joined.tolist() == [len(a.dilated(tol)) < len(a) or len(b.dilated(tol)) < len(b)
+                                       for a, b in zip(sets, others)]
+            seen.append((tol, equal.tolist(), joined.tolist()))
+        half = projected_rows(other, TWO_PI)
+        inside = contained_rows(projected_rows(tab, TWO_PI), dilated_rows(half, CLEAN_TOL, math.pi),
+                                math.pi)
+        assert inside.tolist() == [a.project_half().contained_in(b.project_half(), CLEAN_TOL)
+                                   for a, b in zip(sets, others)]
+
+    sweep()
+    # the sweep reaches equal and unequal rows, and SET_TOL dilations that
+    # join components and others that do not
+    flat = [(e, j) for tol, equal, joined in seen if tol == SET_TOL for e, j in zip(equal, joined)]
+    assert {e for e, _ in flat} == {True, False} and {j for _, j in flat} == {True, False}

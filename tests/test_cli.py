@@ -104,7 +104,11 @@ def test_axioms_sidecar_times_each_axiom(tmp_path):
     # 32 bases, 7 lags below half a period, both passes
     l4 = next(r for r in data["axioms"] if r["axiom"] == "L4")
     assert meta["l4_configurations"] == {"tried": 448, "checked": l4["checked"]}
+    # L3 and L5 compare a row per base; L6 the 31 + 30 + 29 neighbours up
+    # to 3 apart, as every base component here is a point
+    assert meta["axiom_rows"] == {"L3": 32, "L5": 32, "L6": 90, "merged": 0}
     assert "axiom_seconds" not in data and "l4_configurations" not in data
+    assert "axiom_rows" not in data
 
 
 def test_axioms_sidecar_counts_contact_solves(tmp_path):

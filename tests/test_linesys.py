@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -28,7 +29,10 @@ from curvex.linesys import (
     AdmissibleInterval,
     AxiomResult,
     LineSystem,
+    _check_l3,
     _check_l4,
+    _check_l5,
+    _check_l6,
     _far_witness,
     _l4_configs,
     _reflected_set,
@@ -419,10 +423,55 @@ def test_sphere_and_width_systems_agree(sys3):
         assert sys3.F(p).set_equal(wsys.F(p), 1e-6), p
 
 
+def joined(*sets):
+    """Whether the SET_TOL dilation of any of the sets joins components."""
+    return any(len(F.dilated(SET_TOL)) < len(F) for F in sets)
+
+
+def l3_reference(sys, grid, sets):
+    """The antipodal axiom base by base, with its rows and dilations counted."""
+    res = AxiomResult("L3", True, len(grid))
+    for p in grid:
+        if not sets[p].set_equal(sets[p].antipodal_image(), SET_TOL):
+            res.passed = False
+            res.witnesses.append({"p": p})
+    res.counts = {"rows": len(grid),
+                  "merged": sum(joined(sets[p], sets[p].antipodal_image()) for p in grid)}
+    return res
+
+
+def l5_reference(sys, grid, sets):
+    """The clean-point axiom base by base, classifying each point once."""
+    res = AxiomResult("L5", True, 0)
+    clean = {}
+
+    def is_clean(p):
+        if p not in clean:
+            clean[p] = sys.is_positive_clean(p)
+        return clean[p]
+
+    for p in grid:
+        if is_clean(p):
+            res.checked += 1
+            if is_clean(sys.T(p)):
+                res.passed = False
+                res.witnesses.append({"p": p})
+    # the rows are the distinct sets classified
+    res.counts = {"rows": len({id(sys.F(p)) for p in clean})}
+    return res
+
+
 def l6_lazy(sys, grid, sets):
     """The component axiom with one contact-map call per base it reads."""
     res = AxiomResult("L6", True, 0)
+    res.counts = {"rows": 0, "merged": 0}
     period = sys.period
+
+    def compare(F, G):
+        res.counts["rows"] += 1
+        res.counts["merged"] += joined(F, G)
+        return F.set_equal(G, SET_TOL)
+
     for p in grid:
         comp = sets[p].component_containing(p, MEMBER_TOL)
         if comp is None:
@@ -431,7 +480,7 @@ def l6_lazy(sys, grid, sets):
             if circle_dist(rep, p, period) <= linesys.MARGIN:
                 continue
             res.checked += 1
-            if not sys.F(rep).set_equal(sets[p], SET_TOL):
+            if not compare(sys.F(rep), sets[p]):
                 res.passed = False
                 if len(res.witnesses) < 3:
                     res.witnesses.append({"p": p, "q": rep, "direction": "forward"})
@@ -441,7 +490,7 @@ def l6_lazy(sys, grid, sets):
             p, q = grid[i], grid[j]
             if circle_dist(p, q, period) <= linesys.MARGIN:
                 continue
-            if sets[p].set_equal(sets[q], SET_TOL):
+            if compare(sets[p], sets[q]):
                 res.checked += 1
                 comp = sets[p].component_containing(p, MEMBER_TOL)
                 if comp is None or not comp.contains(q, SET_TOL):
@@ -449,6 +498,94 @@ def l6_lazy(sys, grid, sets):
                     if len(res.witnesses) < 3:
                         res.witnesses.append({"p": p, "q": q, "direction": "reverse"})
     return res
+
+
+def axioms_both(sys, grid_size, pairs=None):
+    """_check_l3, _check_l5 and _check_l6 against their per-base references
+    on the grid check_axioms builds: the same passed, checked, witnesses
+    and rows."""
+    grid = [canonical(i * sys.period / grid_size, sys.period) for i in range(grid_size)]
+    sets = dict(zip(grid, sys.F_many(grid)))
+    out = []
+    pairs = pairs or ((_check_l3, l3_reference), (_check_l5, l5_reference), (_check_l6, l6_lazy))
+    for fast, ref in pairs:
+        a, b = fast(sys, grid, sets), ref(sys, grid, sets)
+        assert (a.passed, a.checked, json.dumps(a.witnesses), a.counts) == \
+            (b.passed, b.checked, json.dumps(b.witnesses), b.counts), a.axiom
+        out.append(a)
+    return out
+
+
+@pytest.mark.parametrize("case", ["sys3", "sys5", "sys7", "wsys_sin3", "wsys_mix25",
+                                  "wsys_mix4", "sf_mix7", "patchy", "broken"])
+def test_array_axioms_match_the_per_base_reference_on_corpus(case, request):
+    if case in ("patchy", "broken"):
+        sys = LineSystem(patchy if case == "patchy" else broken)
+    elif case == "sf_mix7":
+        sys = width.contact_system(request.getfixturevalue(case))
+    else:
+        sys = request.getfixturevalue(case)
+    l3, l5, l6 = axioms_both(sys, 256)
+    assert l3.counts["rows"] == l5.counts["rows"] == 256
+    # the families without symmetry, or with base components of positive
+    # length, fail L3 and L6
+    assert l3.passed == (case != "broken") and l6.passed == (case != "patchy")
+
+
+@pytest.mark.parametrize("grid_size", [8, 64, 256])
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.3, 1.0])
+def test_array_axioms_match_the_per_base_reference_on_dilated_curve7(sys7, eps, grid_size):
+    dilated = LineSystem(lambda ps: [F.dilated(eps) for F in sys7.F_many(ps)], sys7.period)
+    axioms_both(dilated, grid_size)
+
+
+def test_l5_reads_an_antipode_keyed_off_the_grid_as_its_own_row():
+    # at 96 bases the system keys T(p) of grid point 39 apart from grid
+    # point 87, so L5 reads that set in a call of its own.  The family is
+    # clean at the grid points only: p = 39 is the one clean point whose
+    # T(p) is not clean (the map is sent the keys, rounded to 12 digits)
+    grid = [canonical(i * TWO_PI / 96) for i in range(96)]
+    keys = {round(p, 12) for p in grid}
+    sys = LineSystem(lambda ps: [CircularSet.from_points(
+        [p, p + math.pi] + ([] if p in keys else [p + 1.0, p + 1.0 + math.pi])) for p in ps])
+    _, l5, _ = axioms_both(sys, 96)
+    assert l5.counts == {"rows": 97} and l5.checked == 96
+    assert [w["p"] for w in l5.witnesses] == grid[:39] + grid[40:]
+    assert sys.solves == {"calls": 2, "bases": 97}
+
+
+@pytest.mark.parametrize("short", [5e-4, 2e-3])
+def test_l6_reverse_part_matches_the_per_base_reference(short):
+    # pairs of grid bases share one set, an arc from the first that ends
+    # `short` before the second: within SET_TOL of it, L6 holds; beyond,
+    # every pair is a reverse witness.  The arc's points lie in the pair's
+    # block, so the forward part holds
+    h = TWO_PI / 64
+
+    def blocks(ps):
+        sets = []
+        for p in ps:
+            start = 2 * h * math.floor(p / (2 * h) + 1e-9)
+            arc = Arc(start, h - short)
+            sets.append(CircularSet([arc, arc.shifted(math.pi)]))
+        return sets
+
+    # the second base of each pair misses its set (L1), where the per-base
+    # L5 raised, so L6 is compared alone
+    (l6,) = axioms_both(LineSystem(blocks), 64, [(_check_l6, l6_lazy)])
+    # two forward points (end and middle) and one reverse pair per block
+    assert l6.checked == 3 * 32 and l6.passed == (short < SET_TOL)
+    assert all(w["direction"] == "reverse" for w in l6.witnesses)
+
+
+def test_axioms_collect_sets_that_miss_their_base():
+    # L1 reports each base; L5 takes such a set as not clean, where the
+    # per-base classification raised AxiomViolation out of check_axioms
+    rep = check_axioms(LineSystem(
+        lambda ps: [CircularSet.from_points([p + 0.5, p + 0.5 + math.pi]) for p in ps]), 16)
+    by_name = {r.axiom: r for r in rep.results}
+    assert [w["p"] for w in by_name["L1"].witnesses] == [i * TWO_PI / 16 for i in range(16)]
+    assert (by_name["L5"].passed, by_name["L5"].checked) == (True, 0)
 
 
 def l7_lazy(sys, grid, sets, bases=6, depth=14):
