@@ -47,8 +47,11 @@ NEWTON_RESIDUAL = 1e-11
 DEDUPE_TOL = 1e-6
 OFF_CHORD_MIN = 1e-7
 OFF_CHORD_SAMPLES = 257  # arc samples tested against a candidate's chord
-ESCAPE_BLOCK = 32  # tangent circles per block of the topological count
 ESCAPE = 1e-7  # side-value band a tangent circle's walk must leave
+ESCAPE_BAND = 16  # positions each way every walk reads at once
+ESCAPE_BLOCK = 32  # tangent circles per block of the full walk
+ESCAPE_SLACK = 1e-12  # margin to ESCAPE of a jump certificate or band verdict
+GROUP_TOL = 1e-9  # neighbouring tangent normals this close form one run
 FD_STEP = 1e-5  # central-difference step of the topological tangent
 LATTICE_CELLS = 256  # lattice cells per half period in a that seed double tangents
 GAP_MARGIN = 2 * math.pi / LATTICE_CELLS  # pairs keep a gap in (h, pi - h), h one cell
@@ -167,43 +170,123 @@ def _first_nonzero(walks: np.ndarray) -> np.ndarray:
     return walks[np.arange(len(walks)), first]
 
 
-def count_inflections_topological(unit_many, n_grid: int = 2048) -> tuple[int, list[float]]:
-    """Independent true inflections of a piecewise-smooth antiperiodic
-    evaluator, by crossing tests of tangent great circles.
-
-    At each sample the side function of the tangent circle is walked
-    outward until it escapes the band ESCAPE; opposite escape signs
-    mean the tangent circle crosses there.  Consecutive crossing samples
-    (e.g. a whole chord segment of a reduction) group into one
-    independent inflection.
-
-    The walk runs over the full circle of samples [U; -U], n_grid steps
-    each way; the walks of ESCAPE_BLOCK samples are evaluated together.
-    """
-    ts = np.linspace(0.0, math.pi, n_grid, endpoint=False)
-    U = unit_many(ts)
-    T = unit_many(ts + FD_STEP) - unit_many(ts - FD_STEP)
-    T /= np.linalg.norm(T, axis=1)[:, None]
-    N = _cross3(U, T)
-    nn = np.linalg.norm(N, axis=1)
-    if np.min(nn) < EPS_NORM:
-        raise LineCurve("degenerate tangent frame")
-    N /= nn[:, None]
-
+def _walk_blocks(N: np.ndarray, U: np.ndarray, starts, crossing: np.ndarray) -> None:
+    """The full walk, which defines the count: set crossing for every
+    sample of the blocks of ESCAPE_BLOCK samples that begin at starts."""
     # Row i of walk holds the escape signs of the side values sigma(p) of
     # the tangent circle at sample j = lo + i, at the full-circle positions
     # p in [-n, 2n) (index p + n), using sigma(p +- n) = -sigma(p).  The
     # walk visits p = j+1 .. j+n forward and p = j-1 .. j-n backward; the
     # latter is a window of the reversed row, whose index is 2n - 1 - p.
-    crossing = np.zeros(n_grid, dtype=bool)
-    for lo in range(0, n_grid, ESCAPE_BLOCK):
-        j = np.arange(lo, min(lo + ESCAPE_BLOCK, n_grid))
+    n = len(U)
+    for lo in starts:
+        j = np.arange(lo, min(lo + ESCAPE_BLOCK, n))
         S = N[j] @ U.T
         side = (S > ESCAPE).view(np.int8) - (S < -ESCAPE).view(np.int8)
         walk = np.concatenate([-side, side, -side], axis=1)
-        fwd = sliding_window_view(walk, n_grid, axis=1)[j - lo, n_grid + j + 1]
-        bwd = sliding_window_view(walk[:, ::-1], n_grid, axis=1)[j - lo, 2 * n_grid - j]
+        fwd = sliding_window_view(walk, n, axis=1)[j - lo, n + j + 1]
+        bwd = sliding_window_view(walk[:, ::-1], n, axis=1)[j - lo, 2 * n - j]
         crossing[j] = _first_nonzero(fwd) * _first_nonzero(bwd) < 0
+
+
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """The rows of X over their norms; LineCurve when a norm is below
+    EPS_NORM or not finite."""
+    norms = np.linalg.norm(X, axis=1)
+    if not np.all(np.isfinite(norms) & (norms >= EPS_NORM)):
+        raise LineCurve("degenerate tangent frame")
+    return X / norms[:, None]
+
+
+def _jumps(N: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Per sample, the offsets (ahead, behind) at which its walk leaves
+    its run of tangent circles, or (1, 1) when it has none: an (n, 2)
+    array whose entry n, the walk's end, means the run fills the walk.
+
+    A run is a maximal cyclic stretch of samples whose neighbouring unit
+    normals differ by at most GROUP_TOL, such as a chord; m is the normal
+    of its middle sample and rho = max |m.U_p| over it.  For unit vectors
+    N_j = cos(th) m + sin(th) w with w a unit vector normal to m, so
+    |N_j.V_p| <= |m.V_p| + |N_j x m| for the positions V_p = +-U_p of the
+    run.  When |N_j x m| + rho + ESCAPE_SLACK <= ESCAPE, no position of
+    the run escapes the walk from sample j; the rounding of a 3-term dot
+    product of unit vectors is below 1e-15, far inside the slack."""
+    n = len(N)
+    jumps = np.ones((n, 2), dtype=np.intp)
+    runs = cyclic_runs(np.linalg.norm(np.roll(N, -1, axis=0) - N, axis=1) <= GROUP_TOL)
+    if not runs:
+        return jumps
+    starts, links = np.array(runs).T
+    lengths = np.minimum(links + 1, n)  # samples per run
+    run = np.repeat(np.arange(len(runs)), lengths)
+    heads = np.cumsum(lengths) - lengths  # where each run begins in idx
+    w = np.arange(len(run)) - heads[run]
+    idx = (starts[run] + w) % n
+    m = N[(starts + lengths // 2) % n][run]
+    rho = np.maximum.reduceat(np.abs(_rowdot(m, U[idx])), heads)
+    tilt = np.linalg.norm(_cross3(N[idx], m), axis=1)
+    ok = tilt + rho[run] + ESCAPE_SLACK <= ESCAPE
+    ahead, behind = lengths[run] - w, w + 1
+    if links[0] == n:  # one run linked all the way round
+        ahead = behind = np.full(n, n)
+    jumps[idx[ok]] = np.stack([ahead, behind], axis=1)[ok]
+    return jumps
+
+
+def count_inflections_topological(unit_many, n_grid: int = 2048) -> tuple[int, list[float]]:
+    """Independent true inflections of a piecewise-smooth antiperiodic
+    evaluator of unit vectors, by crossing tests of tangent great circles.
+
+    At each sample the side function of the tangent circle is walked
+    outward along the full circle of samples [U; -U], n_grid steps each
+    way, until it escapes the band ESCAPE; opposite escape signs mean the
+    tangent circle crosses there.  Consecutive crossing samples (e.g. a
+    whole chord segment of a reduction) group into one independent
+    inflection.
+
+    The walks stop at their first escape, read in three stages:
+    - a sample on a run of (nearly) equal tangent normals, such as a
+      chord, jumps past the run when the bound of _jumps certifies that
+      no side value on the run escapes;
+    - the band: for every sample at once, the side values of the next
+      ESCAPE_BAND positions each way after its jump, from one gathered
+      dot product;
+    - the blocks of ESCAPE_BLOCK samples that hold a walk the band leaves
+      open, or whose first band value lies within ESCAPE_SLACK of the
+      band edge, run the full walk (_walk_blocks), as the count was
+      defined.
+    A band verdict outside the slack is the full walk's, since the two
+    dot products round apart by far less, so the count is the full
+    walk's on any evaluator.  LineCurve when a tangent or normal of the
+    finite-difference frame is shorter than EPS_NORM or not finite.
+    """
+    ts = np.linspace(0.0, math.pi, n_grid, endpoint=False)
+    U, U_fwd, U_bwd = np.split(unit_many(np.concatenate([ts, ts + FD_STEP, ts - FD_STEP])), 3)
+    N = _unit_rows(_cross3(U, _unit_rows(U_fwd - U_bwd)))
+
+    # off[j, 0] holds the forward offsets of sample j's band, off[j, 1]
+    # the backward ones, clipped at the walk's end n, which is read again
+    # in their place; the full circle of positions p in [-n, 2n] is
+    # [-U; U; -U] at index p + n, as in _walk_blocks
+    n = n_grid
+    off = _jumps(N, U)[:, :, None] + np.arange(ESCAPE_BAND)
+    np.minimum(off, n, out=off)
+    off[:, 1] *= -1
+    at = np.arange(n, 2 * n)[:, None, None] + off
+    S = (np.take(np.concatenate([-U, U, -U]), at.reshape(n, -1), axis=0)
+         @ N[:, :, None]).reshape(off.shape)
+    # a walk ends at its first value above ESCAPE - ESCAPE_SLACK; it stays
+    # open when that value lies within the slack of ESCAPE, or when there
+    # is none and the band stops short of the walk's end
+    stop = np.abs(S) > ESCAPE - ESCAPE_SLACK
+    first = np.take_along_axis(S, stop.argmax(axis=2)[..., None], axis=2)[..., 0]
+    hit = np.abs(first) > ESCAPE - ESCAPE_SLACK
+    settled = np.where(hit, np.abs(first) > ESCAPE + ESCAPE_SLACK,
+                       np.abs(off[:, :, -1]) == n)
+    crossing = hit.all(axis=1) & (first[:, 0] * first[:, 1] < 0)
+    open_rows = np.nonzero(~settled.all(axis=1))[0]
+    if len(open_rows):
+        _walk_blocks(N, U, np.unique(open_rows // ESCAPE_BLOCK) * ESCAPE_BLOCK, crossing)
 
     if crossing.all():
         return 1, [0.0]

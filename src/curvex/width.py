@@ -220,7 +220,14 @@ def census_fn(sf: SupportFunction, clean_points: list[float] | None = None,
     and, when a double tangent exists, the additivity cross-check on the
     lift's two reductions at the first (without their self-intersection
     test, which doubles its cost).  An even count of either reduction is
-    flagged as topological_count_even instead of an additivity mismatch."""
+    flagged as topological_count_even instead of an additivity mismatch.
+    The two counts go to the sidecar counters as additivity: {i1, i2}.
+
+    Only the width census runs the check.  In the sphere census its two
+    counts would add about 40 % to a job (7 of 19 ms in process on the
+    benchmark's seed-5 sphere inputs); dropped here, the census would
+    lose its one cross-check of i and delta by an independent method,
+    the crossing walk."""
     report = census_report("width-census", sf.flexes, a2_double_tangents(sf),
                            clean_points or [])
     if additivity_check and report.double_tangents:
@@ -229,6 +236,7 @@ def census_fn(sf: SupportFunction, clean_points: list[float] | None = None,
         outside = reduction(sf.lift, b, a + math.pi, check_simple=False)
         i1, _ = count_inflections_topological(inside.unit_many)
         i2, _ = count_inflections_topological(outside.unit_many)
+        report.counters["additivity"] = {"i1": i1, "i2": i2}
         # an antiperiodic curve has an odd number of inflections, so an
         # even count is the counter's fault, not a failed identity
         if i1 % 2 == 0 or i2 % 2 == 0:

@@ -148,6 +148,20 @@ def test_census_sidecar_counts_newton(tmp_path, payload, mode):
     assert "newton" not in data and "dropped_candidates" not in data["warnings"]
 
 
+@pytest.mark.parametrize("payload, additivity", [(MIX7, {"i1": 5, "i2": 3}),
+                                                  (WIDTH_SIN3, None)], ids=["mix7", "sin3"])
+def test_width_census_sidecar_keeps_the_additivity_counts(tmp_path, payload, additivity):
+    # the two reduction counts of the cross-check go to the sidecar; a
+    # census without a double tangent runs no check and writes no key
+    code, data = run(tmp_path, payload, "width-census")
+    meta = json.loads((tmp_path / "report.json.meta.json").read_text())
+    assert code == 0 and data["warnings"] == {}
+    assert meta.get("additivity") == additivity
+    if additivity:
+        assert additivity["i1"] + additivity["i2"] - 1 == data["i"]
+    assert "additivity" not in data
+
+
 def inflection_solves(tmp_path, monkeypatch, payload, mode):
     """The exit code of a run and its number of true_inflections calls."""
     real, calls = sphere.true_inflections, []
