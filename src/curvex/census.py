@@ -614,16 +614,21 @@ def census(curve: ProjectiveCurve, system: LineSystem | None = None) -> CensusRe
     """Counts of independent inflections and double tangents with the
     identity check i - 2*delta = 3.  The detector checks anti-convexity
     only at the intervals it keeps; after it, one admissible_normal_arc
-    call on SCAN bases, those of linspace(0, 2 pi, SCAN) keyed as a line
-    system keys them, checks it with or without a line system: the first
-    base without an arc raises NotAntiConvex.  Given the curve's line
+    call on the SCAN // 2 bases of linspace(0, pi, SCAN // 2), keyed as a
+    line system keys them, checks it with or without a line system: the
+    first base without an arc raises NotAntiConvex.  Each projective
+    point is checked once: the circles at t + pi are those at t, with
+    the angle theta read as pi - theta, so an arc exists at t + pi
+    exactly when one exists at t.  The keys are the first half of those of
+    linspace(0, 2 pi, SCAN), float for float.  Given the curve's line
     system, the report also carries, sorted, the three clean inflections
     that sphere.clean_inflections picks and checks on it.  A support's
     lift needs no such check, as the great circle through the pole meets
     it only at the base and its antipode."""
     flexes = [e for e in true_inflections(curve).entries if e.crossing]
     found = detect_double_tangents(curve)
-    grid = [round(canonical(t), 12) for t in np.linspace(0.0, TWO_PI, SCAN, endpoint=False)]
+    grid = [round(canonical(t), 12)
+            for t in np.linspace(0.0, math.pi, SCAN // 2, endpoint=False)]
     for t, (arc, _) in zip(grid, admissible_normal_arc(curve, grid)):
         if arc is None:
             raise NotAntiConvex(t)

@@ -177,21 +177,22 @@ class Arc:
         return uniq
 
 
-def admissible_arcs(A: np.ndarray, B: np.ndarray) -> list[Arc | None]:
+def admissible_arcs(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row of the (n, m) arrays A and B, the open arc of angles
-    theta with cos(theta) A[j] + sin(theta) B[j] < 0 for every j, as its
-    closure, or None.  Sample j rules out the closed half circle centred
-    on atan2(B[j], A[j]) (all of it when A[j] = B[j] = 0), so the arc is
-    the middle of the one cyclic gap wider than pi between neighbouring
-    directions."""
+    theta with cos(theta) A[j] + sin(theta) B[j] < 0 for every j, as the
+    (start, length) of its closure, the floats its Arc would hold, with
+    length -1 where there is none.  Sample j rules out the closed half
+    circle centred on atan2(B[j], A[j]) (all of it when A[j] = B[j] = 0),
+    so the arc is the middle of the one cyclic gap wider than pi between
+    neighbouring directions."""
     phi = np.sort(np.arctan2(B, A), axis=1)
     gaps = np.diff(phi, axis=1, append=phi[:, :1] + TWO_PI)
     i = np.argmax(gaps, axis=1)
     rows = np.arange(len(phi))
     widest = gaps[rows, i]
     ok = (widest > math.pi) & ~np.any((A == 0.0) & (B == 0.0), axis=1)
-    return [Arc(float(phi[r, i[r]]) + 0.5 * math.pi, float(widest[r]) - math.pi)
-            if ok[r] else None for r in rows]
+    return (np.where(ok, canonicals(phi[rows, i] + 0.5 * math.pi), 0.0),
+            np.where(ok, widest - math.pi, -1.0))
 
 
 class CircularSet:
@@ -211,8 +212,13 @@ class CircularSet:
     @classmethod
     def _of(cls, spans, period: float, merge_tol: float) -> "CircularSet":
         """The set of canonical (start, length) spans, merged as arcs are."""
+        return cls._wrap(_merge(spans, period, merge_tol), period)
+
+    @classmethod
+    def _wrap(cls, spans: tuple, period: float) -> "CircularSet":
+        """The set of spans already merged, as they are."""
         s = cls.__new__(cls)
-        s.period, s.spans = period, _merge(spans, period, merge_tol)
+        s.period, s.spans = period, spans
         return s
 
     @classmethod
@@ -395,6 +401,15 @@ def span_table(sets) -> tuple[np.ndarray, np.ndarray]:
     cols = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     tab[:, np.repeat(np.arange(len(spans)), counts), cols] = flat.reshape(-1, 2).T
     return tab[0], tab[1]
+
+
+def row_sets(tab, period: float) -> list[CircularSet]:
+    """The sets of a table whose rows are merged already, as merged_rows
+    leaves them, without merging them again: span_table's inverse."""
+    start, length = tab
+    counts = np.count_nonzero(~np.isnan(start), axis=1).tolist()
+    return [CircularSet._wrap(tuple(zip(s[:k], n[:k])), period)
+            for s, n, k in zip(start.tolist(), length.tolist(), counts)]
 
 
 def holds_rows(start, length, t, tol: float, period: float) -> np.ndarray:

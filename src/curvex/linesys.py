@@ -57,7 +57,7 @@ CLEAN_TOL = 1e-5
 MEMBER_TOL = 1e-6
 BISECT_CAP = 200
 EPS_SEARCH = 1e-9
-SCAN = 64  # bases of the search's start scan and of the census's anti-convexity check
+SCAN = 64  # bases of the search's start scan; the anti-convexity check of census takes half
 SET_TOL = 1e-3  # set equality in the axioms
 MARGIN = 1e-3  # least separation of the points an axiom compares
 L2_MAX_COMPONENTS = 64
@@ -537,10 +537,10 @@ def check_axioms(sys: LineSystem, grid_size: int = 256) -> AxiomReport:
     a positive even size, so that every grid point's antipode is on it.
 
     The grid is solved in one contact-map call, and L1 and L3 to L6 read
-    its sets as one span table, in array passes.  Sampled configurations
-    only: the order axiom runs over lagged pairs, the closedness axiom
-    over grid-refinement sequences.  Failures are collected with
-    witnesses instead of raised.
+    its sets as one span table, built once, in array passes.  Sampled
+    configurations only: the order axiom runs over lagged pairs, the
+    closedness axiom over grid-refinement sequences.  Failures are
+    collected with witnesses instead of raised.
     """
     if grid_size < 2 or grid_size % 2:
         raise ValueError(f"the axiom grid must have a positive even size, got {grid_size}")
@@ -549,23 +549,24 @@ def check_axioms(sys: LineSystem, grid_size: int = 256) -> AxiomReport:
     started = time.perf_counter()
     sets = dict(zip(grid, sys.F_many(grid)))
     solve_seconds = time.perf_counter() - started
+    tab = span_table([sets[p] for p in grid])
     results = []
     for check in (_check_l1, _check_l2, _check_l3, _check_l4, _check_l5,
                   _check_l6, _check_l7):
         started = time.perf_counter()
-        res = check(sys, grid, sets)
+        res = check(sys, grid, sets, tab)
         res.seconds = time.perf_counter() - started
         results.append(res)
     return AxiomReport(results, solve_seconds)
 
 
-def _check_l1(sys, grid, sets):
-    found = _own_rows(span_table([sets[p] for p in grid]), np.array(grid), sys.period)[0]
+def _check_l1(sys, grid, sets, tab):
+    found = _own_rows(tab, np.array(grid), sys.period)[0]
     return AxiomResult("L1", bool(found.all()), len(grid),
                        [{"p": p} for p, ok in zip(grid, found) if not ok])
 
 
-def _check_l2(sys, grid, sets):
+def _check_l2(sys, grid, sets, tab):
     res = AxiomResult("L2", True, len(grid))
     for p in grid:
         F = sets[p]
@@ -577,11 +578,11 @@ def _check_l2(sys, grid, sets):
     return res
 
 
-def _check_l3(sys, grid, sets):
+def _check_l3(sys, grid, sets, tab):
     """Antipodal symmetry: every grid set equals its half-turn image, all
     rows in one array pass."""
     period = sys.period
-    start, length = tab = span_table([sets[p] for p in grid])
+    start, length = tab
     turned = merged_rows(canonicals(start + 0.5 * period, period), length, period, 0.0)
     equal, joined = equal_rows(tab, turned, SET_TOL, period)
     res = AxiomResult("L3", bool(equal.all()), len(grid),
@@ -615,7 +616,7 @@ def _l4_configs(tab_p, tab_q, g, margin, half):
     return (g[:, 0] >= margin) & (half - p1 >= 2.0 * margin) & on.any(axis=1), p1, q1
 
 
-def _check_l4(sys, grid, sets):
+def _check_l4(sys, grid, sets, tab):
     """The order axiom as a counterexample search over lagged pairs, in
     both orientations: every configuration _l4_configs finds must have
     F(p) = F(q).  Each lag is one array step over the bases of both
@@ -624,7 +625,7 @@ def _check_l4(sys, grid, sets):
     res = AxiomResult("L4", True, 0)
     period, half, n = sys.period, 0.5 * sys.period, len(grid)
     # every set's spans, one row per base, padded with NaN: no test keeps it
-    start, length = tab = span_table([sets[p] for p in grid])
+    start, length = tab
     # rows 0 .. n-1 are the ascending pass, on the grid in order, and rows
     # n .. 2n-1 the descending one: the ascending pass on the reflected
     # bases -p, sorted, whose forward offsets are the backward offsets of
@@ -685,7 +686,7 @@ def _clean_rows(tab, bases, period):
     return found & (tab[1][:, 0] < period - EPS_ANGLE) & inside
 
 
-def _check_l5(sys, grid, sets):
+def _check_l5(sys, grid, sets, tab):
     """The clean-point axiom: no clean p with T(p) clean.  Every grid row
     is classified in one array pass, and T(p) read by index, as the grid
     holds the antipode of each of its points; where the system keys T(p)
@@ -693,7 +694,7 @@ def _check_l5(sys, grid, sets):
     classified as rows of their own.  A set that misses its base is not
     clean: L1 reports it."""
     period, n = sys.period, len(grid)
-    clean = _clean_rows(span_table([sets[p] for p in grid]), np.array(grid), period)
+    clean = _clean_rows(tab, np.array(grid), period)
     asked = np.flatnonzero(clean)
     opposite = (asked + n // 2) % n
     far = sys.F_many([sys.T(grid[i]) for i in asked])
@@ -708,7 +709,7 @@ def _check_l5(sys, grid, sets):
     return res
 
 
-def _check_l6(sys, grid, sets):
+def _check_l6(sys, grid, sets, tab):
     """The component axiom.  Forward: every point of a base component
     farther than MARGIN from its base (its ends and middle) has the set of
     the base; their sets are read in one call.  Reverse: grid neighbours
@@ -717,7 +718,7 @@ def _check_l6(sys, grid, sets):
     then by base and lag."""
     period, n = sys.period, len(grid)
     base = np.array(grid)
-    start, length = tab = span_table([sets[p] for p in grid])
+    start, length = tab
     found, own, size = _own_rows(tab, base, period)
     reps = np.stack([own, canonicals(own + size, period), canonicals(own + 0.5 * size, period)], 1)
     far = found[:, None] & (circle_dists(reps, base[:, None], period) > MARGIN)
@@ -739,7 +740,7 @@ def _check_l6(sys, grid, sets):
     return res
 
 
-def _check_l7(sys, grid, sets):
+def _check_l7(sys, grid, sets, tab):
     """Closedness along refinement chains p + step0 / 2^d, d = 1 ..
     L7_DEPTH, from L7_CHAINS grid points: a contact tracked down the
     chain must end in F(p).  The chain bases come from the system in two blocks, the

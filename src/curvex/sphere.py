@@ -15,16 +15,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .circle import (
     Arc,
     CircularSet,
+    EPS_GROUP,
     TWO_PI,
     admissible_arcs,
     canonical,
+    canonicals,
     circle_dist,
+    merged_rows,
+    row_sets,
 )
 from .errors import DegeneratePoint, LineCurve, NoConvergence, NotAntiConvex
 from .linesys import LineSystem, three_clean_inflections
@@ -266,15 +271,17 @@ def limiting_circle(curve: ProjectiveCurve, t: float,
 
 
 def _limits(curve: ProjectiveCurve, ts, eps_contact: float) -> list[ContactData]:
-    """The limiting circles at the bases ts, solved BLOCK bases per pass,
-    so that the default axiom grid is one pass and a larger grid keeps
-    its arrays bounded; [] for no bases.  The one solver behind
-    limiting_circle, the contact maps and width.limiting_function (on
-    the lift of a support).
+    """The limiting circles at the bases ts with their contact sets, each
+    merged by CircularSet.from_points, [] for no bases: the solver of
+    limiting_circle and width.limiting_function (on the lift of a
+    support), which solve one base.  The contact maps solve many through
+    _contact_sets, which gives the same sets from the block's arrays.
 
-    The limiting circle at t passes through the lifted point and is
-    either the tangent circle at t or tangent to the curve at an
-    interior s of the forward arc (t, t + pi), a zero of
+    The bases are solved BLOCK per pass, so that the default axiom grid
+    is one pass and a larger grid keeps its arrays bounded.  The limiting
+    circle at t passes through the lifted point and is either the
+    tangent circle at t or tangent to the curve at an interior s of the
+    forward arc (t, t + pi), a zero of
     T_t(s) = det(F(t), F(s), F'(s)) = W(s) . F(t).  Each zero gives one
     candidate, the circle of normal +-F(t) x F(s) that turning further
     would carry past L(s).  The tangent circle at t (angle 0 or pi) is
@@ -288,11 +295,90 @@ def _limits(curve: ProjectiveCurve, ts, eps_contact: float) -> list[ContactData]
     bases solved beside it, and a pass raises the error of its first
     failing base.
     """
-    ts = np.asarray(ts, dtype=float).reshape(-1)
     out = []
-    for lo in range(0, len(ts), BLOCK):
-        out += _limit_block(curve, ts[lo:lo + BLOCK], eps_contact)
+    for block in _blocks(curve, ts, eps_contact):
+        bases, touches = block.ts.tolist(), block.touch_lists()
+        contacts = [CircularSet.from_points([t, t + math.pi] + found
+                                            + [s + math.pi for s in found])
+                    for t, found in zip(bases, touches)]
+        block.raise_first([len(c) for c in contacts])
+        out += [ContactData(GreatCircle(n), c, canonical(t), th, tg, tuple(found))
+                for n, c, t, th, tg, found in zip(block.normal, contacts, bases, block.theta,
+                                                   block.tangent.tolist(), touches)]
     return out
+
+
+def _contact_sets(curve: ProjectiveCurve, ts, eps_contact: float) -> list[CircularSet]:
+    """The contact sets of _limits at the bases ts, straight from each
+    block's arrays: one NaN-padded table of the points t, t + pi, the
+    touches and the touches + pi, one row per base, merged by one
+    merged_rows pass at EPS_GROUP, as from_points merges each row.  A
+    pass raises what _limits raises."""
+    out = []
+    for block in _blocks(curve, ts, eps_contact):
+        rows = block.rows
+        found = np.full((len(block.ts), max(1, np.bincount(rows).max(initial=0))), math.nan)
+        found[rows, np.arange(len(rows)) - np.searchsorted(rows, rows)] = block.touches
+        points = np.concatenate([block.ts[:, None], block.ts[:, None] + math.pi,
+                                 found, found + math.pi], axis=1)
+        sets = row_sets(merged_rows(canonicals(points), np.zeros_like(points), TWO_PI, EPS_GROUP),
+                        TWO_PI)
+        block.raise_first([len(s) for s in sets])
+        out += sets
+    return out
+
+
+def _blocks(curve, ts, eps_contact):
+    """_limit_block on each BLOCK bases of ts in turn."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    for lo in range(0, len(ts), BLOCK):
+        yield _limit_block(curve, ts[lo:lo + BLOCK], eps_contact)
+
+
+class _Block(NamedTuple):
+    """One pass of limiting circles: per base its angle theta, whether the
+    tangent circle was taken, the unit normal, whether it has an
+    admissible arc and a circle in it, and how far that circle leaves the
+    half-curve, with whether that is too far; its touches as flat arrays
+    (rows, touches) sorted by row, then by s, repeats within 1e-9
+    dropped."""
+
+    ts: np.ndarray
+    theta: list[float]
+    tangent: np.ndarray
+    normal: np.ndarray
+    arc: np.ndarray
+    found: np.ndarray
+    leave: np.ndarray
+    leaves: np.ndarray
+    rows: np.ndarray
+    touches: np.ndarray
+
+    def touch_lists(self) -> list[list[float]]:
+        """Each base's touches as a list."""
+        bounds = np.searchsorted(self.rows, np.arange(len(self.ts) + 1)).tolist()
+        touches = self.touches.tolist()
+        return [touches[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def raise_first(self, components):
+        """Raise the first error of the first failing base, as solving the
+        bases one by one in order would, given the number of contact
+        components of each base: a transversal circle needs three."""
+        bad = ~self.arc | ~self.found | self.leaves | ~self.tangent & (np.asarray(components) < 3)
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        t = float(self.ts[i])
+        if not self.arc[i]:
+            raise NotAntiConvex(t)
+        if not self.found[i]:
+            raise NoConvergence(f"limiting circle at t={t} not found in its admissible arc")
+        if self.leaves[i]:
+            raise NoConvergence(
+                f"limiting circle at t={t} leaves the half-curve by {self.leave[i]:.3g}")
+        raise NoConvergence(
+            f"transversal limiting circle at t={t} shows {components[i]} contact "
+            "components; expected at least three")
 
 
 def _arcs(curve, ts):
@@ -311,8 +397,9 @@ def _arcs(curve, ts):
 
 
 def _limit_block(curve, ts, eps_contact):
-    """_limits on one block; the side values A, B at the zeros, with 0 at
-    the ends of the forward arc, stand in for the whole arc."""
+    """One pass of _limits as arrays, a _Block; no base raises here.  The
+    side values A, B at the zeros, with 0 at the ends of the forward arc,
+    stand in for the whole arc."""
     Ft, (nu, that), rows, ss, Fs, radii, A, B, start, length = _arcs(curve, ts)
     planes = _cross3(Ft[rows], Fs)
     pn, pt = _dot3(planes, nu[rows]), _dot3(planes, that[rows])
@@ -350,38 +437,21 @@ def _limit_block(curve, ts, eps_contact):
     first = np.full(len(ts), len(rows))
     np.minimum.at(first, rows[hits], hits)
     pick = np.where(first < len(rows), first, -1)
-    # a base with neither circle keeps angle 0 here and fails below
+    # a base with neither circle keeps angle 0 here and is not found
     theta = [th if tg else canonical(float(angles[j])) if j >= 0 else 0.0
              for th, tg, j in zip(theta_t, tangent.tolist(), pick.tolist())]
 
     cos, sin = (np.array([f(x) for x in theta])[:, None] for f in (math.cos, math.sin))
     normal = cos * nu + sin * that
-    leave = side_max(theta).tolist()
-    touching = (np.abs(_dot3(normal[rows], Fs)) / radii <= eps_contact).tolist()
-    bounds = bounds.tolist()
-    ss = ss.tolist()
-
-    out = []
-    for i, t in enumerate(ts.tolist()):
-        if length[i] < 0.0:
-            raise NotAntiConvex(t)
-        if not tangent[i] and pick[i] < 0:
-            raise NoConvergence(f"limiting circle at t={t} not found in its admissible arc")
-        if leave[i] > 2.0 * eps_contact:
-            raise NoConvergence(
-                f"limiting circle at t={t} leaves the half-curve by {leave[i]:.3g}")
-        mine = slice(bounds[i], bounds[i + 1])
-        found = sorted(s for s, on in zip(ss[mine], touching[mine]) if on)
-        touches = [s for k, s in enumerate(found) if k == 0 or s - found[k - 1] > 1e-9]
-        contact = CircularSet.from_points([t, t + math.pi] + touches
-                                          + [s + math.pi for s in touches])
-        if not tangent[i] and len(contact) < 3:
-            raise NoConvergence(
-                f"transversal limiting circle at t={t} shows {len(contact)} contact "
-                "components; expected at least three")
-        out.append(ContactData(GreatCircle(normal[i]), contact, canonical(t), theta[i],
-                               bool(tangent[i]), tuple(touches)))
-    return out
+    leave = side_max(theta)
+    on = np.abs(_dot3(normal[rows], Fs)) / radii <= eps_contact
+    rows, ss = rows[on], ss[on]
+    order = np.lexsort((ss, rows))
+    rows, ss = rows[order], ss[order]
+    keep = np.ones(len(ss), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]) | (ss[1:] - ss[:-1] > 1e-9)
+    return _Block(ts, theta, tangent, normal, length >= 0.0, tangent | (pick >= 0),
+                  leave, leave > 2.0 * eps_contact, rows[keep], ss[keep])
 
 
 def _exact_arcs(curve, ts, frames, rows, A, B):
@@ -399,8 +469,7 @@ def _exact_arcs(curve, ts, frames, rows, A, B):
     a, b = np.zeros((2, len(ts), int(col.max(initial=0)) + 2))
     b += 1.0
     a[rows, col], b[rows, col] = A, B
-    start, length = np.array([(arc.start, arc.length) if arc else (0.0, -1.0)
-                              for arc in admissible_arcs(a, b)]).reshape(-1, 2).T
+    start, length = admissible_arcs(a, b)
     mid = start + 0.5 * length
     n_mid = np.cos(mid)[:, None] * nu + np.sin(mid)[:, None] * that
     # F has odd harmonics only: column m of Q is exp(i(2m - M)s)
@@ -503,9 +572,10 @@ def contact_map(curve: ProjectiveCurve, eps_contact: float = EPS_CONTACT):
     """bases -> contact sets of their limiting circles, for building line
     systems.  A single base is solved by limiting_circle, so that its
     name counts single solves (bench/layertrace.py traces it); more
-    bases are solved together."""
+    bases are solved together by _contact_sets, which builds no
+    ContactData and takes the sets straight from its arrays."""
     def fn(ps):
         if len(ps) == 1:
             return [limiting_circle(curve, ps[0], eps_contact).contact]
-        return [f.contact for f in _limits(curve, ps, eps_contact)]
+        return _contact_sets(curve, ps, eps_contact)
     return fn

@@ -33,6 +33,7 @@ from .sphere import (
     EPS_CONTACT,
     InflectionEntry,
     ProjectiveCurve,
+    _contact_sets,
     _limits,
     clean_inflections,
     nonzero_indicator,
@@ -162,11 +163,12 @@ def contact_map(sf: SupportFunction, eps_contact: float = EPS_CONTACT):
     """bases -> contact sets of their limiting functions.  A single base
     is solved by limiting_function, so that its name counts single
     solves (bench/layertrace.py traces it); more bases are solved
-    together on the lift."""
+    together on the lift by sphere._contact_sets, straight from its
+    arrays."""
     def fn(ps):
         if len(ps) == 1:
             return [limiting_function(sf, ps[0], eps_contact).contact]
-        return [f.contact for f in _limits(_lift(sf), ps, eps_contact)]
+        return _contact_sets(_lift(sf), ps, eps_contact)
     return fn
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curvex.circle import admissible_arcs
+from curvex.circle import Arc, admissible_arcs
 from curvex.linesys import LineSystem
 from curvex.sphere import ProjectiveCurve, _cross3, contact_map
 from curvex.trig import VectorSeries, cos_series, sin_series
@@ -15,9 +15,10 @@ def sphere_curve(g):
 
 
 def admissible_angles(A, B):
-    """admissible_arcs of one row of samples."""
-    return admissible_arcs(np.asarray(A, dtype=float)[None],
-                           np.asarray(B, dtype=float)[None])[0]
+    """admissible_arcs of one row of samples, as an Arc or None."""
+    [start], [length] = admissible_arcs(np.asarray(A, dtype=float)[None],
+                                        np.asarray(B, dtype=float)[None])
+    return Arc(start, length) if length >= 0.0 else None
 
 
 def anti_convexity_grid_test(unit_many, n_base: int = 128, n_arc: int = 1024,

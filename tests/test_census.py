@@ -528,6 +528,23 @@ class TestCensus:
         for p in rep.clean_points:
             assert abs(w(p) / dw(p)) < 1e-12
 
+    def test_anti_convexity_check_reads_each_projective_point_once(self, curve7,
+                                                                    monkeypatch):
+        # after the detector's chart check, the start bases are the 32 of
+        # [0, pi), keyed as the line system keys the first 32 of the 64
+        # bases of [0, 2 pi)
+        import curvex.census as module
+        asked = []
+
+        def spy(curve, ts):
+            asked.append(list(ts))
+            return admissible_normal_arc(curve, ts)
+
+        monkeypatch.setattr(module, "admissible_normal_arc", spy)
+        census(curve7)
+        keys = [round(canonical(t), 12) for t in np.linspace(0.0, 2 * math.pi, 64, endpoint=False)]
+        assert asked[-1] == keys[:32]
+
     def test_report_serializes(self, curve3):
         payload = census(curve3).to_json()
         assert payload["kind"] == "sphere-census"

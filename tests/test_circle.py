@@ -11,6 +11,7 @@ from curvex.circle import (
     EPS_ANGLE,
     EPS_GROUP,
     TWO_PI,
+    admissible_arcs,
     antipode,
     canonical,
     canonicals,
@@ -264,6 +265,27 @@ def test_admissible_angles_match_a_dense_scan(centre, samples):
     assert not any(inside[k] for k in np.nonzero(side > margin)[0])
     if arc is not None:
         assert _side_max(A, B, [arc.midpoint])[0] <= 1e-12 * scale
+
+
+def test_admissible_arcs_hold_the_floats_of_their_arcs():
+    # the rows' (start, length) are what an Arc of the widest gap's middle
+    # holds, its start canonical, built one row at a time; rows with no
+    # arc read length -1
+    rng = np.random.default_rng(5)
+    A, B = rng.normal(size=(2, 400, 5))
+    A[:200] = np.abs(A[:200])  # directions within pi/2 of 0: mostly an arc
+    A[7, 2] = B[7, 2] = 0.0
+    start, length = admissible_arcs(A, B)
+    for r in range(len(A)):
+        phi = np.sort(np.arctan2(B[r], A[r]))
+        gaps = np.diff(phi, append=phi[0] + TWO_PI)
+        i = int(np.argmax(gaps))
+        if gaps[i] > math.pi and r != 7:
+            arc = Arc(float(phi[i]) + 0.5 * math.pi, float(gaps[i]) - math.pi)
+            assert (start[r], length[r]) == (arc.start, arc.length)
+        else:
+            assert length[r] == -1.0
+    assert np.count_nonzero(length >= 0.0) > 100 and np.any(start[length >= 0.0] > math.pi)
 
 
 # -- the float-backed sets against the Arc-object sets they replaced --------

@@ -14,6 +14,7 @@ from curvex.circle import (
     circle_dist,
     cyclic_between,
     forward_gap,
+    span_table,
 )
 from curvex.errors import (
     EmptyIntersection,
@@ -461,8 +462,9 @@ def l5_reference(sys, grid, sets):
     return res
 
 
-def l6_lazy(sys, grid, sets):
-    """The component axiom with one contact-map call per base it reads."""
+def l6_lazy(sys, grid, sets, tab=None):
+    """The component axiom with one contact-map call per base it reads;
+    it reads no span table."""
     res = AxiomResult("L6", True, 0)
     res.counts = {"rows": 0, "merged": 0}
     period = sys.period
@@ -506,10 +508,11 @@ def axioms_both(sys, grid_size, pairs=None):
     and rows."""
     grid = [canonical(i * sys.period / grid_size, sys.period) for i in range(grid_size)]
     sets = dict(zip(grid, sys.F_many(grid)))
+    tab = span_table([sets[p] for p in grid])
     out = []
     pairs = pairs or ((_check_l3, l3_reference), (_check_l5, l5_reference), (_check_l6, l6_lazy))
     for fast, ref in pairs:
-        a, b = fast(sys, grid, sets), ref(sys, grid, sets)
+        a, b = fast(sys, grid, sets, tab), ref(sys, grid, sets)
         assert (a.passed, a.checked, json.dumps(a.witnesses), a.counts) == \
             (b.passed, b.checked, json.dumps(b.witnesses), b.counts), a.axiom
         out.append(a)
@@ -588,7 +591,7 @@ def test_axioms_collect_sets_that_miss_their_base():
     assert (by_name["L5"].passed, by_name["L5"].checked) == (True, 0)
 
 
-def l7_lazy(sys, grid, sets, bases=6, depth=14):
+def l7_lazy(sys, grid, sets, tab=None, bases=6, depth=14):
     """The closedness axiom walking each chain base by base, stopping a
     chain at depth 1 when it finds no contact to track."""
     res = AxiomResult("L7", True, 0)
@@ -750,7 +753,7 @@ def l4_both(sys, grid_size):
     within rounding."""
     grid = [canonical(i * sys.period / grid_size, sys.period) for i in range(grid_size)]
     sets = dict(zip(grid, sys.F_many(grid)))
-    fast = _check_l4(sys, grid, sets)
+    fast = _check_l4(sys, grid, sets, span_table([sets[p] for p in grid]))
     ref = l4_reference(sys, grid, sets, 1e-3, MARGIN)
     assert (fast.passed, fast.checked) == (ref.passed, ref.checked)
     assert [w["pass"] for w in fast.witnesses] == [w["pass"] for w in ref.witnesses]

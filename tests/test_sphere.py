@@ -18,6 +18,7 @@ from curvex.errors import (
 from curvex.sphere import (
     EPS_CONTACT,
     ProjectiveCurve,
+    _contact_sets,
     _cross3,
     _dot3,
     _interior_zeros,
@@ -489,6 +490,116 @@ def test_a_block_raises_the_error_of_its_first_failing_base(curve3, monkeypatch,
     assert str(block.value).startswith(f"{words}{float(ts[5])!r}")
 
 
+@pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7", "curve7_gl3", "sf_mix7"])
+def test_row_built_contact_sets_equal_single_solves(fixture, request):
+    # the contact maps merge the point tables of a whole block in one
+    # merged_rows pass; each row must be the set that limiting_circle
+    # merges by from_points, float for float, on the axiom grid and on 70
+    # random bases, whatever bases are solved beside it
+    obj = request.getfixturevalue(fixture)
+    curve = obj if isinstance(obj, ProjectiveCurve) else obj.lift
+    grid = np.array([canonical(i * TWO_PI / 256) for i in range(256)])
+    rand = np.random.default_rng(4).uniform(0.0, TWO_PI, 70)
+    for ts in (grid, rand):
+        sets = _contact_sets(curve, ts, EPS_CONTACT)
+        assert [repr(s.spans) for s in sets] == \
+            [repr(limiting_circle(curve, t).contact.spans) for t in ts]
+    beside = _contact_sets(curve, np.concatenate([rand[::-1], grid[::3]]), EPS_CONTACT)
+    assert [s.spans for s in beside[:70]] == [s.spans for s in sets[::-1]]
+
+
+@pytest.mark.parametrize("shift", [0.0, 5e-8])
+def test_a_zero_found_twice_is_one_contact_component(curve7, monkeypatch, shift):
+    # each zero of T_t reported twice, the copy shift later: at the same s
+    # it is one touch, and 5e-8 apart, within EPS_GROUP, the two touches
+    # merge into one component, in the row merge as in from_points
+    ts = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    once = _limits(curve7, ts, EPS_CONTACT)
+    real = sphere._interior_zeros
+
+    def twice(*args):
+        rows, ss = real(*args)
+        return np.repeat(rows, 2), np.repeat(ss, 2) + np.tile([0.0, shift], len(ss))
+
+    monkeypatch.setattr(sphere, "_interior_zeros", twice)
+    doubled = _limits(curve7, ts, EPS_CONTACT)
+    assert sum(len(cd.touches) for cd in once) > 0
+    assert [len(cd.touches) for cd in doubled] == \
+        [len(cd.touches) * (1 if shift == 0.0 else 2) for cd in once]
+    assert [len(cd.contact) for cd in doubled] == [len(cd.contact) for cd in once]
+    assert [s.spans for s in _contact_sets(curve7, ts, EPS_CONTACT)] == \
+        [cd.contact.spans for cd in doubled]
+
+
+def _outcome(solve, curve, ts):
+    """The spans of the solved contact sets, or the error raised."""
+    try:
+        return [repr(s.spans) for s in solve(curve, ts)]
+    except CurvexError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("broken,error,words", [
+    ({}, NotAntiConvex, "no admissible line at t=0.0"),
+    ({5: _lost, 9: _turned, 40: _lost}, NotAntiConvex, "no admissible line at t="),
+    ({5: _turned, 9: _lost, 40: _turned}, NoConvergence, "limiting circle at t="),
+], ids=["warped", "not-anti-convex-first", "no-convergence-first"])
+def test_row_built_sets_raise_the_error_of_the_first_failing_base(curve3, monkeypatch,
+                                                                  broken, error, words):
+    # several bases of a block fail: on the warped curve, many with no
+    # admissible arc; on curve3, bases 5, 9 and 40 broken each in its own
+    # way.  The row-built pass raises the error of the first, as _limits
+    # and, on the warped curve, the per-base loop do
+    ts = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+    if broken:
+        curve, real = curve3, sphere._exact_arcs
+
+        def failing(*args):
+            start, length = real(*args)
+            for i, make in broken.items():
+                start[i], length[i] = make(start[i], length[i])
+            return start, length
+
+        monkeypatch.setattr(sphere, "_exact_arcs", failing)
+        words += repr(float(ts[5]))
+    else:
+        curve = warped_curve()
+        assert sum(arc is None for arc, _ in admissible_normal_arc(curve, ts)) > 1
+        assert _outcome(lambda c, ts: _contact_sets(c, ts, EPS_CONTACT), curve, ts) == \
+            _outcome(lambda c, ts: [cd.contact for cd in limit_block_loop(c, ts, EPS_CONTACT)],
+                     curve, ts)
+    got = _outcome(lambda c, ts: _contact_sets(c, ts, EPS_CONTACT), curve, ts)
+    assert got == _outcome(lambda c, ts: [cd.contact for cd in _limits(c, ts, EPS_CONTACT)],
+                           curve, ts)
+    assert got[0] is error and got[1].startswith(words)
+
+
+@pytest.mark.parametrize("check,words", [
+    ("arc", "no admissible line at t=1.5"),
+    ("found", "limiting circle at t=1.5 not found in its admissible arc"),
+    ("leaves", "limiting circle at t=1.5 leaves the half-curve by 0.25"),
+    ("components", "transversal limiting circle at t=1.5 shows 2 contact components; "
+                   "expected at least three"),
+])
+def test_a_block_checks_its_bases_in_order_and_each_check_in_order(check, words):
+    # base 2 fails the named check and every later one, base 3 fails every
+    # check: the block raises the first failing base's first error
+    order = ["arc", "found", "leaves", "components"]
+    fails = {name: np.array([False, False, order.index(name) >= order.index(check), True])
+             for name in order}
+    block = sphere._Block(np.array([0.5, 1.0, 1.5, 2.0]), [0.0] * 4, np.zeros(4, dtype=bool),
+                          np.zeros((4, 3)), ~fails["arc"], ~fails["found"], np.full(4, 0.25),
+                          fails["leaves"], np.zeros(0, dtype=int), np.zeros(0))
+    with pytest.raises((NotAntiConvex, NoConvergence)) as err:
+        block.raise_first(np.where(fails["components"], 2, 3))
+    assert str(err.value) == words
+    clean = block._replace(arc=np.ones(4, dtype=bool), found=np.ones(4, dtype=bool),
+                           leaves=np.zeros(4, dtype=bool))
+    clean.raise_first([3, 3, 3, 3])
+    # a tangent circle needs no third component
+    clean._replace(tangent=np.ones(4, dtype=bool)).raise_first([2, 2, 2, 2])
+
+
 def test_certificate_top_coefficient_vanishing_raises_no_warning():
     # F(0) = (0, 1.12, 0), so every normal of the frame at 0 has an exact
     # 0 in y, and only y carries the top harmonic: the certificate's
@@ -538,9 +649,9 @@ def test_certificate_catches_a_direction_winding_between_zeros(t):
     nu, that = curve.frames(ts)
     rows, ss = _interior_zeros(curve, ts, Ft)
     P = curve.F.eval_many(ss)
-    [arc] = sphere.admissible_arcs(np.append(P @ nu[0], 0.0)[None],
-                                   np.append(P @ that[0], 1.0)[None])
-    assert arc.length == pytest.approx(2.93, abs=0.01)
+    _, [length] = sphere.admissible_arcs(np.append(P @ nu[0], 0.0)[None],
+                                         np.append(P @ that[0], 1.0)[None])
+    assert length == pytest.approx(2.93, abs=0.01)
     with pytest.raises(NotAntiConvex):
         limiting_circle(curve, t)
 
@@ -554,12 +665,9 @@ def test_certificate_passes_admissible_bases_of_the_winding_curve(t):
     assert float(np.max(units @ cd.circle.normal)) <= 2.0 * EPS_CONTACT
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 1.0, 1.5]),
-       st.floats(0.0, math.pi, exclude_max=True))
-def test_not_anti_convex_exactly_where_the_direction_spans_pi(seed, e, t):
-    # e = 0: a random lift; otherwise a random GL(3) image of the general
-    # curve x = cos t + e dx, y = sin t + e dy, z = dz with harmonics 3, 5
+def general_curve(seed, e):
+    """e = 0: a random lift; otherwise a random GL(3) image of the general
+    curve x = cos t + e dx, y = sin t + e dy, z = dz with harmonics 3, 5."""
     rng = np.random.default_rng(seed)
 
     def dev(ks):
@@ -574,8 +682,15 @@ def test_not_anti_convex_exactly_where_the_direction_spans_pi(seed, e, t):
         F = VectorSeries(*(sum((c.scaled(float(g)) for g, c in zip(row, xyz)),
                                TrigSeries.zero(ANTIPERIODIC))
                            for row in rng.normal(size=(3, 3))))
+    return F
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 1.0, 1.5]),
+       st.floats(0.0, math.pi, exclude_max=True))
+def test_not_anti_convex_exactly_where_the_direction_spans_pi(seed, e, t):
     try:
-        curve = ProjectiveCurve(F)
+        curve = ProjectiveCurve(general_curve(seed, e))
         curve.frames(t + np.linspace(0.0, math.pi, 8, endpoint=False))
     except DegeneratePoint:
         return
@@ -586,6 +701,25 @@ def test_not_anti_convex_exactly_where_the_direction_spans_pi(seed, e, t):
         except NotAntiConvex:
             raised = True
         assert raised == (direction_span(curve, base) >= math.pi)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 1.0, 1.5]))
+def test_admissible_normal_arc_has_the_same_verdict_at_antipodal_bases(seed, e):
+    # the circles at t + pi are those at t with theta read as pi - theta,
+    # so the census checks anti-convexity on [0, pi) only
+    ts = np.linspace(0.0, math.pi, 32, endpoint=False)
+    try:
+        curve = ProjectiveCurve(general_curve(seed, e))
+        curve.frames(np.concatenate([ts, ts + math.pi]))
+    except DegeneratePoint:
+        return
+    here, there = (admissible_normal_arc(curve, bases) for bases in (ts, ts + math.pi))
+    assert [a is None for a, _ in here] == [a is None for a, _ in there]
+    for (a, _), (b, _) in zip(here, there):
+        if a is not None:
+            assert circle_dist(a.start + a.length, math.pi - b.start) < 1e-9
+            assert abs(a.length - b.length) < 1e-9
 
 
 @pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7", "sf_sin3", "sf_mix25",
