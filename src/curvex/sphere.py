@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +40,8 @@ from .trig import (
     companion_roots,
     isolate_sign_changes,
     laurent_rows,
+    real_seeds,
+    tan_rows,
     triple_product,
 )
 
@@ -132,6 +134,11 @@ class ProjectiveCurve:
         return ks, A, B, np.array([s.constant for s in series])
 
     @cached_property
+    def _indicator(self) -> TrigSeries:
+        """det(F, F', F''), built once per curve (inflection_indicator)."""
+        return triple_product(self.F, self.F1, self.F2)
+
+    @cached_property
     def _tangent_planes(self) -> np.ndarray:
         """W = F x F' as three Laurent rows in y = exp(2is): W has even
         harmonics only, since F and F' are antiperiodic."""
@@ -182,7 +189,7 @@ def normal_direction(frame: tuple[np.ndarray, np.ndarray], theta: float) -> np.n
 def inflection_indicator(curve: ProjectiveCurve) -> TrigSeries:
     """The exact scalar series det(F, F', F''); sign changes mark true
     inflections of the projective curve."""
-    return triple_product(curve.F, curve.F1, curve.F2)
+    return curve._indicator
 
 
 def nonzero_indicator(curve: ProjectiveCurve) -> TrigSeries:
@@ -462,8 +469,9 @@ def _exact_arcs(curve, ts, frames, rows, A, B):
     wind once round between two; so an arc holds when its middle circle
     n . F has no zero t + x, |Im x| < 5e-4, Re x in (1e-6, pi - 1e-6).
     Over cos^M(x), n . F is a real polynomial in u = tan(x) with the same
-    zeros, but for x = pi/2, where its degree drops; its zero u = 0 at
-    the base, where n . F(t) is rounding, is divided out."""
+    zeros, but for x = pi/2, where its degree drops: trig.tan_rows with
+    its pole at x = pi/2 (c = 2t), the builder of arc_zeros' seeds.  Its
+    zero u = 0 at the base, where n . F(t) is rounding, is divided out."""
     nu, that = frames
     col = np.arange(len(rows)) - np.searchsorted(rows, rows)
     a, b = np.zeros((2, len(ts), int(col.max(initial=0)) + 2))
@@ -475,25 +483,13 @@ def _exact_arcs(curve, ts, frames, rows, A, B):
     # F has odd harmonics only: column m of Q is exp(i(2m - M)s)
     Q = n_mid @ laurent_rows(curve.F.components)[:, ::2]
     M = Q.shape[1] - 1
-    met, u, degree = companion_roots(
-        ((Q * np.exp(1j * (2 * np.arange(M + 1) - M) * ts[:, None])) @ _tan_basis(M)).real[:, 1:])
+    met, u, degree = companion_roots(tan_rows(Q, 2.0 * ts)[:, 1:])
     with np.errstate(divide="ignore", invalid="ignore"):  # u = +-i is no zero
         x = np.arctan(u)
     off = x.real % math.pi
     length[met[(np.abs(x.imag) < 5e-4) & (off > 1e-6) & (off < math.pi - 1e-6)]] = -1.0
     length[degree < M - 1] = -1.0
     return start, length
-
-
-@lru_cache
-def _tan_basis(M: int) -> np.ndarray:
-    """Row m: exp(i(2m - M)x) / cos^M(x) = (1 + iu)^m (1 - iu)^(M - m) as
-    coefficients of u^0 .. u^M, u = tan(x)."""
-    basis = np.array([np.convolve([math.comb(m, a) * 1j ** a for a in range(m + 1)],
-                                  [math.comb(M - m, b) * (-1j) ** b for b in range(M - m + 1)])
-                      for m in range(M + 1)])
-    basis.flags.writeable = False  # shared by every call
-    return basis
 
 
 def _interior_zeros(curve: ProjectiveCurve, ts: np.ndarray, Ft: np.ndarray):
@@ -546,13 +542,16 @@ def arc_zeros(Q: np.ndarray, ts: np.ndarray):
     solves the quotients from the origin t.  As (y - w)^2 =
     -4 y w sin^2(s - t), the zeros are polished on the quotient scaled
     by -4 w, the row's series over sin^2(s - t), away from the double
-    zero that would drown theirs in rounding near s = t."""
+    zero that would drown theirs in rounding near s = t.  That series is
+    real, so its zeros are seeded by real_seeds, real companion matrices
+    two to three times cheaper than the complex ones of roots(), whose
+    seeds stay complex."""
     if Q.shape[1] < 3:  # nothing is left beside the double zero
         return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int)
     w = np.exp(2j * ts)
     for _ in range(2):
         Q = _divided(Q, w)
-    rows, s, m = circle_zeros(Q, -4.0 * w, ts, step=2)
+    rows, s, m = circle_zeros(Q, -4.0 * w, ts, step=2, seeds=real_seeds)
     off = s - ts[rows]
     keep = (off > 1e-6) & (off < math.pi - 1e-6)
     return rows[keep], s[keep], m[keep]

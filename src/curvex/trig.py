@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -393,26 +394,76 @@ def companion_roots(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate(zs), degree
 
 
+def complex_seeds(P: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Seeds for circle_zeros: the companion_roots y of each row of P,
+    as flat arrays (row, angle of y), kept when |log|y|| < 1e-3."""
+    rows, z, _ = companion_roots(P)
+    keep = (np.abs(z) > math.exp(-1e-3)) & (np.abs(z) < math.exp(1e-3))
+    return rows[keep], np.angle(z[keep])
+
+
+def real_seeds(P: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Seeds for circle_zeros from real companion matrices, as flat
+    arrays (row, angle of y).  With y = exp(ic)(1 + iu)/(1 - iu), each
+    row's series is a real polynomial in u (tan_rows); its roots give
+    y = exp(i(c + 2 arctan u)), kept when |Im 2 arctan u| < 1e-3, as
+    complex_seeds keeps |log|y|| < 1e-3.  The pole y = -exp(ic) is put
+    where |P| is largest on 8N points: by Bernstein's inequality no zero
+    lies within about 2/N of it, so |u| stays of order N, and the leading
+    coefficient is the series there, so no degree drops."""
+    N = P.shape[1] - 1
+    n = 8 * max(N, 1)
+    # |ifft| of a row padded to n points is |P(y)| / n on the grid
+    c = np.argmax(np.abs(np.fft.ifft(P, n, axis=1)), axis=1) * TWO_PI / n + math.pi
+    rows, u, _ = companion_roots(tan_rows(scale[:, None] * P, c))
+    with np.errstate(divide="ignore", invalid="ignore"):  # u = +-i is no zero
+        x = 2.0 * np.arctan(u)
+    keep = np.abs(x.imag) < 1e-3
+    return rows[keep], c[rows[keep]] + x.real[keep]
+
+
+def tan_rows(C: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The real series sum_j C_j y^(j - N/2), one row of C (coefficients
+    of y^0 .. y^N) per entry of c, times (1 + u^2)^(N/2) at
+    y = exp(ic)(1 + iu)/(1 - iu): the real coefficients of u^0 .. u^N of
+    Re sum_j C_j exp(i(j - N/2)c) (1 + iu)^j (1 - iu)^(N - j).  The sum
+    over j is taken elementwise, so a row does not depend on the rows
+    beside it."""
+    N = C.shape[1] - 1
+    E = C * np.exp(1j * (np.arange(N + 1) - N / 2) * c[:, None])
+    return (E[:, :, None] * _tan_basis(N)).sum(axis=1).real
+
+
+@lru_cache
+def _tan_basis(N: int) -> np.ndarray:
+    """Row j: (1 + iu)^j (1 - iu)^(N - j) as coefficients of u^0 .. u^N."""
+    basis = np.array([np.convolve([math.comb(j, a) * 1j ** a for a in range(j + 1)],
+                                  [math.comb(N - j, b) * (-1j) ** b for b in range(N - j + 1)])
+                      for j in range(N + 1)])
+    basis.flags.writeable = False  # shared by every call
+    return basis
+
+
 def circle_zeros(P: np.ndarray, scale: np.ndarray, origin: np.ndarray,
-                 step: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 step: int = 1, seeds=complex_seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Real zeros of the series scale * y^(-N/2) P(y), y = exp(i*step*t),
     for each row of P (coefficients of y^0 .. y^N): flat arrays (row, t,
     multiplicity) sorted by row, then by t - origin in [0, 2*pi/step).
 
-    The zeros start from the companion_roots y = exp(i*step*t) with
-    |log|y|| < 1e-3, unpolished.  An m-fold zero splits into m
-    eigenvalues about eps^(1/m) apart, so those whose offsets from the
-    origin (where no zero may lie) are within 1e-4 form one zero.  A
-    pair is two simple zeros, each bounded by its half of the cluster,
-    when the series at its centre beats rounding and has the opposite
-    sign at both edges (5e-5 outside).  Newton steps on the (m-1)-th
-    derivative polish all zeros in lockstep; a zero stops at a step of
-    1e-4 or more or one leaving its bounds (not taken), at one of at
-    most 1e-15, or after 16 steps."""
+    The zeros start from seeds(P, scale), the rows and angles of y of
+    the eigenvalues near the unit circle, unpolished: complex_seeds (the
+    default) or real_seeds.  An m-fold zero splits into m eigenvalues
+    about eps^(1/m) apart, so those whose offsets from the origin (where
+    no zero may lie) are within 1e-4 form one zero.  A pair is two
+    simple zeros, each bounded by its half of the cluster, when the
+    series at its centre beats rounding and has the opposite sign at
+    both edges (5e-5 outside).  Newton steps on the (m-1)-th derivative
+    polish all zeros in lockstep; a zero stops at a step of 1e-4 or more
+    or one leaving its bounds (not taken), at one of at most
+    max(1e-15, ulp of t), or after 16 steps."""
     N = P.shape[1] - 1
-    rows, z, _ = companion_roots(P)
-    keep = (np.abs(z) > math.exp(-1e-3)) & (np.abs(z) < math.exp(1e-3))
-    rows, off = rows[keep], ((np.angle(z[keep]) - step * origin[rows[keep]]) % TWO_PI) / step
+    rows, angle = seeds(P, scale)
+    off = ((angle - step * origin[rows]) % TWO_PI) / step
     order = np.lexsort((off, rows))
     rows, off = rows[order], off[order]
     first = np.ones(len(off), dtype=bool)
@@ -457,7 +508,7 @@ def circle_zeros(P: np.ndarray, scale: np.ndarray, origin: np.ndarray,
         moved = t[live] - step_t
         ok = (np.abs(step_t) < 1e-4) & (lo[live] <= moved) & (moved <= hi[live])
         t[live[ok]] = moved[ok]
-        live = live[ok & (np.abs(step_t) > 1e-15)]
+        live = live[ok & (np.abs(step_t) > np.maximum(1e-15, np.spacing(np.abs(t[live]))))]
     return rows, t, m
 
 

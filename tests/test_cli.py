@@ -190,6 +190,19 @@ def test_width_modes_read_the_inflections_once(tmp_path, monkeypatch, mode):
     assert inflection_solves(tmp_path, monkeypatch, MIX7, mode) == (0, 1)
 
 
+def test_width_census_builds_the_indicator_once(tmp_path, monkeypatch):
+    # the flexes and a2's line check read det(F, F', F'') cached on the lift
+    real, calls = sphere.triple_product, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sphere, "triple_product", spy)
+    assert run(tmp_path, MIX7, "width-census")[0] == 0
+    assert len(calls) == 1
+
+
 def test_theorem_c_mode(tmp_path):
     code, data = run(tmp_path, WIDTH_SIN3, "theorem-c",
                      "--out-svg", str(tmp_path / "tc.svg"), "--plot-samples", "256")

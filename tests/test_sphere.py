@@ -22,19 +22,24 @@ from curvex.sphere import (
     _cross3,
     _dot3,
     _interior_zeros,
+    _divided,
     _limits,
     admissible_normal_arc,
+    arc_zeros,
     inflection_indicator,
     limiting_circle,
     normal_direction,
     true_inflections,
 )
+from curvex import trig
 from curvex.trig import (
     ANTIPERIODIC,
     TrigSeries,
     VectorSeries,
+    circle_zeros,
     cos_series,
     laurent_rows,
+    real_seeds,
     roots,
     sin_series,
 )
@@ -105,6 +110,9 @@ def test_inflection_signs_alternate(curve3):
 
 def test_line_curve_rejected():
     c = make_curve(TrigSeries.zero("antiperiodic"))
+    with pytest.raises(LineCurve):
+        true_inflections(c)
+    # the indicator is cached on the curve; the verdict is not
     with pytest.raises(LineCurve):
         true_inflections(c)
 
@@ -738,3 +746,117 @@ def test_interior_zeros_match_roots_of_the_series(fixture, request):
         offsets = sorted((s - t) % TWO_PI for s, _ in roots(T))
         expected = [off for off in offsets if 1e-6 < off < math.pi - 1e-6]
         assert ss[rows == i] - t == pytest.approx(expected, abs=1e-10)
+
+
+def tangent_plane_rows(curve, ts):
+    """The rows of T_t(s) = W(s) . F(t) in y = exp(2is) that
+    _interior_zeros hands to arc_zeros."""
+    Ft = curve.F.eval_many(ts)
+    W = curve._tangent_planes
+    return Ft[:, :1] * W[0] + Ft[:, 1:2] * W[1] + Ft[:, 2:] * W[2]
+
+
+def tangent_line_rows(curve, ts):
+    """The rows of n(a) . F(b) that tangent_line_zeros hands to arc_zeros."""
+    jet = curve.jet(ts)
+    return _cross3(jet[:, :3], jet[:, 3:6]) @ laurent_rows(curve.F.components)[:, ::2]
+
+
+def complex_arc_zeros(Q, ts):
+    """arc_zeros seeded from the complex companion in y, as roots() is:
+    the reference for its real seeds."""
+    w = np.exp(2j * ts)
+    P = _divided(_divided(Q, w), w)
+    rows, s, m = circle_zeros(P, -4.0 * w, ts, step=2)
+    off = s - ts[rows]
+    keep = (off > 1e-6) & (off < math.pi - 1e-6)
+    return rows[keep], s[keep], m[keep]
+
+
+def assert_matches_complex_seeds(Q, ts):
+    """arc_zeros finds the reference's zeros, row for row with the same
+    multiplicities, within 1e-12; returns their number."""
+    got, want = arc_zeros(Q, ts), complex_arc_zeros(Q, ts)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[2].tolist() == want[2].tolist()
+    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+    return len(got[0])
+
+
+@pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7", "curve7_gl3", "sf_sin3",
+                                     "sf_mix25", "sf_mix4", "sf_mix7"])
+def test_real_seeds_find_the_zeros_of_the_complex_companion(fixture, request):
+    obj = request.getfixturevalue(fixture)
+    curve = obj if isinstance(obj, ProjectiveCurve) else obj.lift
+    grid = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+    for ts in (grid, np.random.default_rng(7).uniform(0.0, TWO_PI, 64)):
+        assert assert_matches_complex_seeds(tangent_plane_rows(curve, ts), ts) > 0
+        assert_matches_complex_seeds(tangent_line_rows(curve, ts), ts)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 1.0, 1.5]))
+def test_real_seeds_find_the_zeros_of_the_complex_companion_on_general_curves(seed, e):
+    ts = np.random.default_rng(seed).uniform(0.0, TWO_PI, 64)
+    try:
+        curve = ProjectiveCurve(general_curve(seed, e))
+        curve.frames(ts)
+    except DegeneratePoint:
+        return
+    assert_matches_complex_seeds(tangent_plane_rows(curve, ts), ts)
+    assert_matches_complex_seeds(tangent_line_rows(curve, ts), ts)
+
+
+@pytest.mark.parametrize("t", [round(2 * math.pi / 3, 12), 0.0, math.pi])
+def test_real_seeds_keep_a_zero_a_quarter_turn_from_the_base(curve3, t):
+    # at curve3's inflection bases 0 and pi, T_t has its one zero at
+    # t + pi/2, which a pole fixed at x = pi/2 would drop with the degree;
+    # at the clean-point key 2.094395102393 the roots in tan(s - t) would
+    # span 2.9e-13 to 3.4e12
+    ts = np.array([t])
+    assert assert_matches_complex_seeds(tangent_plane_rows(curve3, ts), ts) == 1
+    grid = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+    assert_matches_complex_seeds(tangent_plane_rows(curve3, grid), grid)
+
+
+@pytest.mark.parametrize("fixture", ["curve7", "curve7_gl3", "sf_mix7"])
+def test_arc_zeros_of_a_batch_equal_each_row_alone(fixture, request):
+    obj = request.getfixturevalue(fixture)
+    curve = obj if isinstance(obj, ProjectiveCurve) else obj.lift
+    ts = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+    for Q in (tangent_plane_rows(curve, ts), tangent_line_rows(curve, ts)):
+        rows, ss, m = arc_zeros(Q, ts)
+        # the unpolished seeds too, which a batch-dependent sum moves first
+        w = np.exp(2j * ts)
+        P = _divided(_divided(Q, w), w)
+        seed_rows, angles = real_seeds(P, -4.0 * w)
+        for i in range(len(ts)):
+            _, alone, m_alone = arc_zeros(Q[i:i + 1], ts[i:i + 1])
+            assert alone.tolist() == ss[rows == i].tolist()
+            assert m_alone.tolist() == m[rows == i].tolist()
+            assert real_seeds(P[i:i + 1], -4.0 * w[i:i + 1])[1].tolist() \
+                == angles[seed_rows == i].tolist()
+
+
+def test_a_zero_bouncing_by_one_ulp_above_8_ends_its_polish(curve7, monkeypatch):
+    # at this base one zero of T_t near s = 8.19 bounces between two
+    # neighbouring floats, a step of one ulp (1.8e-15 above 8); a stop at
+    # a fixed 1e-15 would polish it for all 16 steps
+    steps = []
+
+    class CountingNumpy:
+        """numpy, counting exp: one call for the real seeds' tan_rows,
+        then one per polish step."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            steps.append(x.shape)
+            return np.exp(x)
+
+    ts = np.array([451 * TWO_PI / 512])
+    monkeypatch.setattr(trig, "np", CountingNumpy())
+    rows, ss = _interior_zeros(curve7, ts, curve7.F.eval_many(ts))
+    assert len(ss) == 6 and 8.0 < ss[-1] < 8.2
+    assert len(steps) - 1 <= 4

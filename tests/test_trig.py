@@ -19,8 +19,10 @@ from curvex.trig import (
     laurent_rows,
     newton2,
     osculating_in_am,
+    real_seeds,
     roots,
     sin_series,
+    tan_rows,
     triple_product,
     truncate,
 )
@@ -240,6 +242,38 @@ def test_circle_zeros_of_odd_degree_rows_match_roots(s):
     assert mult.tolist() == [m for _, m in expected]
     np.testing.assert_allclose(zeros - origin, [t for t, _ in expected],
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("N", [4, 7])
+def test_tan_rows_are_the_series_times_a_power_of_one_plus_u_squared(N):
+    # C[N - j] = conj(C[j]): a real series in y = exp(i theta), which
+    # tan_rows writes in u with theta = c + 2 arctan u
+    rng = np.random.default_rng(N)
+    C = rng.normal(size=(3, N + 1)) + 1j * rng.normal(size=(3, N + 1))
+    C = C + C[:, ::-1].conj()
+    c = rng.uniform(0.0, TWO_PI, 3)
+    u = np.linspace(-3.0, 3.0, 13)
+    theta = c[:, None, None] + 2.0 * np.arctan(u)
+    series = (C[:, :, None] * np.exp(1j * (np.arange(N + 1) - N / 2)[:, None] * theta)).sum(axis=1)
+    got = np.array([np.polyval(row[::-1], u) for row in tan_rows(C, c)])
+    np.testing.assert_allclose(got, (1.0 + u ** 2) ** (N / 2) * series.real, rtol=1e-10)
+
+
+@pytest.mark.parametrize("s", [sin_series(1) * sin_series(1) * sin_series(1),
+                               TrigSeries(1.0, ((1, -1.0, 0.0),)),
+                               TrigSeries(-math.cos(1e-5), ((1, 1.0, 0.0),))] + [
+    random_series(np.random.default_rng(seed)) for seed in range(4)],
+    ids=["sin^3", "1-cos", "crossings-in-one-cluster", "r0", "r1", "r2", "r3"])
+def test_real_seeds_give_the_zeros_of_roots(s):
+    P = laurent_rows([s])
+    K = s.degree
+    origin = np.argmax(np.abs(np.fft.ifft(P[0], 8 * K))) * TWO_PI / (8 * K) - TWO_PI
+    _, zeros, mult = circle_zeros(P, np.ones(1), np.array([origin]), seeds=real_seeds)
+    zeros %= TWO_PI
+    zeros[TWO_PI - zeros < 1e-10] = 0.0
+    got, expected = sorted(zip(zeros.tolist(), mult.tolist())), roots(s)
+    assert [m for _, m in got] == [m for _, m in expected]
+    np.testing.assert_allclose([t for t, _ in got], [t for t, _ in expected], rtol=0, atol=1e-12)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
