@@ -1,18 +1,16 @@
 """Chords, curve reductions, double tangents and the inflection census.
 
-A double tangent interval is detected from the two-equation tangency
-system (the tangent line normal at one parameter annihilating position
-and velocity at the other), Newton-refined from the lattice cells
-around which that system's field winds and filtered by the defining
-conditions: genuine tangency at both ends, the arc not collapsed onto
-the chord, and the curve locally on the same side of the chord at both
-endpoints.  A chord is the short great-circle arc between its ends; for
-each interval it keeps, the detector checks the line that puts the
-chord in an affine chart (see chord) and raises NotAntiConvex without.
-Replacing the arc by the chord yields the reduction, a piecewise
-evaluator on which inflections are counted topologically (crossing
-tangent lines), since the determinant criterion needs two derivatives
-the junctions do not have.
+A double tangent interval is a zero of the two-equation tangency system
+(the tangent line normal at one parameter annihilating position and
+velocity at the other), Newton-refined from the lattice cells around
+which that system's field winds and kept by one array pass of the
+defining conditions (_failed_filters).  A chord is the short
+great-circle arc between its ends; for each interval it keeps, the
+detector checks the line that puts the chord in an affine chart (see
+chord).  Replacing the arc by the chord yields the reduction, a
+piecewise evaluator on which inflections are counted topologically
+(crossing tangent lines), since the determinant criterion needs two
+derivatives the junctions do not have.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .circle import (
     Arc,
@@ -37,6 +35,7 @@ from .sphere import (
     EPS_NORM,
     ProjectiveCurve,
     _cross3,
+    _dot3,
     admissible_normal_arc,
     clean_inflections,
     true_inflections,
@@ -55,6 +54,9 @@ GROUP_TOL = 1e-9  # neighbouring tangent normals this close form one run
 FD_STEP = 1e-5  # central-difference step of the topological tangent
 LATTICE_CELLS = 256  # lattice cells per half period in a that seed double tangents
 GAP_MARGIN = 2 * math.pi / LATTICE_CELLS  # pairs keep a gap in (h, pi - h), h one cell
+SIDE_STEPS = (1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2)  # probes beyond each end of a chord
+SIDE_MIN = 1e-9  # a probe's side value must exceed this to give the side
+FILTERS = ("degenerate_chord", "on_chord", "side", "direction")  # _failed_filters
 
 
 @dataclass(frozen=True)
@@ -303,8 +305,10 @@ class DetectionResult:
     """Unpacks as (intervals, dropped), the pair a2_double_tangents gives."""
 
     intervals: list[DoubleTangentInterval]
-    dropped: int = 0  # diverged or filtered-out Newton runs
+    dropped_by: dict = field(default_factory=dict)  # diverged, outside_band, FILTERS
     newton: dict = field(default_factory=dict)  # tangent_pairs' Newton counters
+
+    dropped = property(lambda self: sum(self.dropped_by.values()))
 
     def __iter__(self):
         return iter((self.intervals, self.dropped))
@@ -384,47 +388,55 @@ def tangent_pairs(a0, b0, system) -> tuple[list[tuple[float, float]], int, dict]
     return sorted(found), converged.size - len(rows), newton
 
 
-def _side_sign(curve: ProjectiveCurve, normal: np.ndarray, t: float,
-               direction: float) -> float:
-    """Sign of the chord-circle side function just beyond t."""
-    for h in (1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2):
-        v = float(np.dot(normal, curve.lift(t + direction * h)))
-        if abs(v) > 1e-9:
-            return math.copysign(1.0, v)
-    return 0.0
+def _failed_filters(curve: ProjectiveCurve, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per candidate (a[k], b[k]), the index in FILTERS of the first
+    condition beyond tangency it fails, or len(FILTERS) when it passes:
+    its chord exists (chord), an arc point of OFF_CHORD_SAMPLES leaves it
+    by more than OFF_CHORD_MIN, the arc lies on one side of it just beyond
+    both ends (at the first of the SIDE_STEPS probes whose side value
+    exceeds SIDE_MIN), and the tangent directions along it at the ends
+    agree.  Elementwise (_dot3, _cross3): each is decided as if alone."""
+    k, steps = len(a), np.array(SIDE_STEPS)
+    ts = np.concatenate([a[:, None] + np.linspace(0.0, 1.0, OFF_CHORD_SAMPLES) * (b - a)[:, None],
+                         a[:, None] - steps, b[:, None] + steps], axis=1)
+    P = curve.lift_many(ts.ravel()).reshape(ts.shape + (3,))
+    F, F1, _ = np.split(curve.jet(np.concatenate([a, b])).reshape(2, k, 9), 3, axis=2)
+    ends = F / np.sqrt(_dot3(F, F))[..., None]
+    cr = _cross3(ends[0], ends[1])
+    ncr = np.sqrt(_dot3(cr, cr))
+    normal = cr / np.maximum(ncr, EPS_NORM)[:, None]
+    off = np.abs(_dot3(P[:, :OFF_CHORD_SAMPLES], normal[:, None])).max(axis=1)
+    side = _dot3(P[:, OFF_CHORD_SAMPLES:], normal[:, None]).reshape(k, 2, len(steps))
+    big = np.abs(side) > SIDE_MIN
+    sign = np.sign(np.take_along_axis(side, big.argmax(axis=2)[..., None], axis=2)[..., 0])
+    sa, sb = np.where(big.any(axis=2), sign, 0.0).T
+    turn = _dot3(_cross3(normal, ends), F1)
+    fails = np.stack([ncr < EPS_NORM, off <= OFF_CHORD_MIN, (sa == 0.0) | (sa != sb),
+                      turn[0] * turn[1] <= 0.0])
+    return np.where(fails.any(axis=0), fails.argmax(axis=0), len(FILTERS))
 
 
-def _arc_samples(a, b) -> np.ndarray:
-    """OFF_CHORD_SAMPLES parameters evenly spaced from a to b; one row
-    per entry when a and b are columns."""
-    return a + np.linspace(0.0, 1.0, OFF_CHORD_SAMPLES) * (b - a)
-
-
-def _passes_filters(curve: ProjectiveCurve, a: float, b: float,
-                    samples: np.ndarray) -> Chord | None:
-    """Conditions beyond tangency: some arc point off the chord, the arc
-    locally on the same side at both ends, and coherent tangent
-    directions along the chord.  samples are the lifted
-    _arc_samples(a, b)."""
-    try:
-        ch = chord(curve, a, b)
-    except DegenerateChord:
-        return None
-    n = ch.normal
-    off = np.max(np.abs(samples @ n))
-    if off <= OFF_CHORD_MIN:
-        return None
-    sa = _side_sign(curve, n, a, -1.0)
-    sb = _side_sign(curve, n, b, +1.0)
-    if sa == 0.0 or sa != sb:
-        return None
-    da = _cross3(n, curve.lift(a))
-    db = _cross3(n, curve.lift(b))
-    ta = float(np.dot(da, curve.F1(a)))
-    tb = float(np.dot(db, curve.F1(b)))
-    if ta * tb <= 0.0:
-        return None
-    return ch
+def _winding_cells(g: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells (i, m), in np.nonzero order, around which the field
+    (g, gb) of the nodes (i, m) winds, row 0 turned by pi closing the
+    lattice.  The winding, the sum of the wrapped angle differences along
+    a cell's edges, is read only where no component has one strict sign
+    at the four corners, which puts the field in an open half-plane."""
+    read = True
+    for x in (g, gb):
+        pos, neg = x > 0.0, x < 0.0
+        for s in (np.concatenate([pos, neg[:1]]), np.concatenate([neg, pos[:1]])):
+            s = s[:, :-1] & s[:, 1:]
+            read = read & ~(s[:-1] & s[1:])
+    i, m = np.nonzero(read)
+    # the corners (i, m), (i, m + 1), (i + 1, m), (i + 1, m + 1) of each cell
+    rows, cols = np.stack([i, i, i + 1, i + 1]) % len(g), np.stack([m, m + 1, m, m + 1])
+    theta = np.arctan2(gb[rows, cols], g[rows, cols])
+    theta[2:, i + 1 == len(g)] += math.pi  # the closing row
+    along, across, along_b, across_b = (d - TWO_PI * np.rint(d / TWO_PI) for d in (
+        theta[1] - theta[0], theta[3] - theta[1], theta[3] - theta[2], theta[2] - theta[0]))
+    keep = np.abs(along + across - along_b - across_b) > math.pi  # multiples of 2 pi
+    return i[keep], m[keep]
 
 
 def _cell_seeds(curve: ProjectiveCurve,
@@ -435,58 +447,49 @@ def _cell_seeds(curve: ProjectiveCurve,
     n = F x F', winds, as it does around each zero inside.  The lattice
     closes at a = pi on the a = 0 row turned by pi, as n(a + pi) = n(a)
     and F(b + pi) = -F(b); the bands m = 0, cells it leaves out hold the
-    double zero at b = a, a + pi."""
+    double zero at b = a, a + pi.  The nodes are skewed views of n @ F.T
+    and n @ F1.T (row stride plus one column)."""
     h = math.pi / cells
     F, F1, _ = np.split(curve.jet(np.arange(2 * cells) * h), 3, axis=1)
     n = _cross3(F[:cells], F1[:cells])
-    i, m = np.arange(cells)[:, None], np.arange(1, cells)
-    theta = np.arctan2((n @ F1.T)[i, i + m], (n @ F.T)[i, i + m])
-    theta = np.concatenate([theta, theta[:1] + math.pi])
-    # the angle differences along the edges, wrapped into [-pi, pi]
-    along, across = (d - TWO_PI * np.rint(d / TWO_PI)
-                     for d in (np.diff(theta, axis=1), np.diff(theta, axis=0)))
-    winding = along[:-1] + across[:, 1:] - along[1:] - across[:, :-1]
-    i, m = np.nonzero(np.abs(winding) > math.pi)  # windings are multiples of 2 pi
+    g, gb = (as_strided(G[:, 1:], (cells, cells - 1), (G.strides[0] + G.itemsize, G.itemsize),
+                        writeable=False) for G in (n @ F.T, n @ F1.T))
+    i, m = _winding_cells(g, gb)
     a0 = (i + 0.5) * h
     return a0, a0 + (m + 1.5) * h
 
 
-def detect_double_tangents(curve: ProjectiveCurve) -> DetectionResult:
-    """All double tangent intervals on the projective line."""
-    return _double_tangents(curve)
+def detect_double_tangents(curve: ProjectiveCurve, grid=()) -> DetectionResult:
+    """All double tangent intervals on the projective line (_double_tangents)."""
+    return _double_tangents(curve, grid)
 
 
-def _double_tangents(curve: ProjectiveCurve) -> DetectionResult:
+def _double_tangents(curve: ProjectiveCurve, grid=()) -> DetectionResult:
     """detect_double_tangents, also run by width.a2_double_tangents on a
-    lift (bench/layertrace.py traces the two names apart).
-
-    newton2 solves the tangency system from the _cell_seeds of the
-    curve.  Converged pairs are deduplicated and pushed through the
-    filters, with the off-chord samples of every pair found in one call.
-    Each interval's chord is the short arc, which needs a line through
-    the middle q of its complementary arc (b, a + pi) that meets the
-    curve only at q (chord): one admissible_normal_arc call checks every
-    q and raises NotAntiConvex at the first without one.
-    """
+    lift (bench/layertrace.py traces the two names apart).  newton2
+    solves the tangency system from the _cell_seeds of the curve;
+    converged pairs are deduplicated and decided by one filter pass, and
+    each kept pair takes its chord from chord: the short arc, which needs
+    a line through the middle q of the complementary arc (b, a + pi) that
+    meets the curve only at q.  One admissible_normal_arc call checks
+    every q, then the bases grid, and raises NotAntiConvex at the first
+    base without an arc."""
     found, dropped, newton = tangent_pairs(*_cell_seeds(curve), _tangency_system(curve))
-    intervals = []
-    if not found:
-        return DetectionResult(intervals, dropped, newton)
-    a = np.array([x for x, _ in found])
-    b = a + np.array([gap for _, gap in found])
-    samples = curve.lift_many(_arc_samples(a[:, None], b[:, None]).ravel())
-    for x, y, lifted in zip(a.tolist(), b.tolist(), samples.reshape(len(a), -1, 3)):
-        ch = _passes_filters(curve, x, y, lifted)
-        if ch is None:
-            dropped += 1
-            continue
-        intervals.append(DoubleTangentInterval(x, y, ch))
-    if intervals:
-        qs = [canonical(iv.b + 0.5 * forward_gap(iv.b, iv.a + math.pi)) for iv in intervals]
-        for q, (arc, _) in zip(qs, admissible_normal_arc(curve, qs)):
-            if arc is None:
-                raise NotAntiConvex(q)
-    return DetectionResult(intervals, dropped, newton)
+    a, gap = np.array(found).reshape(-1, 2).T
+    b = a + gap
+    failed = _failed_filters(curve, a, b)
+    keep = failed == len(FILTERS)
+    intervals = [DoubleTangentInterval(x, y, chord(curve, x, y))
+                 for x, y in zip(a[keep].tolist(), b[keep].tolist())]
+    bases = [canonical(iv.b + 0.5 * forward_gap(iv.b, iv.a + math.pi))
+             for iv in intervals] + list(grid)
+    for t, (arc, _) in zip(bases, admissible_normal_arc(curve, bases) if bases else []):
+        if arc is None:
+            raise NotAntiConvex(t)
+    diverged = newton["seeds"] - newton["converged"]
+    dropped_by = {"diverged": diverged, "outside_band": dropped - diverged,
+                  **dict(zip(FILTERS, np.bincount(failed, minlength=len(FILTERS)).tolist()))}
+    return DetectionResult(intervals, dropped_by, newton)
 
 
 # -- independent (laminar) families -----------------------------------------
@@ -594,7 +597,8 @@ def census_report(kind: str, flexes, detection: DetectionResult,
     the detection's intervals, the identity check i - 2*delta = 3 and
     the clean points as given.  It warns of a greedy family (grown from
     the middle) whose size differs from the optimum's.  It carries the
-    detection's counters outside its JSON: newton and dropped_candidates."""
+    detection's counters outside its JSON: newton, dropped_candidates and
+    dropped_by."""
     intervals = detection.intervals
     family = maximal_independent_family(intervals)
     warnings = {}
@@ -607,30 +611,26 @@ def census_report(kind: str, flexes, detection: DetectionResult,
                         clean_points=list(clean_points),
                         double_tangents=[(iv.a, iv.b) for iv in family], warnings=warnings,
                         counters={"newton": detection.newton,
-                                  "dropped_candidates": detection.dropped})
+                                  "dropped_candidates": detection.dropped,
+                                  "dropped_by": detection.dropped_by})
 
 
 def census(curve: ProjectiveCurve, system: LineSystem | None = None) -> CensusReport:
     """Counts of independent inflections and double tangents with the
-    identity check i - 2*delta = 3.  The detector checks anti-convexity
-    only at the intervals it keeps; after it, one admissible_normal_arc
-    call on the SCAN // 2 bases of linspace(0, pi, SCAN // 2), keyed as a
-    line system keys them, checks it with or without a line system: the
-    first base without an arc raises NotAntiConvex.  Each projective
-    point is checked once: the circles at t + pi are those at t, with
-    the angle theta read as pi - theta, so an arc exists at t + pi
-    exactly when one exists at t.  The keys are the first half of those of
-    linspace(0, 2 pi, SCAN), float for float.  Given the curve's line
-    system, the report also carries, sorted, the three clean inflections
-    that sphere.clean_inflections picks and checks on it.  A support's
-    lift needs no such check, as the great circle through the pole meets
-    it only at the base and its antipode."""
+    identity check i - 2*delta = 3.  With or without a line system, the
+    detector's one admissible_normal_arc call checks anti-convexity at
+    the intervals it keeps, then at the SCAN // 2 bases of
+    linspace(0, pi, SCAN // 2), keyed as a line system keys the first
+    half of linspace(0, 2 pi, SCAN); the first base without an arc raises
+    NotAntiConvex.  The circles at t + pi are those at t with theta read
+    as pi - theta, so this checks each projective point once.  Given the
+    curve's line system, the report also carries, sorted, the three clean
+    inflections that sphere.clean_inflections picks and checks on it.  A
+    support's lift needs no such check, as the great circle through the
+    pole meets it only at the base and its antipode."""
     flexes = [e for e in true_inflections(curve).entries if e.crossing]
-    found = detect_double_tangents(curve)
     grid = [round(canonical(t), 12)
             for t in np.linspace(0.0, math.pi, SCAN // 2, endpoint=False)]
-    for t, (arc, _) in zip(grid, admissible_normal_arc(curve, grid)):
-        if arc is None:
-            raise NotAntiConvex(t)
+    found = detect_double_tangents(curve, grid)
     clean = [] if system is None else sorted(t for t, _ in clean_inflections(curve, system, flexes))
     return census_report("sphere-census", flexes, found, clean)

@@ -8,14 +8,20 @@ from conftest import admissible_angles, anti_convexity_grid_test
 
 from curvex.census import (
     DEDUPE_TOL,
+    FILTERS,
     GAP_MARGIN,
     LATTICE_CELLS,
     NEWTON_RESIDUAL,
+    OFF_CHORD_MIN,
+    OFF_CHORD_SAMPLES,
+    SCAN,
     DoubleTangentInterval,
+    _failed_filters,
     _first_distinct,
     _cell_seeds,
     _rowdot,
     _tangency_system,
+    _winding_cells,
     census,
     chord,
     count_inflections_topological,
@@ -25,7 +31,7 @@ from curvex.census import (
     reduction,
     tangent_pairs,
 )
-from curvex.circle import canonical, circle_dist, forward_gap
+from curvex.circle import TWO_PI, canonical, circle_dist, forward_gap
 from curvex.cli import main
 from curvex.errors import DegenerateChord, NotAntiConvex
 from curvex.sphere import (
@@ -107,6 +113,27 @@ class TestChord:
         assert list(fracs) == sorted(fracs)
 
 
+class TestFilterPass:
+    def test_decides_as_the_reference(self, curve3, curve5, curve7, curve7_gl3, sf_sin3,
+                                      sf_mix25, sf_mix4, sf_mix7):
+        # every candidate of the detector, and a grid of pairs with gaps
+        # from 1e-5 (on the chord) to pi (antipodal ends), is decided as
+        # the scalar reference decides it alone
+        corpus = [curve3, curve5, curve7, curve7_gl3] + [sf.lift for sf in (sf_sin3, sf_mix25,
+                                                                           sf_mix4, sf_mix7)]
+        grid_a = np.repeat(np.linspace(0.0, math.pi, 8, endpoint=False), 9)
+        grid_b = grid_a + np.tile(np.r_[1e-5, np.linspace(0.0, math.pi, 9)[1:]], 8)
+        seen = set()
+        for curve in corpus + random_lifts(5, 40):
+            found, _, _ = tangent_pairs(*_cell_seeds(curve), _tangency_system(curve))
+            a, gap = np.array(found).reshape(-1, 2).T
+            a, b = np.r_[a, grid_a], np.r_[a + gap, grid_b]
+            failed = [(FILTERS + (None,))[k] for k in _failed_filters(curve, a, b)]
+            assert failed == [reference_filter(curve, x, y) for x, y in zip(a.tolist(), b.tolist())]
+            seen.update(failed)
+        assert seen == set(FILTERS) | {None}
+
+
 class TestDetection:
     def test_curve7_counts_and_endpoints(self, curve7):
         det = detect_double_tangents(curve7)
@@ -150,11 +177,40 @@ class TestDetection:
     def test_complement_interval_rejected(self, curve5):
         # if (a, b) qualifies, the complementary interval must fail the
         # same-side condition
-        from curvex.census import _arc_samples, _passes_filters
         iv = detect_double_tangents(curve5).intervals[0]
-        for (a, b), qualifies in (((iv.a, iv.b), True), ((iv.b, iv.a + math.pi), False)):
-            ch = _passes_filters(curve5, a, b, curve5.lift_many(_arc_samples(a, b)))
-            assert (ch is not None) == qualifies
+        failed = _failed_filters(curve5, np.array([iv.a, iv.b]), np.array([iv.b, iv.a + math.pi]))
+        assert failed.tolist() == [len(FILTERS), FILTERS.index("side")]
+
+
+def side_sign(curve, normal, t, direction):
+    """Sign of the chord-circle side function just beyond t."""
+    for h in (1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2):
+        v = float(np.dot(normal, curve.lift(t + direction * h)))
+        if abs(v) > 1e-9:
+            return math.copysign(1.0, v)
+    return 0.0
+
+
+def reference_filter(curve, a, b):
+    """The first of FILTERS that the candidate (a, b) fails, or None: the
+    detector's conditions one candidate at a time with scalar numpy."""
+    try:
+        ch = chord(curve, a, b)
+    except DegenerateChord:
+        return "degenerate_chord"
+    n = ch.normal
+    samples = curve.lift_many(a + np.linspace(0.0, 1.0, OFF_CHORD_SAMPLES) * (b - a))
+    if np.max(np.abs(samples @ n)) <= OFF_CHORD_MIN:
+        return "on_chord"
+    sa = side_sign(curve, n, a, -1.0)
+    sb = side_sign(curve, n, b, +1.0)
+    if sa == 0.0 or sa != sb:
+        return "side"
+    ta = float(np.dot(_cross3(n, curve.lift(a)), curve.F1(a)))
+    tb = float(np.dot(_cross3(n, curve.lift(b)), curve.F1(b)))
+    if ta * tb <= 0.0:
+        return "direction"
+    return None
 
 
 def per_series_tangency_system(curve):
@@ -230,7 +286,68 @@ def shifted(curve, phi):
     return ProjectiveCurve(VectorSeries(*(shift(s) for s in curve.F.components)))
 
 
+def full_lattice_cells(g, gb):
+    """The cells (i, m) around which the field (g, gb) winds, from the
+    winding of every cell of the lattice."""
+    theta = np.arctan2(gb, g)
+    theta = np.concatenate([theta, theta[:1] + math.pi])
+    # the angle differences along the edges, wrapped into [-pi, pi]
+    along, across = (d - TWO_PI * np.rint(d / TWO_PI)
+                     for d in (np.diff(theta, axis=1), np.diff(theta, axis=0)))
+    winding = along[:-1] + across[:, 1:] - along[1:] - across[:, :-1]
+    return np.nonzero(np.abs(winding) > math.pi)  # windings are multiples of 2 pi
+
+
+def full_lattice_seeds(curve, cells=LATTICE_CELLS):
+    """_cell_seeds from the field gathered at every node of the lattice."""
+    h = math.pi / cells
+    F, F1, _ = np.split(curve.jet(np.arange(2 * cells) * h), 3, axis=1)
+    n = _cross3(F[:cells], F1[:cells])
+    i, m = np.arange(cells)[:, None], np.arange(1, cells)
+    i, m = full_lattice_cells((n @ F.T)[i, i + m], (n @ F1.T)[i, i + m])
+    a0 = (i + 0.5) * h
+    return a0, a0 + (m + 1.5) * h
+
+
+def degree_lift(K, seed):
+    """A random lift of degree up to K: each odd k in 3..K kept with
+    probability 0.6, then coefficients normal/k for the kept ones."""
+    rng = np.random.default_rng(1000 * K + seed)
+    ks = np.arange(3, K + 1, 2)
+    ks = ks[rng.random(len(ks)) < 0.6]
+    coeffs = rng.normal(size=(len(ks), 2)) / ks[:, None]
+    return lift(TrigSeries(0.0, tuple((int(k), float(a), float(b)) for k, (a, b) in zip(ks, coeffs)),
+                           ANTIPERIODIC))
+
+
 class TestLatticeSeeds:
+    def test_seeds_equal_the_full_lattice(self, curve3, curve5, curve7, curve7_gl3, sf_sin3,
+                                          sf_mix25, sf_mix4, sf_mix7):
+        # the winding read only where both components change sign gives
+        # every seed of the full lattice, in the same order; the K = 31
+        # lifts hold the two misses of seeds 23 and 31 (ROADMAP)
+        corpus = [curve3, curve5, curve7, curve7_gl3] + [sf.lift for sf in (sf_sin3, sf_mix25,
+                                                                           sf_mix4, sf_mix7)]
+        for curve in corpus + random_lifts(5, 19) + [degree_lift(31, s) for s in range(40)]:
+            seeds, reference = _cell_seeds(curve), full_lattice_seeds(curve)
+            assert all(np.array_equal(x, y) for x, y in zip(seeds, reference))
+        fine = 4 * LATTICE_CELLS
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(_cell_seeds(curve7, fine), full_lattice_seeds(curve7, fine)))
+
+    @pytest.mark.parametrize("zero, turn", [(-0.0, 0.0), (0.0, math.pi)])
+    def test_a_zero_corner_keeps_its_cell(self, zero, turn):
+        # g keeps one strict sign at three corners of cell (0, 0) and is
+        # a signed zero at the fourth, where the angle reads pi or 0: the
+        # field winds around the cell, which must be read
+        g, gb = np.ones((4, 3)), np.full((4, 3), 0.5)
+        for node, angle in (((0, 0), turn - 1.5), ((1, 1), turn + 1.5), ((1, 0), turn)):
+            g[node], gb[node] = math.cos(angle), math.sin(angle)
+        g[0, 1], gb[0, 1] = zero, 0.0
+        cells = _winding_cells(g, gb)
+        assert all(np.array_equal(x, y) for x, y in zip(cells, full_lattice_cells(g, gb)))
+        assert (0, 0) in zip(*cells)
+
     def test_gap_band_starts_at_the_first_cell(self):
         # the band tangent_pairs keeps is the lattice's: a pair at a gap
         # within one cell of 0 or pi lies in no cell, and is not kept
@@ -367,6 +484,19 @@ class TestChartCheck:
         nu, that = curve.frame(t)
         P = curve.lift_many(t + np.linspace(0.0, math.pi, 2 ** 16 + 2)[1:-1])
         assert admissible_angles(P @ nu, P @ that) is None
+
+    def test_a_chart_point_fails_before_the_start_bases(self):
+        # the curve fails at start bases too (0 among them), but the one
+        # call reads the chart points first, so the census raises the
+        # chart point's t, as the detector alone does
+        curve = chart_curve()
+        grid = np.linspace(0.0, math.pi, SCAN // 2, endpoint=False)
+        assert admissible_normal_arc(curve, grid)[0][0] is None
+        with pytest.raises(NotAntiConvex) as alone:
+            detect_double_tangents(curve)
+        with pytest.raises(NotAntiConvex) as err:
+            census(curve)
+        assert err.value.t == alone.value.t == pytest.approx(3.2058, abs=1e-4)
 
     def test_census_without_a_system_checks_anti_convexity(self):
         # the detector of this warped curve keeps no interval, so only the
@@ -530,10 +660,11 @@ class TestCensus:
 
     def test_anti_convexity_check_reads_each_projective_point_once(self, curve7,
                                                                     monkeypatch):
-        # after the detector's chart check, the start bases are the 32 of
-        # [0, pi), keyed as the line system keys the first 32 of the 64
-        # bases of [0, 2 pi)
+        # one call: the middles of the complementary arcs of the detector's
+        # 6 intervals, then the 32 start bases of [0, pi), keyed as the
+        # line system keys the first 32 of the 64 bases of [0, 2 pi)
         import curvex.census as module
+        charts = [chart_middle(iv) for iv in detect_double_tangents(curve7).intervals]
         asked = []
 
         def spy(curve, ts):
@@ -542,8 +673,8 @@ class TestCensus:
 
         monkeypatch.setattr(module, "admissible_normal_arc", spy)
         census(curve7)
-        keys = [round(canonical(t), 12) for t in np.linspace(0.0, 2 * math.pi, 64, endpoint=False)]
-        assert asked[-1] == keys[:32]
+        keys = [round(canonical(t), 12) for t in np.linspace(0.0, 2 * math.pi, SCAN, endpoint=False)]
+        assert len(charts) == 6 and asked == [charts + keys[:32]]
 
     def test_report_serializes(self, curve3):
         payload = census(curve3).to_json()

@@ -139,13 +139,16 @@ MIX7 = {"d": 120.0, "f": {"parity": "antiperiodic", "constant": 0.0,
 @pytest.mark.parametrize("payload, mode", [(CURVE7, "sphere-census"), (MIX7, "width-census")])
 def test_census_sidecar_counts_newton(tmp_path, payload, mode):
     # one seed per nonzero lattice cell: both ends of the 6 double
-    # tangents, of which the 6 seen from the far end fail a filter
+    # tangents, of which the 6 seen from the far end fail the side filter
     code, data = run(tmp_path, payload, mode)
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
     assert code == 0
     assert meta["newton"] == {"seeds": 12, "converged": 12, "steps": 4}
     assert meta["dropped_candidates"] == 6
-    assert "newton" not in data and "dropped_candidates" not in data["warnings"]
+    assert meta["dropped_by"] == {"diverged": 0, "outside_band": 0, "degenerate_chord": 0,
+                                  "on_chord": 0, "side": 6, "direction": 0}
+    text = json.dumps(data)
+    assert "newton" not in text and "dropped_candidates" not in text and "dropped_by" not in text
 
 
 @pytest.mark.parametrize("payload, additivity", [(MIX7, {"i1": 5, "i2": 3}),
