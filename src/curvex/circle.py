@@ -478,10 +478,10 @@ def contained_rows(tab, fat, period: float) -> np.ndarray:
     return inside.all(axis=1)
 
 
-def equal_rows(a, b, tol: float, period: float) -> tuple[np.ndarray, np.ndarray]:
-    """CircularSet.set_equal on every row, and which rows had a dilation
-    that joined components."""
-    fat_a, fat_b = dilated_rows(a, tol, period), dilated_rows(b, tol, period)
+def equal_rows(a, b, fat_a, fat_b, period: float) -> tuple[np.ndarray, np.ndarray]:
+    """CircularSet.set_equal on every row, given fat_a and fat_b, the two
+    tables dilated by the tolerance, and which rows had a dilation that
+    joined components."""
     joined = [np.count_nonzero(~np.isnan(f[0]), axis=1) < np.count_nonzero(~np.isnan(x[0]), axis=1)
               for x, f in ((a, fat_a), (b, fat_b))]
     return contained_rows(a, fat_b, period) & contained_rows(b, fat_a, period), joined[0] | joined[1]

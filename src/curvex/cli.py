@@ -261,6 +261,7 @@ def _run_axioms(obj, system, args, meta: dict) -> tuple[dict, bool]:
     rep = check_axioms(system, grid_size=args.axiom_grid)
     meta["axiom_seconds"] = {r.axiom: round(r.seconds, 3) for r in rep.results}
     meta["axiom_solve_seconds"] = round(rep.solve_seconds, 3)
+    meta["axiom_table_seconds"] = round(rep.table_seconds, 3)
     meta["l4_configurations"] = next(r.counts for r in rep.results if r.axiom == "L4")
     rows = {r.axiom: r.counts for r in rep.results if "rows" in r.counts}
     meta["axiom_rows"] = {**{a: c["rows"] for a, c in rows.items()},

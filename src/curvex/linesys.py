@@ -522,6 +522,7 @@ class AxiomResult:
 class AxiomReport:
     results: list[AxiomResult]
     solve_seconds: float = 0.0  # the grid prefetch; run metadata, not part of the report
+    table_seconds: float = 0.0  # the span table and its dilation; run metadata too
 
     @property
     def all_pass(self) -> bool:
@@ -536,11 +537,11 @@ def check_axioms(sys: LineSystem, grid_size: int = 256) -> AxiomReport:
     """Extensional check of the seven contact-family axioms on a grid of
     a positive even size, so that every grid point's antipode is on it.
 
-    The grid is solved in one contact-map call, and L1 and L3 to L6 read
-    its sets as one span table, built once, in array passes.  Sampled
-    configurations only: the order axiom runs over lagged pairs, the
-    closedness axiom over grid-refinement sequences.  Failures are
-    collected with witnesses instead of raised.
+    The grid is solved in one contact-map call, and L1 to L6 read its
+    sets as one span table, built and dilated by SET_TOL once, in array
+    passes.  Sampled configurations only: the order axiom runs over
+    lagged pairs, the closedness axiom over grid-refinement sequences.
+    Failures are collected with witnesses instead of raised.
     """
     if grid_size < 2 or grid_size % 2:
         raise ValueError(f"the axiom grid must have a positive even size, got {grid_size}")
@@ -548,43 +549,48 @@ def check_axioms(sys: LineSystem, grid_size: int = 256) -> AxiomReport:
     grid = [canonical(i * period / grid_size, period) for i in range(grid_size)]
     started = time.perf_counter()
     sets = dict(zip(grid, sys.F_many(grid)))
-    solve_seconds = time.perf_counter() - started
+    solved = time.perf_counter()
     tab = span_table([sets[p] for p in grid])
+    fat = dilated_rows(tab, SET_TOL, period)
+    seconds = (solved - started, time.perf_counter() - solved)
     results = []
     for check in (_check_l1, _check_l2, _check_l3, _check_l4, _check_l5,
                   _check_l6, _check_l7):
         started = time.perf_counter()
-        res = check(sys, grid, sets, tab)
+        res = check(sys, grid, sets, tab, fat)
         res.seconds = time.perf_counter() - started
         results.append(res)
-    return AxiomReport(results, solve_seconds)
+    return AxiomReport(results, *seconds)
 
 
-def _check_l1(sys, grid, sets, tab):
+def _at(tab, rows):  # the rows of a span table
+    return tab[0][rows], tab[1][rows]
+
+
+def _check_l1(sys, grid, sets, tab, fat):
     found = _own_rows(tab, np.array(grid), sys.period)[0]
     return AxiomResult("L1", bool(found.all()), len(grid),
                        [{"p": p} for p, ok in zip(grid, found) if not ok])
 
 
-def _check_l2(sys, grid, sets, tab):
-    res = AxiomResult("L2", True, len(grid))
-    for p in grid:
-        F = sets[p]
-        if not F or F.is_full() or len(F) > L2_MAX_COMPONENTS \
-                or F.measure > sys.period - 0.05:
-            res.passed = False
-            res.witnesses.append({"p": p, "components": len(F),
-                                  "measure": F.measure})
-    return res
+def _check_l2(sys, grid, sets, tab, fat):
+    """Size bounds on all rows in one array pass; each measure is summed
+    in order, as CircularSet.measure sums it, and a full set fails on it."""
+    count = np.count_nonzero(~np.isnan(tab[0]), axis=1)
+    measure = np.cumsum(np.nan_to_num(tab[1]), axis=1)[:, -1]
+    bad = (count == 0) | (count > L2_MAX_COMPONENTS) | (measure > sys.period - 0.05)
+    witnesses = [{"p": p, "components": len(sets[p]), "measure": sets[p].measure}
+                 for p in np.take(grid, np.flatnonzero(bad)).tolist()]
+    return AxiomResult("L2", not witnesses, len(grid), witnesses)
 
 
-def _check_l3(sys, grid, sets, tab):
+def _check_l3(sys, grid, sets, tab, fat):
     """Antipodal symmetry: every grid set equals its half-turn image, all
     rows in one array pass."""
     period = sys.period
     start, length = tab
     turned = merged_rows(canonicals(start + 0.5 * period, period), length, period, 0.0)
-    equal, joined = equal_rows(tab, turned, SET_TOL, period)
+    equal, joined = equal_rows(tab, turned, fat, dilated_rows(turned, SET_TOL, period), period)
     res = AxiomResult("L3", bool(equal.all()), len(grid),
                       [{"p": grid[i]} for i in np.flatnonzero(~equal)])
     res.counts = {"rows": len(grid), "merged": int(joined.sum())}
@@ -616,7 +622,7 @@ def _l4_configs(tab_p, tab_q, g, margin, half):
     return (g[:, 0] >= margin) & (half - p1 >= 2.0 * margin) & on.any(axis=1), p1, q1
 
 
-def _check_l4(sys, grid, sets, tab):
+def _check_l4(sys, grid, sets, tab, fat):
     """The order axiom as a counterexample search over lagged pairs, in
     both orientations: every configuration _l4_configs finds must have
     F(p) = F(q).  Each lag is one array step over the bases of both
@@ -652,8 +658,8 @@ def _check_l4(sys, grid, sets, tab):
     tried, ok, p1, q1 = (np.stack(x, axis=1) for x in zip(*found))
     i, k = np.nonzero(ok)
     j = i - i % n + (i + np.take(L4_LAGS, k)) % n
-    equal, _ = equal_rows((tab[0][src[i]], tab[1][src[i]]), (tab[0][src[j]], tab[1][src[j]]),
-                          SET_TOL, period)
+    equal, _ = equal_rows(_at(tab, src[i]), _at(tab, src[j]), _at(fat, src[i]), _at(fat, src[j]),
+                          period)
     res.checked, res.passed = len(i), bool(equal.all())
     bad = np.flatnonzero(~equal)[:3]
     for row, lag, other in zip(i[bad], k[bad], j[bad]):
@@ -686,7 +692,7 @@ def _clean_rows(tab, bases, period):
     return found & (tab[1][:, 0] < period - EPS_ANGLE) & inside
 
 
-def _check_l5(sys, grid, sets, tab):
+def _check_l5(sys, grid, sets, tab, fat):
     """The clean-point axiom: no clean p with T(p) clean.  Every grid row
     is classified in one array pass, and T(p) read by index, as the grid
     holds the antipode of each of its points; where the system keys T(p)
@@ -709,7 +715,7 @@ def _check_l5(sys, grid, sets, tab):
     return res
 
 
-def _check_l6(sys, grid, sets, tab):
+def _check_l6(sys, grid, sets, tab, fat):
     """The component axiom.  Forward: every point of a base component
     farther than MARGIN from its base (its ends and middle) has the set of
     the base; their sets are read in one call.  Reverse: grid neighbours
@@ -718,19 +724,19 @@ def _check_l6(sys, grid, sets, tab):
     then by base and lag."""
     period, n = sys.period, len(grid)
     base = np.array(grid)
-    start, length = tab
     found, own, size = _own_rows(tab, base, period)
     reps = np.stack([own, canonicals(own + size, period), canonicals(own + 0.5 * size, period)], 1)
     far = found[:, None] & (circle_dists(reps, base[:, None], period) > MARGIN)
     rows, qs = np.nonzero(far)[0], reps[far].tolist()
-    forward, joined = equal_rows(span_table(sys.F_many(qs)), (start[rows], length[rows]),
-                                 SET_TOL, period)
+    ahead = span_table(sys.F_many(qs))
+    forward, joined = equal_rows(ahead, _at(tab, rows), dilated_rows(ahead, SET_TOL, period),
+                                 _at(fat, rows), period)
     i = np.repeat(np.arange(n), 3)
     j = i + np.tile([1, 2, 3], n)
     i, j = i[j < n], j[j < n]
     apart = circle_dists(base[i], base[j], period) > MARGIN
     i, j = i[apart], j[apart]
-    equal, joined_ij = equal_rows((start[i], length[i]), (start[j], length[j]), SET_TOL, period)
+    equal, joined_ij = equal_rows(_at(tab, i), _at(tab, j), _at(fat, i), _at(fat, j), period)
     off = equal & ~(found[i] & holds_rows(own[i], size[i], base[j], SET_TOL, period))
     bad = [{"p": grid[r], "q": q, "direction": "forward"}
            for r, q, ok in zip(rows, qs, forward) if not ok]
@@ -740,12 +746,12 @@ def _check_l6(sys, grid, sets, tab):
     return res
 
 
-def _check_l7(sys, grid, sets, tab):
+def _check_l7(sys, grid, sets, tab, fat):
     """Closedness along refinement chains p + step0 / 2^d, d = 1 ..
     L7_DEPTH, from L7_CHAINS grid points: a contact tracked down the
     chain must end in F(p).  The chain bases come from the system in two blocks, the
-    first depth of every chain and then the rest of the chains that
-    find a contact to track there."""
+    first depth of every chain and then the rest of the chains that find a
+    contact to track there, which step together, a nearest midpoint per depth."""
     res = AxiomResult("L7", True, 0)
     period = sys.period
     step0 = period / 16.0
@@ -761,12 +767,15 @@ def _check_l7(sys, grid, sets, tab):
                              if circle_dist(c.midpoint, chain[0], period) > 0.1
                              and circle_dist(c.midpoint, tp, period) > 0.1), None))
     live = [k for k, s in enumerate(tracked) if s is not None]
-    deeper = iter(sys.F_many([pk for k in live for pk in chains[k][1:]]))
-    for k in live:
-        s_prev = tracked[k]
-        for _ in chains[k][1:]:
-            s_prev = min((c.midpoint for c in next(deeper).components()),
-                         key=lambda m: circle_dist(m, s_prev, period))
+    start, length = span_table(sys.F_many([pk for k in live for pk in chains[k][1:]]))
+    mids = canonicals(start + 0.5 * length, period).reshape(len(live), L7_DEPTH - 1,
+                                                              start.shape[1])
+    s_prev, rows = np.array([tracked[k] for k in live]), np.arange(len(live))
+    for d in range(L7_DEPTH - 1):
+        # an empty set raises ValueError, as min over no components did
+        near = np.nanargmin(circle_dists(mids[:, d], s_prev[:, None], period), axis=1)
+        s_prev = mids[rows, d, near]
+    for k, s_prev in zip(live, s_prev.tolist()):
         p = starts[k]
         res.checked += 1
         dist = sys.F(p).distance_to(s_prev)

@@ -28,6 +28,7 @@ from .circle import (
     canonical,
     canonicals,
     circle_dist,
+    circle_dists,
     merged_rows,
     row_sets,
 )
@@ -47,7 +48,6 @@ from .trig import (
 
 EPS_CONTACT = 1e-8
 EPS_NORM = 1e-9
-N_GRID = 4096
 BLOCK = 256  # bases solved in one pass: the default axiom grid
 
 
@@ -74,7 +74,7 @@ class ProjectiveCurve:
         self.F = F
         self.F1 = F.derivative()
         self.F2 = F.derivative(2)
-        pts = F.eval_many(np.linspace(0.0, TWO_PI, N_GRID, endpoint=False))
+        pts = F.on_grid(4096)
         if float(np.min(np.linalg.norm(pts, axis=1))) < EPS_NORM:
             raise DegeneratePoint("|F| vanishes on the sample grid")
 
@@ -413,7 +413,7 @@ def _limit_block(curve, ts, eps_contact):
     # orient each plane so that turning it further gives L(s) a positive side
     up = np.where(pn * _dot3(that[rows], Fs) < pt * _dot3(nu[rows], Fs), -1.0, 1.0)
     angles = np.arctan2(up * pt, up * pn)
-    theta_hat = (start + length).tolist()
+    theta_hat = start + length
 
     def side_max(theta):
         c, s = (np.array([f(x) for x in theta]) for f in (math.cos, math.sin))
@@ -422,10 +422,9 @@ def _limit_block(curve, ts, eps_contact):
         return out
 
     # the tangent circle at angle 0 or pi, when theta_hat lies within 1e-4 of it
-    theta_t = [0.0 if circle_dist(h, 0.0) < 1e-4 else
-               math.pi if circle_dist(h, math.pi) < 1e-4 else None for h in theta_hat]
-    tangent = (np.array([th is not None for th in theta_t])
-               & (side_max([th or 0.0 for th in theta_t]) <= eps_contact))
+    near = [circle_dists(theta_hat, end) < 1e-4 for end in (0.0, math.pi)]
+    theta_t = np.where(near[1], math.pi, 0.0)
+    tangent = (near[0] | near[1]) & (side_max(theta_t.tolist()) <= eps_contact)
     # each candidate against the zeros of its row, as (candidate, zero) pairs
     bounds = np.searchsorted(rows, np.arange(len(ts) + 1))
     row_zeros = np.diff(bounds)[rows]
@@ -445,8 +444,7 @@ def _limit_block(curve, ts, eps_contact):
     np.minimum.at(first, rows[hits], hits)
     pick = np.where(first < len(rows), first, -1)
     # a base with neither circle keeps angle 0 here and is not found
-    theta = [th if tg else canonical(float(angles[j])) if j >= 0 else 0.0
-             for th, tg, j in zip(theta_t, tangent.tolist(), pick.tolist())]
+    theta = np.where(tangent, theta_t, canonicals(np.append(angles, 0.0)[pick])).tolist()
 
     cos, sin = (np.array([f(x) for x in theta])[:, None] for f in (math.cos, math.sin))
     normal = cos * nu + sin * that

@@ -93,6 +93,10 @@ class TrigSeries:
             v += a * math.cos(k * t) + b * math.sin(k * t)
         return v
 
+    def on_grid(self, n: int) -> np.ndarray:
+        """The values at t = 2 pi j / n, j < n, equal to __call__ up to rounding."""
+        return _on_grid([self], n)[0]
+
     def eval_derivative(self, t, order: int):
         """Value of the order-th derivative at t (order 0 is the value)."""
         if order == 0:
@@ -184,6 +188,18 @@ def json_number(v) -> float:
     if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:  # nan, inf, 10**400
         raise ValueError(f"expected a finite number, got {v!r}")
     return float(v)
+
+
+def _on_grid(series: Sequence[TrigSeries], n: int) -> np.ndarray:
+    """Each series at t = 2 pi j / n, one row each: one inverse FFT of size
+    m, the least multiple of n with m / 2 > degree, read every m / n."""
+    m = n * (2 * max(s.degree for s in series) // n + 1)
+    X = np.zeros((len(series), m // 2 + 1), dtype=complex)
+    for row, s in zip(X, series):
+        row[0] = s.constant
+        for k, a, b in s.harmonics:
+            row[k] = 0.5 * complex(a, -b)
+    return np.fft.irfft(X, m, norm="forward")[:, ::m // n]
 
 
 def _pruned(constant: float, harmonics: Sequence[tuple[int, float, float]], parity: str) -> TrigSeries:
@@ -496,8 +512,10 @@ def circle_zeros(P: np.ndarray, scale: np.ndarray, origin: np.ndarray,
     lo, hi = origin[rows] + bounds[:, start]
 
     C = scale[rows, None] * P[rows]
-    i_pow = np.array([1.0, 1j, -1.0, -1j])
-    G = [C * (i_pow[o % 4][:, None] * k ** o[:, None]) for o in (m - 1, m)]
+    # i^o k^o for each order o, indexed: the same pow on the same operands
+    o = np.arange(m.max(initial=0) + 1)
+    powers = np.array([1.0, 1j, -1.0, -1j])[o % 4, None] * k ** o[:, None]
+    G = [C * powers[o] for o in (m - 1, m)]
     live = np.arange(len(t))
     for _ in range(16):
         if not live.size:
@@ -578,6 +596,10 @@ class VectorSeries:
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         return np.stack([self.x(ts), self.y(ts), self.z(ts)], axis=-1)
+
+    def on_grid(self, n: int) -> np.ndarray:
+        """TrigSeries.on_grid of the components, as (n, 3) rows."""
+        return _on_grid(self.components, n).T
 
     def derivative(self, order: int = 1) -> "VectorSeries":
         return VectorSeries(*(c.derivative(order) for c in self.components))

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circle import CircularSet, TWO_PI, canonical
+from .circle import CircularSet, canonical
 from .errors import CertificateFailed, IdenticallyZero, LineCurve, NotConvex
 from .census import (
     CensusReport,
@@ -65,9 +65,7 @@ class SupportFunction:
             raise ValueError("the deviation must be pi-antiperiodic")
         if not 0.0 < self.d < math.inf:
             raise ValueError(f"width must be positive and finite, got {self.d}")
-        lf = apply_flex_operator(self.f, 2)
-        grid = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-        if float(np.min(0.5 * self.d + lf(grid))) <= 0.0:
+        if float(np.min(0.5 * self.d + apply_flex_operator(self.f, 2).on_grid(4096))) <= 0.0:
             raise NotConvex(
                 "h + h'' <= 0 somewhere; increase d or shrink the deviation")
 

@@ -494,7 +494,8 @@ def test_span_tables_match_the_set_algebra():
                                                              for s in sets]
             inside = contained_rows(tab, dilated_rows(other, tol, TWO_PI), TWO_PI)
             assert inside.tolist() == [a.contained_in(b, tol) for a, b in zip(sets, others)]
-            equal, joined = equal_rows(tab, other, tol, TWO_PI)
+            equal, joined = equal_rows(tab, other, dilated_rows(tab, tol, TWO_PI),
+                                       dilated_rows(other, tol, TWO_PI), TWO_PI)
             assert equal.tolist() == [a.set_equal(b, tol) for a, b in zip(sets, others)]
             assert joined.tolist() == [len(a.dilated(tol)) < len(a) or len(b.dilated(tol)) < len(b)
                                        for a, b in zip(sets, others)]
@@ -510,3 +511,31 @@ def test_span_tables_match_the_set_algebra():
     # join components and others that do not
     flat = [(e, j) for tol, equal, joined in seen if tol == SET_TOL for e, j in zip(equal, joined)]
     assert {e for e, _ in flat} == {True, False} and {j for _, j in flat} == {True, False}
+
+
+def test_rows_of_a_dilated_table_are_the_dilated_rows():
+    # a table is dilated once and its rows are read by index: each read
+    # row, repeated or reordered, is what dilating that row alone gives,
+    # and so are equal_rows' answers and joined counts on the rows
+    seen = set()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(arc_lists() | st.just([Arc.full()]), arc_lists()),
+                    min_size=1, max_size=5),
+           st.lists(st.integers(0, 4), min_size=1, max_size=8))
+    def sweep(rows, picks):
+        tab, other = (span_table([CircularSet(r[k]) for r in rows]) for k in (0, 1))
+        idx = np.array([k % len(rows) for k in picks])
+        at = [(t[0][idx], t[1][idx]) for t in (tab, other)]
+        for tol in (SET_TOL, CLEAN_TOL, EPS_GROUP):
+            fat = [dilated_rows(t, tol, TWO_PI) for t in (tab, other)]
+            read = [(f[0][idx], f[1][idx]) for f in fat]
+            alone = [dilated_rows(t, tol, TWO_PI) for t in at]
+            assert [_rows(f) for f in read] == [_rows(f) for f in alone]
+            equal, joined = equal_rows(*at, *read, TWO_PI)
+            assert (equal.tolist(), joined.tolist()) == \
+                tuple(x.tolist() for x in equal_rows(*at, *alone, TWO_PI))
+            seen.update(zip(equal.tolist(), joined.tolist()))
+
+    sweep()
+    assert {e for e, _ in seen} == {j for _, j in seen} == {True, False}

@@ -97,10 +97,11 @@ def test_axioms_sidecar_times_each_axiom(tmp_path):
     assert sorted(meta["axiom_seconds"]) == names
     assert all(v == round(v, 3) >= 0.0 for v in meta["axiom_seconds"].values())
     assert sum(meta["axiom_seconds"].values()) <= meta["seconds"] + 0.01
-    # the grid prefetch, timed apart from the axioms
-    solve = meta["axiom_solve_seconds"]
-    assert solve == round(solve, 3) >= 0.0
-    assert solve + sum(meta["axiom_seconds"].values()) <= meta["seconds"] + 0.01
+    # the grid prefetch and the span table with its dilation, timed
+    # apart from the axioms
+    solve, table = meta["axiom_solve_seconds"], meta["axiom_table_seconds"]
+    assert solve == round(solve, 3) >= 0.0 and table == round(table, 3) >= 0.0
+    assert solve + table + sum(meta["axiom_seconds"].values()) <= meta["seconds"] + 0.01
     # 32 bases, 7 lags below half a period, both passes
     l4 = next(r for r in data["axioms"] if r["axiom"] == "L4")
     assert meta["l4_configurations"] == {"tried": 448, "checked": l4["checked"]}
@@ -108,7 +109,7 @@ def test_axioms_sidecar_times_each_axiom(tmp_path):
     # to 3 apart, as every base component here is a point
     assert meta["axiom_rows"] == {"L3": 32, "L5": 32, "L6": 90, "merged": 0}
     assert "axiom_seconds" not in data and "l4_configurations" not in data
-    assert "axiom_rows" not in data
+    assert "axiom_rows" not in data and "axiom_table_seconds" not in data
 
 
 def test_axioms_sidecar_counts_contact_solves(tmp_path):

@@ -13,6 +13,7 @@ from curvex.circle import (
     canonical,
     circle_dist,
     cyclic_between,
+    dilated_rows,
     forward_gap,
     span_table,
 )
@@ -30,10 +31,12 @@ from curvex.linesys import (
     AdmissibleInterval,
     AxiomResult,
     LineSystem,
+    _check_l2,
     _check_l3,
     _check_l4,
     _check_l5,
     _check_l6,
+    _check_l7,
     _far_witness,
     _l4_configs,
     _reflected_set,
@@ -462,7 +465,19 @@ def l5_reference(sys, grid, sets):
     return res
 
 
-def l6_lazy(sys, grid, sets, tab=None):
+def l2_reference(sys, grid, sets):
+    """The set-size axiom set by set."""
+    res = AxiomResult("L2", True, len(grid))
+    for p in grid:
+        F = sets[p]
+        if not F or F.is_full() or len(F) > linesys.L2_MAX_COMPONENTS \
+                or F.measure > sys.period - 0.05:
+            res.passed = False
+            res.witnesses.append({"p": p, "components": len(F), "measure": F.measure})
+    return res
+
+
+def l6_lazy(sys, grid, sets, tab=None, fat=None):
     """The component axiom with one contact-map call per base it reads;
     it reads no span table."""
     res = AxiomResult("L6", True, 0)
@@ -509,10 +524,11 @@ def axioms_both(sys, grid_size, pairs=None):
     grid = [canonical(i * sys.period / grid_size, sys.period) for i in range(grid_size)]
     sets = dict(zip(grid, sys.F_many(grid)))
     tab = span_table([sets[p] for p in grid])
+    fat = dilated_rows(tab, SET_TOL, sys.period)
     out = []
     pairs = pairs or ((_check_l3, l3_reference), (_check_l5, l5_reference), (_check_l6, l6_lazy))
     for fast, ref in pairs:
-        a, b = fast(sys, grid, sets, tab), ref(sys, grid, sets)
+        a, b = fast(sys, grid, sets, tab, fat), ref(sys, grid, sets)
         assert (a.passed, a.checked, json.dumps(a.witnesses), a.counts) == \
             (b.passed, b.checked, json.dumps(b.witnesses), b.counts), a.axiom
         out.append(a)
@@ -540,6 +556,7 @@ def test_array_axioms_match_the_per_base_reference_on_corpus(case, request):
 def test_array_axioms_match_the_per_base_reference_on_dilated_curve7(sys7, eps, grid_size):
     dilated = LineSystem(lambda ps: [F.dilated(eps) for F in sys7.F_many(ps)], sys7.period)
     axioms_both(dilated, grid_size)
+    axioms_both(dilated, grid_size, L2_L7)
 
 
 def test_l5_reads_an_antipode_keyed_off_the_grid_as_its_own_row():
@@ -591,7 +608,7 @@ def test_axioms_collect_sets_that_miss_their_base():
     assert (by_name["L5"].passed, by_name["L5"].checked) == (True, 0)
 
 
-def l7_lazy(sys, grid, sets, tab=None, bases=6, depth=14):
+def l7_lazy(sys, grid, sets, tab=None, fat=None, bases=6, depth=14):
     """The closedness axiom walking each chain base by base, stopping a
     chain at depth 1 when it finds no contact to track."""
     res = AxiomResult("L7", True, 0)
@@ -640,6 +657,89 @@ def patchy(ps):
         arcs = [Arc(p - 0.01, 0.03)] + ([Arc.point(p + 1.0)] if math.sin(3 * p) > 0 else [])
         sets.append(CircularSet(arcs + [a.shifted(math.pi) for a in arcs]))
     return sets
+
+
+def l7_reference(sys, grid, sets):
+    """The closedness axiom from the blocks _check_l7 reads, each chain
+    tracking its contact over the components of its sets."""
+    res = AxiomResult("L7", True, 0)
+    period = sys.period
+    step0 = period / 16.0
+    starts = [grid[(k * len(grid)) // 6] for k in range(6)]
+    chains = [[canonical(p + step0 * 0.5 ** d, period) for d in range(1, 15)] for p in starts]
+    tracked = []
+    for chain, F1 in zip(chains, sys.F_many([c[0] for c in chains])):
+        tp = sys.T(chain[0])
+        tracked.append(next((c.midpoint for c in F1.components()
+                             if circle_dist(c.midpoint, chain[0], period) > 0.1
+                             and circle_dist(c.midpoint, tp, period) > 0.1), None))
+    live = [k for k, s in enumerate(tracked) if s is not None]
+    deeper = iter(sys.F_many([pk for k in live for pk in chains[k][1:]]))
+    for k in live:
+        s_prev = tracked[k]
+        for _ in chains[k][1:]:
+            s_prev = min((c.midpoint for c in next(deeper).components()),
+                         key=lambda m: circle_dist(m, s_prev, period))
+        p = starts[k]
+        res.checked += 1
+        dist = sys.F(p).distance_to(s_prev)
+        if dist > 10.0 * SET_TOL:
+            res.passed = False
+            res.witnesses.append({"p": p, "limit": s_prev, "dist": dist})
+    return res
+
+
+L2_L7 = [(_check_l2, l2_reference), (_check_l7, l7_reference)]
+
+
+def full_sets(ps):
+    # the full circle on part of it, a point pair elsewhere
+    return [CircularSet([Arc.full()]) if math.sin(p) > 0.5
+            else CircularSet.from_points([p, p + math.pi]) for p in ps]
+
+
+def many_components(ps):
+    # 70 points, more than L2 allows, on part of the circle
+    return [CircularSet.from_points([p + k * TWO_PI / (70 if math.cos(p) > 0 else 4)
+                                     for k in range(70)]) for p in ps]
+
+
+GRID_KEYS = {round(canonical(i * TWO_PI / 256), 12) for i in range(256)}
+
+
+def dead_chains(ps):
+    # a far contact where sin(p) > -0.5, so that the L7 chains from below
+    # it are dead at depth 1; off the 256-grid the contact lies 0.3
+    # further on, so that the chains that track it end off F(p)
+    sets = []
+    for p in ps:
+        far = [p + (1.0 if p in GRID_KEYS else 1.3)] if math.sin(p) > -0.5 else []
+        sets.append(CircularSet.from_points([p, p + math.pi] + far + [q + math.pi for q in far]))
+    return sets
+
+
+@pytest.mark.parametrize("case", ["sys3", "sys5", "sys7", "wsys_sin3", "wsys_mix25",
+                                  "wsys_mix4", "sf_mix7", "patchy", "broken", "full_sets",
+                                  "many_components", "dead_chains"])
+def test_l2_and_l7_array_passes_match_their_references(case, request):
+    families = {"patchy": patchy, "broken": broken, "full_sets": full_sets,
+                "many_components": many_components, "dead_chains": dead_chains}
+    if case in families:
+        sys = LineSystem(families[case])
+    elif case == "sf_mix7":
+        sys = width.contact_system(request.getfixturevalue(case))
+    else:
+        sys = request.getfixturevalue(case)
+    l2, l7 = axioms_both(sys, 256, L2_L7)
+    assert l2.passed == (case not in ("full_sets", "many_components"))
+    # patchy's far contact appears just past the chain start 0
+    assert l7.passed == (case not in ("patchy", "dead_chains"))
+    if case == "many_components":
+        assert {w["components"] for w in l2.witnesses} == {70}
+    if case == "full_sets":
+        assert {w["measure"] for w in l2.witnesses} == {TWO_PI}
+    if case == "dead_chains":
+        assert 0 < l7.checked < 6 and len(l7.witnesses) == l7.checked
 
 
 @pytest.mark.parametrize("case", ["curve7", "sf_mix7", "patchy"])
@@ -753,7 +853,8 @@ def l4_both(sys, grid_size):
     within rounding."""
     grid = [canonical(i * sys.period / grid_size, sys.period) for i in range(grid_size)]
     sets = dict(zip(grid, sys.F_many(grid)))
-    fast = _check_l4(sys, grid, sets, span_table([sets[p] for p in grid]))
+    tab = span_table([sets[p] for p in grid])
+    fast = _check_l4(sys, grid, sets, tab, dilated_rows(tab, SET_TOL, sys.period))
     ref = l4_reference(sys, grid, sets, 1e-3, MARGIN)
     assert (fast.passed, fast.checked) == (ref.passed, ref.checked)
     assert [w["pass"] for w in fast.witnesses] == [w["pass"] for w in ref.witnesses]
@@ -805,6 +906,22 @@ def test_l4_fails_on_interleaved_contacts():
     assert l4.counts == {"tried": 4096, "checked": 4096}
     assert l4.witnesses[0]["pass"] == "asc"
     assert l4.to_json()["witness"] == l4.witnesses[0]
+
+
+def test_l4_matches_reference_on_nested_sets():
+    # the set is S = [1, 2.5] and its antipodal arc at the bases on S,
+    # and S with the points 0.5 and 0.5 + pi elsewhere: the sets of a pair
+    # across an end of S are nested, one within the other but not the
+    # other way, so only a comparison that dilates each side of the pair
+    # finds them unequal
+    S = [Arc(1.0, 1.5), Arc(1.0 + math.pi, 1.5)]
+    E = S + [Arc.point(0.5), Arc.point(0.5 + math.pi)]
+
+    def nested(ps):
+        return [CircularSet(S if any(a.contains(p) for a in S) else E) for p in ps]
+
+    res = l4_both(LineSystem(nested), 256)
+    assert res.checked > 0 and not res.passed
 
 
 def test_l4_config_keeps_the_margin_between_p_and_q():

@@ -37,6 +37,22 @@ def random_series(rng, degree=7, parity=PERIODIC):
     return TrigSeries(c, harmonics, parity)
 
 
+@pytest.mark.parametrize("n", [4096, 64, 7])
+@pytest.mark.parametrize("degree", [0, 1, 3, 7, 31, 64, 100])
+@pytest.mark.parametrize("parity", [PERIODIC, ANTIPERIODIC])
+def test_on_grid_is_the_series_on_the_grid(parity, degree, n):
+    # one inverse FFT gives the values at 2 pi j / n, also where the
+    # degree reaches n / 2 and the FFT is longer than the grid
+    rng = np.random.default_rng(1000 * degree + n)
+    s = random_series(rng, degree, parity)
+    v = VectorSeries(s, random_series(rng, degree, parity), TrigSeries.zero(parity))
+    ts = np.arange(n) * TWO_PI / n
+    scale = 1.0 + sum(abs(a) + abs(b) for _, a, b in s.harmonics)
+    assert np.abs(s.on_grid(n) - s(ts)).max() <= 1e-14 * max(degree, 1) * scale
+    assert v.on_grid(n).shape == (n, 3)
+    assert np.abs(v.on_grid(n) - v.eval_many(ts)).max() <= 1e-14 * max(degree, 1) * 4 * scale
+
+
 def test_eval_derivative_examples():
     s = sin_series(3)
     assert s.eval_derivative(math.pi / 6, 0) == pytest.approx(1.0)
