@@ -10,6 +10,7 @@ or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -40,6 +41,7 @@ CURVE, SUPPORT = (ProjectiveCurve, "an x/y/z curve"), (SupportFunction, "a d/f s
 NEEDS = {"sphere-census": CURVE, "width-census": SUPPORT, "flexes": SUPPORT, "theorem-c": SUPPORT}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvex",

@@ -469,7 +469,17 @@ def _exact_arcs(curve, ts, frames, rows, A, B):
     Over cos^M(x), n . F is a real polynomial in u = tan(x) with the same
     zeros, but for x = pi/2, where its degree drops: trig.tan_rows with
     its pole at x = pi/2 (c = 2t), the builder of arc_zeros' seeds.  Its
-    zero u = 0 at the base, where n . F(t) is rounding, is divided out."""
+    zero u = 0 at the base, where n . F(t) is rounding, is divided out.
+
+    The test runs only on the bases that a bound leaves open.  With Y = 1
+    divided out, r(x) = n . F(t + x) / (2 sin x) is a real trig polynomial
+    of degree n = M - 1 with |r(x)| = |rho(exp(2ix))|, sampled h = pi / G
+    apart by one FFT, G >= 16 n.  By Bernstein, |r'| <= n ||r||, so
+    ||r|| <= B = max|rho| / (1 - n h / 2); as |T(x + iy)| <= ||T|| e^(n|y|)
+    for T = r', r has no zero with |Im x| < 1e-3 when, beyond the FFT's
+    rounding, min|rho| > n B (h / 2 + 1e-3 e^(n 1e-3)).  That strip is twice
+    the test's, so rounding in its eigenvalues cannot tell otherwise, and
+    r(pi/2), the top coefficient in u, is far from 0: the test would pass."""
     nu, that = frames
     col = np.arange(len(rows)) - np.searchsorted(rows, rows)
     a, b = np.zeros((2, len(ts), int(col.max(initial=0)) + 2))
@@ -481,12 +491,19 @@ def _exact_arcs(curve, ts, frames, rows, A, B):
     # F has odd harmonics only: column m of Q is exp(i(2m - M)s)
     Q = n_mid @ laurent_rows(curve.F.components)[:, ::2]
     M = Q.shape[1] - 1
-    met, u, degree = companion_roots(tan_rows(Q, 2.0 * ts)[:, 1:])
-    with np.errstate(divide="ignore", invalid="ignore"):  # u = +-i is no zero
-        x = np.arctan(u)
-    off = x.real % math.pi
-    length[met[(np.abs(x.imag) < 5e-4) & (off > 1e-6) & (off < math.pi - 1e-6)]] = -1.0
-    length[degree < M - 1] = -1.0
+    n, rho = M - 1, _divided(Q * np.exp(1j * (2 * np.arange(M + 1) - M) * ts[:, None]), 1.0)
+    G = 1 << max(16 * n - 1, 0).bit_length()  # so n h / 2 <= pi / 32
+    mag, h = np.abs(np.fft.fft(rho, G, axis=1)), math.pi / G
+    drop = n * mag.max(axis=1) / (1.0 - n * h / 2.0) * (h / 2.0 + 1e-3 * math.exp(n * 1e-3))
+    drop += 1e-12 * np.abs(rho).sum(axis=1)  # the FFT's rounding
+    open_ = np.nonzero((length >= 0.0) & (mag.min(axis=1) <= drop))[0]
+    if open_.size:
+        met, u, degree = companion_roots(tan_rows(Q[open_], 2.0 * ts[open_])[:, 1:])
+        with np.errstate(divide="ignore", invalid="ignore"):  # u = +-i is no zero
+            x = np.arctan(u)
+        off = x.real % math.pi
+        length[open_[met[(np.abs(x.imag) < 5e-4) & (off > 1e-6) & (off < math.pi - 1e-6)]]] = -1.0
+        length[open_[degree < M - 1]] = -1.0
     return start, length
 
 

@@ -316,6 +316,16 @@ def test_bad_grid_exits_2(tmp_path, flag, value):
     assert main(["--input", inp, "--mode", "axioms", flag, value]) == 2
 
 
+def test_parser_is_built_once_and_keeps_no_arguments(tmp_path):
+    # main parses every call with one shared parser; a flag given to one
+    # call must not become the default of the next
+    assert cli.build_parser() is cli.build_parser()
+    grid = [run(tmp_path, CURVE7, "axioms", *extra)[1]["axioms"][0]["checked"]
+            for extra in (["--axiom-grid", "8"], [])]
+    assert grid == [8, 256]
+    assert cli.build_parser.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("mode", ["width-census", "flexes", "theorem-c"])
 def test_eps_contact_reaches_limiting_function(tmp_path, monkeypatch, mode):
     seen = []

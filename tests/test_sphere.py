@@ -37,11 +37,13 @@ from curvex.trig import (
     TrigSeries,
     VectorSeries,
     circle_zeros,
+    companion_roots,
     cos_series,
     laurent_rows,
     real_seeds,
     roots,
     sin_series,
+    tan_rows,
 )
 
 
@@ -671,6 +673,101 @@ def test_certificate_passes_admissible_bases_of_the_winding_curve(t):
     cd = limiting_circle(curve, t)
     units = curve.lift_many(t + np.linspace(1e-6, math.pi - 1e-6, 2 ** 14))
     assert float(np.max(units @ cd.circle.normal)) <= 2.0 * EPS_CONTACT
+
+
+def exact_arcs_reference(curve, ts, frames, rows, A, B):
+    """_exact_arcs with the companion test on every base and no bound:
+    the reference for the certificate."""
+    nu, that = frames
+    col = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    a, b = np.zeros((2, len(ts), int(col.max(initial=0)) + 2))
+    b += 1.0
+    a[rows, col], b[rows, col] = A, B
+    start, length = sphere.admissible_arcs(a, b)
+    mid = start + 0.5 * length
+    n_mid = np.cos(mid)[:, None] * nu + np.sin(mid)[:, None] * that
+    Q = n_mid @ laurent_rows(curve.F.components)[:, ::2]
+    M = Q.shape[1] - 1
+    met, u, degree = companion_roots(tan_rows(Q, 2.0 * ts)[:, 1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.arctan(u)
+    off = x.real % math.pi
+    length[met[(np.abs(x.imag) < 5e-4) & (off > 1e-6) & (off < math.pi - 1e-6)]] = -1.0
+    length[degree < M - 1] = -1.0
+    return start, length
+
+
+def exact_arcs_inputs(curve, ts):
+    """The arguments that _arcs hands to _exact_arcs at the bases ts."""
+    _, frames, rows, _, _, _, A, B, _, _ = sphere._arcs(curve, ts)
+    return curve, ts, frames, rows, A, B
+
+
+@pytest.fixture
+def companion_spy(monkeypatch):
+    """The number of rows each companion_roots call of sphere receives."""
+    seen = []
+
+    def spy(P):
+        seen.append(len(P))
+        return companion_roots(P)
+
+    monkeypatch.setattr(sphere, "companion_roots", spy)
+    return seen
+
+
+def assert_certified_arcs_match_the_reference(curve, ts):
+    """(start, length) of _exact_arcs bit-equal to the reference's;
+    returns the reference's lengths."""
+    args = exact_arcs_inputs(curve, ts)
+    got, want = sphere._exact_arcs(*args), exact_arcs_reference(*args)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tolist() == want[1].tolist()
+    return want[1]
+
+
+@pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7", "sf_sin3", "sf_mix25",
+                                     "sf_mix4", "sf_mix7", "curve7_gl3"])
+def test_bound_clears_every_grid_base_of_the_corpus(fixture, request, companion_spy):
+    obj = request.getfixturevalue(fixture)
+    curve = obj if isinstance(obj, ProjectiveCurve) else obj.lift
+    grid = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+    assert (assert_certified_arcs_match_the_reference(curve, grid) >= 0.0).all()
+    # the reference's own companion calls go straight to trig
+    assert companion_spy == []
+
+
+def test_certified_arcs_match_the_reference_on_general_curves(companion_spy):
+    grid = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    draws = rejected = 0
+    for seed in range(12):
+        for e in (0.0, 1.0, 1.5):
+            try:
+                curve = ProjectiveCurve(general_curve(seed, e))
+                curve.frames(grid)
+            except DegeneratePoint:
+                continue
+            draws += 1
+            rejected += int((assert_certified_arcs_match_the_reference(curve, grid) < 0.0).sum())
+    assert draws >= 30 and rejected > 0
+    # some bases were left open to the companion test
+    assert sum(companion_spy) > 0
+
+
+def test_certified_arcs_match_the_reference_on_the_winding_curve():
+    ts = np.concatenate([np.linspace(0.0, TWO_PI, 256, endpoint=False),
+                         [0.5, 1.633, 1.657, 3.0, 4.774, 4.799]])
+    length = assert_certified_arcs_match_the_reference(winding_curve(), ts)
+    assert (length < 0.0).any() and (length >= 0.0).any()
+
+
+@pytest.mark.parametrize("t, admissible", [(1.178, True), (1.633, False)])
+def test_bases_the_bound_leaves_open_go_to_the_companion(t, admissible, companion_spy):
+    # near the winding stretch the middle circle comes within the bound
+    # of a zero: at 1.178 the companion finds none, at 1.633 it finds one
+    [(arc, _)] = admissible_normal_arc(winding_curve(), [t])
+    assert companion_spy == [1]
+    assert (arc is not None) == admissible
 
 
 def general_curve(seed, e):

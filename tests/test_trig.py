@@ -14,6 +14,7 @@ from curvex.trig import (
     apply_flex_operator,
     basis_of_am,
     circle_zeros,
+    complex_seeds,
     cos_series,
     isolate_sign_changes,
     laurent_rows,
@@ -217,6 +218,43 @@ def test_roots_multiplicities_and_directions(s, zeros, directions):
     isolated = isolate_sign_changes(s, tangential_tol=1e-9)
     assert [r.value for r in isolated] == [t for t, _ in got]
     assert [r.direction for r in isolated] == directions
+
+
+def double_and_triple(a, b):
+    """(1 - cos(t - a)) sin^3(t - b): a double zero at a and triple zeros
+    at b and b + pi, none on a grid or at a multiple of pi/2."""
+    d = TrigSeries(1.0, ((1, -math.cos(a), -math.sin(a)),))
+    s = TrigSeries(0.0, ((1, -math.sin(b), math.cos(b)),), ANTIPERIODIC)
+    return d * s * s * s, sorted([(a, 2), (b, 3), ((b + math.pi) % TWO_PI, 3)])
+
+
+GENERIC_ANGLES = [(0.7, 2.3), (2.9, 0.4), (5.1, 3.3), (2.195, 4.745)]
+
+
+@pytest.mark.parametrize("a, b", GENERIC_ANGLES)
+def test_roots_of_double_and_triple_zeros_at_generic_angles(a, b):
+    s, zeros = double_and_triple(a, b)
+    got = roots(s)
+    assert [m for _, m in got] == [m for _, m in zeros]
+    np.testing.assert_allclose([t for t, _ in got], [t for t, _ in zeros], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("a, b", GENERIC_ANGLES)
+def test_multiple_zeros_are_polished_from_off_centre_seeds(a, b):
+    # every seed moved by 3e-7, well inside the 1e-4 clusters: only Newton
+    # on the (m-1)-th derivative brings a zero of multiplicity m back
+    s, zeros = double_and_triple(a, b)
+
+    def moved(P, scale):
+        rows, angle = complex_seeds(P, scale)
+        return rows, angle + 3e-7
+
+    P = laurent_rows([s])
+    origin = np.argmax(np.abs(np.fft.ifft(P[0], 32))) * TWO_PI / 32 - TWO_PI
+    _, t, m = circle_zeros(P, np.ones(1), np.array([origin]), seeds=moved)
+    got = sorted(zip((t % TWO_PI).tolist(), m.tolist()))
+    assert [m for _, m in got] == [m for _, m in zeros]
+    np.testing.assert_allclose([t for t, _ in got], [t for t, _ in zeros], rtol=0, atol=1e-13)
 
 
 def test_circle_zeros_of_a_batch_equal_each_row_alone():
