@@ -10,7 +10,6 @@ fragmented contact sets collapse to their true components.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -318,23 +317,10 @@ class CircularSet:
         return CircularSet._of([(canonical(s, half), n) for s, n in self.spans], half, EPS_GROUP)
 
     def contained_in(self, other: "CircularSet", tol: float = EPS_GROUP) -> bool:
-        """Every component of self lies inside `other` dilated by tol.  The
-        components of the dilation lie more than EPS_GROUP apart, so only
-        the last one starting at or before a component, or the next one
-        (canonical snaps a start by up to EPS_ANGLE), can hold it."""
-        fat, period = other.dilated(tol), self.period
-        if not fat.spans:
-            return not self.spans
-        starts = [s for s, _ in fat.spans]
-        for s, n in self.spans:
-            k = bisect_right(starts, s) - 1
-            for b, m in (fat.spans[k], fat.spans[(k + 1) % len(starts)]):
-                off = forward_gap(b, s, period)
-                if m >= period - EPS_ANGLE or off <= m + EPS_ANGLE and off + n <= m + EPS_ANGLE:
-                    break
-            else:
-                return False
-        return True
+        """Every component of self lies inside `other` dilated by tol."""
+        fat, period = other.dilated(tol).spans, self.period
+        return all(any(m >= period - EPS_ANGLE or forward_gap(b, s, period) + n <= m + EPS_ANGLE
+                       for b, m in fat) for s, n in self.spans)
 
     def set_equal(self, other: "CircularSet", tol: float = EPS_GROUP) -> bool:
         return self.contained_in(other, tol) and other.contained_in(self, tol)

@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     meta = {"tool": "curvex", "version": __version__, "mode": args.mode,
             "input": args.input, "plot_samples": args.plot_samples,
             "eps_contact": args.eps_contact}
-    started = time.time()
+    started = time.perf_counter()
     try:
         if args.mode == "sphere-census":
             report, ok = _run_sphere_census(obj, system, args, meta)
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
                   "message": str(exc)}
         ok = False
 
-    meta["seconds"] = round(time.time() - started, 3)
+    meta["seconds"] = round(time.perf_counter() - started, 3)
     if system is not None:
         meta["contact_solves"] = dict(system.solves)
         if args.mode != "axioms":  # the other modes find clean points

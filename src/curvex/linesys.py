@@ -144,12 +144,6 @@ def _own_component(F: CircularSet, p: float) -> Arc:
     return comp
 
 
-# A clean-point search is a generator: it yields each base whose contact
-# set it needs next and is sent that set back, and it returns the clean
-# point.  _lockstep runs every search: one alone, or the two of
-# three_clean_inflections side by side.
-
-
 def find_clean_inflection(sys: LineSystem, p: float, q: float) -> float:
     """Positive clean point inside (p, q), by midpoint halving.
 
@@ -158,16 +152,11 @@ def find_clean_inflection(sys: LineSystem, p: float, q: float) -> float:
     interval by a half bracketed between a point of the midpoint's base
     component and a witness of its non-cleanliness.
     """
-    return _lockstep(sys, [(False, _halving(sys, p, q))])[0]
-
-
-def _halving(sys, p, q):
-    """The search of find_clean_inflection."""
     period = sys.period
     p, q = canonical(p, period), canonical(q, period)
     if not cyclic_between(p, q, antipode(p, period), period):
         raise PreconditionFailed(f"q={q} not strictly inside (p, Tp) for p={p}")
-    Fp = yield p
+    Fp = sys.F(p)
     if not Fp.contains(q, MEMBER_TOL):
         raise PreconditionFailed(f"q={q} is not a contact of p={p}")
     base = _own_component(Fp, p)
@@ -183,7 +172,7 @@ def _halving(sys, p, q):
             return cyclic_midpoint(lo, hi, period)
         r = cyclic_midpoint(lo, hi, period)
         sys.clean_search["halvings"] += 1
-        Fr = yield r
+        Fr = sys.F(r)
         F0r = CircularSet([_own_component(Fr, r)], period)
         if Fr.project_half().contained_in(F0r.project_half(), CLEAN_TOL):
             return r
@@ -236,95 +225,43 @@ def _noncleanness_witness(period, Fr, F0r, lo, hi):
         "non-clean witness escaped the bracketing interval (containment failed)")
 
 
+class _Mirrored:
+    """sys as the circle with its orientation reversed shows it: the set
+    at p is the reflection of the set of sys at the reflection of p's
+    key.  It reads through the cache of sys and counts its halvings there."""
+
+    def __init__(self, sys: LineSystem):
+        self._sys, self.period, self.clean_search = sys, sys.period, sys.clean_search
+
+    def F(self, p: float) -> CircularSet:
+        return _reflected_set(self._sys.F(canonical(-self._sys._key(p), self.period)))
+
+
 def clean_point_between(sys: LineSystem, base: float, contact: float) -> float:
     """Positive clean point in the open interval bounded by base and contact.
 
     Handles both sides of the base point; the backward side runs the
-    forward search between the reflected points, on reflected sets.
+    forward search between the reflected points, on the mirrored system,
+    and reflects its point back.
     """
-    return _lockstep(sys, [_search_between(sys, base, contact)])[0]
-
-
-def _search_between(sys, base, contact):
-    """(rev, search) for clean_point_between: when rev is true, the
-    search runs between the reflected points, and _lockstep reads its
-    bases reflected."""
     period = sys.period
     base, contact = canonical(base, period), canonical(contact, period)
-    rev = not cyclic_between(base, contact, sys.T(base), period)
-    if rev:
-        base, contact = canonical(-base, period), canonical(-contact, period)
-    return rev, _forward_search(sys, base, contact)
+    if cyclic_between(base, contact, sys.T(base), period):
+        return _forward_search(sys, base, contact)
+    return canonical(-_forward_search(_Mirrored(sys), canonical(-base, period),
+                                      canonical(-contact, period)), period)
 
 
 def _forward_search(sys, base, contact):
     """Halving from the far end of base's own component towards the
     contact, which lies in the forward half window of base."""
     period = sys.period
-    Fb = yield base
-    window = Arc.from_endpoints(base, contact, period)
+    own = CircularSet([_own_component(sys.F(base), base)], period)
     try:
-        p1 = CircularSet([_own_component(Fb, base)], period).extremum_in_window(
-            window, "sup")
+        p1 = own.extremum_in_window(Arc.from_endpoints(base, contact, period), "sup")
     except EmptyIntersection:
         p1 = base
-    return (yield from _halving(sys, p1, contact))
-
-
-def _lockstep(sys: LineSystem, searches) -> list[float]:
-    """The results of (rev, search) pairs, as _search_between makes them,
-    run side by side: each step sends the bases all live searches ask for to
-    sys.F_many in one call.  A reversed search's base p is read as the
-    circle with its orientation reversed shows it: the reflection of the
-    set at the reversed base of p's key, so its point is the reflection
-    of the one it returns.
-
-    A failure raises what the searches run one after the other would
-    raise: the error of the first search, in list order, that fails.
-    The searches after a failed one stop; the bases they solved before
-    it failed stay solved."""
-    period = sys.period
-    out, errors = [0.0] * len(searches), {}
-    sent = dict.fromkeys(range(len(searches)))  # None starts a search
-    while True:
-        asked = {}
-        for i, F in sent.items():
-            rev, search = searches[i]
-            try:
-                asked[i] = search.send(_reflected_set(F) if rev and F is not None else F)
-            except StopIteration as done:
-                out[i] = canonical(-done.value, period) if rev else done.value
-            except Exception as err:  # raised below unless an earlier search fails
-                errors[i] = err
-        if errors:
-            asked = {i: p for i, p in asked.items() if i < min(errors)}
-        if not asked:
-            break
-        sent = _read(sys, {i: canonical(-sys._key(p), period) if searches[i][0] else p
-                           for i, p in asked.items()}, errors)
-    if errors:
-        raise errors[min(errors)]
-    return out
-
-
-def _read(sys: LineSystem, bases: dict, errors: dict) -> dict:
-    """F at the bases of {search: base} in one call; when that call
-    fails, base by base in order, up to the first base that fails, whose
-    error becomes its search's."""
-    try:
-        return dict(zip(bases, sys.F_many(list(bases.values()))))
-    except Exception as err:
-        if len(bases) == 1:
-            errors[next(iter(bases))] = err
-            return {}
-    sets = {}
-    for i, p in bases.items():
-        try:
-            sets[i] = sys.F(p)
-        except Exception as err:
-            errors[i] = err
-            break
-    return sets
+    return find_clean_inflection(sys, p1, contact)
 
 
 def three_clean_inflections(sys: LineSystem, clean=None) -> tuple[float, float, float]:
@@ -335,9 +272,9 @@ def three_clean_inflections(sys: LineSystem, clean=None) -> tuple[float, float, 
     ascending order on [0, period), with one in (s1, Ts1) and one in
     (Ts1, s1), and s2 and s3 are the first after s1 and after Ts1; with
     no such s1 it raises SearchFailed before solving any base.  Without
-    clean it runs the paper's search, the searches for s2 and s3 in
-    lockstep once s1 and the witness u are fixed.  Either way each
-    point's contact set is read on its own to check the triple."""
+    clean it runs the paper's search: s1, then s2 and s3 from Ts1 towards
+    the witness u and its antipode.  Either way each point's contact set
+    is read on its own to check the triple."""
     period = sys.period
     if clean is not None:
         sys.clean_search["exact_clean"] = len(clean)
@@ -348,14 +285,15 @@ def three_clean_inflections(sys: LineSystem, clean=None) -> tuple[float, float, 
         if max(counts) <= 2:
             raise SearchFailed("no non-clean starting point found on the scan grid")
         p = grid[counts.index(max(counts))]
-        s1 = _lockstep(sys, [_search_between(sys, p, _far_witness(sys, p))])[0]
+        s1 = clean_point_between(sys, p, _far_witness(sys, p))
         ts1 = sys.T(s1)
         u = _far_witness(sys, ts1)
         if not cyclic_between(s1, u, ts1, period):
             u = sys.T(u)
         if not cyclic_between(s1, u, ts1, period):
             raise SearchFailed("witness for the second search escaped (s1, Ts1)")
-        s2, s3 = _lockstep(sys, [_search_between(sys, ts1, c) for c in (u, sys.T(u))])
+        s2 = clean_point_between(sys, ts1, u)
+        s3 = clean_point_between(sys, ts1, sys.T(u))
     ts1 = sys.T(s1)
     if not cyclic_between(s1, s2, ts1, period) or not cyclic_between(ts1, s3, s1, period):
         raise SearchFailed("clean points violate the cyclic placement")

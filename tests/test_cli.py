@@ -1,6 +1,9 @@
+import itertools
 import json
 import math
 import sys
+import time
+import types
 
 import pytest
 
@@ -112,6 +115,19 @@ def test_axioms_sidecar_times_each_axiom(tmp_path):
     assert "axiom_rows" not in data and "axiom_table_seconds" not in data
 
 
+def test_run_seconds_and_axiom_timings_share_one_clock(tmp_path, monkeypatch):
+    # the run is timed on the monotonic clock that times the axioms, so a
+    # wall clock set back an hour at each reading moves no sidecar timing
+    wall = itertools.count(7200.0, -3600.0)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=time.perf_counter,
+                                                           time=wall.__next__))
+    code, _ = run(tmp_path, WIDTH_SIN3, "axioms", "--axiom-grid", "32")
+    meta = json.loads((tmp_path / "report.json.meta.json").read_text())
+    parts = meta["axiom_solve_seconds"] + meta["axiom_table_seconds"]
+    assert code == 0
+    assert 0.0 <= parts + sum(meta["axiom_seconds"].values()) <= meta["seconds"] + 0.01
+
+
 def test_axioms_sidecar_counts_contact_solves(tmp_path):
     # the 256 grid bases in one call; L6 reads no base off the grid here,
     # and the first four depths of the L7 chains are grid bases, so the
@@ -123,18 +139,21 @@ def test_axioms_sidecar_counts_contact_solves(tmp_path):
     assert "clean_search" not in meta  # the axiom check searches nothing
 
 
-def test_sphere_census_sidecar_counts_lockstep_steps(tmp_path):
-    # the triple is picked from curve7's 3 exactly-clean inflections, and
-    # the check reads the contact set of each point in its own call
-    code, _ = run(tmp_path, CURVE7, "sphere-census")
+MIX7 = {"d": 120.0, "f": {"parity": "antiperiodic", "constant": 0.0,
+                          "harmonics": [[3, 0.0, 1.0], [5, 0.0, 1.0], [7, 0.0, 0.5]]}}
+
+
+@pytest.mark.parametrize("payload, mode", [(CURVE7, "sphere-census"), (MIX7, "width-census"),
+                                           (MIX7, "flexes"), (MIX7, "theorem-c")])
+def test_clean_point_modes_pick_the_triple_without_searching(tmp_path, payload, mode):
+    # every mode that writes clean_search picks its triple from the input's 3
+    # exactly-clean inflections and halves no interval; the check reads the
+    # contact set of each point in its own call
+    code, _ = run(tmp_path, payload, mode)
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
     assert code == 0
     assert meta["contact_solves"] == {"calls": 3, "bases": 3}
     assert meta["clean_search"] == {"exact_clean": 3, "halvings": 0}
-
-
-MIX7 = {"d": 120.0, "f": {"parity": "antiperiodic", "constant": 0.0,
-                          "harmonics": [[3, 0.0, 1.0], [5, 0.0, 1.0], [7, 0.0, 0.5]]}}
 
 
 @pytest.mark.parametrize("payload, mode", [(CURVE7, "sphere-census"), (MIX7, "width-census")])

@@ -20,7 +20,6 @@ from curvex.circle import (
 from curvex.errors import (
     EmptyIntersection,
     EmptyY,
-    NoConvergence,
     PreconditionFailed,
     SearchFailed,
 )
@@ -132,23 +131,6 @@ def test_width_system_three_clean(wsys_sin3):
         assert min(circle_dist(s, e, math.pi) for s in found) < 1e-4
 
 
-def sequential_triple(sys):
-    """three_clean_inflections with the s2 and s3 searches run one after
-    the other through clean_point_between, each base read through F."""
-    grid = [float(t) for t in np.linspace(0.0, sys.period, 64, endpoint=False)]
-    p = grid[int(np.argmax([len(F) for F in sys.F_many(grid)]))]
-    s1 = clean_point_between(sys, p, _far_witness(sys, p))
-    ts1 = sys.T(s1)
-    u = _far_witness(sys, ts1)
-    if not cyclic_between(s1, u, ts1):
-        u = sys.T(u)
-    s2 = clean_point_between(sys, ts1, u)
-    s3 = clean_point_between(sys, ts1, sys.T(u))
-    for s in (s1, s2, s3):  # the disjointness check reads these too
-        sys.F(s)
-    return s1, s2, s3
-
-
 def _random_lift(rng):
     g = TrigSeries(0.0, tuple((k, rng.normal() / k ** 1.5, rng.normal() / k ** 1.5)
                               for k in (3, 5, 7, 9)), ANTIPERIODIC)
@@ -156,27 +138,12 @@ def _random_lift(rng):
 
 
 _RNG5 = np.random.default_rng(5)
-LOCKSTEP_CASES = ["curve3", "curve5", "curve7", "sf_sin3", "sf_mix25", "sf_mix4",
-                  "sf_mix7"] + [pytest.param(_random_lift(_RNG5), id=f"rng5-{k}")
-                                for k in range(10)]
+TRIPLE_CASES = ["curve3", "curve5", "curve7", "sf_sin3", "sf_mix25", "sf_mix4",
+                "sf_mix7"] + [pytest.param(_random_lift(_RNG5), id=f"rng5-{k}")
+                              for k in range(10)]
 
 
-@pytest.mark.parametrize("case", LOCKSTEP_CASES)
-def test_lockstep_triple_equals_the_sequential_searches(case, request):
-    # the s2 and s3 searches share every step's call to the contact map;
-    # their points and the bases they solve must not change
-    obj = request.getfixturevalue(case) if isinstance(case, str) else case
-    if isinstance(obj, ProjectiveCurve):
-        lock, seq = (LineSystem(contact_map(obj)) for _ in range(2))
-    else:
-        lock, seq = (width.contact_system(obj) for _ in range(2))
-    assert three_clean_inflections(lock) == sequential_triple(seq)
-    assert lock._cache.keys() == seq._cache.keys()
-    assert lock.solves["bases"] == seq.solves["bases"]
-    assert lock.solves["calls"] < seq.solves["calls"]
-
-
-@pytest.mark.parametrize("case", LOCKSTEP_CASES)
+@pytest.mark.parametrize("case", TRIPLE_CASES)
 def test_exact_clean_points_keep_the_snapped_triple(case, request):
     # the picked triple is placed, made of exactly-clean points whose
     # contact sets are their tangent circles' {s, s + pi}, read once each;
@@ -218,86 +185,6 @@ def test_clean_points_without_a_placed_triple_fail(clean):
 def reflect(F):
     """F with the orientation of the circle reversed, t -> -t."""
     return CircularSet([Arc(-a.end, a.length) for a in F.arcs], merge_tol=0.0)
-
-
-def fake_search(bases, error):
-    """Asks for each base in turn, then raises error, or returns the
-    last base when error is None."""
-    for p in bases:
-        yield p
-    if error is not None:
-        raise error
-    return bases[-1]
-
-
-def failing_map(bad):
-    """A contact map that cannot solve the bases in bad."""
-    def fn(ps):
-        hit = [p for p in ps if any(circle_dist(p, b) < 1e-9 for b in bad)]
-        if hit:
-            raise NoConvergence(f"no limit at {hit[0]}")
-        return [CircularSet.from_points([p]) for p in ps]
-    return fn
-
-
-# the (bases, error) of the s2 and s3 searches, with True appended for a
-# reversed search, and the bases the map fails on; a reversed search's
-# base p is solved at -p
-FAILURES = {
-    "both-fail-s3-first": (([0.1, 0.2, 0.3], SearchFailed("s2")), ([1.1], SearchFailed("s3")), ()),
-    "s3-fails": (([0.1, 0.2, 0.3], None), ([1.1], SearchFailed("s3")), ()),
-    "s2-fails-first": (([0.1], SearchFailed("s2")), ([1.1, 1.2, 1.3], None), ()),
-    "none-fails": (([0.1, 0.2], None), ([1.1], None), ()),
-    "map-fails-s3-then-s2-fails": (([0.1, 0.2], SearchFailed("s2")), ([1.1], None), (1.1,)),
-    "map-fails-s3": (([0.1, 0.2], None), ([1.1], None), (1.1,)),
-    "map-fails-s2-late": (([0.1, 0.2], None), ([1.1], SearchFailed("s3")), (0.2,)),
-    "map-fails-both": (([0.1], None), ([1.1], None), (0.1, 1.1)),
-    "rev-none-fails": (([0.1, 0.2], None, True), ([1.1], None, True), ()),
-    "rev-s2-fails-first": (([0.1], SearchFailed("s2"), True), ([1.1, 1.2], None), ()),
-    "rev-both-fail-s3-first": (([0.1, 0.2, 0.3], SearchFailed("s2")),
-                               ([1.1], SearchFailed("s3"), True), ()),
-    "map-fails-rev-s3": (([0.1, 0.2], None), ([1.1, 1.2], None, True), (TWO_PI - 1.2,)),
-    "map-fails-rev-s2-late": (([0.1, 0.2], None, True), ([1.1], SearchFailed("s3")),
-                              (TWO_PI - 0.2,)),
-    "map-fails-at-p-not-at-rev-p": (([0.1, 0.2], None, True), ([1.1], None), (0.2,)),
-}
-
-
-@pytest.mark.parametrize("s2,s3,bad", list(FAILURES.values()), ids=list(FAILURES))
-def test_lockstep_raises_what_the_sequential_searches_raise(s2, s3, bad):
-    # the first failing search in list order names the error, whichever
-    # search fails at an earlier step, as when s2 runs to its end first
-    def one_by_one(sys, searches):
-        """Each search to its end in turn, its bases read through F; a
-        reversed search reads the set at -p reflected, and its point
-        is reflected back."""
-        out = []
-        for rev, search in searches:
-            try:
-                p = next(search)
-                while True:
-                    if rev:
-                        p = search.send(reflect(sys.F(canonical(-sys._key(p)))))
-                    else:
-                        p = search.send(sys.F(p))
-            except StopIteration as done:
-                out.append(canonical(-done.value) if rev else done.value)
-        return out
-
-    def pair(bases, error, rev=False):
-        return rev, fake_search(bases, error)
-
-    def outcome(run):
-        sys = LineSystem(failing_map(bad))
-        try:
-            return run(sys, [pair(*s2), pair(*s3)]), sys
-        except (NoConvergence, SearchFailed) as err:
-            return (type(err), str(err)), sys
-
-    seq, seq_sys = outcome(one_by_one)
-    lock, lock_sys = outcome(linesys._lockstep)
-    assert lock == seq
-    assert seq_sys._cache.keys() <= lock_sys._cache.keys()
 
 
 class TestMuBounds:
@@ -777,8 +664,8 @@ MIRROR_CASES = ["curve3", "curve5", "sf_mix4"] + [
 
 @pytest.mark.parametrize("case", MIRROR_CASES)
 def test_backward_search_is_the_mirrored_forward_search(case, request):
-    # _lockstep reads a backward search's bases reflected; the search must
-    # find the reflection of the forward search on a system that reflects
+    # clean_point_between reads a backward search's bases reflected; the search
+    # must find the reflection of the forward search on a system that reflects
     # every set by hand, from the same solved bases
     obj = request.getfixturevalue(case) if isinstance(case, str) else case
     if isinstance(obj, ProjectiveCurve):

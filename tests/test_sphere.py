@@ -761,6 +761,41 @@ def test_certified_arcs_match_the_reference_on_the_winding_curve():
     assert (length < 0.0).any() and (length >= 0.0).any()
 
 
+def middle_circle_frames(Ft, n):
+    """Frames (nu, that) at a base with point Ft, orthogonal to it, under
+    which _exact_arcs, given no zero of T_t, takes the middle circle of
+    normal n: its gaps then leave a fixed arc, whose middle the frames
+    turn onto n."""
+    e1 = n / np.linalg.norm(n)
+    e2 = np.cross(Ft / np.linalg.norm(Ft), e1)
+    start, length = sphere.admissible_arcs(np.zeros((1, 2)), np.ones((1, 2)))
+    mid = float(start[0] + 0.5 * length[0])
+    return (math.cos(mid) * e1 - math.sin(mid) * e2)[None], \
+        (math.sin(mid) * e1 + math.cos(mid) * e2)[None]
+
+
+def test_a_middle_circle_met_a_quarter_turn_on_fails_the_base(curve3, companion_spy):
+    # at base 0 of curve3, the circle through F(0) and F(pi/2) touches the
+    # curve at pi/2: a double zero at the pole x = pi/2 of the polynomial in
+    # tan(x), which only lowers its degree, so the degree test alone rejects
+    # the base.  Tilted by 1e-3, the circle crosses the curve twice near
+    # pi/2 and the companion sees both zeros; the base's own middle circle
+    # passes, cleared by the bound
+    def F(s):
+        return curve3.F.eval_many(np.array([s]))[0]
+
+    _, (nu, that), _, _, _, _, _, _, start, length = sphere._arcs(curve3, np.zeros(1))
+    mid = float(start[0] + 0.5 * length[0])
+    own = math.cos(mid) * nu[0] + math.sin(mid) * that[0]
+    for n, holds in [(np.cross(F(0.0), F(math.pi / 2)), False),
+                     (np.cross(F(0.0), F(math.pi / 2 + 1e-3)), False), (own, True)]:
+        none = np.zeros(0)
+        args = (curve3, np.zeros(1), middle_circle_frames(F(0.0), n), none.astype(int), none, none)
+        assert (sphere._exact_arcs(*args)[1] >= 0.0).tolist() == [holds]
+        assert (exact_arcs_reference(*args)[1] >= 0.0).tolist() == [holds]
+    assert companion_spy == [1, 1]
+
+
 @pytest.mark.parametrize("t, admissible", [(1.178, True), (1.633, False)])
 def test_bases_the_bound_leaves_open_go_to_the_companion(t, admissible, companion_spy):
     # near the winding stretch the middle circle comes within the bound
