@@ -371,6 +371,7 @@ def main(argv=None) -> int:
     meta["seconds"] = round(time.perf_counter() - started, 3)
     if system is not None:
         meta["contact_solves"] = dict(system.solves)
+        meta["contact_reads"] = system.reads
         if args.mode != "axioms":  # the other modes find clean points
             meta["clean_search"] = dict(system.clean_search)
     _write_report(args.out_report, report, meta)

@@ -14,7 +14,7 @@ class IdenticallyZero(CurvexError):
 
 
 class SingularSystem(CurvexError):
-    """An osculating-function linear solve came out singular (internal bug)."""
+    """An osculating-function jet solve came out singular or non-finite."""
 
 
 class DegeneratePoint(CurvexError):

@@ -74,10 +74,10 @@ class LineSystem:
     """Cached view over a contact map on the full circle.
 
     The map takes a list of bases and returns their contact sets in
-    order; the system caches the sets by base and counts its calls to
-    the map and the bases they solved.  clean_search counts what
-    three_clean_inflections did: the clean points it was given and the
-    midpoints its search asked for.
+    order; the system caches the sets by base and counts the bases asked
+    for (reads), its calls to the map and the bases they solved.
+    clean_search counts what three_clean_inflections did: the clean
+    points it was given and the midpoints its search asked for.
     """
 
     def __init__(self, contact_fn: Callable[[list[float]], list[CircularSet]],
@@ -86,6 +86,7 @@ class LineSystem:
         self.period = period
         self._cache: dict[float, CircularSet] = {}
         self.solves = {"calls": 0, "bases": 0}
+        self.reads = 0  # bases asked for through F and F_many, cached or not
         self.clean_search = {"exact_clean": 0, "halvings": 0}
 
     def T(self, p: float) -> float:
@@ -102,6 +103,7 @@ class LineSystem:
         """F at every base of ps; the bases not cached yet go to the
         contact map in one call."""
         keys = [self._key(p) for p in ps]
+        self.reads += len(keys)
         missing = list(dict.fromkeys(k for k in keys if k not in self._cache))
         if missing:
             self._cache.update(zip(missing, self._fn(missing)))
@@ -459,7 +461,7 @@ class AxiomResult:
 @dataclass
 class AxiomReport:
     results: list[AxiomResult]
-    solve_seconds: float = 0.0  # the grid prefetch; run metadata, not part of the report
+    solve_seconds: float = 0.0  # the prefetch; run metadata, not part of the report
     table_seconds: float = 0.0  # the span table and its dilation; run metadata too
 
     @property
@@ -475,18 +477,19 @@ def check_axioms(sys: LineSystem, grid_size: int = 256) -> AxiomReport:
     """Extensional check of the seven contact-family axioms on a grid of
     a positive even size, so that every grid point's antipode is on it.
 
-    The grid is solved in one contact-map call, and L1 to L6 read its
-    sets as one span table, built and dilated by SET_TOL once, in array
-    passes.  Sampled configurations only: the order axiom runs over
-    lagged pairs, the closedness axiom over grid-refinement sequences.
+    The grid and the L7 chain bases are solved in one contact-map call;
+    L1 to L6 read the grid's sets as one span table, built and dilated by
+    SET_TOL once, in array passes.  Sampled configurations only: the order
+    axiom runs over lagged pairs, the closedness axiom over grid-refinement sequences.
     Failures are collected with witnesses instead of raised.
     """
     if grid_size < 2 or grid_size % 2:
         raise ValueError(f"the axiom grid must have a positive even size, got {grid_size}")
     period = sys.period
     grid = [canonical(i * period / grid_size, period) for i in range(grid_size)]
+    chained = [q for chain in _l7_chains(grid, period)[1] for q in chain]  # cached for L7
     started = time.perf_counter()
-    sets = dict(zip(grid, sys.F_many(grid)))
+    sets = dict(zip(grid, sys.F_many(grid + chained)))
     solved = time.perf_counter()
     tab = span_table([sets[p] for p in grid])
     fat = dilated_rows(tab, SET_TOL, period)
@@ -684,18 +687,22 @@ def _check_l6(sys, grid, sets, tab, fat):
     return res
 
 
+def _l7_chains(grid, period):
+    """L7_CHAINS grid starts p and their chains p + (period / 16) / 2^d, d = 1 .. L7_DEPTH."""
+    starts = [grid[(k * len(grid)) // L7_CHAINS] for k in range(L7_CHAINS)]
+    return starts, [[canonical(p + period / 16.0 * 0.5 ** d, period)
+                     for d in range(1, L7_DEPTH + 1)] for p in starts]
+
+
 def _check_l7(sys, grid, sets, tab, fat):
-    """Closedness along refinement chains p + step0 / 2^d, d = 1 ..
-    L7_DEPTH, from L7_CHAINS grid points: a contact tracked down the
-    chain must end in F(p).  The chain bases come from the system in two blocks, the
-    first depth of every chain and then the rest of the chains that find a
-    contact to track there, which step together, a nearest midpoint per depth."""
+    """Closedness along the refinement chains of _l7_chains: a contact
+    tracked down the chain must end in F(p).  The chain sets are read in two
+    blocks, the first depth of every chain and then the rest of the chains
+    that find a contact to track there, which step together, a nearest
+    midpoint per depth; check_axioms solved them with the grid."""
     res = AxiomResult("L7", True, 0)
     period = sys.period
-    step0 = period / 16.0
-    starts = [grid[(k * len(grid)) // L7_CHAINS] for k in range(L7_CHAINS)]
-    chains = [[canonical(p + step0 * 0.5 ** d, period) for d in range(1, L7_DEPTH + 1)]
-              for p in starts]
+    starts, chains = _l7_chains(grid, period)
     tracked = []
     for chain, F1 in zip(chains, sys.F_many([c[0] for c in chains])):
         # track a contact away from both base components, so the check

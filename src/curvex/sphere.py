@@ -48,7 +48,7 @@ from .trig import (
 
 EPS_CONTACT = 1e-8
 EPS_NORM = 1e-9
-BLOCK = 256  # bases solved in one pass: the default axiom grid
+BLOCK = 512  # bases solved in one pass: the default axiom grid and its L7 chain bases
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,8 @@ def _limits(curve: ProjectiveCurve, ts, eps_contact: float) -> list[ContactData]
     _contact_sets, which gives the same sets from the block's arrays.
 
     The bases are solved BLOCK per pass, so that the default axiom grid
-    is one pass and a larger grid keeps its arrays bounded.  The limiting
+    with its L7 chain bases is one pass and a larger grid keeps its
+    arrays bounded.  The limiting
     circle at t passes through the lifted point and is either the
     tangent circle at t or tangent to the curve at an interior s of the
     forward arc (t, t + pi), a zero of

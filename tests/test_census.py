@@ -33,7 +33,7 @@ from curvex.census import (
 )
 from curvex.circle import TWO_PI, canonical, circle_dist, forward_gap
 from curvex.cli import main
-from curvex.errors import DegenerateChord, NotAntiConvex
+from curvex.errors import DegenerateChord, NotAntiConvex, SelfIntersection
 from curvex.sphere import (
     ProjectiveCurve,
     _cross3,
@@ -622,6 +622,18 @@ class TestReduction:
         assert i1 + i2 - 1 == i_base
         assert anti_convexity_grid_test(r1.unit_many, n_base=48)
         assert anti_convexity_grid_test(r2.unit_many, n_base=48)
+
+    def test_chord_through_the_curve_is_a_self_intersection(self):
+        # z vanishes at 0, pi/2 and 3pi/4, so the lifted points there are
+        # (1, 0, 0), (0, 1, 0) and (1, 1, 0) / sqrt 2: the chord over
+        # [0, pi/2] passes through the curve point at 3pi/4 at its
+        # midpoint, the sample pi/4 of the reduced curve
+        z = cos_series(1, 0.2) + sin_series(1, 0.2) + cos_series(3, -0.2) + sin_series(3, 0.2)
+        curve = ProjectiveCurve(VectorSeries(cos_series(1) + cos_series(3, 2.0), sin_series(1), z))
+        with pytest.raises(SelfIntersection, match="at t=0.7854, 2.3562"):
+            reduction(curve, 0.0, 0.5 * math.pi)
+        reduction(curve, 0.0, 0.5 * math.pi, check_simple=False)
+        reduction(curve, 0.1, 0.5 * math.pi)  # a chord that misses the curve
 
 
 class TestTopologicalCounter:

@@ -129,13 +129,16 @@ def test_run_seconds_and_axiom_timings_share_one_clock(tmp_path, monkeypatch):
 
 
 def test_axioms_sidecar_counts_contact_solves(tmp_path):
-    # the 256 grid bases in one call; L6 reads no base off the grid here,
-    # and the first four depths of the L7 chains are grid bases, so the
-    # other 10 depths of all 6 chains come in one more call
+    # the 256 grid bases and the L7 chain bases in one call: the first four
+    # depths of the 6 chains are grid bases, so their other 10 depths are
+    # new; L6 reads no base off the grid here.  The reads are the 256 + 6 * 14
+    # bases of that call, the one clean grid base's antipode of L5, and L7's
+    # 6 * 14 chain bases and 6 starts, all from the cache
     code, _ = run(tmp_path, CURVE7, "axioms")
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
     assert code == 0
-    assert meta["contact_solves"] == {"calls": 2, "bases": 256 + 6 * 10}
+    assert meta["contact_solves"] == {"calls": 1, "bases": 256 + 6 * 10}
+    assert meta["contact_reads"] == 256 + 6 * 14 + 1 + 6 * 14 + 6
     assert "clean_search" not in meta  # the axiom check searches nothing
 
 
@@ -153,6 +156,7 @@ def test_clean_point_modes_pick_the_triple_without_searching(tmp_path, payload, 
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
     assert code == 0
     assert meta["contact_solves"] == {"calls": 3, "bases": 3}
+    assert meta["contact_reads"] == 3  # no cache hit
     assert meta["clean_search"] == {"exact_clean": 3, "halvings": 0}
 
 
@@ -411,4 +415,5 @@ def test_contact_warnings_reach_the_sidecar(tmp_path, payload, mode):
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
     assert "contact_warnings" not in meta
     assert meta["contact_solves"]["bases"] >= meta["contact_solves"]["calls"] > 0
+    assert meta["contact_reads"] >= meta["contact_solves"]["bases"]
     assert ("clean_search" in meta) == (mode != "axioms")

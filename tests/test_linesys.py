@@ -629,7 +629,8 @@ def test_l2_and_l7_array_passes_match_their_references(case, request):
         assert 0 < l7.checked < 6 and len(l7.witnesses) == l7.checked
 
 
-@pytest.mark.parametrize("case", ["curve7", "sf_mix7", "patchy"])
+@pytest.mark.parametrize("case", ["curve3", "curve5", "curve7", "sf_sin3", "sf_mix25", "sf_mix4",
+                                  "sf_mix7", "patchy"])
 def test_prefetch_solves_what_the_lazy_path_solves(case, request, monkeypatch):
     if case == "patchy":
         fn = patchy
@@ -645,11 +646,15 @@ def test_prefetch_solves_what_the_lazy_path_solves(case, request, monkeypatch):
     assert blocked._cache.keys() == lazy._cache.keys()
     assert all(blocked._cache[k].arcs == lazy._cache[k].arcs for k in lazy._cache)
     assert blocked.solves["bases"] == lazy.solves["bases"] == len(lazy._cache)
-    # the grid, the bases of L6, then the first depth and the rest of L7
-    assert blocked.solves["calls"] <= 4
     if case == "patchy":
+        # the grid with every L7 chain base, then the bases of L6
+        assert blocked.solves["calls"] == 2
         by_name = {r["axiom"]: r for r in report["axioms"]}
         assert by_name["L6"]["checked"] > 0 and 0 < by_name["L7"]["checked"] < 6
+    else:
+        # the 256 grid bases and the 60 L7 chain bases off the grid in one
+        # call; every later read hits the cache
+        assert blocked.solves == {"calls": 1, "bases": 256 + 6 * 10}
 
 
 def mirrored(sys):

@@ -15,6 +15,7 @@ from curvex.errors import (
     NoConvergence,
     NotAntiConvex,
 )
+from curvex.linesys import _l7_chains
 from curvex.sphere import (
     EPS_CONTACT,
     ProjectiveCurve,
@@ -504,13 +505,19 @@ def test_a_block_raises_the_error_of_its_first_failing_base(curve3, monkeypatch,
 def test_row_built_contact_sets_equal_single_solves(fixture, request):
     # the contact maps merge the point tables of a whole block in one
     # merged_rows pass; each row must be the set that limiting_circle
-    # merges by from_points, float for float, on the axiom grid and on 70
-    # random bases, whatever bases are solved beside it
+    # merges by from_points, float for float, on the axiom grid, on the
+    # grid with the L7 chain bases in one BLOCK pass of 316 bases as the
+    # axiom check sends them, and on 70 random bases, whatever bases are
+    # solved beside it
     obj = request.getfixturevalue(fixture)
     curve = obj if isinstance(obj, ProjectiveCurve) else obj.lift
     grid = np.array([canonical(i * TWO_PI / 256) for i in range(256)])
+    chained = [q for chain in _l7_chains(grid.tolist(), TWO_PI)[1] for q in chain]
+    axiom_pass = np.array(list(dict.fromkeys(round(canonical(q), 12)
+                                             for q in [*grid.tolist(), *chained])))
+    assert len(axiom_pass) == 316 <= sphere.BLOCK
     rand = np.random.default_rng(4).uniform(0.0, TWO_PI, 70)
-    for ts in (grid, rand):
+    for ts in (grid, axiom_pass, rand):
         sets = _contact_sets(curve, ts, EPS_CONTACT)
         assert [repr(s.spans) for s in sets] == \
             [repr(limiting_circle(curve, t).contact.spans) for t in ts]

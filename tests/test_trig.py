@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvex.errors import IdenticallyZero
+from curvex.errors import IdenticallyZero, SingularSystem
 from curvex.trig import (
     ANTIPERIODIC,
     PERIODIC,
@@ -132,6 +132,14 @@ def test_osculating_m2_at_pi_over_6():
     b = f * math.sin(p) + fp * math.cos(p)
     phi = osculating_in_am(sin_series(3), p, 2)
     assert phi(0.33) == pytest.approx(a * math.cos(0.33) + b * math.sin(0.33))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_osculating_jet_system_at_a_non_finite_point_is_singular(m):
+    # orders from 3 solve the m x m jet system, whose entries are NaN at
+    # p = NaN; the closed form of order 2 has no system to fail
+    with pytest.raises(SingularSystem, match="ill-conditioned at p=nan"):
+        osculating_in_am(sin_series(3), math.nan, m)
 
 
 def test_osculating_fixes_members():
