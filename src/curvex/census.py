@@ -91,7 +91,7 @@ def chord(curve: ProjectiveCurve, a: float, b: float) -> Chord:
     circle with the lifted arc (a, b) in one of its open hemispheres.
     A hemisphere holds the short arc between any two of its points, so
     the short arc is the segment that stays inside that line's chart;
-    _double_tangents checks that the line exists."""
+    detect_double_tangents checks that the line exists."""
     pa, pb = curve.lift(a), curve.lift(b)
     cr = _cross3(pa, pb)
     ncr = float(np.linalg.norm(cr))
@@ -395,9 +395,13 @@ def _failed_filters(curve: ProjectiveCurve, a: np.ndarray, b: np.ndarray) -> np.
     by more than OFF_CHORD_MIN, the arc lies on one side of it just beyond
     both ends (at the first of the SIDE_STEPS probes whose side value
     exceeds SIDE_MIN), and the tangent directions along it at the ends
-    agree.  Elementwise (_dot3, _cross3): each is decided as if alone."""
+    agree.  Elementwise (_dot3, _cross3): each is decided as if alone.
+    The middle arc sample is lifted with the side probes; it is one of the
+    OFF_CHORD_SAMPLES, so only a candidate it leaves within OFF_CHORD_MIN
+    needs the others to settle on_chord."""
     k, steps = len(a), np.array(SIDE_STEPS)
-    ts = np.concatenate([a[:, None] + np.linspace(0.0, 1.0, OFF_CHORD_SAMPLES) * (b - a)[:, None],
+    fracs = np.linspace(0.0, 1.0, OFF_CHORD_SAMPLES)
+    ts = np.concatenate([a[:, None] + fracs[OFF_CHORD_SAMPLES // 2] * (b - a)[:, None],
                          a[:, None] - steps, b[:, None] + steps], axis=1)
     P = curve.lift_many(ts.ravel()).reshape(ts.shape + (3,))
     F, F1, _ = np.split(curve.jet(np.concatenate([a, b])).reshape(2, k, 9), 3, axis=2)
@@ -405,8 +409,13 @@ def _failed_filters(curve: ProjectiveCurve, a: np.ndarray, b: np.ndarray) -> np.
     cr = _cross3(ends[0], ends[1])
     ncr = np.sqrt(_dot3(cr, cr))
     normal = cr / np.maximum(ncr, EPS_NORM)[:, None]
-    off = np.abs(_dot3(P[:, :OFF_CHORD_SAMPLES], normal[:, None])).max(axis=1)
-    side = _dot3(P[:, OFF_CHORD_SAMPLES:], normal[:, None]).reshape(k, 2, len(steps))
+    off = np.abs(_dot3(P[:, 0], normal))
+    near = np.flatnonzero(off <= OFF_CHORD_MIN)
+    if len(near):
+        arc = a[near, None] + fracs * (b - a)[near, None]
+        Q = curve.lift_many(arc.ravel()).reshape(arc.shape + (3,))
+        off[near] = np.abs(_dot3(Q, normal[near, None])).max(axis=1)
+    side = _dot3(P[:, 1:], normal[:, None]).reshape(k, 2, len(steps))
     big = np.abs(side) > SIDE_MIN
     sign = np.sign(np.take_along_axis(side, big.argmax(axis=2)[..., None], axis=2)[..., 0])
     sa, sb = np.where(big.any(axis=2), sign, 0.0).T
@@ -460,20 +469,28 @@ def _cell_seeds(curve: ProjectiveCurve,
 
 
 def detect_double_tangents(curve: ProjectiveCurve, grid=()) -> DetectionResult:
-    """All double tangent intervals on the projective line (_double_tangents)."""
-    return _double_tangents(curve, grid)
-
-
-def _double_tangents(curve: ProjectiveCurve, grid=()) -> DetectionResult:
-    """detect_double_tangents, also run by width.a2_double_tangents on a
-    lift (bench/layertrace.py traces the two names apart).  newton2
-    solves the tangency system from the _cell_seeds of the curve;
-    converged pairs are deduplicated and decided by one filter pass, and
-    each kept pair takes its chord from chord: the short arc, which needs
-    a line through the middle q of the complementary arc (b, a + pi) that
+    """All double tangent intervals on the projective line
+    (_double_tangents), with their chords' charts checked.  Each kept
+    interval takes its chord from chord: the short arc, which needs a
+    line through the middle q of the complementary arc (b, a + pi) that
     meets the curve only at q.  One admissible_normal_arc call checks
     every q, then the bases grid, and raises NotAntiConvex at the first
     base without an arc."""
+    found = _double_tangents(curve)
+    bases = [canonical(iv.b + 0.5 * forward_gap(iv.b, iv.a + math.pi))
+             for iv in found.intervals] + list(grid)
+    for t, (arc, _) in zip(bases, admissible_normal_arc(curve, bases) if bases else []):
+        if arc is None:
+            raise NotAntiConvex(t)
+    return found
+
+
+def _double_tangents(curve: ProjectiveCurve) -> DetectionResult:
+    """detect_double_tangents without the chart check, which a lift
+    (width.a2_double_tangents) passes by construction.  newton2 solves
+    the tangency system from the _cell_seeds of the curve; converged
+    pairs are deduplicated and decided by one filter pass, and each kept
+    pair takes its chord from chord."""
     found, dropped, newton = tangent_pairs(*_cell_seeds(curve), _tangency_system(curve))
     a, gap = np.array(found).reshape(-1, 2).T
     b = a + gap
@@ -481,11 +498,6 @@ def _double_tangents(curve: ProjectiveCurve, grid=()) -> DetectionResult:
     keep = failed == len(FILTERS)
     intervals = [DoubleTangentInterval(x, y, chord(curve, x, y))
                  for x, y in zip(a[keep].tolist(), b[keep].tolist())]
-    bases = [canonical(iv.b + 0.5 * forward_gap(iv.b, iv.a + math.pi))
-             for iv in intervals] + list(grid)
-    for t, (arc, _) in zip(bases, admissible_normal_arc(curve, bases) if bases else []):
-        if arc is None:
-            raise NotAntiConvex(t)
     diverged = newton["seeds"] - newton["converged"]
     dropped_by = {"diverged": diverged, "outside_band": dropped - diverged,
                   **dict(zip(FILTERS, np.bincount(failed, minlength=len(FILTERS)).tolist()))}
@@ -627,7 +639,8 @@ def census(curve: ProjectiveCurve, system: LineSystem | None = None) -> CensusRe
     curve's line system, the report also carries, sorted, the three clean
     inflections that sphere.clean_inflections picks and checks on it.  A
     support's lift needs no such check, as the great circle through the
-    pole meets it only at the base and its antipode."""
+    pole meets it only at the base and its antipode, so the width census
+    runs _double_tangents, the detector without it."""
     flexes = [e for e in true_inflections(curve).entries if e.crossing]
     grid = [round(canonical(t), 12)
             for t in np.linspace(0.0, math.pi, SCAN // 2, endpoint=False)]

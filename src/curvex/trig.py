@@ -288,9 +288,12 @@ def osculating_in_am(s: TrigSeries, p: float, m: int) -> TrigSeries:
 
     For m = 2 this is a*cos t + b*sin t with a = f(p)cos p - f'(p)sin p,
     b = f(p)sin p + f'(p)cos p; general m solves the m x m jet system.
+    SingularSystem at a non-finite p, for every order.
     """
     if m > MAX_OSCULATE_ORDER:
         raise ValueError(f"order capped at {MAX_OSCULATE_ORDER}")
+    if not math.isfinite(p):
+        raise SingularSystem(f"jet system ill-conditioned at p={p}")
     if m == 2:
         f, fp = s(p), s.derivative()(p)
         a = f * math.cos(p) - fp * math.sin(p)

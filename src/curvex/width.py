@@ -204,8 +204,11 @@ def a2_double_tangents(sf: SupportFunction) -> DetectionResult:
     z-component 1 on F = (cos t, sin t, f(t)), so n(a).F(b) = f(b) - phi(b)
     and n(a).F'(b) = f'(b) - phi'(b) for the member phi osculating f at a.
     The sphere detector's own seeds, Newton solve and chord filters run
-    on the lift.  IdenticallyZero when f lies in the circle-support
-    space, where the tangency system vanishes identically."""
+    on the lift, without detect_double_tangents' chart check: the lift is
+    anti-convex for every f, as at each q the great circle through q and
+    the pole, of normal (-sin q, cos q, 0), meets it where sin(t - q) = 0,
+    only at q and q + pi.  IdenticallyZero when f lies in the
+    circle-support space, where the tangency system vanishes identically."""
     try:
         nonzero_indicator(sf.lift)
     except LineCurve:

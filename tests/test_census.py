@@ -15,6 +15,8 @@ from curvex.census import (
     OFF_CHORD_MIN,
     OFF_CHORD_SAMPLES,
     SCAN,
+    SIDE_MIN,
+    SIDE_STEPS,
     DoubleTangentInterval,
     _failed_filters,
     _first_distinct,
@@ -35,8 +37,10 @@ from curvex.circle import TWO_PI, canonical, circle_dist, forward_gap
 from curvex.cli import main
 from curvex.errors import DegenerateChord, NotAntiConvex, SelfIntersection
 from curvex.sphere import (
+    EPS_NORM,
     ProjectiveCurve,
     _cross3,
+    _dot3,
     admissible_normal_arc,
     inflection_indicator,
     normal_direction,
@@ -46,11 +50,13 @@ from curvex.trig import (
     ANTIPERIODIC,
     TrigSeries,
     VectorSeries,
+    apply_flex_operator,
     cos_series,
     isolate_sign_changes,
     newton2,
     sin_series,
 )
+from curvex.width import SupportFunction
 
 
 def interval(a, b):
@@ -113,6 +119,40 @@ class TestChord:
         assert list(fracs) == sorted(fracs)
 
 
+def failed_filters_reference(curve, a, b, fracs=np.linspace(0.0, 1.0, OFF_CHORD_SAMPLES)):
+    """_failed_filters with every candidate's arc samples, at fracs of
+    the way from a to b, lifted in one pass."""
+    k, steps, samples = len(a), np.array(SIDE_STEPS), len(fracs)
+    ts = np.concatenate([a[:, None] + np.asarray(fracs) * (b - a)[:, None],
+                         a[:, None] - steps, b[:, None] + steps], axis=1)
+    P = curve.lift_many(ts.ravel()).reshape(ts.shape + (3,))
+    F, F1, _ = np.split(curve.jet(np.concatenate([a, b])).reshape(2, k, 9), 3, axis=2)
+    ends = F / np.sqrt(_dot3(F, F))[..., None]
+    cr = _cross3(ends[0], ends[1])
+    ncr = np.sqrt(_dot3(cr, cr))
+    normal = cr / np.maximum(ncr, EPS_NORM)[:, None]
+    off = np.abs(_dot3(P[:, :samples], normal[:, None])).max(axis=1)
+    side = _dot3(P[:, samples:], normal[:, None]).reshape(k, 2, len(steps))
+    big = np.abs(side) > SIDE_MIN
+    sign = np.sign(np.take_along_axis(side, big.argmax(axis=2)[..., None], axis=2)[..., 0])
+    sa, sb = np.where(big.any(axis=2), sign, 0.0).T
+    turn = _dot3(_cross3(normal, ends), F1)
+    fails = np.stack([ncr < EPS_NORM, off <= OFF_CHORD_MIN, (sa == 0.0) | (sa != sb),
+                      turn[0] * turn[1] <= 0.0])
+    return np.where(fails.any(axis=0), fails.argmax(axis=0), len(FILTERS))
+
+
+def random_support_lifts(seed, n):
+    """The lifts of n support functions drawn as the benchmark's width
+    inputs are: the random_lifts recipe at d/2 = 1.25 max -(f + f'')."""
+    out = []
+    for curve in random_lifts(seed, n):
+        f = curve.F.z
+        deficit = -float(np.min(apply_flex_operator(f, 2).on_grid(4096)))
+        out.append(SupportFunction(2.5 * max(deficit, 1e-3), f).lift)
+    return out
+
+
 class TestFilterPass:
     def test_decides_as_the_reference(self, curve3, curve5, curve7, curve7_gl3, sf_sin3,
                                       sf_mix25, sf_mix4, sf_mix7):
@@ -132,6 +172,32 @@ class TestFilterPass:
             assert failed == [reference_filter(curve, x, y) for x, y in zip(a.tolist(), b.tolist())]
             seen.update(failed)
         assert seen == set(FILTERS) | {None}
+
+    def test_verdicts_equal_the_full_arc_pass(self, curve3, curve5, curve7, curve7_gl3,
+                                              sf_sin3, sf_mix25, sf_mix4, sf_mix7):
+        # the detector's candidates, and junk pairs with gaps from 1e-9 to
+        # 2e-2 that mostly fail on_chord, are decided as when all the arc
+        # samples of every candidate are lifted; on some of the junk the
+        # middle sample alone would read on_chord and the others do not
+        corpus = [curve3, curve5, curve7, curve7_gl3] + [sf.lift for sf in (sf_sin3, sf_mix25,
+                                                                           sf_mix4, sf_mix7)]
+        junk_a = np.repeat(np.linspace(0.1, math.pi + 0.1, 6, endpoint=False), 15)
+        junk_gap = np.tile(np.geomspace(1e-9, 2e-2, 15), 6)
+        on_chord = FILTERS.index("on_chord")
+        counts, settled_elsewhere = np.zeros(len(FILTERS) + 1, dtype=int), 0
+        curves = corpus + random_lifts(5, 46) + random_support_lifts(11, 45)
+        for curve in curves:
+            found, _, _ = tangent_pairs(*_cell_seeds(curve), _tangency_system(curve))
+            a, gap = np.array(found).reshape(-1, 2).T
+            a, b = np.r_[a, junk_a], np.r_[a + gap, junk_a + junk_gap]
+            failed = _failed_filters(curve, a, b)
+            np.testing.assert_array_equal(failed, failed_filters_reference(curve, a, b))
+            counts += np.bincount(failed, minlength=len(FILTERS) + 1)
+            middle = failed_filters_reference(curve, a, b, [0.5])
+            settled_elsewhere += np.count_nonzero((middle == on_chord) & (failed != on_chord))
+        assert len(curves) == 99
+        assert counts[on_chord] > 1000 and counts[len(FILTERS)] > 0
+        assert settled_elsewhere > 0
 
 
 class TestDetection:

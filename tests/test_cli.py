@@ -204,6 +204,29 @@ def inflection_solves(tmp_path, monkeypatch, payload, mode):
     return code, len(calls)
 
 
+@pytest.mark.parametrize("payload, mode, extra, want", [
+    (MIX7, "width-census", (), (0, 0)), (MIX7, "flexes", (), (0, 0)),
+    (MIX7, "theorem-c", (), (0, 0)), (MIX7, "truncate", ("--truncate-n", "3"), (1, 0)),
+    (CURVE7, "sphere-census", (), (0, 1))],
+    ids=["width-census", "flexes", "theorem-c", "truncate", "sphere-census"])
+def test_only_the_sphere_census_checks_charts(tmp_path, monkeypatch, payload, mode, extra,
+                                              want):
+    # a support's lift is anti-convex by construction, so no width mode
+    # solves admissible arcs, not even truncate, whose two censuses
+    # differ at n = 3 (exit 1); the sphere census makes its one call
+    real, asked = sphere.admissible_normal_arc, []
+
+    def spy(curve, ts):
+        asked.append(list(ts))
+        return real(curve, ts)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("curvex") and getattr(module, "admissible_normal_arc", None) is real:
+            monkeypatch.setattr(module, "admissible_normal_arc", spy)
+    code, _ = run(tmp_path, payload, mode, *extra)
+    assert (code, len(asked)) == want
+
+
 def test_sphere_census_reads_the_inflections_once(tmp_path, monkeypatch):
     # the clean-point search takes the exactly-clean points from the
     # census's own inflection report instead of solving the indicator again

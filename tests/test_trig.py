@@ -134,12 +134,13 @@ def test_osculating_m2_at_pi_over_6():
     assert phi(0.33) == pytest.approx(a * math.cos(0.33) + b * math.sin(0.33))
 
 
-@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_osculating_jet_system_at_a_non_finite_point_is_singular(m):
-    # orders from 3 solve the m x m jet system, whose entries are NaN at
-    # p = NaN; the closed form of order 2 has no system to fail
-    with pytest.raises(SingularSystem, match="ill-conditioned at p=nan"):
-        osculating_in_am(sin_series(3), math.nan, m)
+    # every order, the closed form of order 2 among them, fails the same
+    # way at NaN and at either infinity, where the jet is undefined
+    for p, name in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+        with pytest.raises(SingularSystem, match=f"ill-conditioned at p={name}$"):
+            osculating_in_am(sin_series(3), p, m)
 
 
 def test_osculating_fixes_members():

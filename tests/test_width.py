@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from curvex import sphere, width
+from curvex.circle import canonical, forward_gap
 from curvex.errors import CertificateFailed, IdenticallyZero, NotConvex
 from curvex.trig import (
     TrigSeries,
@@ -306,6 +307,23 @@ def test_a2_is_the_lifts_detector(name, request):
     assert (width_report.pop("kind"), lift_report.pop("kind")) == \
         ("width-census", "sphere-census")
     assert width_report == lift_report
+
+
+def test_skipped_chart_check_would_pass(sf_sin3, sf_mix25, sf_mix4, sf_mix7):
+    # a2 skips detect_double_tangents' chart check, which a lift passes:
+    # an admissible arc at the middle of every complementary arc
+    rng = np.random.default_rng(43)
+    supports = [sf_sin3, sf_mix25, sf_mix4, sf_mix7] + [as_support(TrigSeries(0.0, tuple(
+        (k, rng.normal() / k ** 1.5, rng.normal() / k ** 1.5) for k in (3, 5, 7, 9)),
+        "antiperiodic")) for _ in range(40)]
+    checked = 0
+    for sf in supports:
+        charts = [canonical(iv.b + 0.5 * forward_gap(iv.b, iv.a + math.pi))
+                  for iv in a2_double_tangents(sf).intervals]
+        if charts:
+            assert all(arc is not None for arc, _ in sphere.admissible_normal_arc(sf.lift, charts))
+            checked += len(charts)
+    assert checked > 40
 
 
 def test_a2_does_not_depend_on_the_unit_of_length(sf_mix7):
