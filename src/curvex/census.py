@@ -25,6 +25,7 @@ from .circle import (
     Arc,
     TWO_PI,
     canonical,
+    canonicals,
     circle_dists,
     cyclic_runs,
     forward_gap,
@@ -57,6 +58,7 @@ GAP_MARGIN = 2 * math.pi / LATTICE_CELLS  # pairs keep a gap in (h, pi - h), h o
 SIDE_STEPS = (1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2)  # probes beyond each end of a chord
 SIDE_MIN = 1e-9  # a probe's side value must exceed this to give the side
 FILTERS = ("degenerate_chord", "on_chord", "side", "direction")  # _failed_filters
+FAMILY_TOL = 1e-9  # arc ends this close touch (maximal_independent_family)
 
 
 @dataclass(frozen=True)
@@ -507,71 +509,64 @@ def _double_tangents(curve: ProjectiveCurve) -> DetectionResult:
 # -- independent (laminar) families -----------------------------------------
 
 
-def _compatible(x: Arc, y: Arc, tol: float = 1e-9) -> bool:
-    """Disjoint, or the closure of one inside the other."""
-    period = x.period
+def maximal_independent_family(
+        intervals: list[DoubleTangentInterval]) -> list[DoubleTangentInterval]:
+    """A largest pairwise-compatible subfamily, in order of length (ties
+    in the given order).  Two arcs of the projective line are compatible
+    when the closure of one lies in the other or the closures are
+    disjoint, to FAMILY_TOL; two arcs whose union covers the line are
+    not.  Among the largest families it is the first in the
+    lexicographic order of the arcs by length.
 
-    def inside(inner: Arc, outer: Arc) -> bool:
-        off = forward_gap(outer.start, inner.start, period)
-        return off >= -tol and off + inner.length <= outer.length + tol
-
-    if inside(x, y) or inside(y, x):
-        return True
-    gap_xy = forward_gap(x.end, y.start, period)
-    gap_yx = forward_gap(y.end, x.start, period)
-    return gap_xy + gap_yx <= period - x.length - y.length + tol \
-        and gap_xy > tol and gap_yx > tol
-
-
-def _compatibility(intervals: list[DoubleTangentInterval]):
-    """The intervals' arcs and their pairwise compatibility matrix."""
-    arcs = [iv.arc for iv in intervals]
-    return arcs, [[_compatible(x, y) for y in arcs] for x in arcs]
-
-
-def maximal_independent_family(intervals: list[DoubleTangentInterval],
-                               max_exact: int = 20) -> list[DoubleTangentInterval]:
-    """A maximum-cardinality pairwise-compatible subfamily (exact for
-    small inputs, greedy beyond); ties prefer shorter intervals."""
+    A dynamic program over at most 2 n^2 (arc, schedule) pairs, the
+    maximum non-crossing subfamily of a circle graph (Gavril, Networks 3
+    (1973); Supowit, IEEE Trans. CAD 6 (1987)), on the integer weights
+    w = 2^n + 2^(n - 1 - rank), whose best total is the family itself:
+    its size above bit n, its ranks as the bits below.  Shortest first,
+    f(J) is w_J plus the best schedule of the shorter arcs inside J,
+    read from the start of J.  At the top the line is cut in the middle
+    of the widest gap between ends.  A family's arcs over the cut are
+    nested, so it has none or an outermost one C: the best is a schedule
+    of the arcs that miss the cut, or f(C) plus a schedule of those in
+    the complement of C."""
     n = len(intervals)
-    arcs, comp = _compatibility(intervals)
-    order = sorted(range(n), key=lambda i: arcs[i].length)
-    if n <= max_exact:
-        best: list[int] = []
+    if n < 2:
+        return list(intervals)
+    s = canonicals(np.array([iv.a for iv in intervals]), math.pi)
+    L = np.minimum(np.array([iv.b - iv.a for iv in intervals]), math.pi)
+    order = L.argsort(kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    off = canonicals(s[:, None] - s, math.pi)  # off[i, j]: from the start of j to that of i
+    inner = (off + L[:, None] <= L + FAMILY_TOL) & (rank[:, None] < rank)  # i shorter, in j
+    f = [2**n + 2**(n - 1 - r) for r in rank.tolist()]
 
-        def grow(chosen: list[int], rest: list[int]):
-            nonlocal best
-            if len(chosen) + len(rest) <= len(best):
-                return
-            if not rest:
-                if len(chosen) > len(best):
-                    best = chosen[:]
-                return
-            head, tail = rest[0], rest[1:]
-            grow(chosen + [head], [r for r in tail if comp[head][r]])
-            grow(chosen, tail)
+    def schedule(ks: np.ndarray, starts: np.ndarray) -> int:
+        """The best total f of pairwise disjoint arcs ks, which start at
+        starts on one stretch of the line: weighted interval scheduling,
+        two arcs being disjoint when more than FAMILY_TOL lies between."""
+        ends = starts + L[ks]
+        by_end = ends.argsort(kind="stable")
+        before = ends[by_end].searchsorted(starts[by_end] - FAMILY_TOL)  # arcs wholly left
+        best = [0]
+        for k, q in zip(ks[by_end].tolist(), before.tolist()):
+            best.append(max(best[-1], f[k] + best[q]))
+        return best[-1]
 
-        grow([], order)
-        return [intervals[i] for i in best]
-    return [intervals[i] for i in greedy_maximal_indices(comp, order)]
-
-
-def greedy_maximal_indices(comp: list[list[bool]], order: list[int]) -> list[int]:
-    chosen: list[int] = []
-    for i in order:
-        if all(comp[i][j] for j in chosen):
-            chosen.append(i)
-    return chosen
-
-
-def greedy_maximal_family(intervals: list[DoubleTangentInterval],
-                          start: int = 0) -> list[DoubleTangentInterval]:
-    """Inclusion-maximal compatible family grown from a rotated order;
-    by the census identity its size must match the optimum."""
-    n = len(intervals)
-    _, comp = _compatibility(intervals)
-    order = [(start + k) % n for k in range(n)]
-    return [intervals[i] for i in greedy_maximal_indices(comp, order)]
+    for j in order[inner.any(axis=0)[order]].tolist():
+        ks = inner[:, j].nonzero()[0]
+        f[j] += schedule(ks, off[ks, j])
+    pts = np.sort(np.concatenate([s, s + L]) % math.pi)
+    gaps = np.append(pts[1:], pts[0] + math.pi) - pts
+    u = canonicals(s - pts[gaps.argmax()] - 0.5 * gaps.max(), math.pi)  # from the cut
+    v = u + L
+    miss = (v <= math.pi).nonzero()[0]
+    tops = [schedule(miss, u[miss])]
+    for c in (v > math.pi).nonzero()[0].tolist():  # its complement is (v[c] - pi, u[c])
+        ks = miss[(u[miss] > v[c] - math.pi + FAMILY_TOL) & (v[miss] < u[c] - FAMILY_TOL)]
+        tops.append(f[c] + schedule(ks, u[ks]))
+    chosen = format(max(tops) % 2**n, f"0{n}b")  # bit r: the arc of rank r
+    return [intervals[i] for i, bit in zip(order.tolist(), chosen) if bit == "1"]
 
 
 # -- the census --------------------------------------------------------------
@@ -605,23 +600,17 @@ class CensusReport:
 def census_report(kind: str, flexes, detection: DetectionResult,
                   clean_points) -> CensusReport:
     """The report of a census: the crossing inflection entries flexes,
-    counted as independent inflections, a maximal independent family of
-    the detection's intervals, the identity check i - 2*delta = 3 and
-    the clean points as given.  It warns of a greedy family (grown from
-    the middle) whose size differs from the optimum's.  It carries the
-    detection's counters outside its JSON: newton, dropped_candidates and
-    dropped_by."""
-    intervals = detection.intervals
-    family = maximal_independent_family(intervals)
-    warnings = {}
-    cross = greedy_maximal_family(intervals, start=len(intervals) // 2)
-    if len(cross) != len(family):
-        warnings["greedy_family_mismatch"] = len(cross)
+    counted as independent inflections, the detection's intervals in a
+    largest independent family (maximal_independent_family, exact), the
+    identity check i - 2*delta = 3 and the clean points as given.  It
+    carries the detection's counters outside its JSON: newton,
+    dropped_candidates and dropped_by."""
+    family = maximal_independent_family(detection.intervals)
     i, delta = len(flexes), len(family)
     return CensusReport(kind=kind, i=i, delta=delta, identity_holds=(i - 2 * delta == 3),
                         inflection_points=[e.parameter for e in flexes],
                         clean_points=list(clean_points),
-                        double_tangents=[(iv.a, iv.b) for iv in family], warnings=warnings,
+                        double_tangents=[(iv.a, iv.b) for iv in family],
                         counters={"newton": detection.newton,
                                   "dropped_candidates": detection.dropped,
                                   "dropped_by": detection.dropped_by})

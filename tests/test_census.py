@@ -8,6 +8,7 @@ from conftest import admissible_angles, anti_convexity_grid_test
 
 from curvex.census import (
     DEDUPE_TOL,
+    FAMILY_TOL,
     FILTERS,
     GAP_MARGIN,
     LATTICE_CELLS,
@@ -17,6 +18,7 @@ from curvex.census import (
     SCAN,
     SIDE_MIN,
     SIDE_STEPS,
+    DetectionResult,
     DoubleTangentInterval,
     _failed_filters,
     _first_distinct,
@@ -25,15 +27,15 @@ from curvex.census import (
     _tangency_system,
     _winding_cells,
     census,
+    census_report,
     chord,
     count_inflections_topological,
     detect_double_tangents,
-    greedy_maximal_family,
     maximal_independent_family,
     reduction,
     tangent_pairs,
 )
-from curvex.circle import TWO_PI, canonical, circle_dist, forward_gap
+from curvex.circle import TWO_PI, Arc, canonical, circle_dist, forward_gap
 from curvex.cli import main
 from curvex.errors import DegenerateChord, NotAntiConvex, SelfIntersection
 from curvex.sphere import (
@@ -61,6 +63,65 @@ from curvex.width import SupportFunction
 
 def interval(a, b):
     return DoubleTangentInterval(a, b, None)
+
+
+def _compatible(x: Arc, y: Arc, tol: float = FAMILY_TOL) -> bool:
+    """The compatibility of two arcs, one pair at a time: disjoint, or
+    the closure of one inside the other."""
+    period = x.period
+
+    def inside(inner: Arc, outer: Arc) -> bool:
+        off = forward_gap(outer.start, inner.start, period)
+        return off >= -tol and off + inner.length <= outer.length + tol
+
+    if inside(x, y) or inside(y, x):
+        return True
+    gap_xy = forward_gap(x.end, y.start, period)
+    gap_yx = forward_gap(y.end, x.start, period)
+    return gap_xy + gap_yx <= period - x.length - y.length + tol \
+        and gap_xy > tol and gap_yx > tol
+
+
+def brute_force_family(ivs):
+    """Every pairwise compatible subfamily, in the lexicographic order of
+    the arcs by length (ties in the given order); the first largest."""
+    arcs = [iv.arc for iv in ivs]
+    order = sorted(range(len(ivs)), key=lambda i: arcs[i].length)
+
+    def families(chosen, rest):
+        yield chosen
+        for k, i in enumerate(rest):
+            if all(_compatible(arcs[i], arcs[j]) for j in chosen):
+                yield from families(chosen + [i], rest[k + 1:])
+
+    return [ivs[i] for i in max(families([], order), key=len)]
+
+
+def random_arc_family(rng, n):
+    """n arcs (a, b) of the projective line: free ones, and ones nested in,
+    touching (0.5e-9 and 2e-9 apart, either way) or together with an
+    earlier arc covering the line."""
+    arcs = []
+    while len(arcs) < n:
+        kind = rng.integers(4) if arcs else 0
+        if kind == 0:
+            a, length = rng.uniform(0.0, math.pi), rng.uniform(0.02, math.pi - 0.02)
+        else:
+            a0, b0 = arcs[rng.integers(len(arcs))]
+            if kind == 1:  # nested, sharing an end at times
+                lo, hi = np.sort(rng.uniform(a0, b0, 2))
+                lo, hi = [(lo, hi), (a0, hi), (lo, b0)][rng.integers(3)]
+                a, length = lo, hi - lo
+            elif kind == 2:  # touching at either end
+                g = rng.choice([0.5e-9, 2e-9, -0.5e-9, -2e-9])
+                length = rng.uniform(0.02, 1.0)
+                a = b0 + g if rng.integers(2) else a0 - g - length
+            else:  # the union covers the line
+                d1, d2 = rng.uniform(0.0, 0.5, 2) * max(b0 - a0 - 0.02, 0.0)
+                a, length = b0 - d1, math.pi - (b0 - a0) + d1 + d2
+        a %= math.pi
+        arcs.append((a, a + length))
+    return arcs
 
 
 def test_census_names_the_submodule():
@@ -508,8 +569,7 @@ RANDOM_LIFTS = {
         (9, 0.043444285449365336, -0.042634623627666325))),
     # seeded only from the midpoints of adjacent zeros at the base with
     # more zeros, none transposed, the detector misses a double tangent
-    # here; with every seed but none transposed, the greedy family comes
-    # out one short of the optimum
+    # here
     "sphere5-r007": ((7, 2), (
         (3, 0.27880846654745356, 0.1093526620399476),
         (5, 0.2175007671783038, 0.057414746379943704),
@@ -621,7 +681,7 @@ class TestDetectionRegressions:
         expected, harmonics = RANDOM_LIFTS[name]
         rep = census(lift(TrigSeries(0.0, harmonics, ANTIPERIODIC)))
         assert (rep.i, rep.delta) == expected
-        assert "greedy_family_mismatch" not in rep.warnings
+        assert rep.warnings == {}
 
 
 class TestLaminar:
@@ -635,13 +695,26 @@ class TestLaminar:
         fam = maximal_independent_family(ivs)
         assert len(fam) == 1
 
-    def test_greedy_matches_optimum(self):
-        ivs = [interval(0.1, 1.2), interval(0.2, 0.6), interval(0.7, 1.1),
-               interval(1.4, 2.2), interval(2.0, 2.8)]
-        best = maximal_independent_family(ivs)
-        for start in range(len(ivs)):
-            greedy = greedy_maximal_family(ivs, start=start)
-            assert len(greedy) == len(best)
+    def test_greedy_undercount_family(self):
+        # taken shortest first, a greedy family would keep the arc that
+        # crosses the two disjoint others and end one short of 20
+        ivs = [interval(0.1, 0.5), interval(0.6, 1.0), interval(0.4, 0.7)] + [
+            interval(1.1 + 0.1 * k, 1.15 + 0.1 * k) for k in range(18)]
+        rep = census_report("sphere-census", [], DetectionResult(ivs), [])
+        assert rep.delta == 20 and rep.warnings == {}
+        assert (0.4, 0.7) not in rep.double_tangents
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(45)
+        for _ in range(300):
+            arcs = random_arc_family(rng, int(rng.integers(1, 13)))
+            ivs = [interval(a, b) for a, b in arcs]
+            fam = maximal_independent_family(ivs)
+            assert fam == brute_force_family(ivs)
+            shift = float(rng.uniform(0.0, math.pi))
+            turned = [interval((a + shift) % math.pi, (a + shift) % math.pi + (b - a))
+                      for a, b in arcs]
+            assert len(maximal_independent_family(turned)) == len(fam)
 
     def test_touching_closures_incompatible(self):
         ivs = [interval(0.1, 1.0), interval(1.0, 1.8)]
@@ -722,7 +795,7 @@ class TestCensus:
         assert rep.i == i
         assert rep.delta == delta
         assert rep.identity_holds
-        assert "greedy_family_mismatch" not in rep.warnings
+        assert rep.warnings == {}
 
     @pytest.mark.parametrize("fixture", ["curve3", "curve5", "curve7"])
     def test_clean_points_are_true_inflections(self, fixture, request):

@@ -345,8 +345,7 @@ class TestWidthCensus:
         rep = census_fn(sf)
         assert (rep.i, rep.delta) == (i, delta)
         assert rep.identity_holds
-        assert "additivity_mismatch" not in rep.warnings
-        assert "greedy_family_mismatch" not in rep.warnings
+        assert rep.warnings == {}
 
     def test_reduction_counts(self, sf_mix4):
         intervals, _ = a2_double_tangents(sf_mix4)
